@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-json bench-json2 bench-json3 bench-smoke figures figures-fast examples golden fuzz simsweep shield-sweep storm restart-chaos tenant-sweep clean
+.PHONY: all build vet test race bench bench-json bench-json2 bench-json3 bench-compare bench-smoke figures figures-fast examples golden fuzz simsweep shield-sweep storm restart-chaos tenant-sweep clean
 
 all: build vet test
 
@@ -40,6 +40,29 @@ bench-json2:
 # BENCH_2.json stays untouched as the single-tier baseline.
 bench-json3:
 	$(GO) run ./cmd/cloudsim -all -json -microbench -scalebench -scale 0.08 > BENCH_3.json
+
+# The before/after table every optimisation PR owes: BASE (any git ref)
+# against the working tree, on the served-path benchmark. BASE is exported
+# with git archive into .bench_build/base and builds its own benchmark
+# there; each workload gets PAIRS untraced runs a side, one seed per pair,
+# the side that goes first alternating (A, B, B, A, ...); then -compare
+# prints one row per workload and end-to-end metric by the rule in
+# benchmark/README.md, "Comparing two commits". About 45 s a pair.
+PAIRS ?= 10
+WORKLOADS ?= hot-local coop-miss update-storm full-stack
+bench-compare:
+	@test -n "$(BASE)" || { echo "usage: make bench-compare BASE=<git ref> [PAIRS=10] [WORKLOADS='coop-miss ...']"; exit 2; }
+	rm -rf .bench_build/base .bench_build/compare
+	mkdir -p .bench_build/base .bench_build/compare
+	git archive $(BASE) | tar -x -C .bench_build/base
+	@set -e; out=$$PWD/.bench_build/compare; \
+	for w in $(WORKLOADS); do for i in $$(seq 1 $(PAIRS)); do \
+		a="bash .bench_build/base/benchmark/run.sh --workload $$w --seed $$((100+i)) --append $$out/A.jsonl"; \
+		b="bash benchmark/run.sh --workload $$w --seed $$((100+i)) --append $$out/B.jsonl"; \
+		echo "== $$w pair $$i of $(PAIRS)"; \
+		if [ $$((i%2)) = 1 ]; then $$a >/dev/null; $$b >/dev/null; else $$b >/dev/null; $$a >/dev/null; fi; \
+	done; done
+	$(GO) run ./benchmark -compare .bench_build/compare/A.jsonl .bench_build/compare/B.jsonl
 
 # CI smoke for the lock-free read path: one iteration of the parallel
 # lookup and contention benchmarks under the race detector. Catches data

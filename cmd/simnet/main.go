@@ -47,7 +47,7 @@ func run(args []string) error {
 		ringSize = fs.Int("ringsize", 2, "beacon points per ring")
 		docs     = fs.Int("docs", 40, "catalog size")
 		rounds   = fs.Int("rounds", 3, "crash/recover rounds per seed")
-		inject   = fs.String("inject", "", "deliberate bug to plant (heartbeat-undercount)")
+		inject   = fs.String("inject", "", "deliberate bug to plant (heartbeat-undercount, supdate-stale, deregister-lost)")
 		schedule = fs.String("schedule", "", "replay an encoded schedule file instead of generating")
 		warm     = fs.Bool("warm", false, "durable stores + warm process restarts instead of plain heals")
 		shields  = fs.Int("shields", 0, "shield-tier caches between the cloud and the origin (0 = single tier)")

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,7 +25,9 @@ var errNotFound = errors.New("node: not found")
 
 // nodeRecord is a beacon-side lookup record held by a live node.
 type nodeRecord struct {
-	holders map[string]struct{}
+	// holders maps each listed holder to the sequence number of its newest
+	// registration (0: unnumbered — imported, promoted or restored).
+	holders map[string]uint64
 	version document.Version
 	lookups *loadstats.EWRate
 	updates *loadstats.EWRate
@@ -32,10 +35,39 @@ type nodeRecord struct {
 
 func newNodeRecord() *nodeRecord {
 	return &nodeRecord{
-		holders: make(map[string]struct{}),
+		holders: make(map[string]uint64),
 		lookups: loadstats.NewEWRate(60),
 		updates: loadstats.NewEWRate(60),
 	}
+}
+
+// list records a registration of holder h numbered seq. An older or
+// unnumbered registration never lowers the number already kept.
+func (r *nodeRecord) list(h string, seq uint64) {
+	if cur, ok := r.holders[h]; !ok || seq > cur {
+		r.holders[h] = seq
+	}
+}
+
+// drop removes holder h, unless h registered again after it issued the
+// drop numbered seq: the two messages crossed and the registration is the
+// newer fact. An unnumbered drop (0) always applies. It reports whether
+// the drop was ignored as stale.
+func (r *nodeRecord) drop(h string, seq uint64) (stale bool) {
+	cur, ok := r.holders[h]
+	if ok && seq != 0 && seq < cur {
+		return true
+	}
+	delete(r.holders, h)
+	return false
+}
+
+// routeView is the immutable routing snapshot request paths read without
+// n.mu: the sub-range layout and the peers the origin declared dead.
+// Installs and membership broadcasts publish a whole new value.
+type routeView struct {
+	assign Assignments
+	down   map[string]bool
 }
 
 // CacheNode is one live edge cache plus its beacon-point duties.
@@ -54,21 +86,34 @@ type CacheNode struct {
 	records  map[string]*nodeRecord
 	replicas map[string]WireRecord // sibling's records, lazily replicated
 
-	// assignView is the lock-free snapshot of assign, republished on every
-	// install (the node-layer mirror of the core's epoch pointer). Paths
-	// that only resolve beacon ownership — request routing, placement
-	// re-evaluation, metrics gauges — read it without touching n.mu, so an
-	// install or a long record hand-off never stalls them. An Assignments
-	// value is immutable once published: installs replace the whole value.
-	assignView  atomic.Pointer[Assignments]
+	// view is the lock-free snapshot of assign and down, republished on
+	// every install and membership broadcast (the node-layer mirror of the
+	// core's epoch pointer). Paths that only resolve beacon ownership or
+	// peer liveness — request routing, placement re-evaluation, metrics
+	// gauges — read it without touching n.mu, so an install or a long
+	// record hand-off never stalls them. Both values are immutable once
+	// published: installs and broadcasts replace them whole.
+	view        atomic.Pointer[routeView]
 	replicaFrom map[string]string // url → sibling that pushed the replica
-	down        map[string]bool   // peers the origin declared dead
+	down        map[string]bool   // peers the origin declared dead; replaced, never mutated
 	// loads[ring] is a dense per-IrH-value load counter for ranges this
 	// node owns in that ring (it only ever has entries for its own ring,
 	// but indexing by ring keeps the wire format uniform).
 	loads  map[int][]int64
 	hbSeq  int64
-	tracer *obs.Tracer
+	tracer atomic.Pointer[obs.Tracer]
+
+	// Holder-list maintenance, requester side (see drops.go). hmu guards
+	// the block and is never held across a network call.
+	hmu        sync.Mutex
+	seq        uint64               // last sequence number handed out
+	misses     map[string]missState // misses in flight, by URL
+	dropQueue  []pendingDrop        // deregistrations waiting to be sent, oldest first
+	flushAt    int                  // queue length that schedules the next background flush
+	flushTimer Timer                // non-nil while a background flush is scheduled or running
+	flushWG    sync.WaitGroup
+	closed     bool
+	peers      []string // every node of the cluster, sorted: the flush order
 
 	// Operational metrics live in the obs registry: counters are atomic
 	// (no n.mu needed to bump them) and /metrics renders the registry
@@ -84,6 +129,16 @@ type CacheNode struct {
 	reqMs       *obs.Histogram // client /doc handling latency
 	lookupMs    *obs.Histogram // beacon lookup round trip
 	fetchMs     *obs.Histogram // peer/origin document retrieval
+
+	// Holder-list maintenance: lookups that listed their requester and
+	// stale drops ignored (beacon side); drops sent on a lookup, sent in a
+	// batch, and cancelled because the document was held again (requester
+	// side).
+	lookupRegistered  *obs.Counter
+	dropsIgnoredStale *obs.Counter
+	dropsPiggybacked  *obs.Counter
+	dropsBatched      *obs.Counter
+	dropsCancelled    *obs.Counter
 
 	// Overload-resilience layer (see admission.go): the weighted
 	// class-priority admission gate, the adaptive origin-fetch limiter,
@@ -161,14 +216,23 @@ func NewCacheNode(name string, cfg ClusterConfig) (*CacheNode, error) {
 		down:         make(map[string]bool),
 		loads:        make(map[int][]int64),
 		degradedURLs: make(map[string]bool),
+		// Seeded from the clock so that a restarted node's numbers continue
+		// above every number its previous life handed out.
+		seq:     uint64(clock.Now().UnixNano()),
+		misses:  make(map[string]missState),
+		flushAt: flushPendingAt,
 	}
+	for peer := range cfg.Addrs {
+		n.peers = append(n.peers, peer)
+	}
+	sort.Strings(n.peers)
 	router, err := NewShieldRouter(cfg)
 	if err != nil {
 		return nil, err
 	}
 	n.shieldRouter = router
-	n.tracer = cfg.Tracer
-	n.publishAssign()
+	n.tracer.Store(cfg.Tracer)
+	n.publishView()
 	n.initAdmission()
 	// Tenancy precedes the durable warm boot so replayed entries land
 	// under their tenants' byte quotas.
@@ -196,6 +260,12 @@ func (n *CacheNode) initMetrics() {
 	n.failedOver = reg.Counter("failed_over_total")
 	n.degraded = reg.Counter("degraded_total")
 	n.circuitOpen = reg.Counter("circuit_open_total")
+	n.lookupRegistered = reg.Counter("lookup_registered_total")
+	n.dropsIgnoredStale = reg.Counter("drops_ignored_stale_total")
+	n.dropsPiggybacked = reg.Counter("drops_piggybacked_total")
+	n.dropsBatched = reg.Counter("drops_batched_total")
+	n.dropsCancelled = reg.Counter("drops_cancelled_total")
+	reg.GaugeFunc("pending_drops", func() float64 { return float64(n.PendingDrops()) })
 	n.shieldFetches = reg.Counter("shield_fetch_total")
 	n.shieldHits = reg.Counter("shield_hit_total")
 	n.shieldFailover = reg.Counter("shield_failover_total")
@@ -224,11 +294,7 @@ func (n *CacheNode) initMetrics() {
 	reg.GaugeFunc("owned_subrange_len", func() float64 {
 		return float64(ownedSubrangeLen(n.assignSnapshot(), n.name))
 	})
-	reg.GaugeFunc("down_peers", func() float64 {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		return float64(len(n.down))
-	})
+	reg.GaugeFunc("down_peers", func() float64 { return float64(len(n.view.Load().down)) })
 	reg.GaugeFunc("heartbeats_sent", func() float64 {
 		n.mu.Lock()
 		defer n.mu.Unlock()
@@ -242,18 +308,10 @@ func (n *CacheNode) Metrics() *obs.Registry { return n.reg }
 
 // SetTracer attaches a protocol-event tracer; the node emits
 // EvFailedOver and EvCircuitOpen.
-func (n *CacheNode) SetTracer(t *obs.Tracer) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.tracer = t
-}
+func (n *CacheNode) SetTracer(t *obs.Tracer) { n.tracer.Store(t) }
 
 // Tracer returns the attached tracer (nil when tracing is off).
-func (n *CacheNode) Tracer() *obs.Tracer {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.tracer
-}
+func (n *CacheNode) Tracer() *obs.Tracer { return n.tracer.Load() }
 
 // noteCircuitOpen is the transport's breaker-open callback.
 func (n *CacheNode) noteCircuitOpen(host string) {
@@ -316,16 +374,15 @@ func (n *CacheNode) Handler() http.Handler {
 	return mux
 }
 
-// publishAssign republishes the lock-free assignment snapshot. The caller
+// publishView republishes the lock-free routing snapshot. The caller
 // holds n.mu (or, in the constructor, has exclusive access).
-func (n *CacheNode) publishAssign() {
-	a := n.assign
-	n.assignView.Store(&a)
+func (n *CacheNode) publishView() {
+	n.view.Store(&routeView{assign: n.assign, down: n.down})
 }
 
 // assignSnapshot returns the current assignment view without taking n.mu.
 func (n *CacheNode) assignSnapshot() *Assignments {
-	return n.assignView.Load()
+	return &n.view.Load().assign
 }
 
 // beaconURL resolves the beacon node's base URL for a document.
@@ -345,9 +402,8 @@ func (n *CacheNode) beaconURL(url string) (name, base string, err error) {
 // that holds the lazy replica of the beacon's lookup records and can
 // answer lookups while the beacon is unreachable.
 func (n *CacheNode) siblingOf(beaconName string) (name, base string, ok bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	ringIdx := n.assign.ringOf(beaconName)
+	view := n.view.Load()
+	ringIdx := view.assign.ringOf(beaconName)
 	if ringIdx < 0 {
 		// The beacon may already have been removed from the assignment;
 		// fall back to its configured ring.
@@ -359,11 +415,11 @@ func (n *CacheNode) siblingOf(beaconName string) (name, base string, ok bool) {
 			}
 		}
 	}
-	if ringIdx < 0 || ringIdx >= len(n.assign.Rings) {
+	if ringIdx < 0 || ringIdx >= len(view.assign.Rings) {
 		return "", "", false
 	}
-	for _, sub := range n.assign.Rings[ringIdx] {
-		if sub.Node == beaconName || n.down[sub.Node] {
+	for _, sub := range view.assign.Rings[ringIdx] {
+		if sub.Node == beaconName || view.down[sub.Node] {
 			continue
 		}
 		if base, have := n.cfg.Addrs[sub.Node]; have {
@@ -374,11 +430,7 @@ func (n *CacheNode) siblingOf(beaconName string) (name, base string, ok bool) {
 }
 
 // isDown reports whether the origin has declared the peer dead.
-func (n *CacheNode) isDown(peer string) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.down[peer]
-}
+func (n *CacheNode) isDown(peer string) bool { return n.view.Load().down[peer] }
 
 // chargeBeaconLoad records one beacon operation on the IrH value.
 func (n *CacheNode) chargeBeaconLoad(url string) {
@@ -458,7 +510,9 @@ func (n *CacheNode) handleDoc(w http.ResponseWriter, r *http.Request) {
 	}
 	defer lookupRelease()
 
-	// Ask the document's beacon point for holders.
+	// Ask the document's beacon point for holders. The lookup also lists
+	// this node as a holder, so from here on a reply that leaves no copy
+	// behind owes the beacon a drop (endMiss queues it).
 	beaconName, beaconBase, err := n.beaconURL(url)
 	if err != nil {
 		n.docFailed.Inc()
@@ -466,16 +520,14 @@ func (n *CacheNode) handleDoc(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
+	n.beginMiss(url)
+	stored := false
+	defer func() { n.endMiss(url, stored) }()
 	var lr LookupResponse
 	lookupOK := false
 	tLookup := n.clock.Now()
-	if beaconName == n.name {
-		lr = n.localLookup(url)
-		lookupOK = true
-	} else if !n.isDown(beaconName) {
-		if err := n.tp.GetJSON(ctx, beaconBase+"/lookup?url="+queryEscape(url), &lr); err == nil {
-			lookupOK = true
-		}
+	if beaconName == n.name || !n.isDown(beaconName) {
+		lr, lookupOK = n.lookup(ctx, beaconName, beaconBase, url)
 	}
 
 	// Beacon unreachable: its ring sibling holds the lazy replica of the
@@ -484,15 +536,9 @@ func (n *CacheNode) handleDoc(w http.ResponseWriter, r *http.Request) {
 	deadBeacon := beaconName
 	if !lookupOK {
 		if sibName, sibBase, ok := n.siblingOf(beaconName); ok {
-			if sibName == n.name {
-				lr = n.localLookup(url)
-				lookupOK = true
-			} else if err := n.tp.GetJSON(ctx, sibBase+"/lookup?url="+queryEscape(url), &lr); err == nil {
-				lookupOK = true
-			}
-			if lookupOK {
+			if lr, lookupOK = n.lookup(ctx, sibName, sibBase, url); lookupOK {
 				failedOver = true
-				beaconName, beaconBase = sibName, sibBase
+				beaconName = sibName
 			}
 		}
 	}
@@ -512,7 +558,7 @@ func (n *CacheNode) handleDoc(w http.ResponseWriter, r *http.Request) {
 		}
 		n.originMZ.Inc()
 		n.degraded.Inc()
-		stored := n.place(ctx, doc, "", "", LookupResponse{}, now)
+		doc, stored = n.place(doc, "", LookupResponse{}, now)
 		n.docServed.Inc()
 		n.tenantCounts.served(tid)
 		writeJSON(w, http.StatusOK, DocResponse{Doc: doc, Source: "origin", Stored: stored, Degraded: true})
@@ -538,7 +584,7 @@ func (n *CacheNode) handleDoc(w http.ResponseWriter, r *http.Request) {
 		source = "origin"
 	}
 	n.fetchMs.Observe(n.msSince(tFetch))
-	stored := n.place(ctx, doc, beaconName, beaconBase, lr, now)
+	doc, stored = n.place(doc, beaconName, lr, now)
 	n.docServed.Inc()
 	n.tenantCounts.served(tid)
 	writeJSON(w, http.StatusOK, DocResponse{Doc: doc, Source: source, Stored: stored, FailedOver: failedOver})
@@ -550,8 +596,11 @@ func msSince(t0 time.Time) float64 { return float64(time.Since(t0)) / float64(ti
 // peerRetrieve tries to fetch the document from a sibling holder.
 // Holders the origin has declared dead are skipped without a network
 // call; a holder that sheds (429), is unreachable, or lacks the copy is
-// skipped for the next one. ok=false means the caller must fall back to
-// the origin (via originFetch, under the miss-class controls).
+// skipped for the next one; so is a copy older than the version the beacon
+// has already fanned out (the holder's push is still on its way, and a
+// node listed after the fan-out began would otherwise keep that copy).
+// ok=false means the caller must fall back to the origin (via originFetch,
+// under the miss-class controls).
 func (n *CacheNode) peerRetrieve(ctx context.Context, url string, lr LookupResponse) (doc document.Document, source string, ok bool) {
 	for _, h := range lr.Holders {
 		if h == n.name || n.isDown(h) {
@@ -562,7 +611,7 @@ func (n *CacheNode) peerRetrieve(ctx context.Context, url string, lr LookupRespo
 			continue
 		}
 		var fr FetchResponse
-		if err := n.tp.GetJSON(ctx, base+"/fetch?url="+queryEscape(url), &fr); err == nil {
+		if err := n.tp.GetJSON(ctx, base+"/fetch?url="+queryEscape(url), &fr); err == nil && fr.Doc.Version >= lr.Version {
 			n.peerHits.Inc()
 			return fr.Doc, "peer", true
 		}
@@ -571,10 +620,14 @@ func (n *CacheNode) peerRetrieve(ctx context.Context, url string, lr LookupRespo
 	return document.Document{}, "", false
 }
 
-// place runs the placement decision and registers the copy when stored.
-// An empty beaconBase skips registration (fully degraded path: no beacon
-// is reachable, so the copy stays unregistered until the next lookup).
-func (n *CacheNode) place(ctx context.Context, doc document.Document, beaconName, beaconBase string, lr LookupResponse, now int64) bool {
+// place runs the placement decision on a retrieved document and returns
+// the document to serve and whether a copy was kept. The lookup already
+// listed this node, so storing costs no message; evictions become pending
+// drops. A version pushed while the miss was in flight (see applyLocal)
+// wins over an older fetched one, before the store and again after it, so
+// a push that lands in between is not lost.
+func (n *CacheNode) place(doc document.Document, beaconName string, lr LookupResponse, now int64) (document.Document, bool) {
+	doc = n.newerPushed(doc)
 	pctx := placement.Context{
 		Now: now, CacheID: n.name, DocURL: doc.URL, DocSize: doc.Size,
 		IsBeacon:        beaconName == n.name,
@@ -586,50 +639,44 @@ func (n *CacheNode) place(ctx context.Context, doc document.Document, beaconName
 		Residence:       placement.ExpectedResidence(n.store.Capacity(), n.store.EvictionByteRate(now)),
 	}
 	if !n.policy.ShouldStore(pctx).Store {
-		return false
+		return doc, false
 	}
 	evicted, err := n.store.Put(document.Copy{Doc: doc, FetchedAt: now}, now)
 	if err != nil {
-		return false
+		return doc, false
 	}
-	n.register(ctx, doc.URL, beaconName, beaconBase)
-	for _, dead := range evicted {
-		n.deregister(ctx, dead.URL)
+	dropped := make([]string, len(evicted))
+	for i, d := range evicted {
+		dropped[i] = d.URL
 	}
-	return true
-}
-
-func (n *CacheNode) register(ctx context.Context, url, beaconName, beaconBase string) {
-	if beaconName == n.name {
-		n.localRegister(url, n.name)
-		return
+	n.enqueueDrops(dropped)
+	if pushed := n.newerPushed(doc); pushed.Version > doc.Version {
+		n.store.ApplyUpdate(pushed, now)
+		doc = pushed
 	}
-	if beaconBase == "" {
-		return
-	}
-	_ = n.tp.PostJSON(ctx, beaconBase+"/register", RegisterRequest{URL: url, Node: n.name}, nil)
-}
-
-func (n *CacheNode) deregister(ctx context.Context, url string) {
-	beaconName, beaconBase, err := n.beaconURL(url)
-	if err != nil {
-		return
-	}
-	if beaconName == n.name {
-		n.localDeregister(url, n.name)
-		return
-	}
-	if n.isDown(beaconName) {
-		return
-	}
-	_ = n.tp.PostJSON(ctx, beaconBase+"/deregister", RegisterRequest{URL: url, Node: n.name}, nil)
+	return doc, true
 }
 
 // --- beacon duties ---
 
-func (n *CacheNode) localLookup(url string) LookupResponse {
+// localLookup answers a lookup from the record as it stands and then, when
+// holder is set, lists holder on it under sequence number seq: the
+// registration rides the lookup. The answer leaves the requester out, so
+// its replica count and peer choice are those of the other holders.
+func (n *CacheNode) localLookup(url, holder string, seq uint64) LookupResponse {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	out := n.lookupLocked(url, holder)
+	if holder != "" {
+		n.registerLocked(url, holder, seq)
+		n.lookupRegistered.Inc()
+	}
+	return out
+}
+
+// lookupLocked builds the answer to a lookup, leaving out the holder named
+// except. Caller holds n.mu.
+func (n *CacheNode) lookupLocked(url, except string) LookupResponse {
 	rec, ok := n.records[url]
 	if !ok {
 		// No owned record. When a sibling fails over a lookup to this node
@@ -640,7 +687,7 @@ func (n *CacheNode) localLookup(url string) LookupResponse {
 			if wr, have := n.replicas[url]; have {
 				out := LookupResponse{Version: wr.Version}
 				for _, h := range wr.Holders {
-					if !n.down[h] {
+					if !n.down[h] && h != except {
 						out.Holders = append(out.Holders, h)
 					}
 				}
@@ -661,16 +708,43 @@ func (n *CacheNode) localLookup(url string) LookupResponse {
 		UpdateRate: rec.updates.Rate(now),
 	}
 	for h := range rec.holders {
-		out.Holders = append(out.Holders, h)
+		if h != except {
+			out.Holders = append(out.Holders, h)
+		}
 	}
 	sort.Strings(out.Holders)
 	return out
 }
 
+// handleLookup serves GET /lookup?url=U[&holder=N&seq=S[&drop=U1...]]. A
+// plain lookup only reads. With holder, the requester's pending drops are
+// applied and then the requester is listed for U, all numbered seq.
 func (n *CacheNode) handleLookup(w http.ResponseWriter, r *http.Request) {
-	url := r.URL.Query().Get("url")
+	q := r.URL.Query()
+	url := q.Get("url")
 	if url == "" {
 		writeErr(w, http.StatusBadRequest, errors.New("missing url"))
+		return
+	}
+	holder, drops := q.Get("holder"), q["drop"]
+	var seq uint64
+	if holder != "" {
+		// The cluster's own copy of the name: the parsed one is a slice of
+		// the request line, which a holder-map key would keep alive.
+		i := sort.SearchStrings(n.peers, holder)
+		if i == len(n.peers) || n.peers[i] != holder {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("unknown holder %q", holder))
+			return
+		}
+		holder = n.peers[i]
+		var err error
+		if seq, err = strconv.ParseUint(q.Get("seq"), 10, 64); err != nil {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad seq: %w", err))
+			return
+		}
+	}
+	if len(drops) > 0 && (holder == "" || len(drops) > maxPiggybackDrops) {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("%d drops without a holder or over the limit of %d", len(drops), maxPiggybackDrops))
 		return
 	}
 	// Peer calls pass already-scoped keys with no header; a direct client
@@ -688,12 +762,15 @@ func (n *CacheNode) handleLookup(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	writeJSON(w, http.StatusOK, n.localLookup(url))
+	if len(drops) > 0 {
+		n.localDeregister(drops, holder, seq)
+	}
+	writeJSON(w, http.StatusOK, n.localLookup(url, holder, seq))
 }
 
-func (n *CacheNode) localRegister(url, holder string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+// registerLocked lists holder for url under sequence number seq. Caller
+// holds n.mu.
+func (n *CacheNode) registerLocked(url, holder string, seq uint64) {
 	if owner, err := n.assign.ownerOf(url, n.cfg.IntraGen); err == nil && owner != n.name {
 		// Beacon duty fell here via failover: track the holder on the lazy
 		// replica instead of minting an owned record for a range this node
@@ -719,27 +796,32 @@ func (n *CacheNode) localRegister(url, holder string) {
 		rec = newNodeRecord()
 		n.records[url] = rec
 	}
-	rec.holders[holder] = struct{}{}
+	rec.list(holder, seq)
 }
 
-func (n *CacheNode) localDeregister(url, holder string) {
+// localDeregister drops holder from each URL's record, subject to the
+// sequence rule (nodeRecord.drop). Lazy replicas carry no numbers: a drop
+// that reaches a node which does not own the URL always applies there.
+func (n *CacheNode) localDeregister(urls []string, holder string, seq uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if owner, err := n.assign.ownerOf(url, n.cfg.IntraGen); err == nil && owner != n.name {
-		if wr, ok := n.replicas[url]; ok {
-			kept := wr.Holders[:0]
-			for _, h := range wr.Holders {
-				if h != holder {
-					kept = append(kept, h)
+	for _, url := range urls {
+		if owner, err := n.assign.ownerOf(url, n.cfg.IntraGen); err == nil && owner != n.name {
+			if wr, ok := n.replicas[url]; ok {
+				kept := wr.Holders[:0]
+				for _, h := range wr.Holders {
+					if h != holder {
+						kept = append(kept, h)
+					}
 				}
+				wr.Holders = kept
+				n.replicas[url] = wr
 			}
-			wr.Holders = kept
-			n.replicas[url] = wr
+			continue
 		}
-		return
-	}
-	if rec, ok := n.records[url]; ok {
-		delete(rec.holders, holder)
+		if rec, ok := n.records[url]; ok && rec.drop(holder, seq) {
+			n.dropsIgnoredStale.Inc()
+		}
 	}
 }
 
@@ -749,17 +831,29 @@ func (n *CacheNode) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	n.localRegister(req.URL, req.Node)
+	n.mu.Lock()
+	n.registerLocked(req.URL, req.Node, req.Seq)
+	n.mu.Unlock()
 	writeJSON(w, http.StatusOK, struct{}{})
 }
 
+// handleDeregister serves POST /deregister: the single-URL body, the
+// batched one a flush sends, or both at once.
 func (n *CacheNode) handleDeregister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
 	if err := readJSON(r, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	n.localDeregister(req.URL, req.Node)
+	if len(req.URLs) > maxBatchDrops {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("%d urls over the batch limit of %d", len(req.URLs), maxBatchDrops))
+		return
+	}
+	urls := req.URLs
+	if req.URL != "" {
+		urls = append(urls, req.URL)
+	}
+	n.localDeregister(urls, req.Node, req.Seq)
 	writeJSON(w, http.StatusOK, struct{}{})
 }
 
@@ -815,29 +909,35 @@ func (n *CacheNode) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		holders = append(holders, h)
 	}
 	sort.Strings(holders) // deterministic fan-out order
-	n.mu.Unlock()
-
+	listedAt := make([]uint64, len(holders))
+	for i, h := range holders {
+		listedAt[i] = rec.holders[h]
+	}
+	// Rate decays its monitor in place, so the rates are read inside the
+	// section that lookups' Observe calls run in.
 	push := UpdateRequest{
 		Doc:        req.Doc,
 		LookupRate: rec.lookups.Rate(now),
 		UpdateRate: rec.updates.Rate(now),
 		Replicas:   len(holders),
 	}
+	n.mu.Unlock()
+
 	notified := 0
-	var stale []string
-	for _, h := range holders {
+	var stale []int // indices into holders
+	for i, h := range holders {
 		if h == n.name {
 			if n.applyLocal(push) {
 				notified++
 			} else {
-				stale = append(stale, h)
+				stale = append(stale, i)
 			}
 			continue
 		}
 		if n.isDown(h) {
 			// A dead holder cannot refresh its copy; drop it from the
 			// record so it re-registers after rejoining.
-			stale = append(stale, h)
+			stale = append(stale, i)
 			continue
 		}
 		base, ok := n.cfg.Addrs[h]
@@ -848,19 +948,24 @@ func (n *CacheNode) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		if err := n.tp.PostJSON(r.Context(), base+"/apply", push, &ar); err == nil {
 			notified++
 			if !ar.Held {
-				stale = append(stale, h)
+				stale = append(stale, i)
 			}
 		} else {
 			// The push never reached the holder: its copy is now stale.
 			// Drop it from the record so lookups stop steering requesters
 			// at an outdated copy; the holder re-registers on its next
 			// reconcile pass (or re-fetch) once reachable again.
-			stale = append(stale, h)
+			stale = append(stale, i)
 		}
 	}
+	// A holder that registered again since the fan-out began (a lookup
+	// arrived meanwhile) keeps its entry: the verdict is about the earlier
+	// registration.
 	n.mu.Lock()
-	for _, h := range stale {
-		delete(rec.holders, h)
+	for _, i := range stale {
+		if h := holders[i]; rec.holders[h] == listedAt[i] {
+			delete(rec.holders, h)
+		}
 	}
 	n.mu.Unlock()
 	writeJSON(w, http.StatusOK, UpdateResponse{Notified: notified})
@@ -875,10 +980,20 @@ type applyResponse struct {
 // re-evaluates the placement decision using the beacon's piggybacked
 // monitoring: a copy whose consistency-maintenance cost has overtaken its
 // benefit is dropped rather than refreshed again next time.
+//
+// A node with a miss in flight on the document is listed (its lookup did
+// that) but holds nothing yet: the pushed version is kept for place, which
+// stores the newer of it and what the miss fetched, and the node answers
+// held. The second ApplyUpdate covers a store that landed between the
+// first one and the note.
 func (n *CacheNode) applyLocal(req UpdateRequest) bool {
 	now := n.now()
 	if !n.store.ApplyUpdate(req.Doc, now) {
-		return false
+		if !n.notePushed(req.Doc) {
+			return false
+		}
+		n.store.ApplyUpdate(req.Doc, now)
+		return true
 	}
 	others := req.Replicas - 1
 	if others < 0 {
@@ -1004,7 +1119,7 @@ func (n *CacheNode) handleSubranges(w http.ResponseWriter, r *http.Request) {
 	}
 	n.mu.Lock()
 	n.assign = req
-	n.publishAssign()
+	n.publishView()
 	promoted := 0
 	for url, wr := range n.replicas {
 		owner, err := req.ownerOf(url, n.cfg.IntraGen)
@@ -1026,7 +1141,7 @@ func (n *CacheNode) handleSubranges(w http.ResponseWriter, r *http.Request) {
 		}
 		for _, h := range wr.Holders {
 			if !n.down[h] {
-				rec.holders[h] = struct{}{}
+				rec.list(h, 0)
 			}
 		}
 		delete(n.replicas, url)
@@ -1169,7 +1284,7 @@ func (n *CacheNode) handleRecordsImport(w http.ResponseWriter, r *http.Request) 
 			rec.version = wr.Version
 		}
 		for _, h := range wr.Holders {
-			rec.holders[h] = struct{}{}
+			rec.list(h, 0)
 		}
 	}
 	n.mu.Unlock()
@@ -1259,11 +1374,13 @@ func (n *CacheNode) handleMembership(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	n.mu.Lock()
-	n.down = make(map[string]bool, len(req.Down))
+	down := make(map[string]bool, len(req.Down))
 	for _, d := range req.Down {
-		n.down[d] = true
+		down[d] = true
 	}
+	n.mu.Lock()
+	n.down = down
+	n.publishView()
 	if len(n.down) > 0 {
 		for _, rec := range n.records {
 			for d := range n.down {
@@ -1299,15 +1416,22 @@ func (n *CacheNode) handleReconcile(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ReconcileResponse{Results: n.reconcileEntries(req.Node, req.Entries)})
+	results, unreported := n.reconcileEntries(req.Node, req.Seq, req.Entries)
+	writeJSON(w, http.StatusOK, ReconcileResponse{Results: results, Unreported: unreported})
 }
 
 // reconcileEntries folds one holder's reconcile report into this beacon's
-// records and produces the per-copy verdicts.
-func (n *CacheNode) reconcileEntries(holder string, entries []ReconcileEntry) []ReconcileResult {
-	out := make([]ReconcileResult, 0, len(entries))
+// records and produces the per-copy verdicts, plus the documents this
+// beacon lists the holder for that the report left out (at most
+// maxBatchDrops of them): a lost drop, or a holder entry a promoted replica
+// brought back. The beacon does not act on those; the holder, which alone
+// knows what it stores and what it is fetching, answers with drops.
+func (n *CacheNode) reconcileEntries(holder string, seq uint64, entries []ReconcileEntry) (out []ReconcileResult, unreported []string) {
+	out = make([]ReconcileResult, 0, len(entries))
+	reported := make(map[string]struct{}, len(entries))
 	n.mu.Lock()
 	for _, e := range entries {
+		reported[e.URL] = struct{}{}
 		owner, err := n.assign.ownerOf(e.URL, n.cfg.IntraGen)
 		owned := err == nil && owner == n.name
 		res := ReconcileResult{URL: e.URL, Version: e.Version, Owned: owned, Keep: true}
@@ -1321,15 +1445,27 @@ func (n *CacheNode) reconcileEntries(holder string, entries []ReconcileEntry) []
 				delete(rec.holders, holder)
 				res.Keep = false
 			} else {
-				rec.holders[holder] = struct{}{}
+				rec.list(holder, seq)
 				rec.version = e.Version
 			}
 			res.Version = rec.version
 		}
 		out = append(out, res)
 	}
+	for url, rec := range n.records {
+		if _, listed := rec.holders[holder]; !listed {
+			continue
+		}
+		if _, ok := reported[url]; !ok {
+			unreported = append(unreported, url)
+		}
+	}
 	n.mu.Unlock()
-	return out
+	sort.Strings(unreported) // deterministic, whatever the cut keeps
+	if len(unreported) > maxBatchDrops {
+		unreported = unreported[:maxBatchDrops]
+	}
+	return out, unreported
 }
 
 // Reconcile runs one holder-side anti-entropy pass: every stored copy is
@@ -1338,45 +1474,47 @@ func (n *CacheNode) reconcileEntries(holder string, entries []ReconcileEntry) []
 // the store. Beacons that are down or unreachable are skipped — their
 // copies are retried on the next pass. Returns how many copies were
 // reported and how many were dropped as stale.
+//
+// The pass also settles the holder lists: pending drops are flushed first,
+// every live beacon gets a report (an empty one where this node stores
+// nothing it owns), and whatever a beacon still lists this node for beyond
+// the report is dropped before the pass ends. After it a reachable beacon
+// lists this node for exactly what it stores; between passes a listed
+// non-holder lasts at most one reconcile interval. The report's sequence
+// number is drawn before the store is read, so a copy evicted after that
+// is dropped under a newer number.
 func (n *CacheNode) Reconcile(ctx context.Context) (reported, dropped int) {
 	n.resubscribeDegraded(ctx)
+	n.flushDrops(ctx)
+	seq := n.nextSeq()
 	urls := n.store.Documents()
 	sort.Strings(urls) // deterministic report order
-	type group struct {
-		base    string
-		entries []ReconcileEntry
-	}
-	groups := make(map[string]*group)
-	var beacons []string
-	var local []ReconcileEntry
+	entries := make(map[string][]ReconcileEntry)
 	for _, url := range urls {
 		cp, ok := n.store.Peek(url)
 		if !ok {
 			continue
 		}
-		e := ReconcileEntry{URL: url, Version: cp.Doc.Version}
-		beaconName, beaconBase, err := n.beaconURL(url)
+		beaconName, _, err := n.beaconURL(url)
 		if err != nil {
 			continue
 		}
-		if beaconName == n.name {
-			local = append(local, e)
-			continue
-		}
-		if n.isDown(beaconName) {
-			continue
-		}
-		g := groups[beaconName]
-		if g == nil {
-			g = &group{base: beaconBase}
-			groups[beaconName] = g
-			beacons = append(beacons, beaconName)
-		}
-		g.entries = append(g.entries, e)
+		entries[beaconName] = append(entries[beaconName], ReconcileEntry{URL: url, Version: cp.Doc.Version})
 	}
-
-	apply := func(results []ReconcileResult) {
-		for _, res := range results {
+	for _, peer := range n.peers {
+		var resp ReconcileResponse
+		if peer == n.name {
+			resp.Results, resp.Unreported = n.reconcileEntries(n.name, seq, entries[peer])
+		} else {
+			if n.isDown(peer) {
+				continue
+			}
+			req := ReconcileRequest{Node: n.name, Seq: seq, Entries: entries[peer]}
+			if err := n.tp.PostJSON(ctx, n.cfg.Addrs[peer]+"/reconcile", req, &resp); err != nil {
+				continue
+			}
+		}
+		for _, res := range resp.Results {
 			reported++
 			if res.Owned && !res.Keep {
 				if n.store.Remove(res.URL) {
@@ -1384,19 +1522,9 @@ func (n *CacheNode) Reconcile(ctx context.Context) (reported, dropped int) {
 				}
 			}
 		}
+		n.enqueueDrops(resp.Unreported)
 	}
-	if len(local) > 0 {
-		apply(n.reconcileEntries(n.name, local))
-	}
-	for _, name := range beacons {
-		g := groups[name]
-		var resp ReconcileResponse
-		req := ReconcileRequest{Node: n.name, Entries: g.entries}
-		if err := n.tp.PostJSON(ctx, g.base+"/reconcile", req, &resp); err != nil {
-			continue
-		}
-		apply(resp.Results)
-	}
+	n.flushDrops(ctx)
 	return reported, dropped
 }
 

@@ -43,6 +43,13 @@ func (n *CacheNode) initDurable() error {
 	for _, url := range n.store.Documents() {
 		if cp, ok := n.store.Peek(url); ok {
 			kept = append(kept, durable.Entry{Doc: cp.Doc, FetchedAt: cp.FetchedAt})
+			if n.shieldRouter != nil {
+				// Which recovered copies still have a shield subscription
+				// died with the old process (degraded marks live in memory,
+				// and shields prune while a cloud is away): let the first
+				// reconcile pass re-attach every one.
+				n.degradedURLs[url] = true
+			}
 		}
 	}
 	if err := st.Reset(kept); err != nil {
@@ -115,10 +122,12 @@ func (n *CacheNode) DurableStats() (durable.Stats, bool) {
 	return n.durable.Stats(), true
 }
 
-// Close detaches and seals the durable tier (no-op for memory-only
+// Close waits out the background drop flush, if one is running, then
+// detaches and seals the durable tier (nothing to seal on memory-only
 // nodes). Call it on shutdown — and before reopening the same store
 // directory in a replacement node.
 func (n *CacheNode) Close() error {
+	n.stopFlush()
 	if n.durable == nil {
 		return nil
 	}

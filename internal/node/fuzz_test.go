@@ -71,6 +71,10 @@ func FuzzProtocolDecode(f *testing.F) {
 	f.Add(uint8(7), "", []byte(`{"rings":[[]]}`))
 	f.Add(uint8(5), "", []byte(`{"doc":`))
 	f.Add(uint8(255), "%zz=&&;", []byte{0xff, 0x00, 0x7b})
+	f.Add(uint8(1), "url=http://live/doc/1&holder=n1&seq=1727500000000000001&drop=http://live/doc/2&drop=http://live/doc/3", []byte(""))
+	f.Add(uint8(1), "url=u&holder=nobody&seq=-1&drop=", []byte(""))
+	f.Add(uint8(3), "", []byte(`{"node":"n1","seq":1727500000000000002,"urls":["http://live/doc/2","http://live/doc/3"]}`))
+	f.Add(uint8(3), "", []byte(`{"url":"http://live/doc/1","node":"n1","seq":18446744073709551616,"urls":[null]}`))
 	f.Fuzz(func(t *testing.T, endpoint uint8, query string, body []byte) {
 		cfg := ClusterConfig{
 			IntraGen: 100,

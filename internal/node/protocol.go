@@ -10,22 +10,38 @@
 //
 //	cache node
 //	  GET  /doc?url=U          client entry point: serve, cooperate, place
-//	  GET  /lookup?url=U       beacon duty: holder list + version
+//	  GET  /lookup?url=U       beacon duty: holder list + version; with
+//	       &holder=N&seq=S     the requester is listed as a holder in the
+//	       &drop=U1&drop=U2    same exchange and its pending drops applied
 //	  POST /register           beacon duty: add a holder
-//	  POST /deregister         beacon duty: drop a holder
+//	  POST /deregister         beacon duty: drop a holder from one URL or a
+//	                           batch of URLs
 //	  GET  /fetch?url=U        peer-to-peer copy transfer
 //	  POST /update             beacon duty: receive origin update, fan out
 //	  POST /apply              holder: apply a pushed update
+//	  POST /purge              beacon duty: scoped invalidation, broadcast
+//	  POST /drop               remove every trace of a purged document
 //	  POST /subranges          install a new sub-range assignment
+//	  GET  /subranges          this node's view of the layout
 //	  POST /records/import     receive migrated lookup records
+//	  POST /records/replica    receive a ring sibling's record replicas
+//	  POST /replicate          push owned records to the ring sibling
+//	  POST /reconcile          beacon duty: a holder's anti-entropy report
+//	  POST /membership         receive the origin's list of dead peers
 //	  POST /loads/collect      report and reset cycle load counters
+//	  GET  /healthz            liveness probe
 //	  GET  /stats              node statistics
+//	  GET  /metrics            metrics registry, Prometheus text format
+//	  POST /snapshot/save      persist the node's state
 //
 //	origin node
 //	  GET  /fetch?url=U        group-miss fetch
 //	  POST /publish            apply an update and push it to beacons
 //	  POST /rebalance          run one sub-range determination cycle
 //	  GET  /stats              origin statistics
+//
+// DESIGN.md, "Holder-list maintenance", has the message sequence of a
+// cooperative miss and the rules that keep holder lists safe.
 package node
 
 import (
@@ -157,10 +173,14 @@ func equalSplit(cfg ClusterConfig) Assignments {
 
 // ownerOf resolves the beacon node for a URL under an assignment.
 func (a Assignments) ownerOf(url string, intraGen int) (string, error) {
+	return a.ownerOfHash(document.HashURL(url), intraGen)
+}
+
+// ownerOfHash is ownerOf for a caller that kept the URL's hash.
+func (a Assignments) ownerOfHash(h document.Hash, intraGen int) (string, error) {
 	if len(a.Rings) == 0 {
 		return "", fmt.Errorf("node: empty assignment")
 	}
-	h := document.HashURL(url)
 	ringIdx := h.RingIndex(len(a.Rings))
 	irh := h.IrH(intraGen)
 	for _, s := range a.Rings[ringIdx] {
@@ -203,6 +223,12 @@ type LookupResponse struct {
 type RegisterRequest struct {
 	URL  string `json:"url"`
 	Node string `json:"node"`
+	// Seq is the sender's sequence number for this message (see
+	// nodeRecord.holders); 0 is an unnumbered request, which always applies.
+	Seq uint64 `json:"seq,omitempty"`
+	// URLs (/deregister only) drops the holder from a batch of documents
+	// in one message, in addition to URL when that is set.
+	URLs []string `json:"urls,omitempty"`
 }
 
 // FetchResponse answers GET /fetch.
@@ -273,7 +299,10 @@ type ReconcileEntry struct {
 // ReconcileRequest is the body of the beacon POST /reconcile: a holder
 // reporting every copy it stores whose beacon duty falls on the target.
 type ReconcileRequest struct {
-	Node    string           `json:"node"`
+	Node string `json:"node"`
+	// Seq numbers the registrations this report makes, so a drop issued
+	// before the pass cannot undo them when it arrives late.
+	Seq     uint64           `json:"seq,omitempty"`
 	Entries []ReconcileEntry `json:"entries"`
 }
 
@@ -290,9 +319,12 @@ type ReconcileResult struct {
 	Keep    bool             `json:"keep"`
 }
 
-// ReconcileResponse answers POST /reconcile.
+// ReconcileResponse answers POST /reconcile. Unreported names documents
+// the beacon lists the reporting node for although the report left them
+// out; the node answers with drops for those it indeed does not hold.
 type ReconcileResponse struct {
-	Results []ReconcileResult `json:"results"`
+	Results    []ReconcileResult `json:"results"`
+	Unreported []string          `json:"unreported,omitempty"`
 }
 
 // LoadReport answers POST /loads/collect: per-IrH-value loads for the

@@ -167,6 +167,12 @@ func (n *CacheNode) resubscribeDegraded(ctx context.Context) {
 		}
 		if fr.Doc.Version > cp.Doc.Version {
 			n.store.ApplyUpdate(fr.Doc, n.now())
+			// Peers that copied the degraded copy are as unsubscribed, and
+			// now as stale, as it was: refresh every listed holder through
+			// the beacon, as the shield's fan-out would have.
+			if _, beaconBase, err := n.beaconURL(url); err == nil {
+				_ = n.tp.PostJSON(ctx, beaconBase+"/update", UpdateRequest{Doc: fr.Doc}, nil)
+			}
 		}
 		n.mu.Lock()
 		delete(n.degradedURLs, url)

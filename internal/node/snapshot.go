@@ -72,7 +72,7 @@ func (n *CacheNode) LoadSnapshot(r io.Reader) error {
 	defer n.mu.Unlock()
 	if len(snap.Assign.Rings) > 0 {
 		n.assign = snap.Assign
-		n.publishAssign()
+		n.publishView()
 	}
 	for _, wr := range snap.Records {
 		rec, ok := n.records[wr.URL]
@@ -84,7 +84,7 @@ func (n *CacheNode) LoadSnapshot(r io.Reader) error {
 			rec.version = wr.Version
 		}
 		for _, h := range wr.Holders {
-			rec.holders[h] = struct{}{}
+			rec.list(h, 0)
 		}
 	}
 	return nil

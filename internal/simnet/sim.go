@@ -46,7 +46,9 @@ type Config struct {
 	Schedule []Event
 	// Inject enables a deliberate bug for harness self-tests. Supported:
 	// "heartbeat-undercount" (heartbeats under-report RecordsHeld by one,
-	// which the accounting invariant must catch).
+	// which the accounting invariant must catch), "supdate-stale" (the
+	// cross-tier fan-out invariant) and "deregister-lost" (batched drops
+	// arrive empty, which the no-phantom invariant must catch).
 	Inject string
 	// Warm gives every node a durable store and switches the generated
 	// schedule's recovery phase to warm restarts (heal-warm + check-warm
@@ -162,6 +164,10 @@ type sim struct {
 	dropPermille int
 	pendingCrash *crashLedger
 	pendingWarm  *warmLedger
+	// settled is true from a reconcile pass on a fault-free network until
+	// the next event that can change a holder list: the window in which
+	// holder lists must be exact, not merely supersets.
+	settled bool
 
 	lines    []string
 	failures []string
@@ -432,6 +438,25 @@ func injectHook(name string) (func(method, path string, body []byte) []byte, err
 			}
 			return mutated
 		}, nil
+	case "deregister-lost":
+		// Batched drops arrive empty, so a holder entry that only a flush
+		// could clear survives the settle pass — the no-phantom invariant
+		// must catch it.
+		return func(method, path string, body []byte) []byte {
+			if method != "POST" || path != "/deregister" {
+				return nil
+			}
+			var req node.RegisterRequest
+			if err := json.Unmarshal(body, &req); err != nil {
+				return nil
+			}
+			req.URL, req.URLs = "", nil
+			mutated, err := json.Marshal(req)
+			if err != nil {
+				return nil
+			}
+			return mutated
+		}, nil
 	default:
 		return nil, fmt.Errorf("simnet: unknown injection %q", name)
 	}
@@ -529,6 +554,11 @@ func (s *sim) shieldsOK() bool {
 
 // exec runs one schedule event.
 func (s *sim) exec(ev Event) {
+	switch ev.Kind {
+	case EvCheck, EvCheckAccounting, EvCheckWarm:
+	default:
+		s.settled = false
+	}
 	switch ev.Kind {
 	case EvLoad:
 		s.execLoad(ev.N)
@@ -1086,6 +1116,7 @@ func (s *sim) execReconcile() {
 		reported += r
 		dropped += d
 	}
+	s.settled = s.clean()
 	if len(s.shieldNames) > 0 {
 		if s.clean() && len(s.shieldDown) == 0 {
 			s.shieldsStale = false
@@ -1269,6 +1300,30 @@ func (s *sim) checkQuiescent() {
 			if want, known := versions[docURL]; freshOK && known && v != want {
 				stale++
 				s.failf("freshness: %s stores %s at version %d, origin at %d", name, docURL, v, want)
+			}
+		}
+	}
+	// No phantom holders: between flushes a beacon may list a node that
+	// dropped its copy (holder lists are supersets by design), but a settle
+	// pass on a fault-free network flushes every pending drop, so right
+	// after one no live beacon lists a live node that does not store the
+	// document, and no live node still has a drop waiting.
+	if s.settled {
+		for _, owner := range live {
+			for docURL, wr := range recordsOf[owner] {
+				for _, h := range wr.Holders {
+					if s.partitioned[h] {
+						continue
+					}
+					if _, stored := s.caches[h].StoredVersions()[docURL]; !stored {
+						s.failf("phantom: beacon %s lists %s for %s, which it does not store", owner, h, docURL)
+					}
+				}
+			}
+		}
+		for _, name := range live {
+			if p := s.caches[name].PendingDrops(); p != 0 {
+				s.failf("phantom: %s still has %d drops pending after the settle pass", name, p)
 			}
 		}
 	}

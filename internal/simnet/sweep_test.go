@@ -59,6 +59,25 @@ func TestInjectedBugIsCaught(t *testing.T) {
 	}
 }
 
+// TestLostDropsAreCaught verifies the no-phantom invariant has teeth: with
+// every batched /deregister arriving empty, a node that evicted a copy (the
+// tenant quotas make nodes evict) stays listed past the settle pass, and
+// the quiescent check must say so.
+func TestLostDropsAreCaught(t *testing.T) {
+	for seed := int64(0); seed < 10; seed++ {
+		res, err := Run(Config{Seed: seed, Tenants: 3, Inject: "deregister-lost"})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, f := range res.Failures {
+			if strings.Contains(f, "phantom") {
+				return
+			}
+		}
+	}
+	t.Fatal("deregister-lost injection was not caught by the phantom invariant on any of seeds 0..9")
+}
+
 // partitionSchedule builds the PR-2 chaos end-to-end scenario as an explicit
 // schedule: warm load, publishes, replication, a partition mid-traffic, the
 // detection window with failover load against the surviving ring sibling,
