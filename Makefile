@@ -67,8 +67,10 @@ bench-compare:
 # CI smoke for the lock-free read path: one iteration of the parallel
 # lookup and contention benchmarks under the race detector. Catches data
 # races the unit tests' interleavings miss, without benchmark runtimes.
+# The tenant quota-eviction benchmark rides along so its 100k-resident
+# set-up (three replacement kinds) is built and evicted from once per push.
 bench-smoke:
-	$(GO) test -race -run NoTestsJustBench -bench 'BenchmarkCloudLookupParallel|BenchmarkCloudContention' -benchtime 1x .
+	$(GO) test -race -run NoTestsJustBench -bench 'BenchmarkCloudLookupParallel|BenchmarkCloudContention|BenchmarkPutTenantQuotaEvict' -benchtime 1x -benchmem .
 
 # Reproduce every paper figure at full scale (several minutes).
 figures:

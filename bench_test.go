@@ -565,6 +565,49 @@ func BenchmarkCacheGetPut(b *testing.B) {
 	}
 }
 
+// benchQuotas is a fixed tenant byte-quota table.
+type benchQuotas map[string]int64
+
+func (q benchQuotas) ByteQuota(tenant string) int64 { return q[tenant] }
+
+// BenchmarkPutTenantQuotaEvict times a store that evicts one document
+// under its tenant's byte quota, beside `resident` documents of an
+// uncapped tenant: the capped tenant holds 1% of the bytes. The cost must
+// not depend on `resident`.
+func BenchmarkPutTenantQuotaEvict(b *testing.B) {
+	const docSize = 4096
+	for _, resident := range []int{1_000, 10_000, 100_000} {
+		for _, kind := range []cache.ReplacementKind{cache.LRU, cache.LFU, cache.GreedyDualSize} {
+			b.Run(fmt.Sprintf("resident=%dk/%v", resident/1000, kind), func(b *testing.B) {
+				c := cache.NewWithReplacement("bench", 0, kind)
+				capped := resident / 100
+				c.SetTenantQuotas(benchQuotas{"capped": int64(capped) * docSize})
+				put := func(tenant string, i int) int {
+					key := document.TenantKey(tenant, fmt.Sprintf("http://bench/d%d", i))
+					ev, err := c.Put(document.Copy{Doc: document.Document{URL: key, Size: docSize, Version: 1}}, int64(i))
+					if err != nil {
+						b.Fatal(err)
+					}
+					return len(ev)
+				}
+				for i := 0; i < resident; i++ {
+					put("uncapped", i)
+				}
+				for i := 0; i <= capped; i++ { // the last one builds the sub-order
+					put("capped", i)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if put("capped", capped+1+i) != 1 {
+						b.Fatal("store did not evict exactly one quota victim")
+					}
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkRingRebalance(b *testing.B) {
 	members := make([]ring.Member, 10)
 	for i := range members {

@@ -50,8 +50,9 @@ type Cache struct {
 	// Multi-tenant residency: resident bytes per tenant (derived from the
 	// tenant-folded keys) and the optional quota table enforced on every
 	// Put/ApplyUpdate. A tenant over its cap evicts only its own entries.
-	tenantUsed map[string]int64
-	quotas     TenantQuotas
+	tenantUsed     map[string]int64
+	quotas         TenantQuotas
+	quotaEvictions map[string]int64 // documents evicted per tenant by its byte quota
 
 	// monitors tracks access rates per document URL, including documents
 	// that are not currently stored — the paper's placement scheme decides
@@ -96,14 +97,15 @@ func New(id string, capacity int64) *Cache {
 // policy.
 func NewWithReplacement(id string, capacity int64, kind ReplacementKind) *Cache {
 	return &Cache{
-		id:         id,
-		capacity:   capacity,
-		entries:    make(map[string]document.Copy),
-		policy:     newReplacementPolicy(kind),
-		kind:       kind,
-		monitors:   make(map[string]*loadstats.EWRate),
-		totalRate:  loadstats.NewEWRate(accessHalfLife),
-		evictBytes: loadstats.NewEWRate(accessHalfLife),
+		id:             id,
+		capacity:       capacity,
+		entries:        make(map[string]document.Copy),
+		policy:         newReplacementPolicy(kind),
+		kind:           kind,
+		quotaEvictions: make(map[string]int64),
+		monitors:       make(map[string]*loadstats.EWRate),
+		totalRate:      loadstats.NewEWRate(accessHalfLife),
+		evictBytes:     loadstats.NewEWRate(accessHalfLife),
 	}
 }
 

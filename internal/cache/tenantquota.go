@@ -3,6 +3,7 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 
 	"cachecloud/internal/document"
@@ -24,7 +25,7 @@ type TenantQuotas interface {
 // SetTenantQuotas attaches (or, with nil, detaches) the per-tenant quota
 // table. Quotas are enforced on every Put/ApplyUpdate from then on;
 // entries already over a newly attached (or shrunk) quota are reclaimed
-// by the next EnforceTenantQuotas sweep.
+// by the tenant's next Put or the next EnforceTenantQuotas sweep.
 func (c *Cache) SetTenantQuotas(q TenantQuotas) {
 	c.mu.Lock()
 	c.quotas = q
@@ -64,30 +65,26 @@ func (c *Cache) tenantQuotaOf(tenant string) int64 {
 // makeTenantRoom evicts the tenant's own entries — in replacement-policy
 // order, never the protected key — until the tenant fits its quota.
 // Tenant-fair eviction: one tenant going over its cap reclaims only its
-// own documents; other tenants' working sets are untouched. Caller holds
-// mu.
+// own documents; other tenants' working sets are untouched. Each victim
+// comes from the policy's sub-order for the tenant, so an eviction costs
+// the same whatever the other tenants store. Caller holds mu.
 func (c *Cache) makeTenantRoom(tenant string, quota int64, protect string, now int64) []document.Document {
 	if quota <= 0 {
 		return nil
 	}
 	var evicted []document.Document
 	for c.tenantUsed[tenant] > quota {
-		ordered := c.policy.ordered() // decreasing keep-priority
-		victim := ""
-		for i := len(ordered) - 1; i >= 0; i-- {
-			key := ordered[i]
-			if key != protect && tenantOf(key) == tenant {
-				victim = key
-				break
-			}
-		}
-		if victim == "" {
+		victim, ok := c.policy.tenantVictim(tenant, protect)
+		if !ok {
 			break // only the protected entry remains for this tenant
 		}
 		cp := c.entries[victim]
 		c.removeLocked(victim)
 		c.evictBytes.Observe(now, float64(cp.Doc.Size))
 		evicted = append(evicted, cp.Doc)
+	}
+	if len(evicted) > 0 {
+		c.quotaEvictions[tenant] += int64(len(evicted))
 	}
 	return evicted
 }
@@ -128,6 +125,15 @@ func (c *Cache) TenantUsage() map[string]int64 {
 		out[t] = b
 	}
 	return out
+}
+
+// TenantQuotaEvictions returns how many documents each tenant has evicted
+// to stay inside its byte quota (only tenants that evicted appear): a
+// tenant whose count climbs with its requests is thrashing against its cap.
+func (c *Cache) TenantQuotaEvictions() map[string]int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return maps.Clone(c.quotaEvictions)
 }
 
 // checkTenantFit rejects a document whose size alone exceeds its

@@ -171,6 +171,8 @@ func (n *CacheNode) TenantAdmission() map[string]TenantStats {
 // renderTenantMetrics appends the per-tenant counters to the Prometheus
 // text body with a proper tenant label (the registry's fixed-label model
 // cannot vary labels per series, so these lines are rendered by hand).
+// quota_evictions_total appears only here, not in /stats: a tenant whose
+// count climbs with its requests is thrashing against its byte quota.
 func (n *CacheNode) renderTenantMetrics(b *strings.Builder) {
 	stats := n.TenantAdmission()
 	if stats == nil {
@@ -181,6 +183,7 @@ func (n *CacheNode) renderTenantMetrics(b *strings.Builder) {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
+	quotaEvictions := n.store.TenantQuotaEvictions()
 	for _, id := range ids {
 		ts := stats[id]
 		labels := fmt.Sprintf("{node=%q,tenant=%q}", n.name, id)
@@ -190,5 +193,6 @@ func (n *CacheNode) renderTenantMetrics(b *strings.Builder) {
 		fmt.Fprintf(b, "cachecloud_node_tenant_failed_total%s %d\n", labels, ts.Failed)
 		fmt.Fprintf(b, "cachecloud_node_tenant_share%s %d\n", labels, ts.Share)
 		fmt.Fprintf(b, "cachecloud_node_tenant_resident_bytes%s %d\n", labels, ts.ResidentBytes)
+		fmt.Fprintf(b, "cachecloud_node_tenant_quota_evictions_total%s %d\n", labels, quotaEvictions[id])
 	}
 }

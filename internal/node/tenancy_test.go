@@ -253,6 +253,47 @@ func TestTenantIsolationProperty(t *testing.T) {
 	}
 }
 
+// TestTenantQuotaEvictionsMetric: a tenant evicting under its byte quota
+// shows on /metrics, per tenant, and nowhere in the /stats JSON.
+func TestTenantQuotaEvictionsMetric(t *testing.T) {
+	lc := startCluster(t, 2, 2, ClusterConfig{
+		Tenants: map[string]tenant.Quota{"acme": {Weight: 1, Bytes: 2500}, "globex": {Weight: 1}},
+	})
+	httpc := &http.Client{Timeout: 10 * time.Second}
+	base := lc.Cfg.Addrs["live-00"]
+	for _, d := range testCatalog(4) { // ~1 KB each: the third and fourth store evict
+		for _, tid := range []string{"acme", "globex"} {
+			if _, code, body, err := tenantGet(httpc, base, tid, d.URL); err != nil || code != http.StatusOK {
+				t.Fatalf("%s get %s: status %d err %v: %s", tid, d.URL, code, err, body)
+			}
+		}
+	}
+	get := func(path string) string {
+		resp, err := httpc.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
+	metrics := get("/metrics")
+	for _, want := range []string{
+		`cachecloud_node_tenant_quota_evictions_total{node="live-00",tenant="acme"} 2`,
+		`cachecloud_node_tenant_quota_evictions_total{node="live-00",tenant="globex"} 0`,
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("/metrics lacks %s", want)
+		}
+	}
+	if stats := get("/stats"); strings.Contains(strings.ToLower(stats), "evict") {
+		t.Errorf("/stats JSON grew an eviction field: %s", stats)
+	}
+}
+
 // TestTenantHeaderValidation pins the wire contract: an invalid tenant
 // ID is a 400 before any admission or counter work, on /doc and on the
 // cooperation endpoints that fold the tenant into the key.
