@@ -52,7 +52,6 @@ func run(args []string) error {
 		name      = fs.String("name", "", "this node's name (must appear in the cluster config)")
 		listen    = fs.String("listen", "", "listen address, e.g. 127.0.0.1:8100")
 		cfgPath   = fs.String("config", "cluster.json", "cluster configuration file")
-		snap      = fs.String("snapshot", "", "snapshot file: loaded at start, written on POST /snapshot/save")
 		heartbeat = fs.Duration("heartbeat", 2*time.Second, "heartbeat period to the origin (0 disables)")
 		timeout   = fs.Duration("timeout", 5*time.Second, "per-request deadline for outbound calls")
 		retries   = fs.Int("retries", 2, "outbound retries after a failed attempt (-1 disables)")
@@ -98,12 +97,6 @@ func run(args []string) error {
 	n, err := node.NewCacheNodeWithTransport(*name, cfg, tp)
 	if err != nil {
 		return err
-	}
-	if *snap != "" {
-		n.SetSnapshotPath(*snap)
-		if err := n.LoadSnapshotFile(*snap); err != nil {
-			return fmt.Errorf("load snapshot: %w", err)
-		}
 	}
 	if *heartbeat > 0 {
 		stop := n.StartHeartbeat(*heartbeat)

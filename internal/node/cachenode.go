@@ -15,7 +15,6 @@ import (
 	"cachecloud/internal/cache"
 	"cachecloud/internal/document"
 	"cachecloud/internal/durable"
-	"cachecloud/internal/loadstats"
 	"cachecloud/internal/obs"
 	"cachecloud/internal/placement"
 	"cachecloud/internal/tenant"
@@ -23,84 +22,22 @@ import (
 
 var errNotFound = errors.New("node: not found")
 
-// nodeRecord is a beacon-side lookup record held by a live node.
-type nodeRecord struct {
-	// holders maps each listed holder to the sequence number of its newest
-	// registration (0: unnumbered — imported, promoted or restored).
-	holders map[string]uint64
-	version document.Version
-	lookups *loadstats.EWRate
-	updates *loadstats.EWRate
-}
-
-func newNodeRecord() *nodeRecord {
-	return &nodeRecord{
-		holders: make(map[string]uint64),
-		lookups: loadstats.NewEWRate(60),
-		updates: loadstats.NewEWRate(60),
-	}
-}
-
-// list records a registration of holder h numbered seq. An older or
-// unnumbered registration never lowers the number already kept.
-func (r *nodeRecord) list(h string, seq uint64) {
-	if cur, ok := r.holders[h]; !ok || seq > cur {
-		r.holders[h] = seq
-	}
-}
-
-// drop removes holder h, unless h registered again after it issued the
-// drop numbered seq: the two messages crossed and the registration is the
-// newer fact. An unnumbered drop (0) always applies. It reports whether
-// the drop was ignored as stale.
-func (r *nodeRecord) drop(h string, seq uint64) (stale bool) {
-	cur, ok := r.holders[h]
-	if ok && seq != 0 && seq < cur {
-		return true
-	}
-	delete(r.holders, h)
-	return false
-}
-
-// routeView is the immutable routing snapshot request paths read without
-// n.mu: the sub-range layout and the peers the origin declared dead.
-// Installs and membership broadcasts publish a whole new value.
-type routeView struct {
-	assign Assignments
-	down   map[string]bool
-}
-
 // CacheNode is one live edge cache plus its beacon-point duties.
 type CacheNode struct {
-	name         string
-	cfg          ClusterConfig
-	store        *cache.Cache
-	policy       placement.Policy
-	tp           Transport
-	clock        Clock
-	start        time.Time
-	snapshotPath string
+	name   string
+	cfg    ClusterConfig
+	store  *cache.Cache
+	policy placement.Policy
+	tp     Transport
+	clock  Clock
+	start  time.Time
 
-	mu       sync.Mutex
-	assign   Assignments
-	records  map[string]*nodeRecord
-	replicas map[string]WireRecord // sibling's records, lazily replicated
-
-	// view is the lock-free snapshot of assign and down, republished on
-	// every install and membership broadcast (the node-layer mirror of the
-	// core's epoch pointer). Paths that only resolve beacon ownership or
-	// peer liveness — request routing, placement re-evaluation, metrics
-	// gauges — read it without touching n.mu, so an install or a long
-	// record hand-off never stalls them. Both values are immutable once
-	// published: installs and broadcasts replace them whole.
-	view        atomic.Pointer[routeView]
-	replicaFrom map[string]string // url → sibling that pushed the replica
-	down        map[string]bool   // peers the origin declared dead; replaced, never mutated
-	// loads[ring] is a dense per-IrH-value load counter for ranges this
-	// node owns in that ring (it only ever has entries for its own ring,
-	// but indexing by ring keeps the wire format uniform).
-	loads  map[int][]int64
-	hbSeq  int64
+	// dir is the node's beacon-point state (see directory.go): the layout
+	// and the dead-peer set, lookup records, sibling replicas and load
+	// counters, under its own lock. Request routing reads its lock-free
+	// view (the node-layer mirror of the core's epoch pointer).
+	dir    *directory
+	hbSeq  atomic.Int64
 	tracer atomic.Pointer[obs.Tracer]
 
 	// Holder-list maintenance, requester side (see drops.go). hmu guards
@@ -116,13 +53,12 @@ type CacheNode struct {
 	peers      []string // every node of the cluster, sorted: the flush order
 
 	// Operational metrics live in the obs registry: counters are atomic
-	// (no n.mu needed to bump them) and /metrics renders the registry
-	// without holding n.mu across the response write.
+	// and /metrics renders the registry without holding any node lock
+	// across the response write.
 	reg         *obs.Registry
 	localHits   *obs.Counter
 	peerHits    *obs.Counter
 	originMZ    *obs.Counter
-	beaconOps   *obs.Counter
 	failedOver  *obs.Counter // lookups answered by the ring sibling after a beacon failure
 	degraded    *obs.Counter // requests that fell through to the origin with no beacon
 	circuitOpen *obs.Counter
@@ -130,15 +66,12 @@ type CacheNode struct {
 	lookupMs    *obs.Histogram // beacon lookup round trip
 	fetchMs     *obs.Histogram // peer/origin document retrieval
 
-	// Holder-list maintenance: lookups that listed their requester and
-	// stale drops ignored (beacon side); drops sent on a lookup, sent in a
-	// batch, and cancelled because the document was held again (requester
-	// side).
-	lookupRegistered  *obs.Counter
-	dropsIgnoredStale *obs.Counter
-	dropsPiggybacked  *obs.Counter
-	dropsBatched      *obs.Counter
-	dropsCancelled    *obs.Counter
+	// Holder-list maintenance, requester side: drops sent on a lookup, sent
+	// in a batch, and cancelled because the document was held again. (The
+	// beacon-side counters are the directory's.)
+	dropsPiggybacked *obs.Counter
+	dropsBatched     *obs.Counter
+	dropsCancelled   *obs.Counter
 
 	// Overload-resilience layer (see admission.go): the weighted
 	// class-priority admission gate, the adaptive origin-fetch limiter,
@@ -167,7 +100,8 @@ type CacheNode struct {
 	// unreachable — such copies carry no shield subscription, so no publish
 	// can refresh them until the next reconcile pass re-attaches them.
 	shieldRouter   *ShieldRouter
-	degradedURLs   map[string]bool // guarded by mu
+	mu             sync.Mutex // guards degradedURLs
+	degradedURLs   map[string]bool
 	shieldFetches  *obs.Counter
 	shieldHits     *obs.Counter
 	shieldFailover *obs.Counter
@@ -209,12 +143,7 @@ func NewCacheNode(name string, cfg ClusterConfig) (*CacheNode, error) {
 		policy:       pol,
 		clock:        clock,
 		start:        clock.Now(),
-		assign:       equalSplit(cfg),
-		records:      make(map[string]*nodeRecord),
-		replicas:     make(map[string]WireRecord),
-		replicaFrom:  make(map[string]string),
-		down:         make(map[string]bool),
-		loads:        make(map[int][]int64),
+		reg:          obs.NewRegistry("cachecloud_node", map[string]string{"node": name}),
 		degradedURLs: make(map[string]bool),
 		// Seeded from the clock so that a restarted node's numbers continue
 		// above every number its previous life handed out.
@@ -226,13 +155,13 @@ func NewCacheNode(name string, cfg ClusterConfig) (*CacheNode, error) {
 		n.peers = append(n.peers, peer)
 	}
 	sort.Strings(n.peers)
+	n.dir = newDirectory(name, cfg.IntraGen, n.peers, equalSplit(cfg), n.reg)
 	router, err := NewShieldRouter(cfg)
 	if err != nil {
 		return nil, err
 	}
 	n.shieldRouter = router
 	n.tracer.Store(cfg.Tracer)
-	n.publishView()
 	n.initAdmission()
 	// Tenancy precedes the durable warm boot so replayed entries land
 	// under their tenants' byte quotas.
@@ -247,21 +176,17 @@ func NewCacheNode(name string, cfg ClusterConfig) (*CacheNode, error) {
 	return n, nil
 }
 
-// initMetrics builds the node's metrics registry: counters for the
+// initMetrics fills the node's metrics registry: counters for the
 // protocol outcomes, gauge callbacks over live state, and latency
 // histograms with quantile-ready buckets.
 func (n *CacheNode) initMetrics() {
-	reg := obs.NewRegistry("cachecloud_node", map[string]string{"node": n.name})
-	n.reg = reg
+	reg := n.reg
 	n.localHits = reg.Counter("local_hits_total")
 	n.peerHits = reg.Counter("peer_hits_total")
 	n.originMZ = reg.Counter("origin_miss_total")
-	n.beaconOps = reg.Counter("beacon_ops_total")
 	n.failedOver = reg.Counter("failed_over_total")
 	n.degraded = reg.Counter("degraded_total")
 	n.circuitOpen = reg.Counter("circuit_open_total")
-	n.lookupRegistered = reg.Counter("lookup_registered_total")
-	n.dropsIgnoredStale = reg.Counter("drops_ignored_stale_total")
 	n.dropsPiggybacked = reg.Counter("drops_piggybacked_total")
 	n.dropsBatched = reg.Counter("drops_batched_total")
 	n.dropsCancelled = reg.Counter("drops_cancelled_total")
@@ -278,28 +203,7 @@ func (n *CacheNode) initMetrics() {
 	reg.GaugeFunc("stored_bytes", func() float64 { return float64(n.store.Used()) })
 	reg.GaugeFunc("capacity_bytes", func() float64 { return float64(n.store.Capacity()) })
 	reg.GaugeFunc("uptime_seconds", func() float64 { return float64(n.now()) })
-	reg.GaugeFunc("lookup_records", func() float64 {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		return float64(len(n.records))
-	})
-	reg.GaugeFunc("replica_records", func() float64 {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		return float64(len(n.replicas))
-	})
-	reg.GaugeFunc("ring_count", func() float64 {
-		return float64(len(n.assignSnapshot().Rings))
-	})
-	reg.GaugeFunc("owned_subrange_len", func() float64 {
-		return float64(ownedSubrangeLen(n.assignSnapshot(), n.name))
-	})
-	reg.GaugeFunc("down_peers", func() float64 { return float64(len(n.view.Load().down)) })
-	reg.GaugeFunc("heartbeats_sent", func() float64 {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		return float64(n.hbSeq)
-	})
+	reg.GaugeFunc("heartbeats_sent", func() float64 { return float64(n.hbSeq.Load()) })
 	n.initAdmissionMetrics(reg)
 }
 
@@ -352,37 +256,48 @@ func (n *CacheNode) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /doc", n.handleDoc)
 	mux.HandleFunc("GET /lookup", n.handleLookup)
-	mux.HandleFunc("POST /register", n.handleRegister)
-	mux.HandleFunc("POST /deregister", n.handleDeregister)
+	mux.HandleFunc("POST /deregister", jsonCall(n.deregister))
 	mux.HandleFunc("GET /fetch", n.handleFetch)
 	mux.HandleFunc("POST /update", n.handleUpdate)
-	mux.HandleFunc("POST /apply", n.handleApply)
+	mux.HandleFunc("POST /apply", jsonCall(n.apply))
 	mux.HandleFunc("POST /purge", n.handlePurge)
-	mux.HandleFunc("POST /drop", n.handleDrop)
+	mux.HandleFunc("POST /drop", jsonCall(n.drop))
 	mux.HandleFunc("POST /subranges", n.handleSubranges)
-	mux.HandleFunc("POST /records/import", n.handleRecordsImport)
-	mux.HandleFunc("POST /records/replica", n.handleRecordsReplica)
+	mux.HandleFunc("POST /records/import", jsonCall(n.recordsImport))
+	mux.HandleFunc("POST /records/replica", jsonCall(n.recordsReplica))
 	mux.HandleFunc("POST /replicate", n.handleReplicate)
-	mux.HandleFunc("POST /reconcile", n.handleReconcile)
+	mux.HandleFunc("POST /reconcile", jsonCall(n.reconcile))
 	mux.HandleFunc("GET /healthz", n.handleHealthz)
 	mux.HandleFunc("GET /subranges", n.handleGetSubranges)
 	mux.HandleFunc("POST /loads/collect", n.handleLoadsCollect)
-	mux.HandleFunc("POST /membership", n.handleMembership)
+	mux.HandleFunc("POST /membership", jsonCall(n.membership))
 	mux.HandleFunc("GET /stats", n.handleStats)
 	mux.HandleFunc("GET /metrics", n.handleMetrics)
-	mux.HandleFunc("POST /snapshot/save", n.handleSnapshotSave)
 	return mux
 }
 
-// publishView republishes the lock-free routing snapshot. The caller
-// holds n.mu (or, in the constructor, has exclusive access).
-func (n *CacheNode) publishView() {
-	n.view.Store(&routeView{assign: n.assign, down: n.down})
+// jsonCall is the handler of a message that sends nothing of its own:
+// decode the body, make the one call, encode its answer. An error is the
+// sender's (400).
+func jsonCall[Req, Resp any](call func(Req) (Resp, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if err := readJSON(r, &req); err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+			return
+		}
+		resp, err := call(req)
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, resp)
+	}
 }
 
-// assignSnapshot returns the current assignment view without taking n.mu.
+// assignSnapshot returns the layout in force, without taking a lock.
 func (n *CacheNode) assignSnapshot() *Assignments {
-	return &n.view.Load().assign
+	return &n.dir.route().assign
 }
 
 // beaconURL resolves the beacon node's base URL for a document.
@@ -402,7 +317,7 @@ func (n *CacheNode) beaconURL(url string) (name, base string, err error) {
 // that holds the lazy replica of the beacon's lookup records and can
 // answer lookups while the beacon is unreachable.
 func (n *CacheNode) siblingOf(beaconName string) (name, base string, ok bool) {
-	view := n.view.Load()
+	view := n.dir.route()
 	ringIdx := view.assign.ringOf(beaconName)
 	if ringIdx < 0 {
 		// The beacon may already have been removed from the assignment;
@@ -430,23 +345,7 @@ func (n *CacheNode) siblingOf(beaconName string) (name, base string, ok bool) {
 }
 
 // isDown reports whether the origin has declared the peer dead.
-func (n *CacheNode) isDown(peer string) bool { return n.view.Load().down[peer] }
-
-// chargeBeaconLoad records one beacon operation on the IrH value.
-func (n *CacheNode) chargeBeaconLoad(url string) {
-	h := document.HashURL(url)
-	ringIdx := h.RingIndex(len(n.assign.Rings))
-	irh := h.IrH(n.cfg.IntraGen)
-	n.beaconOps.Inc()
-	dense := n.loads[ringIdx]
-	if dense == nil {
-		dense = make([]int64, n.cfg.IntraGen)
-		n.loads[ringIdx] = dense
-	}
-	if irh >= 0 && irh < len(dense) {
-		dense[irh]++
-	}
-}
+func (n *CacheNode) isDown(peer string) bool { return n.dir.route().down[peer] }
 
 // handleDoc is the client entry point: local hit, else cooperate. Every
 // request passes the admission gate under its work class — hits under
@@ -659,63 +558,6 @@ func (n *CacheNode) place(doc document.Document, beaconName string, lr LookupRes
 
 // --- beacon duties ---
 
-// localLookup answers a lookup from the record as it stands and then, when
-// holder is set, lists holder on it under sequence number seq: the
-// registration rides the lookup. The answer leaves the requester out, so
-// its replica count and peer choice are those of the other holders.
-func (n *CacheNode) localLookup(url, holder string, seq uint64) LookupResponse {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := n.lookupLocked(url, holder)
-	if holder != "" {
-		n.registerLocked(url, holder, seq)
-		n.lookupRegistered.Inc()
-	}
-	return out
-}
-
-// lookupLocked builds the answer to a lookup, leaving out the holder named
-// except. Caller holds n.mu.
-func (n *CacheNode) lookupLocked(url, except string) LookupResponse {
-	rec, ok := n.records[url]
-	if !ok {
-		// No owned record. When a sibling fails over a lookup to this node
-		// for a range it does not own, answer from the lazy replica without
-		// taking ownership — promotion happens on /subranges installs.
-		owner, err := n.assign.ownerOf(url, n.cfg.IntraGen)
-		if err != nil || owner != n.name {
-			if wr, have := n.replicas[url]; have {
-				out := LookupResponse{Version: wr.Version}
-				for _, h := range wr.Holders {
-					if !n.down[h] && h != except {
-						out.Holders = append(out.Holders, h)
-					}
-				}
-				sort.Strings(out.Holders)
-				return out
-			}
-			return LookupResponse{}
-		}
-		rec = newNodeRecord()
-		n.records[url] = rec
-	}
-	n.chargeBeaconLoad(url)
-	now := n.now()
-	rec.lookups.Observe(now, 1)
-	out := LookupResponse{
-		Version:    rec.version,
-		LookupRate: rec.lookups.Rate(now),
-		UpdateRate: rec.updates.Rate(now),
-	}
-	for h := range rec.holders {
-		if h != except {
-			out.Holders = append(out.Holders, h)
-		}
-	}
-	sort.Strings(out.Holders)
-	return out
-}
-
 // handleLookup serves GET /lookup?url=U[&holder=N&seq=S[&drop=U1...]]. A
 // plain lookup only reads. With holder, the requester's pending drops are
 // applied and then the requester is listed for U, all numbered seq.
@@ -729,14 +571,12 @@ func (n *CacheNode) handleLookup(w http.ResponseWriter, r *http.Request) {
 	holder, drops := q.Get("holder"), q["drop"]
 	var seq uint64
 	if holder != "" {
-		// The cluster's own copy of the name: the parsed one is a slice of
-		// the request line, which a holder-map key would keep alive.
-		i := sort.SearchStrings(n.peers, holder)
-		if i == len(n.peers) || n.peers[i] != holder {
+		name, ok := n.dir.holderName(holder)
+		if !ok {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("unknown holder %q", holder))
 			return
 		}
-		holder = n.peers[i]
+		holder = name
 		var err error
 		if seq, err = strconv.ParseUint(q.Get("seq"), 10, 64); err != nil {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad seq: %w", err))
@@ -762,99 +602,16 @@ func (n *CacheNode) handleLookup(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	if len(drops) > 0 {
-		n.localDeregister(drops, holder, seq)
-	}
-	writeJSON(w, http.StatusOK, n.localLookup(url, holder, seq))
+	writeJSON(w, http.StatusOK, n.dir.lookup(n.now(), url, holder, seq, drops))
 }
 
-// registerLocked lists holder for url under sequence number seq. Caller
-// holds n.mu.
-func (n *CacheNode) registerLocked(url, holder string, seq uint64) {
-	if owner, err := n.assign.ownerOf(url, n.cfg.IntraGen); err == nil && owner != n.name {
-		// Beacon duty fell here via failover: track the holder on the lazy
-		// replica instead of minting an owned record for a range this node
-		// does not cover. A spurious owned record would be replicated back
-		// to the true owner and later mis-counted as a crash recovery when
-		// an install promotes it. The replica is attributed to the real
-		// owner so its next full snapshot push supersedes this entry.
-		wr := n.replicas[url]
-		wr.URL = url
-		for _, h := range wr.Holders {
-			if h == holder {
-				n.replicas[url] = wr
-				return
-			}
-		}
-		wr.Holders = append(wr.Holders, holder)
-		n.replicas[url] = wr
-		n.replicaFrom[url] = owner
-		return
-	}
-	rec, ok := n.records[url]
-	if !ok {
-		rec = newNodeRecord()
-		n.records[url] = rec
-	}
-	rec.list(holder, seq)
-}
-
-// localDeregister drops holder from each URL's record, subject to the
-// sequence rule (nodeRecord.drop). Lazy replicas carry no numbers: a drop
-// that reaches a node which does not own the URL always applies there.
-func (n *CacheNode) localDeregister(urls []string, holder string, seq uint64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for _, url := range urls {
-		if owner, err := n.assign.ownerOf(url, n.cfg.IntraGen); err == nil && owner != n.name {
-			if wr, ok := n.replicas[url]; ok {
-				kept := wr.Holders[:0]
-				for _, h := range wr.Holders {
-					if h != holder {
-						kept = append(kept, h)
-					}
-				}
-				wr.Holders = kept
-				n.replicas[url] = wr
-			}
-			continue
-		}
-		if rec, ok := n.records[url]; ok && rec.drop(holder, seq) {
-			n.dropsIgnoredStale.Inc()
-		}
-	}
-}
-
-func (n *CacheNode) handleRegister(w http.ResponseWriter, r *http.Request) {
-	var req RegisterRequest
-	if err := readJSON(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	n.mu.Lock()
-	n.registerLocked(req.URL, req.Node, req.Seq)
-	n.mu.Unlock()
-	writeJSON(w, http.StatusOK, struct{}{})
-}
-
-// handleDeregister serves POST /deregister: the single-URL body, the
-// batched one a flush sends, or both at once.
-func (n *CacheNode) handleDeregister(w http.ResponseWriter, r *http.Request) {
-	var req RegisterRequest
-	if err := readJSON(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
+// deregister serves POST /deregister: the batched drops a flush sends.
+func (n *CacheNode) deregister(req DeregisterRequest) (struct{}, error) {
 	if len(req.URLs) > maxBatchDrops {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("%d urls over the batch limit of %d", len(req.URLs), maxBatchDrops))
-		return
+		return struct{}{}, fmt.Errorf("%d urls over the batch limit of %d", len(req.URLs), maxBatchDrops)
 	}
-	urls := req.URLs
-	if req.URL != "" {
-		urls = append(urls, req.URL)
-	}
-	n.localDeregister(urls, req.Node, req.Seq)
-	writeJSON(w, http.StatusOK, struct{}{})
+	n.dir.deregister(req.Node, req.Seq, req.URLs)
+	return struct{}{}, nil
 }
 
 // handleFetch serves a held copy to a sibling. Serving an existing copy
@@ -891,56 +648,26 @@ func (n *CacheNode) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	now := n.now()
-
-	n.mu.Lock()
-	n.chargeBeaconLoad(req.Doc.URL)
-	rec, ok := n.records[req.Doc.URL]
-	if !ok {
-		rec = newNodeRecord()
-		n.records[req.Doc.URL] = rec
-	}
-	rec.updates.Observe(now, 1)
-	if req.Doc.Version > rec.version {
-		rec.version = req.Doc.Version
-	}
-	holders := make([]string, 0, len(rec.holders))
-	for h := range rec.holders {
-		holders = append(holders, h)
-	}
-	sort.Strings(holders) // deterministic fan-out order
-	listedAt := make([]uint64, len(holders))
-	for i, h := range holders {
-		listedAt[i] = rec.holders[h]
-	}
-	// Rate decays its monitor in place, so the rates are read inside the
-	// section that lookups' Observe calls run in.
-	push := UpdateRequest{
-		Doc:        req.Doc,
-		LookupRate: rec.lookups.Rate(now),
-		UpdateRate: rec.updates.Rate(now),
-		Replicas:   len(holders),
-	}
-	n.mu.Unlock()
+	push, holders := n.dir.update(n.now(), req.Doc)
 
 	notified := 0
-	var stale []int // indices into holders
-	for i, h := range holders {
-		if h == n.name {
+	var stale []listing
+	for _, l := range holders {
+		if l.holder == n.name {
 			if n.applyLocal(push) {
 				notified++
 			} else {
-				stale = append(stale, i)
+				stale = append(stale, l)
 			}
 			continue
 		}
-		if n.isDown(h) {
+		if n.isDown(l.holder) {
 			// A dead holder cannot refresh its copy; drop it from the
 			// record so it re-registers after rejoining.
-			stale = append(stale, i)
+			stale = append(stale, l)
 			continue
 		}
-		base, ok := n.cfg.Addrs[h]
+		base, ok := n.cfg.Addrs[l.holder]
 		if !ok {
 			continue
 		}
@@ -948,26 +675,17 @@ func (n *CacheNode) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		if err := n.tp.PostJSON(r.Context(), base+"/apply", push, &ar); err == nil {
 			notified++
 			if !ar.Held {
-				stale = append(stale, i)
+				stale = append(stale, l)
 			}
 		} else {
 			// The push never reached the holder: its copy is now stale.
 			// Drop it from the record so lookups stop steering requesters
 			// at an outdated copy; the holder re-registers on its next
 			// reconcile pass (or re-fetch) once reachable again.
-			stale = append(stale, i)
+			stale = append(stale, l)
 		}
 	}
-	// A holder that registered again since the fan-out began (a lookup
-	// arrived meanwhile) keeps its entry: the verdict is about the earlier
-	// registration.
-	n.mu.Lock()
-	for _, i := range stale {
-		if h := holders[i]; rec.holders[h] == listedAt[i] {
-			delete(rec.holders, h)
-		}
-	}
-	n.mu.Unlock()
+	n.dir.unlist(req.Doc.URL, stale)
 	writeJSON(w, http.StatusOK, UpdateResponse{Notified: notified})
 }
 
@@ -1017,13 +735,8 @@ func (n *CacheNode) applyLocal(req UpdateRequest) bool {
 	return true
 }
 
-func (n *CacheNode) handleApply(w http.ResponseWriter, r *http.Request) {
-	var req UpdateRequest
-	if err := readJSON(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, applyResponse{Held: n.applyLocal(req)})
+func (n *CacheNode) apply(req UpdateRequest) (applyResponse, error) {
+	return applyResponse{Held: n.applyLocal(req)}, nil
 }
 
 // dropResponse is the body of a /drop reply.
@@ -1032,15 +745,12 @@ type dropResponse struct {
 }
 
 // dropLocal removes every trace of a document from this node: the stored
-// copy, the owned lookup record, the sibling replica, and the degraded
-// mark. Replicas must go too — otherwise a later /subranges install could
-// promote a replica of the purged record and resurrect stale holder lists.
+// copy, the owned lookup record and the sibling replica (directory.forget),
+// and the degraded mark.
 func (n *CacheNode) dropLocal(url string) bool {
 	dropped := n.store.Remove(url)
+	n.dir.forget(url)
 	n.mu.Lock()
-	delete(n.records, url)
-	delete(n.replicas, url)
-	delete(n.replicaFrom, url)
 	delete(n.degradedURLs, url)
 	n.mu.Unlock()
 	return dropped
@@ -1061,189 +771,67 @@ func (n *CacheNode) handlePurge(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, errors.New("missing url"))
 		return
 	}
-	n.chargeBeaconLoadLocked(req.URL)
-	n.mu.Lock()
-	peers := make([]string, 0, len(n.cfg.Addrs))
-	for name := range n.cfg.Addrs {
-		if name != n.name && !n.down[name] {
-			peers = append(peers, name)
-		}
-	}
-	n.mu.Unlock()
-	sort.Strings(peers) // deterministic broadcast order
+	peers := n.dir.purge(req.URL)
 	dropped := 0
 	if n.dropLocal(req.URL) {
 		dropped++
 	}
 	for _, p := range peers {
-		base, ok := n.cfg.Addrs[p]
-		if !ok {
-			continue
-		}
 		var dr dropResponse
-		if err := n.tp.PostJSON(r.Context(), base+"/drop", req, &dr); err == nil && dr.Dropped {
+		if err := n.tp.PostJSON(r.Context(), n.cfg.Addrs[p]+"/drop", req, &dr); err == nil && dr.Dropped {
 			dropped++
 		}
 	}
 	writeJSON(w, http.StatusOK, PurgeResponse{Dropped: dropped})
 }
 
-// handleDrop removes this node's copy (and any record or replica traces)
-// of a purged document.
-func (n *CacheNode) handleDrop(w http.ResponseWriter, r *http.Request) {
-	var req PurgeRequest
-	if err := readJSON(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, dropResponse{Dropped: n.dropLocal(req.URL)})
-}
-
-// chargeBeaconLoadLocked wraps chargeBeaconLoad in n.mu for callers that
-// do not already hold it.
-func (n *CacheNode) chargeBeaconLoadLocked(url string) {
-	n.mu.Lock()
-	n.chargeBeaconLoad(url)
-	n.mu.Unlock()
+// drop removes this node's copy (and any record or replica traces) of a
+// purged document.
+func (n *CacheNode) drop(req PurgeRequest) (dropResponse, error) {
+	return dropResponse{Dropped: n.dropLocal(req.URL)}, nil
 }
 
 // handleSubranges installs a new assignment and hands off the lookup
-// records this node no longer owns. Records for newly owned sub-ranges
-// that are missing locally are promoted from the sibling replicas — this
-// is how lookups survive a beacon crash (Section 2.3's lazy replication).
+// records this node no longer owns (directory.install).
 func (n *CacheNode) handleSubranges(w http.ResponseWriter, r *http.Request) {
 	var req Assignments
 	if err := readJSON(r, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	n.mu.Lock()
-	n.assign = req
-	n.publishView()
-	promoted := 0
-	for url, wr := range n.replicas {
-		owner, err := req.ownerOf(url, n.cfg.IntraGen)
-		if err != nil || owner != n.name {
-			continue
-		}
-		rec, have := n.records[url]
-		if !have {
-			rec = newNodeRecord()
-			n.records[url] = rec
-		}
-		// Fold the replica into the (possibly fresh) record: failover
-		// traffic during the detection window may already have recreated
-		// it, but the replica can still carry holders it lacks. The
-		// replica is consumed either way so a later install does not
-		// count it as recovered again.
-		if wr.Version > rec.version {
-			rec.version = wr.Version
-		}
-		for _, h := range wr.Holders {
-			if !n.down[h] {
-				rec.list(h, 0)
-			}
-		}
-		delete(n.replicas, url)
-		delete(n.replicaFrom, url)
-		promoted++
-	}
-	// Find records whose owner is no longer this node.
-	outbound := make(map[string][]WireRecord)
-	for url, rec := range n.records {
-		owner, err := req.ownerOf(url, n.cfg.IntraGen)
-		if err != nil || owner == n.name {
-			continue
-		}
-		wr := WireRecord{URL: url, Version: rec.version}
-		for h := range rec.holders {
-			wr.Holders = append(wr.Holders, h)
-		}
-		sort.Strings(wr.Holders)
-		outbound[owner] = append(outbound[owner], wr)
-		delete(n.records, url)
-	}
-	n.mu.Unlock()
-
-	owners := make([]string, 0, len(outbound))
-	for owner := range outbound {
-		owners = append(owners, owner)
-	}
-	sort.Strings(owners) // deterministic hand-off order
-	for _, owner := range owners {
-		recs := outbound[owner]
-		sort.Slice(recs, func(i, j int) bool { return recs[i].URL < recs[j].URL })
-		base, ok := n.cfg.Addrs[owner]
+	outbound, promoted := n.dir.install(req)
+	for _, ho := range outbound {
+		base, ok := n.cfg.Addrs[ho.owner]
 		if !ok {
 			continue
 		}
-		_ = n.tp.PostJSON(r.Context(), base+"/records/import", RecordsImport{Records: recs}, nil)
+		_ = n.tp.PostJSON(r.Context(), base+"/records/import", RecordsImport{Records: ho.records}, nil)
 	}
 	writeJSON(w, http.StatusOK, SubrangesResponse{MigratedOut: len(outbound), Promoted: promoted})
 }
 
-// handleRecordsReplica stores a sibling's record copies without taking
-// ownership; they are promoted only if this node later owns their range.
-func (n *CacheNode) handleRecordsReplica(w http.ResponseWriter, r *http.Request) {
-	var req RecordsImport
-	if err := readJSON(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	n.mu.Lock()
-	if req.Reset {
-		// The push is a full snapshot of the sender's records: drop stale
-		// replicas previously pushed by the same sender so they cannot be
-		// promoted later. Replicas from other ring siblings are kept.
-		for url, from := range n.replicaFrom {
-			if req.From == "" || from == req.From {
-				delete(n.replicas, url)
-				delete(n.replicaFrom, url)
-			}
-		}
-	}
-	for _, wr := range req.Records {
-		n.replicas[wr.URL] = wr
-		n.replicaFrom[wr.URL] = req.From
-	}
-	n.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]int{"replicated": len(req.Records)})
+// recordsReplica stores a sibling's record copies without taking
+// ownership; recordsImport takes over records handed off by their previous
+// beacon.
+func (n *CacheNode) recordsReplica(req RecordsImport) (map[string]int, error) {
+	return map[string]int{"replicated": len(req.Records)}, n.dir.acceptReplicas(req.From, req.Reset, req.Records)
+}
+
+func (n *CacheNode) recordsImport(req RecordsImport) (map[string]int, error) {
+	return map[string]int{"imported": len(req.Records)}, n.dir.importRecords(req.Records)
 }
 
 // handleReplicate pushes this node's lookup records to its ring sibling
 // (the lazy replication pass, typically triggered by the origin once per
 // cycle).
 func (n *CacheNode) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	n.mu.Lock()
-	ringIdx := n.assign.ringOf(n.name)
-	sibling := ""
-	if ringIdx >= 0 {
-		for _, sub := range n.assign.Rings[ringIdx] {
-			if sub.Node != n.name && !n.down[sub.Node] {
-				sibling = sub.Node
-				break
-			}
-		}
+	var recs []WireRecord
+	_, base, ok := n.siblingOf(n.name)
+	if ok {
+		recs = n.dir.snapshot(false)
 	}
-	recs := make([]WireRecord, 0, len(n.records))
-	for url, rec := range n.records {
-		wr := WireRecord{URL: url, Version: rec.version}
-		for h := range rec.holders {
-			wr.Holders = append(wr.Holders, h)
-		}
-		sort.Strings(wr.Holders)
-		recs = append(recs, wr)
-	}
-	n.mu.Unlock()
-	sort.Slice(recs, func(i, j int) bool { return recs[i].URL < recs[j].URL })
-
-	if sibling == "" || len(recs) == 0 {
+	if len(recs) == 0 {
 		writeJSON(w, http.StatusOK, map[string]int{"sent": 0})
-		return
-	}
-	base, ok := n.cfg.Addrs[sibling]
-	if !ok {
-		writeErr(w, http.StatusInternalServerError, fmt.Errorf("no address for sibling %q", sibling))
 		return
 	}
 	// Reset: this payload is a full snapshot of the node's records, so the
@@ -1267,48 +855,10 @@ func (n *CacheNode) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "node": n.name})
 }
 
-func (n *CacheNode) handleRecordsImport(w http.ResponseWriter, r *http.Request) {
-	var req RecordsImport
-	if err := readJSON(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	n.mu.Lock()
-	for _, wr := range req.Records {
-		rec, ok := n.records[wr.URL]
-		if !ok {
-			rec = newNodeRecord()
-			n.records[wr.URL] = rec
-		}
-		if wr.Version > rec.version {
-			rec.version = wr.Version
-		}
-		for _, h := range wr.Holders {
-			rec.list(h, 0)
-		}
-	}
-	n.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]int{"imported": len(req.Records)})
-}
-
 // handleLoadsCollect reports this node's per-IrH cycle loads and resets
 // them (called by the origin at the end of each cycle).
 func (n *CacheNode) handleLoadsCollect(w http.ResponseWriter, r *http.Request) {
-	n.mu.Lock()
-	rep := LoadReport{Node: n.name, PerIrH: make(map[int][]int64, len(n.loads))}
-	for ringIdx, dense := range n.loads {
-		cp := make([]int64, len(dense))
-		copy(cp, dense)
-		rep.PerIrH[ringIdx] = cp
-		for _, v := range dense {
-			rep.Total += v
-		}
-		for i := range dense {
-			dense[i] = 0
-		}
-	}
-	n.mu.Unlock()
-	writeJSON(w, http.StatusOK, rep)
+	writeJSON(w, http.StatusOK, n.dir.collectLoads())
 }
 
 func (n *CacheNode) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -1318,9 +868,7 @@ func (n *CacheNode) handleStats(w http.ResponseWriter, r *http.Request) {
 	if total > 0 {
 		hitRate = float64(local+peer) / float64(total)
 	}
-	n.mu.Lock()
-	records, downPeers := len(n.records), len(n.down)
-	n.mu.Unlock()
+	records, _ := n.dir.counts()
 	ad := n.Admission()
 	st := CacheStats{
 		Node:          n.name,
@@ -1329,12 +877,12 @@ func (n *CacheNode) handleStats(w http.ResponseWriter, r *http.Request) {
 		LocalHits:     local,
 		PeerHits:      peer,
 		OriginMiss:    origin,
-		BeaconOps:     n.beaconOps.Value(),
+		BeaconOps:     n.dir.beaconOps.Value(),
 		HitRate:       hitRate,
 		RecordsHeld:   records,
 		FailedOver:    n.failedOver.Value(),
 		Degraded:      n.degraded.Value(),
-		DownPeers:     downPeers,
+		DownPeers:     len(n.dir.route().down),
 		Requests:      ad.Requests,
 		Served:        ad.Served,
 		Shed:          ad.Shed,
@@ -1365,107 +913,17 @@ func (n *CacheNode) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-// handleMembership receives the origin's broadcast of dead peers. Dead
-// nodes are dropped from all holder lists so lookups stop steering
-// requesters at them; they re-register as holders after rejoining.
-func (n *CacheNode) handleMembership(w http.ResponseWriter, r *http.Request) {
-	var req MembershipUpdate
-	if err := readJSON(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	down := make(map[string]bool, len(req.Down))
-	for _, d := range req.Down {
-		down[d] = true
-	}
-	n.mu.Lock()
-	n.down = down
-	n.publishView()
-	if len(n.down) > 0 {
-		for _, rec := range n.records {
-			for d := range n.down {
-				delete(rec.holders, d)
-			}
-		}
-		for url, wr := range n.replicas {
-			kept := wr.Holders[:0]
-			for _, h := range wr.Holders {
-				if !n.down[h] {
-					kept = append(kept, h)
-				}
-			}
-			wr.Holders = kept
-			n.replicas[url] = wr
-		}
-	}
-	n.mu.Unlock()
-	writeJSON(w, http.StatusOK, struct{}{})
+// membership receives the origin's broadcast of dead peers.
+func (n *CacheNode) membership(req MembershipUpdate) (struct{}, error) {
+	n.dir.setDown(req.Down)
+	return struct{}{}, nil
 }
 
-// handleReconcile is the beacon side of the anti-entropy pass: a holder
-// reports the copies it stores whose beacon duty falls on this node. The
-// beacon re-registers each current copy — healing lookup records lost to
-// crashes, capacity churn, or stores made while the beacon was
-// unreachable — and advances its record version to the newest copy seen.
-// A copy staler than the version the beacon already fanned out gets
-// Keep=false: the holder drops it, bounding staleness to one reconcile
-// interval.
-func (n *CacheNode) handleReconcile(w http.ResponseWriter, r *http.Request) {
-	var req ReconcileRequest
-	if err := readJSON(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	results, unreported := n.reconcileEntries(req.Node, req.Seq, req.Entries)
-	writeJSON(w, http.StatusOK, ReconcileResponse{Results: results, Unreported: unreported})
-}
-
-// reconcileEntries folds one holder's reconcile report into this beacon's
-// records and produces the per-copy verdicts, plus the documents this
-// beacon lists the holder for that the report left out (at most
-// maxBatchDrops of them): a lost drop, or a holder entry a promoted replica
-// brought back. The beacon does not act on those; the holder, which alone
-// knows what it stores and what it is fetching, answers with drops.
-func (n *CacheNode) reconcileEntries(holder string, seq uint64, entries []ReconcileEntry) (out []ReconcileResult, unreported []string) {
-	out = make([]ReconcileResult, 0, len(entries))
-	reported := make(map[string]struct{}, len(entries))
-	n.mu.Lock()
-	for _, e := range entries {
-		reported[e.URL] = struct{}{}
-		owner, err := n.assign.ownerOf(e.URL, n.cfg.IntraGen)
-		owned := err == nil && owner == n.name
-		res := ReconcileResult{URL: e.URL, Version: e.Version, Owned: owned, Keep: true}
-		if owned {
-			rec, ok := n.records[e.URL]
-			if !ok {
-				rec = newNodeRecord()
-				n.records[e.URL] = rec
-			}
-			if e.Version < rec.version {
-				delete(rec.holders, holder)
-				res.Keep = false
-			} else {
-				rec.list(holder, seq)
-				rec.version = e.Version
-			}
-			res.Version = rec.version
-		}
-		out = append(out, res)
-	}
-	for url, rec := range n.records {
-		if _, listed := rec.holders[holder]; !listed {
-			continue
-		}
-		if _, ok := reported[url]; !ok {
-			unreported = append(unreported, url)
-		}
-	}
-	n.mu.Unlock()
-	sort.Strings(unreported) // deterministic, whatever the cut keeps
-	if len(unreported) > maxBatchDrops {
-		unreported = unreported[:maxBatchDrops]
-	}
-	return out, unreported
+// reconcile is the beacon side of the anti-entropy pass: a holder reports
+// the copies it stores whose beacon duty falls on this node
+// (directory.reconcile has the verdicts).
+func (n *CacheNode) reconcile(req ReconcileRequest) (ReconcileResponse, error) {
+	return n.dir.reconcile(req.Node, req.Seq, req.Entries)
 }
 
 // Reconcile runs one holder-side anti-entropy pass: every stored copy is
@@ -1504,7 +962,8 @@ func (n *CacheNode) Reconcile(ctx context.Context) (reported, dropped int) {
 	for _, peer := range n.peers {
 		var resp ReconcileResponse
 		if peer == n.name {
-			resp.Results, resp.Unreported = n.reconcileEntries(n.name, seq, entries[peer])
+			// The node's own name is always a known holder.
+			resp, _ = n.dir.reconcile(n.name, seq, entries[peer])
 		} else {
 			if n.isDown(peer) {
 				continue
@@ -1542,36 +1001,11 @@ func (n *CacheNode) StartReconcile(interval time.Duration) (stop func()) {
 
 // Records returns a sorted snapshot of the lookup records this node owns
 // as beacon, with holder lists sorted.
-func (n *CacheNode) Records() []WireRecord {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]WireRecord, 0, len(n.records))
-	for url, rec := range n.records {
-		wr := WireRecord{URL: url, Version: rec.version}
-		for h := range rec.holders {
-			wr.Holders = append(wr.Holders, h)
-		}
-		sort.Strings(wr.Holders)
-		out = append(out, wr)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].URL < out[j].URL })
-	return out
-}
+func (n *CacheNode) Records() []WireRecord { return n.dir.snapshot(false) }
 
 // ReplicaSnapshot returns a sorted snapshot of the sibling replicas this
 // node holds (not owned; promotion candidates after a crash).
-func (n *CacheNode) ReplicaSnapshot() []WireRecord {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]WireRecord, 0, len(n.replicas))
-	for _, wr := range n.replicas {
-		cp := WireRecord{URL: wr.URL, Version: wr.Version, Holders: append([]string(nil), wr.Holders...)}
-		sort.Strings(cp.Holders)
-		out = append(out, cp)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].URL < out[j].URL })
-	return out
-}
+func (n *CacheNode) ReplicaSnapshot() []WireRecord { return n.dir.snapshot(true) }
 
 // StoredVersions returns the URL → version map of the documents in this
 // node's store.
@@ -1602,19 +1036,6 @@ func (n *CacheNode) AssignmentsView() Assignments {
 	return *n.assignSnapshot()
 }
 
-// DownView returns the sorted list of peers this node currently considers
-// dead (per the origin's last membership broadcast).
-func (n *CacheNode) DownView() []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]string, 0, len(n.down))
-	for d := range n.down {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // StartHeartbeat begins reporting liveness to the origin every interval.
 // The first beat is sent immediately so detection starts fresh. The
 // returned stop function is idempotent and safe to call concurrently.
@@ -1625,15 +1046,13 @@ func (n *CacheNode) StartHeartbeat(interval time.Duration) (stop func()) {
 // sendHeartbeat posts one beat. RecordsHeld rides along so the origin
 // knows how many lookup records are at stake if this node crashes.
 func (n *CacheNode) sendHeartbeat() {
-	n.mu.Lock()
-	n.hbSeq++
+	records, _ := n.dir.counts()
 	req := HeartbeatRequest{
 		Node:        n.name,
-		Seq:         n.hbSeq,
-		RecordsHeld: len(n.records),
+		Seq:         n.hbSeq.Add(1),
+		RecordsHeld: records,
 		StoredDocs:  n.store.Len(),
 	}
-	n.mu.Unlock()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	var hr HeartbeatResponse

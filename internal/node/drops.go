@@ -174,7 +174,7 @@ func (n *CacheNode) takeDrops(beacon string, maxN, maxBytes int) (urls []string,
 	n.dropQueue = kept
 	n.hmu.Unlock()
 	if len(own) > 0 {
-		n.localDeregister(own, n.name, seq)
+		n.dir.deregister(n.name, seq, own)
 	}
 	return urls, seq
 }
@@ -201,7 +201,7 @@ func lookupQuery(url, holder string, seq uint64, drops []string) string {
 func (n *CacheNode) lookup(ctx context.Context, beaconName, beaconBase, url string) (lr LookupResponse, ok bool) {
 	drops, seq := n.takeDrops(beaconName, maxPiggybackDrops, maxPiggybackBytes)
 	if beaconName == n.name {
-		return n.localLookup(url, n.name, seq), true
+		return n.dir.lookup(n.now(), url, n.name, seq, nil), true
 	}
 	if err := n.tp.GetJSON(ctx, beaconBase+lookupQuery(url, n.name, seq, drops), &lr); err != nil {
 		n.enqueueDrops(drops)
@@ -225,7 +225,7 @@ func (n *CacheNode) flushDrops(ctx context.Context) {
 			if len(urls) == 0 {
 				break
 			}
-			req := RegisterRequest{Node: n.name, Seq: seq, URLs: urls}
+			req := DeregisterRequest{Node: n.name, Seq: seq, URLs: urls}
 			if err := n.tp.PostJSON(ctx, n.cfg.Addrs[peer]+"/deregister", req, nil); err != nil {
 				n.enqueueDrops(urls)
 				break

@@ -39,9 +39,7 @@ func chaosCluster(t *testing.T, net *chaos.Network, names []string, ringSize int
 
 // recordCount reads a node's owned lookup-record count.
 func recordCount(n *CacheNode) int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.records)
+	return len(n.Records())
 }
 
 // originHeldFor reads the origin's last-heartbeat record count for a node.

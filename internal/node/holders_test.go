@@ -306,7 +306,7 @@ func TestLateDropDoesNotUnlistAReRegisteredHolder(t *testing.T) {
 	if !listed(lc.Caches[owner], d, self) {
 		t.Fatalf("late drop unlisted %s at beacon %s although it holds %s again", self, owner, d)
 	}
-	if got := lc.Caches[owner].dropsIgnoredStale.Value(); got != 1 {
+	if got := lc.Caches[owner].dir.staleDrops.Value(); got != 1 {
 		t.Fatalf("drops_ignored_stale_total = %d at the beacon, want 1", got)
 	}
 	var pr PublishResponse
@@ -371,45 +371,6 @@ func TestPublishDuringMissIsNotLost(t *testing.T) {
 	}
 	if !listed(lc.Caches[owner], d, self) {
 		t.Fatalf("beacon %s does not list %s", owner, self)
-	}
-}
-
-// TestSequenceRule is the table test of nodeRecord.list and drop.
-func TestSequenceRule(t *testing.T) {
-	type op struct {
-		drop bool
-		seq  uint64
-	}
-	cases := []struct {
-		name      string
-		ops       []op
-		wantSeq   uint64
-		wantThere bool
-		wantStale int
-	}{
-		{"register then newer drop", []op{{false, 5}, {true, 6}}, 0, false, 0},
-		{"drop overtaken by a newer registration", []op{{false, 5}, {false, 9}, {true, 6}}, 9, true, 1},
-		{"drop arrives first, registration after", []op{{false, 5}, {true, 6}, {false, 9}}, 9, true, 0},
-		{"retried registration does not lower the number", []op{{false, 9}, {false, 5}}, 9, true, 0},
-		{"unnumbered drop always applies", []op{{false, 9}, {true, 0}}, 0, false, 0},
-		{"unnumbered registration keeps a number", []op{{false, 9}, {false, 0}, {true, 6}}, 9, true, 1},
-		{"any numbered drop removes an unnumbered entry", []op{{false, 0}, {true, 1}}, 0, false, 0},
-		{"drop of an absent holder", []op{{true, 7}}, 0, false, 0},
-	}
-	for _, tc := range cases {
-		rec := newNodeRecord()
-		stale := 0
-		for _, o := range tc.ops {
-			if !o.drop {
-				rec.list("h", o.seq)
-			} else if rec.drop("h", o.seq) {
-				stale++
-			}
-		}
-		seq, there := rec.holders["h"]
-		if there != tc.wantThere || seq != tc.wantSeq || stale != tc.wantStale {
-			t.Errorf("%s: listed=%v seq=%d stale=%d, want %v %d %d", tc.name, there, seq, stale, tc.wantThere, tc.wantSeq, tc.wantStale)
-		}
 	}
 }
 
@@ -502,7 +463,7 @@ func TestDropRoutedByAssignmentAtSendTime(t *testing.T) {
 	cn.hmu.Unlock()
 	var targets []string
 	hook.onPost(func(rawurl string, in any, next func() error) error {
-		if req, ok := in.(RegisterRequest); ok {
+		if req, ok := in.(DeregisterRequest); ok {
 			for _, u := range req.URLs {
 				if u == d {
 					targets = append(targets, rawurl)
@@ -520,9 +481,11 @@ func TestDropRoutedByAssignmentAtSendTime(t *testing.T) {
 	}
 }
 
-// TestLookupAndDeregisterWireCompatibility pins the old message forms: a
-// plain GET /lookup?url= only reads, the single-URL /deregister body drops
-// unconditionally, and the new forms do what they say.
+// TestLookupAndDeregisterWireCompatibility pins the message forms: a plain
+// GET /lookup?url= only reads, the registering and batched forms do what
+// they say, and the two forms nothing has sent since registration moved
+// onto /lookup — POST /register and the single-URL /deregister body — are
+// gone.
 func TestLookupAndDeregisterWireCompatibility(t *testing.T) {
 	cfg := ClusterConfig{
 		IntraGen: 16, Rings: [][]string{{"n0"}},
@@ -545,7 +508,7 @@ func TestLookupAndDeregisterWireCompatibility(t *testing.T) {
 	if rec := do("GET", "/lookup?url="+queryEscape(u), ""); rec.Code != 200 {
 		t.Fatalf("plain lookup: %d %s", rec.Code, rec.Body)
 	}
-	if listed(cn, u, "n1") || cn.lookupRegistered.Value() != 0 {
+	if listed(cn, u, "n1") || cn.dir.registered.Value() != 0 {
 		t.Fatal("a plain lookup registered a holder")
 	}
 	if rec := do("GET", lookupQuery(u, "n1", 10, nil), ""); rec.Code != 200 || !listed(cn, u, "n1") {
@@ -568,14 +531,35 @@ func TestLookupAndDeregisterWireCompatibility(t *testing.T) {
 	if rec := do("GET", lookupQuery(v, "n1", 12, []string{u}), ""); rec.Code != 200 || listed(cn, u, "n1") || !listed(cn, v, "n1") {
 		t.Fatalf("piggybacked drop: %d listed(u)=%v listed(v)=%v", rec.Code, listed(cn, u, "n1"), listed(cn, v, "n1"))
 	}
-	// Old single-URL bodies: register, then drop, both unnumbered.
-	do("POST", "/register", `{"url":"`+u+`","node":"n1"}`)
-	if !listed(cn, u, "n1") {
-		t.Fatal("single-URL /register did not list")
+	// The deleted forms: no /register route, and a single-URL /deregister
+	// body names no document any more.
+	if rec := do("POST", "/register", `{"url":"`+u+`","node":"n1"}`); rec.Code != 404 && rec.Code != 405 {
+		t.Fatalf("POST /register: %d, want no such route", rec.Code)
 	}
 	do("POST", "/deregister", `{"url":"`+v+`","node":"n1"}`)
+	if listed(cn, u, "n1") || !listed(cn, v, "n1") {
+		t.Fatalf("after the deleted forms: listed(u)=%v listed(v)=%v, want both unchanged", listed(cn, u, "n1"), listed(cn, v, "n1"))
+	}
+	// An unnumbered batch always applies; a registration without a number
+	// comes from a hand-off.
+	do("POST", "/deregister", `{"node":"n1","urls":["`+v+`"]}`)
 	if listed(cn, v, "n1") {
-		t.Fatal("unnumbered single-URL /deregister did not apply to a numbered entry")
+		t.Fatal("unnumbered /deregister did not apply to a numbered entry")
+	}
+	do("POST", "/records/import", `{"records":[{"url":"`+u+`","holders":["n1"],"version":1}]}`)
+	if !listed(cn, u, "n1") {
+		t.Fatal("/records/import did not list")
+	}
+	// A name outside the cluster is refused whichever message carries it
+	// (the parent commit listed it from all three of these).
+	for target, body := range map[string]string{
+		"/reconcile":       `{"node":"stranger","seq":1,"entries":[{"url":"` + u + `","version":1}]}`,
+		"/records/import":  `{"records":[{"url":"` + u + `","holders":["stranger"],"version":1}]}`,
+		"/records/replica": `{"records":[{"url":"` + u + `","holders":["stranger"],"version":1}],"from":"n1"}`,
+	} {
+		if rec := do("POST", target, body); rec.Code != 400 || listed(cn, u, "stranger") {
+			t.Fatalf("%s naming a stranger: %d %s", target, rec.Code, rec.Body)
+		}
 	}
 	// Batched body, numbered below the registration it meets: ignored.
 	do("GET", lookupQuery(v, "n1", 20, nil), "")
@@ -583,7 +567,7 @@ func TestLookupAndDeregisterWireCompatibility(t *testing.T) {
 	if listed(cn, u, "n1") || !listed(cn, v, "n1") {
 		t.Fatalf("batched drop 15: listed(u)=%v (unnumbered entry, want dropped) listed(v)=%v (entry 20, want kept)", listed(cn, u, "n1"), listed(cn, v, "n1"))
 	}
-	if got := cn.dropsIgnoredStale.Value(); got != 1 {
+	if got := cn.dir.staleDrops.Value(); got != 1 {
 		t.Fatalf("drops_ignored_stale_total = %d, want 1", got)
 	}
 }

@@ -13,9 +13,7 @@
 //	  GET  /lookup?url=U       beacon duty: holder list + version; with
 //	       &holder=N&seq=S     the requester is listed as a holder in the
 //	       &drop=U1&drop=U2    same exchange and its pending drops applied
-//	  POST /register           beacon duty: add a holder
-//	  POST /deregister         beacon duty: drop a holder from one URL or a
-//	                           batch of URLs
+//	  POST /deregister         beacon duty: drop a holder from a batch of URLs
 //	  GET  /fetch?url=U        peer-to-peer copy transfer
 //	  POST /update             beacon duty: receive origin update, fan out
 //	  POST /apply              holder: apply a pushed update
@@ -32,7 +30,6 @@
 //	  GET  /healthz            liveness probe
 //	  GET  /stats              node statistics
 //	  GET  /metrics            metrics registry, Prometheus text format
-//	  POST /snapshot/save      persist the node's state
 //
 //	origin node
 //	  GET  /fetch?url=U        group-miss fetch
@@ -219,15 +216,13 @@ type LookupResponse struct {
 	UpdateRate float64          `json:"updateRate"`
 }
 
-// RegisterRequest is the body of POST /register and /deregister.
-type RegisterRequest struct {
-	URL  string `json:"url"`
+// DeregisterRequest is the body of POST /deregister: Node no longer holds
+// the documents in URLs.
+type DeregisterRequest struct {
 	Node string `json:"node"`
 	// Seq is the sender's sequence number for this message (see
-	// nodeRecord.holders); 0 is an unnumbered request, which always applies.
-	Seq uint64 `json:"seq,omitempty"`
-	// URLs (/deregister only) drops the holder from a batch of documents
-	// in one message, in addition to URL when that is set.
+	// record.holders); 0 is an unnumbered request, which always applies.
+	Seq  uint64   `json:"seq,omitempty"`
 	URLs []string `json:"urls,omitempty"`
 }
 

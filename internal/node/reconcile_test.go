@@ -40,9 +40,7 @@ func TestReconcileReRegistersLostRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	bn := lc.Caches[beacon]
-	bn.mu.Lock()
-	delete(bn.records, url)
-	bn.mu.Unlock()
+	bn.dir.forget(url)
 
 	reported, dropped := lc.Caches[holder].Reconcile(context.Background())
 	if reported == 0 {
@@ -83,14 +81,10 @@ func TestReconcileDropsStaleCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	bn := lc.Caches[beacon]
-	bn.mu.Lock()
-	rec := bn.records[url]
-	if rec == nil {
-		bn.mu.Unlock()
-		t.Fatalf("beacon %s has no record for %s", beacon, url)
+	cp, _ := lc.Caches[holder].store.Peek(url)
+	if err := bn.dir.importRecords([]WireRecord{{URL: url, Version: cp.Doc.Version + 5}}); err != nil {
+		t.Fatal(err)
 	}
-	rec.version += 5
-	bn.mu.Unlock()
 
 	_, dropped := lc.Caches[holder].Reconcile(context.Background())
 	if dropped != 1 {

@@ -446,11 +446,11 @@ func injectHook(name string) (func(method, path string, body []byte) []byte, err
 			if method != "POST" || path != "/deregister" {
 				return nil
 			}
-			var req node.RegisterRequest
+			var req node.DeregisterRequest
 			if err := json.Unmarshal(body, &req); err != nil {
 				return nil
 			}
-			req.URL, req.URLs = "", nil
+			req.URLs = nil
 			mutated, err := json.Marshal(req)
 			if err != nil {
 				return nil
