@@ -78,11 +78,13 @@ figures-fast:
 golden:
 	$(GO) run ./cmd/cloudsim -all -json -scale 0.02 -seed 1 > cmd/cloudsim/testdata/golden_all.json
 
-# Short randomized fuzzing of the trace parser and the node wire protocol
-# (the committed seed corpora run on every plain `go test`).
+# Short randomized fuzzing of the trace parser, the node wire protocol and
+# the peer exchange's reply parser (the committed seed corpora run on every
+# plain `go test`).
 fuzz:
 	$(GO) test -fuzz=FuzzTraceParse -fuzztime=30s ./internal/trace
 	$(GO) test -fuzz=FuzzProtocolDecode -fuzztime=30s ./internal/node
+	$(GO) test -fuzz=FuzzWireReply -fuzztime=30s ./internal/node
 	$(GO) test -fuzz=FuzzScheduleDecode -fuzztime=30s ./internal/simnet
 
 # Deterministic simulation sweep: run SEEDS generated fault schedules

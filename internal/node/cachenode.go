@@ -649,6 +649,7 @@ func (n *CacheNode) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	push, holders := n.dir.update(n.now(), req.Doc)
+	body := sharedBody(push)
 
 	notified := 0
 	var stale []listing
@@ -672,7 +673,7 @@ func (n *CacheNode) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		var ar applyResponse
-		if err := n.tp.PostJSON(r.Context(), base+"/apply", push, &ar); err == nil {
+		if err := n.tp.PostJSON(r.Context(), base+"/apply", body, &ar); err == nil {
 			notified++
 			if !ar.Held {
 				stale = append(stale, l)
@@ -772,13 +773,14 @@ func (n *CacheNode) handlePurge(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	peers := n.dir.purge(req.URL)
+	body := sharedBody(req)
 	dropped := 0
 	if n.dropLocal(req.URL) {
 		dropped++
 	}
 	for _, p := range peers {
 		var dr dropResponse
-		if err := n.tp.PostJSON(r.Context(), n.cfg.Addrs[p]+"/drop", req, &dr); err == nil && dr.Dropped {
+		if err := n.tp.PostJSON(r.Context(), n.cfg.Addrs[p]+"/drop", body, &dr); err == nil && dr.Dropped {
 			dropped++
 		}
 	}

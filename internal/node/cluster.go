@@ -220,8 +220,9 @@ func (lc *LocalCluster) RestartNode(name string, mk TransportFactory) (*CacheNod
 	return cn, nil
 }
 
-// Close shuts down every server in the cluster and seals each node's
-// durable tier (a no-op for memory-only nodes).
+// Close shuts down every server in the cluster, seals each node's durable
+// tier (a no-op for memory-only nodes) and closes the idle connections the
+// process holds to the cluster's addresses.
 func (lc *LocalCluster) Close() {
 	for _, s := range lc.servers {
 		s.Close()
@@ -232,6 +233,7 @@ func (lc *LocalCluster) Close() {
 	for _, sn := range lc.Shields {
 		_ = sn.Close()
 	}
+	closeIdlePeerConns(lc.Cfg)
 }
 
 // RestartShield brings a stopped shield back on its original address with

@@ -122,12 +122,14 @@ func (n *CacheNode) DurableStats() (durable.Stats, bool) {
 	return n.durable.Stats(), true
 }
 
-// Close waits out the background drop flush, if one is running, then
-// detaches and seals the durable tier (nothing to seal on memory-only
+// Close waits out the background drop flush, if one is running, closes the
+// idle connections to the cluster's addresses, then detaches and seals the
+// durable tier (nothing to seal on memory-only
 // nodes). Call it on shutdown — and before reopening the same store
 // directory in a replacement node.
 func (n *CacheNode) Close() error {
 	n.stopFlush()
+	closeIdlePeerConns(n.cfg)
 	if n.durable == nil {
 		return nil
 	}

@@ -1,6 +1,8 @@
 package node
 
 import (
+	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -18,6 +20,20 @@ func testCatalog(n int) []document.Document {
 		docs[i] = document.Document{URL: fmt.Sprintf("http://live/doc/%d", i), Size: int64(1000 + i)}
 	}
 	return docs
+}
+
+// postJSON and getJSON are the tests' one-shot calls through a plain
+// *http.Client: the client's Timeout, if any, is the deadline.
+func postJSON(client *http.Client, url string, in, out any) error {
+	body, err := json.Marshal(in)
+	if err != nil {
+		return fmt.Errorf("node: marshal %s: %w", url, err)
+	}
+	return doJSON(context.Background(), client, http.MethodPost, url, body, out, client.Timeout)
+}
+
+func getJSON(client *http.Client, url string, out any) error {
+	return doJSON(context.Background(), client, http.MethodGet, url, nil, out, client.Timeout)
 }
 
 func startCluster(t *testing.T, nodes, ringSize int, opts ClusterConfig) *LocalCluster {

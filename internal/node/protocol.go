@@ -42,11 +42,11 @@
 package node
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 
 	"cachecloud/internal/document"
 	"cachecloud/internal/obs"
@@ -580,39 +580,38 @@ type SubrangesResponse struct {
 
 // --- small HTTP helpers shared by both node kinds ---
 
+// writeJSON encodes v before it writes anything, so the reply carries its
+// Content-Length and goes out in one Write.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	buf := getBuf()
+	defer putBuf(buf)
+	enc := json.NewEncoder(buf)
+	if err := enc.Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		buf.Reset()
+		_ = enc.Encode(map[string]string{"error": err.Error()})
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(buf.Bytes())
 }
 
 func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// readJSON decodes a request body of at most 16 MB.
 func readJSON(r *http.Request, v any) error {
 	defer func() {
 		_, _ = io.Copy(io.Discard, r.Body)
 		_ = r.Body.Close()
 	}()
-	return json.NewDecoder(io.LimitReader(r.Body, 16<<20)).Decode(v)
-}
-
-// postJSON sends a JSON request and decodes the JSON reply into out (out
-// may be nil). The client's Timeout, if any, doubles as the per-request
-// deadline; the body is always drained and closed so connections are
-// reused. New code should use a Transport instead.
-func postJSON(client *http.Client, url string, in, out any) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return fmt.Errorf("node: marshal %s: %w", url, err)
+	buf := getBuf()
+	defer putBuf(buf)
+	if _, err := readInto(buf, r.Body, 16<<20); err != nil {
+		return err
 	}
-	return doJSON(context.Background(), client, http.MethodPost, url, body, out, client.Timeout)
-}
-
-// getJSON performs a GET and decodes the JSON reply. A 404 returns
-// errNotFound so callers can distinguish absence from failure. The body
-// is always drained and closed so connections are reused.
-func getJSON(client *http.Client, url string, out any) error {
-	return doJSON(context.Background(), client, http.MethodGet, url, nil, out, client.Timeout)
+	return json.Unmarshal(buf.Bytes(), v)
 }

@@ -1,8 +1,8 @@
 package node
 
 import (
+	"context"
 	"fmt"
-	"net/http"
 	"time"
 
 	"cachecloud/internal/obs"
@@ -53,7 +53,9 @@ func Replay(cfg ClusterConfig, tr *trace.Trace, opts ReplayOptions) (*ReplayResu
 	if tr == nil || len(tr.Events) == 0 {
 		return nil, fmt.Errorf("node: empty trace")
 	}
-	client := &http.Client{Timeout: 10 * time.Second}
+	// One attempt a call, as a client that counts its errors wants.
+	tp := NewHTTPTransport(TransportOptions{RequestTimeout: 10 * time.Second, NoRetries: true, BreakerThreshold: -1})
+	ctx := context.Background()
 	res := &ReplayResult{}
 	lat := obs.NewHistogram(obs.DefaultLatencyBounds())
 	var nextCycle int64
@@ -63,11 +65,11 @@ func Replay(cfg ClusterConfig, tr *trace.Trace, opts ReplayOptions) (*ReplayResu
 
 	for _, ev := range tr.Events {
 		if opts.RebalanceEvery > 0 && ev.Time >= nextCycle {
-			if err := postJSON(client, cfg.OriginAddr+"/rebalance", struct{}{}, nil); err != nil {
+			if err := tp.PostJSON(ctx, cfg.OriginAddr+"/rebalance", struct{}{}, nil); err != nil {
 				return res, fmt.Errorf("node: replay rebalance: %w", err)
 			}
 			if opts.ReplicateOnRebalance {
-				if err := postJSON(client, cfg.OriginAddr+"/replicate", struct{}{}, nil); err != nil {
+				if err := tp.PostJSON(ctx, cfg.OriginAddr+"/replicate", struct{}{}, nil); err != nil {
 					return res, fmt.Errorf("node: replay replicate: %w", err)
 				}
 			}
@@ -83,7 +85,7 @@ func Replay(cfg ClusterConfig, tr *trace.Trace, opts ReplayOptions) (*ReplayResu
 			res.Requests++
 			var dr DocResponse
 			t0 := time.Now()
-			err := getJSON(client, base+"/doc?url="+queryEscape(ev.URL), &dr)
+			err := tp.GetJSON(ctx, base+"/doc?url="+queryEscape(ev.URL), &dr)
 			lat.Observe(msSince(t0))
 			if err != nil {
 				res.Errors++
@@ -99,7 +101,7 @@ func Replay(cfg ClusterConfig, tr *trace.Trace, opts ReplayOptions) (*ReplayResu
 			}
 		case trace.Update:
 			res.Updates++
-			if err := postJSON(client, cfg.OriginAddr+"/publish", PublishRequest{URL: ev.URL}, nil); err != nil {
+			if err := tp.PostJSON(ctx, cfg.OriginAddr+"/publish", PublishRequest{URL: ev.URL}, nil); err != nil {
 				res.Errors++
 			}
 		}

@@ -330,8 +330,10 @@ func (sn *ShieldNode) initDurable() error {
 	return nil
 }
 
-// Close seals the durable tier (no-op for memory-only shields).
+// Close closes the idle connections to the cluster's addresses and seals
+// the durable tier (nothing to seal on memory-only shields).
 func (sn *ShieldNode) Close() error {
+	closeIdlePeerConns(sn.cfg)
 	if sn.durable == nil {
 		return nil
 	}
@@ -482,6 +484,7 @@ func (sn *ShieldNode) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	notified := 0
+	body := sharedBody(UpdateRequest{Doc: req.Doc})
 	for _, cid := range clouds {
 		base, ok := sn.cloudBeacon(url, cid)
 		if !ok {
@@ -490,7 +493,7 @@ func (sn *ShieldNode) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		}
 		sn.updatesFanned.Inc()
 		var ur UpdateResponse
-		if err := sn.tp.PostJSON(r.Context(), base+"/update", UpdateRequest{Doc: req.Doc}, &ur); err != nil {
+		if err := sn.tp.PostJSON(r.Context(), base+"/update", body, &ur); err != nil {
 			// Unreachable beacon: keep the subscription; Reconcile re-fans
 			// once the cloud is reachable again.
 			continue

@@ -13,14 +13,32 @@ import (
 	"cachecloud/internal/document"
 )
 
-// countingOrigin wraps the origin handler with a /fetch delay (the
-// "slowed origin") and precise in-flight accounting measured across the
-// whole delayed window — the number the adaptive limiters must bound.
+// countingOrigin wraps the origin handler with a slowed /fetch — by a fixed
+// delay, or held until the test releases it — and precise in-flight
+// accounting measured across the whole slowed window: the number the
+// adaptive limiters must bound.
 type countingOrigin struct {
 	inner   http.Handler
 	delay   time.Duration
 	current atomic.Int64
 	high    atomic.Int64
+
+	mu   sync.Mutex
+	held chan struct{} // non-nil: a /fetch waits for it to be closed
+}
+
+// hold makes every /fetch from now on wait for the returned release.
+func (co *countingOrigin) hold() (release func()) {
+	ch := make(chan struct{})
+	co.mu.Lock()
+	co.held = ch
+	co.mu.Unlock()
+	return func() {
+		co.mu.Lock()
+		co.held = nil
+		co.mu.Unlock()
+		close(ch)
+	}
 }
 
 func (co *countingOrigin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -35,6 +53,12 @@ func (co *countingOrigin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		if co.delay > 0 {
 			time.Sleep(co.delay)
+		}
+		co.mu.Lock()
+		held := co.held
+		co.mu.Unlock()
+		if held != nil {
+			<-held
 		}
 	}
 	co.inner.ServeHTTP(w, r)
@@ -117,8 +141,10 @@ func sumAdmission(lc *LocalCluster) AdmissionStats {
 
 // TestChaosStormHotDocVsSlowOrigin is the overload end-to-end: repeated
 // hot-document miss storms (every burst concentrates many concurrent
-// clients on a few cold documents) hit a cluster whose origin is slowed
-// by an injected delay. The overload layer must keep the storm civil:
+// clients on a few cold documents) hit a cluster whose origin answers no
+// fetch of a burst until every requester of that burst has either been
+// refused or is waiting on a fetch — so what coalesces does not depend on
+// how fast a hop is. The overload layer must keep the storm civil:
 //
 //   - the origin's in-flight fetches never exceed the summed adaptive
 //     limiter ceilings (miss-storm protection);
@@ -140,7 +166,6 @@ func TestChaosStormHotDocVsSlowOrigin(t *testing.T) {
 		bursts      = 3
 		hotPerBurst = 3
 		clients     = 80
-		originDelay = 10 * time.Millisecond
 	)
 	names := make([]string, nodes)
 	for i := range names {
@@ -148,7 +173,7 @@ func TestChaosStormHotDocVsSlowOrigin(t *testing.T) {
 	}
 	docs := testCatalog(bursts * hotPerBurst)
 	lc, co := startStormCluster(t, names, ringSize, docs,
-		ClusterConfig{IntraGen: 200, MaxInflight: maxInflight, MissQueue: 16}, originDelay)
+		ClusterConfig{IntraGen: 200, MaxInflight: maxInflight, MissQueue: 16}, 0)
 
 	limitCapSum := 0
 	for _, n := range lc.Caches {
@@ -166,9 +191,27 @@ func TestChaosStormHotDocVsSlowOrigin(t *testing.T) {
 		resp.Body.Close()
 	}
 
+	// parked counts the requests that have nothing left to do but wait for
+	// the origin or have been turned away. A burst's documents are cold
+	// everywhere and the origin answers nothing, so no request can be served
+	// any other way: every one ends up refused, or in a flight as its leader
+	// or a follower — and a flight ends only when the origin is released
+	// (three leaders a node fit the limiter's four tokens and the miss
+	// queue's sixteen places, so none of them is shed).
+	parked := func() int64 {
+		st := sumAdmission(lc)
+		n := st.Shed + st.Failed
+		for _, cn := range lc.Caches {
+			n += cn.flights.Flights() + cn.flights.Coalesced()
+		}
+		return n
+	}
+
 	offered := 0
 	for b := 0; b < bursts; b++ {
 		before := sumAdmission(lc)
+		parkedBefore := parked()
+		release := co.hold()
 		var wg sync.WaitGroup
 		for g := 0; g < clients; g++ {
 			wg.Add(1)
@@ -179,6 +222,13 @@ func TestChaosStormHotDocVsSlowOrigin(t *testing.T) {
 				get(entry, url)
 			}()
 		}
+		for start := time.Now(); parked()-parkedBefore < clients; time.Sleep(time.Millisecond) {
+			if time.Since(start) > 20*time.Second {
+				release()
+				t.Fatalf("burst %d: %d of %d requests reached a fetch or a refusal", b, parked()-parkedBefore, clients)
+			}
+		}
+		release()
 		wg.Wait()
 		offered += clients
 
@@ -187,11 +237,9 @@ func TestChaosStormHotDocVsSlowOrigin(t *testing.T) {
 			t.Fatalf("burst %d: goodput collapsed to zero (shed=%d failed=%d)",
 				b, after.Shed-before.Shed, after.Failed-before.Failed)
 		}
-		if co.delay > 0 {
-			if coal := after.Coalesced - before.Coalesced; coal < hotPerBurst {
-				t.Fatalf("burst %d: only %d coalesced fetches, want >= %d (one per hot doc)",
-					b, coal, hotPerBurst)
-			}
+		if coal := after.Coalesced - before.Coalesced; coal < hotPerBurst {
+			t.Fatalf("burst %d: only %d coalesced fetches, want >= %d (one per hot doc)",
+				b, coal, hotPerBurst)
 		}
 	}
 

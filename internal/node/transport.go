@@ -20,7 +20,8 @@ import (
 // deadlines, bounded retries with backoff, per-peer circuit breaking);
 // tests inject the deterministic fault-injecting transport from
 // internal/node/chaos. A 404 reply surfaces as ErrNotFound so callers can
-// distinguish absence from failure.
+// distinguish absence from failure. PostJSON's in may be a json.RawMessage,
+// a body already encoded (see sharedBody).
 type Transport interface {
 	GetJSON(ctx context.Context, url string, out any) error
 	PostJSON(ctx context.Context, url string, in, out any) error
@@ -100,8 +101,9 @@ type TransportOptions struct {
 	// transitions from closed to open (observability hook). It is invoked
 	// outside the transport's lock and must be safe for concurrent use.
 	OnBreakerOpen func(host string)
-	// Client overrides the underlying *http.Client. It should have no
-	// global Timeout: deadlines are per-request via context.
+	// Client makes every attempt go through this *http.Client instead of
+	// the transport's own pooled exchange. It should have no global
+	// Timeout: deadlines are per-request via context.
 	Client *http.Client
 	// Clock is the time source for breaker cooldowns and retry backoffs
 	// (nil selects the wall clock). Tests inject a manual clock to step
@@ -124,8 +126,12 @@ type breaker struct {
 // per-request context deadlines, bounded retries with exponential backoff
 // and jitter, and a per-peer circuit breaker keyed by URL host.
 type HTTPTransport struct {
-	opts   TransportOptions
+	opts TransportOptions
+	// client makes the attempts the transport's own exchange (wire.go) does
+	// not: all of them when the caller supplied TransportOptions.Client,
+	// otherwise those to a URL that is not plain http://.
 	client *http.Client
+	direct bool // no Client was supplied
 	clock  Clock
 
 	mu       sync.Mutex
@@ -167,6 +173,7 @@ func NewHTTPTransport(opts TransportOptions) *HTTPTransport {
 	return &HTTPTransport{
 		opts:     opts,
 		client:   client,
+		direct:   opts.Client == nil,
 		clock:    clockOrReal(opts.Clock),
 		rng:      rand.New(rand.NewSource(seed)),
 		breakers: make(map[string]*breaker),
@@ -175,21 +182,72 @@ func NewHTTPTransport(opts TransportOptions) *HTTPTransport {
 
 // GetJSON implements Transport.
 func (t *HTTPTransport) GetJSON(ctx context.Context, url string, out any) error {
-	return t.do(ctx, http.MethodGet, url, nil, out)
+	return t.do(ctx, t.route(http.MethodGet, url), nil, out)
 }
 
-// PostJSON implements Transport.
+// PostJSON implements Transport. A json.RawMessage is sent as it is, so a
+// caller with one body for many recipients encodes it once.
 func (t *HTTPTransport) PostJSON(ctx context.Context, url string, in, out any) error {
-	body, err := json.Marshal(in)
-	if err != nil {
+	c := t.route(http.MethodPost, url)
+	if raw, ok := in.(json.RawMessage); ok {
+		return t.do(ctx, c, raw, out)
+	}
+	if !c.direct {
+		// net/http may still be writing the body after the call returned,
+		// so it cannot go back to a pool.
+		body, err := json.Marshal(in)
+		if err != nil {
+			return fmt.Errorf("node: marshal %s: %w", url, err)
+		}
+		return t.do(ctx, c, body, out)
+	}
+	buf := getBuf()
+	defer putBuf(buf)
+	if err := json.NewEncoder(buf).Encode(in); err != nil {
 		return fmt.Errorf("node: marshal %s: %w", url, err)
 	}
-	return t.do(ctx, http.MethodPost, url, body, out)
+	return t.do(ctx, c, buf.Bytes(), out)
+}
+
+// sharedBody encodes the body of a fan-out once for all its recipients. A
+// value that does not encode is passed on as it is, for each PostJSON to
+// report.
+func sharedBody(v any) any {
+	if b, err := json.Marshal(v); err == nil {
+		return json.RawMessage(b)
+	}
+	return v
+}
+
+// peerCall is where one logical call goes, worked out once for all its
+// attempts.
+type peerCall struct {
+	method, url string
+	host        string // breaker key; the Host header of a direct call
+	target      string // request target of a direct call
+	direct      bool   // attempts use the transport's own exchange
+}
+
+func (t *HTTPTransport) route(method, rawurl string) peerCall {
+	c := peerCall{method: method, url: rawurl}
+	if c.host, c.target, c.direct = splitPlainHTTP(rawurl); !c.direct {
+		c.host = hostOf(rawurl)
+	}
+	c.direct = c.direct && t.direct
+	return c
+}
+
+// attempt makes one attempt of a call.
+func (t *HTTPTransport) attempt(ctx context.Context, c peerCall, body []byte, out any) error {
+	if c.direct {
+		return t.exchange(ctx, c, body, out)
+	}
+	return doJSON(ctx, t.client, c.method, c.url, body, out, t.opts.RequestTimeout)
 }
 
 // do runs the retry loop around one logical call.
-func (t *HTTPTransport) do(ctx context.Context, method, rawurl string, body []byte, out any) error {
-	host := hostOf(rawurl)
+func (t *HTTPTransport) do(ctx context.Context, c peerCall, body []byte, out any) error {
+	host := c.host
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		switch err := t.admit(host); {
@@ -203,7 +261,7 @@ func (t *HTTPTransport) do(ctx context.Context, method, rawurl string, body []by
 			// attempt's outcome so callers see a stable error.
 			lastErr = fmt.Errorf("%w: %s", ErrPeerDown, host)
 		default:
-			err := doJSON(ctx, t.client, method, rawurl, body, out, t.opts.RequestTimeout)
+			err := t.attempt(ctx, c, body, out)
 			if errors.Is(err, ErrShed) {
 				// A shed is a deliberate, non-retryable refusal from a
 				// live peer: remember its Retry-After window and count
@@ -412,41 +470,87 @@ func doJSON(ctx context.Context, client *http.Client, method, rawurl string, bod
 	if err != nil {
 		return fmt.Errorf("node: %s %s: %w", method, rawurl, err)
 	}
-	// Every early return below rides on this drain+close, so error
-	// replies (shed, 4xx, 5xx) never leak the keep-alive connection.
+	// Every return below rides on this drain+close, so error replies
+	// (shed, 4xx, 5xx) never leak the keep-alive connection.
 	defer drainClose(resp.Body)
-	if resp.StatusCode == http.StatusNotFound {
-		return errNotFound
+	buf := getBuf()
+	defer putBuf(buf)
+	status := resp.StatusCode
+	// A cut in an error reply's body costs only some of the quoted text.
+	if _, err := readInto(buf, resp.Body, replyKeep(status, out != nil)); err != nil && status/100 == 2 {
+		return fmt.Errorf("node: %s %s: %w", method, rawurl, err)
 	}
-	if resp.StatusCode == http.StatusTooManyRequests {
-		return &peerShedError{url: rawurl, retryAfter: parseRetryAfter(resp.Header)}
+	var retryMs, retrySecs string
+	if status == http.StatusTooManyRequests {
+		retryMs, retrySecs = resp.Header.Get(RetryAfterMsHeader), resp.Header.Get("Retry-After")
 	}
-	if resp.StatusCode/100 != 2 {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return &statusError{method: method, url: rawurl, status: resp.StatusCode, body: string(b)}
-	}
-	if out == nil {
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return replyResult(method, rawurl, status, retryMs, retrySecs, buf.Bytes(), out)
 }
 
-// parseRetryAfter reads a 429 reply's retry hint: the millisecond
-// header when present, else the standard whole-second Retry-After, else
-// a 100ms default (a hint of some kind keeps the fail-fast window
-// meaningful).
-func parseRetryAfter(h http.Header) time.Duration {
-	if v := h.Get(RetryAfterMsHeader); v != "" {
-		if ms, err := strconv.ParseInt(v, 10, 64); err == nil && ms > 0 {
-			return time.Duration(ms) * time.Millisecond
+// replyKeep is how much of a reply's body replyResult uses: all of a 2xx
+// body that is to be decoded, the start of an error reply's for the error
+// text, nothing otherwise.
+func replyKeep(status int, decode bool) int64 {
+	switch {
+	case status/100 == 2 && decode:
+		return maxReplyBytes
+	case status/100 == 2 || status == http.StatusNotFound || status == http.StatusTooManyRequests:
+		return 0
+	}
+	return errBodyBytes
+}
+
+// replyResult turns one reply into the call's outcome, for both kinds of
+// attempt: 404 is ErrNotFound, 429 a shed with the peer's hint (its two
+// Retry-After headers, as sent), any other non-2xx a statusError quoting
+// the body, and a 2xx body is decoded into out when the caller wants it.
+func replyResult(method, rawurl string, status int, retryMs, retrySecs string, body []byte, out any) error {
+	switch {
+	case status == http.StatusNotFound:
+		return errNotFound
+	case status == http.StatusTooManyRequests:
+		return &peerShedError{url: rawurl, retryAfter: retryAfterHint(retryMs, retrySecs)}
+	case status/100 != 2:
+		return &statusError{method: method, url: rawurl, status: status, body: string(body)}
+	case out == nil:
+		return nil
+	}
+	return json.Unmarshal(body, out)
+}
+
+// retryAfterHint reads a 429 reply's retry hint: the millisecond header
+// when present, else the standard whole-second Retry-After, else a 100ms
+// default (a hint of some kind keeps the fail-fast window meaningful).
+func retryAfterHint(ms, secs string) time.Duration {
+	if ms != "" {
+		if v, err := strconv.ParseInt(ms, 10, 64); err == nil && v > 0 {
+			return time.Duration(v) * time.Millisecond
 		}
 	}
-	if v := h.Get("Retry-After"); v != "" {
-		if s, err := strconv.ParseInt(v, 10, 64); err == nil && s > 0 {
-			return time.Duration(s) * time.Second
+	if secs != "" {
+		if v, err := strconv.ParseInt(secs, 10, 64); err == nil && v > 0 {
+			return time.Duration(v) * time.Second
 		}
 	}
 	return 100 * time.Millisecond
+}
+
+// bufPool holds the buffers JSON bodies are encoded into and read into, on
+// both sides of a call.
+var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func getBuf() *bytes.Buffer {
+	buf := bufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	return buf
+}
+
+// putBuf returns a buffer to the pool, unless one large body grew it: the
+// pool is for the common small message, not for keeping megabytes alive.
+func putBuf(buf *bytes.Buffer) {
+	if buf.Cap() <= 64<<10 {
+		bufPool.Put(buf)
+	}
 }
 
 // drainClose consumes any unread bytes before closing, so keep-alive
