@@ -60,9 +60,12 @@ bench-compare:
 # lookup and contention benchmarks under the race detector. Catches data
 # races the unit tests' interleavings miss, without benchmark runtimes.
 # The tenant quota-eviction benchmark rides along so its 100k-resident
-# set-up (three replacement kinds) is built and evicted from once per push.
+# set-up (three replacement kinds) is built and evicted from once per push,
+# and so do the live directory's lookup, update and install benchmarks
+# (internal/node: a 20k-record directory each).
 bench-smoke:
 	$(GO) test -race -run NoTestsJustBench -bench 'BenchmarkCloudLookupParallel|BenchmarkCloudContention|BenchmarkPutTenantQuotaEvict' -benchtime 1x -benchmem .
+	$(GO) test -race -run NoTestsJustBench -bench 'BenchmarkDirectory(Lookup|Update|Install)' -benchtime 1x -benchmem ./internal/node
 
 # Reproduce every paper figure at full scale (several minutes).
 figures:

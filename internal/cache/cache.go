@@ -33,9 +33,9 @@ type Durable interface {
 	Delete(url string) error
 }
 
-// accessHalfLife is the half-life (in time units) of the exponentially
-// weighted access/eviction monitors. One hour of trace time.
-const accessHalfLife = 60
+// accessHalfLife is the half-life (in time units) every exponentially
+// weighted access/eviction monitor shares. One hour of trace time.
+var accessHalfLife = loadstats.NewHalfLife(60)
 
 // Cache is one edge cache. All methods are safe for concurrent use.
 type Cache struct {
@@ -54,12 +54,13 @@ type Cache struct {
 	quotas         TenantQuotas
 	quotaEvictions map[string]int64 // documents evicted per tenant by its byte quota
 
-	// monitors tracks access rates per document URL, including documents
-	// that are not currently stored — the paper's placement scheme decides
-	// using patterns "collected through continued monitoring".
-	monitors   map[string]*loadstats.EWRate
-	totalRate  *loadstats.EWRate // all accesses at this cache
-	evictBytes *loadstats.EWRate // bytes evicted per unit (disk contention)
+	// monitors tracks access rates per document URL, by value (a URL only
+	// ever seen costs a map slot), including documents that are not
+	// currently stored — the paper's placement scheme decides using
+	// patterns "collected through continued monitoring".
+	monitors   map[string]loadstats.EWRate
+	totalRate  loadstats.EWRate // all accesses at this cache
+	evictBytes loadstats.EWRate // bytes evicted per unit (disk contention)
 	hits       int64
 	misses     int64
 
@@ -103,9 +104,7 @@ func NewWithReplacement(id string, capacity int64, kind ReplacementKind) *Cache 
 		policy:         newReplacementPolicy(kind),
 		kind:           kind,
 		quotaEvictions: make(map[string]int64),
-		monitors:       make(map[string]*loadstats.EWRate),
-		totalRate:      loadstats.NewEWRate(accessHalfLife),
-		evictBytes:     loadstats.NewEWRate(accessHalfLife),
+		monitors:       make(map[string]loadstats.EWRate),
 	}
 }
 
@@ -283,7 +282,7 @@ func (c *Cache) makeRoom(protect string, now int64) []document.Document {
 		}
 		victim := c.entries[url]
 		c.removeLocked(url)
-		c.evictBytes.Observe(now, float64(victim.Doc.Size))
+		c.evictBytes.Observe(accessHalfLife, now, float64(victim.Doc.Size))
 		evicted = append(evicted, victim.Doc)
 	}
 	return evicted
@@ -355,13 +354,10 @@ func (c *Cache) Documents() []string {
 
 // observeAccess updates the monitoring state. Caller holds the lock.
 func (c *Cache) observeAccess(url string, now int64) {
-	m, ok := c.monitors[url]
-	if !ok {
-		m = loadstats.NewEWRate(accessHalfLife)
-		c.monitors[url] = m
-	}
-	m.Observe(now, 1)
-	c.totalRate.Observe(now, 1)
+	m := c.monitors[url]
+	m.Observe(accessHalfLife, now, 1)
+	c.monitors[url] = m
+	c.totalRate.Observe(accessHalfLife, now, 1)
 }
 
 // AccessRate estimates the document's local accesses per time unit.
@@ -372,7 +368,9 @@ func (c *Cache) AccessRate(url string, now int64) float64 {
 	if !ok {
 		return 0
 	}
-	return m.Rate(now)
+	rate := m.Rate(accessHalfLife, now)
+	c.monitors[url] = m // Rate decayed it to now
+	return rate
 }
 
 // MeanAccessRate estimates the mean per-document access rate over the
@@ -386,7 +384,7 @@ func (c *Cache) MeanAccessRate(now int64) float64 {
 	if n == 0 {
 		n = 1
 	}
-	return c.totalRate.Rate(now) / float64(n)
+	return c.totalRate.Rate(accessHalfLife, now) / float64(n)
 }
 
 // EvictionByteRate estimates bytes evicted per time unit — the cache's
@@ -394,7 +392,7 @@ func (c *Cache) MeanAccessRate(now int64) float64 {
 func (c *Cache) EvictionByteRate(now int64) float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.evictBytes.Rate(now)
+	return c.evictBytes.Rate(accessHalfLife, now)
 }
 
 // HitsMisses returns the cumulative local hit and miss counts.

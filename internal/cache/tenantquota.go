@@ -80,7 +80,7 @@ func (c *Cache) makeTenantRoom(tenant string, quota int64, protect string, now i
 		}
 		cp := c.entries[victim]
 		c.removeLocked(victim)
-		c.evictBytes.Observe(now, float64(cp.Doc.Size))
+		c.evictBytes.Observe(accessHalfLife, now, float64(cp.Doc.Size))
 		evicted = append(evicted, cp.Doc)
 	}
 	if len(evicted) > 0 {

@@ -47,9 +47,9 @@ var (
 	ErrBadTopology = errors.New("core: invalid cloud topology")
 )
 
-// monitorHalfLife is the half-life (time units) for beacon-side rate
-// monitors; one hour of trace time.
-const monitorHalfLife = 60
+// monitorHalfLife is the half-life (time units) every beacon-side rate
+// monitor shares; one hour of trace time.
+var monitorHalfLife = loadstats.NewHalfLife(60)
 
 // replacementOrLRU maps the zero value to LRU.
 func replacementOrLRU(k cache.ReplacementKind) cache.ReplacementKind {
@@ -265,11 +265,11 @@ func (c *Cloud) lookupHash(url string, h document.Hash, now int64, withRates, co
 	s.charge(irh, loadstats.Lookup)
 	rec := s.getOrCreate(url, h)
 	rec.mu.Lock()
-	rec.lookupRate.Observe(now, 1)
+	rec.lookupRate.Observe(monitorHalfLife, now, 1)
 	res := LookupResult{Beacon: s.id, Holders: rec.holders, Version: rec.version}
 	if withRates {
-		res.LookupRate = rec.lookupRate.Rate(now)
-		res.UpdateRate = rec.updateRate.Rate(now)
+		res.LookupRate = rec.lookupRate.Rate(monitorHalfLife, now)
+		res.UpdateRate = rec.updateRate.Rate(monitorHalfLife, now)
 	}
 	if copyHolders {
 		res.Holders = rec.holderList()
@@ -379,7 +379,7 @@ func (c *Cloud) UpdateHash(doc document.Document, h document.Hash, now int64) (U
 	rec := s.getOrCreate(doc.URL, h)
 	res := UpdateResult{Beacon: s.id}
 	rec.mu.Lock()
-	rec.updateRate.Observe(now, 1)
+	rec.updateRate.Observe(monitorHalfLife, now, 1)
 	if doc.Version > rec.version {
 		rec.version = doc.Version
 	}
@@ -426,8 +426,8 @@ func (c *Cloud) DocumentRatesHash(url string, h document.Hash, now int64) (looku
 		return 0, 0
 	}
 	rec.mu.Lock()
-	lookupRate = rec.lookupRate.Rate(now)
-	updateRate = rec.updateRate.Rate(now)
+	lookupRate = rec.lookupRate.Rate(monitorHalfLife, now)
+	updateRate = rec.updateRate.Rate(monitorHalfLife, now)
 	rec.mu.Unlock()
 	return lookupRate, updateRate
 }

@@ -34,9 +34,9 @@ var (
 	ErrBadTopology = errors.New("core: invalid cloud topology")
 )
 
-// monitorHalfLife is the half-life (time units) for beacon-side rate
-// monitors; one hour of trace time.
-const monitorHalfLife = 60
+// monitorHalfLife is the half-life (time units) every beacon-side rate
+// monitor shares; one hour of trace time.
+var monitorHalfLife = loadstats.NewHalfLife(60)
 
 // replacementOrLRU maps the zero value to LRU.
 func replacementOrLRU(k cache.ReplacementKind) cache.ReplacementKind {
@@ -76,16 +76,8 @@ type record struct {
 	hash       document.Hash
 	holders    []string
 	version    document.Version
-	lookupRate *loadstats.EWRate // cloud-wide lookups for this document
-	updateRate *loadstats.EWRate // updates for this document
-}
-
-func newRecord(h document.Hash) *record {
-	return &record{
-		hash:       h,
-		lookupRate: loadstats.NewEWRate(monitorHalfLife),
-		updateRate: loadstats.NewEWRate(monitorHalfLife),
-	}
+	lookupRate loadstats.EWRate // cloud-wide lookups for this document
+	updateRate loadstats.EWRate // updates for this document
 }
 
 func (r *record) hasHolder(id string) bool {
@@ -123,7 +115,7 @@ func (r *record) holderList() []string {
 }
 
 func (r *record) clone() *record {
-	c := newRecord(r.hash)
+	c := &record{hash: r.hash}
 	c.holders = r.holderList()
 	c.version = r.version
 	return c
@@ -316,10 +308,10 @@ func (c *Cloud) lookupHashLocked(url string, h document.Hash, now int64) (Lookup
 	rec, ok := c.records[beacon][url]
 	if !ok {
 		// Create the record so monitoring starts with the first lookup.
-		rec = newRecord(h)
+		rec = &record{hash: h}
 		c.records[beacon][url] = rec
 	}
-	rec.lookupRate.Observe(now, 1)
+	rec.lookupRate.Observe(monitorHalfLife, now, 1)
 	c.lastNow = now
 	if c.tracer != nil {
 		c.tracer.Emit(obs.Event{Time: now, Kind: obs.EvBeaconLookup, Node: beacon, URL: url})
@@ -362,7 +354,7 @@ func (c *Cloud) RegisterHolderHash(url string, h document.Hash, cacheID string) 
 	}
 	rec, ok := c.records[beacon][url]
 	if !ok {
-		rec = newRecord(h)
+		rec = &record{hash: h}
 		c.records[beacon][url] = rec
 	}
 	rec.addHolder(cacheID)
@@ -435,10 +427,10 @@ func (c *Cloud) UpdateHash(doc document.Document, h document.Hash, now int64) (U
 	}
 	rec, ok := c.records[beacon][doc.URL]
 	if !ok {
-		rec = newRecord(h)
+		rec = &record{hash: h}
 		c.records[beacon][doc.URL] = rec
 	}
-	rec.updateRate.Observe(now, 1)
+	rec.updateRate.Observe(monitorHalfLife, now, 1)
 	if doc.Version > rec.version {
 		rec.version = doc.Version
 	}
@@ -484,7 +476,7 @@ func (c *Cloud) DocumentRatesHash(url string, h document.Hash, now int64) (looku
 	if !ok {
 		return 0, 0
 	}
-	return rec.lookupRate.Rate(now), rec.updateRate.Rate(now)
+	return rec.lookupRate.Rate(monitorHalfLife, now), rec.updateRate.Rate(monitorHalfLife, now)
 }
 
 // Rebalance runs the sub-range determination process on every beacon ring

@@ -31,16 +31,8 @@ type record struct {
 	holders    []string
 	hcaches    []*cache.Cache
 	version    document.Version
-	lookupRate *loadstats.EWRate // cloud-wide lookups for this document
-	updateRate *loadstats.EWRate // updates for this document
-}
-
-func newRecord(h document.Hash) *record {
-	return &record{
-		hash:       h,
-		lookupRate: loadstats.NewEWRate(monitorHalfLife),
-		updateRate: loadstats.NewEWRate(monitorHalfLife),
-	}
+	lookupRate loadstats.EWRate // cloud-wide lookups for this document
+	updateRate loadstats.EWRate // updates for this document
 }
 
 // hasHolder reports holder membership. Caller holds rec.mu.
@@ -85,7 +77,7 @@ func (r *record) holderList() []string {
 
 // clone snapshots the record for replication. It locks rec.mu itself.
 func (r *record) clone() *record {
-	c := newRecord(r.hash)
+	c := &record{hash: r.hash}
 	r.mu.Lock()
 	c.holders = r.holderList()
 	if len(r.hcaches) > 0 {
@@ -175,7 +167,7 @@ func (s *shard) getOrCreate(url string, h document.Hash) *record {
 	s.mu.Lock()
 	rec = s.records[url]
 	if rec == nil {
-		rec = newRecord(h)
+		rec = &record{hash: h}
 		s.records[url] = rec
 	}
 	s.mu.Unlock()

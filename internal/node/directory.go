@@ -1,7 +1,9 @@
 package node
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -16,12 +18,13 @@ import (
 // a ring sibling's entry. Both are the same type, so the sequence rule
 // holds on both.
 type record struct {
-	// holders maps each listed holder to the sequence number of its newest
-	// registration (0: unnumbered — it crossed the wire in a WireRecord).
-	holders map[string]uint64
+	// holders lists each holder with the sequence number of its newest
+	// registration (0: unnumbered — it crossed the wire in a WireRecord),
+	// in name order: every answer, fan-out and wire form is a walk of it.
+	holders []listing
 	version document.Version
-	lookups *loadstats.EWRate
-	updates *loadstats.EWRate
+	hash    document.Hash // of the record's URL, so that no table walk hashes
+	rates   *rates        // nil until the first lookup or update
 	// Replica entries only: the sibling that pushed the entry, or the
 	// beacon a failover registration is kept for (that node's next full
 	// push supersedes it), and the number of the push that last wrote it.
@@ -29,41 +32,83 @@ type record struct {
 	push uint64
 }
 
+// listing is one holder of a record and the number it is listed under.
+type listing struct {
+	holder string
+	seq    uint64
+}
+
+// rates is a record's pair of monitors, cloud-wide lookups and updates;
+// monitorHalfLife is the half-life they all share, one hour of trace time.
+type rates struct{ lookups, updates loadstats.EWRate }
+
+var monitorHalfLife = loadstats.NewHalfLife(60)
+
 // entry is the get-or-create of url's record in one of the directory's two
-// tables. The holder map and the rate monitors come with their first use:
-// the replica of a document nobody holds is one allocation.
-func entry(table map[string]*record, url string) *record {
+// tables; hash is url's. The holder list and the rate monitors come with
+// their first use: the replica of a document nobody holds is one allocation.
+func entry(table map[string]*record, url string, hash document.Hash) *record {
 	rec, ok := table[url]
 	if !ok {
-		rec = &record{}
+		rec = &record{hash: hash}
 		table[url] = rec
 	}
 	return rec
+}
+
+// hashOf returns url's hash, without running MD5 when either table has a
+// record of url. Caller holds mu.
+func (d *directory) hashOf(url string) document.Hash {
+	if rec := cmp.Or(d.owned[url], d.replicas[url]); rec != nil {
+		return rec.hash
+	}
+	return document.HashURL(url)
 }
 
 // observe counts one lookup (or update) and returns the document's
 // monitored rates. Rate decays its monitor in place, so the rates are read
 // in the same critical section as the count.
 func (r *record) observe(now int64, lookup bool) (lookupRate, updateRate float64) {
-	if r.lookups == nil {
-		r.lookups, r.updates = loadstats.NewEWRate(60), loadstats.NewEWRate(60)
+	if r.rates == nil {
+		r.rates = new(rates)
 	}
 	if lookup {
-		r.lookups.Observe(now, 1)
+		r.rates.lookups.Observe(monitorHalfLife, now, 1)
 	} else {
-		r.updates.Observe(now, 1)
+		r.rates.updates.Observe(monitorHalfLife, now, 1)
 	}
-	return r.lookups.Rate(now), r.updates.Rate(now)
+	return r.rates.lookups.Rate(monitorHalfLife, now), r.rates.updates.Rate(monitorHalfLife, now)
+}
+
+// find returns h's place in the name-ordered list and whether it is there.
+func (r *record) find(h string) (int, bool) {
+	return slices.BinarySearchFunc(r.holders, h, func(l listing, h string) int { return cmp.Compare(l.holder, h) })
+}
+
+// listed returns the holders in name order, skip and the members of down
+// left out; nil when none is left.
+func (r *record) listed(skip string, down map[string]bool) []string {
+	var out []string
+	for _, l := range r.holders {
+		if l.holder == skip || down[l.holder] {
+			continue
+		}
+		if out == nil {
+			out = make([]string, 0, len(r.holders))
+		}
+		out = append(out, l.holder)
+	}
+	return out
 }
 
 // list records a registration of holder h numbered seq. An older or
 // unnumbered registration never lowers the number already kept.
 func (r *record) list(h string, seq uint64) {
-	if r.holders == nil {
-		r.holders = make(map[string]uint64)
-	}
-	if cur, ok := r.holders[h]; !ok || seq > cur {
-		r.holders[h] = seq
+	i, ok := r.find(h)
+	if !ok {
+		r.holders = slices.Insert(r.holders, i, listing{h, seq})
+	} else if seq > r.holders[i].seq {
+		r.holders[i].seq = seq
 	}
 }
 
@@ -72,27 +117,25 @@ func (r *record) list(h string, seq uint64) {
 // newer fact. An unnumbered drop (0) always applies. It reports whether
 // the drop was ignored as stale.
 func (r *record) drop(h string, seq uint64) (stale bool) {
-	cur, ok := r.holders[h]
-	if ok && seq != 0 && seq < cur {
+	i, ok := r.find(h)
+	if !ok {
+		return false
+	}
+	if seq != 0 && seq < r.holders[i].seq {
 		return true
 	}
-	delete(r.holders, h)
+	r.holders = slices.Delete(r.holders, i, i+1)
 	return false
 }
 
 // wire renders the record for a hand-off, a replica push or a snapshot:
-// holder names sorted, their numbers left behind.
+// holder names in order, their numbers left behind.
 func (r *record) wire(url string) WireRecord {
-	wr := WireRecord{URL: url, Version: r.version}
-	for h := range r.holders {
-		wr.Holders = append(wr.Holders, h)
-	}
-	sort.Strings(wr.Holders)
-	return wr
+	return WireRecord{URL: url, Version: r.version, Holders: r.listed("", nil)}
 }
 
 // merge folds a record that crossed the wire into r: the newer version
-// wins and every holder is listed, unnumbered.
+// wins and every holder is listed, unnumbered, once however often named.
 func (r *record) merge(wr WireRecord) {
 	if wr.Version > r.version {
 		r.version = wr.Version
@@ -108,12 +151,6 @@ func (r *record) merge(wr WireRecord) {
 type routeView struct {
 	assign Assignments
 	down   map[string]bool
-}
-
-// listing is one holder entry as an update fan-out found it.
-type listing struct {
-	holder string
-	seq    uint64
 }
 
 // handoff is the records one new owner is due after an install.
@@ -183,15 +220,15 @@ func (d *directory) counts() (owned, replicas int) {
 	return len(d.owned), len(d.replicas)
 }
 
-// holderName is the one gate a name passes before it may key a holder
-// map: it must be a node of the cluster. The cluster's own copy of it is
-// returned, so that no record keeps a request's bytes alive.
+// holderName is the one gate a name passes before it may enter a holder
+// list: it must be a node of the cluster. The cluster's own copy of it is
+// returned, so that no record keeps a request's bytes alive. The shield's
+// table follows the same rule for the cloud IDs it keeps (ShieldNode.intern).
 func (d *directory) holderName(name string) (string, bool) {
-	i := sort.SearchStrings(d.names, name)
-	if i == len(d.names) || d.names[i] != name {
-		return "", false
+	if i, ok := slices.BinarySearch(d.names, name); ok {
+		return d.names[i], true
 	}
-	return d.names[i], true
+	return "", false
 }
 
 // admit puts every holder name of a batch of wire records through
@@ -252,30 +289,21 @@ func (d *directory) lookup(now int64, url, holder string, seq uint64, drops []st
 	owner := d.ownerOf(v, hash)
 	rec := d.owned[url]
 	if owner == d.self {
-		rec = entry(d.owned, url)
+		rec = entry(d.owned, url, hash)
 	}
 	var out LookupResponse
 	if rec != nil {
 		d.charge(v, hash)
 		out.Version = rec.version
 		out.LookupRate, out.UpdateRate = rec.observe(now, true)
-		for h := range rec.holders {
-			if h != holder {
-				out.Holders = append(out.Holders, h)
-			}
-		}
+		out.Holders = rec.listed(holder, nil)
 	} else if rep := d.replicas[url]; rep != nil {
 		out.Version = rep.version
-		for h := range rep.holders {
-			if h != holder && !v.down[h] {
-				out.Holders = append(out.Holders, h)
-			}
-		}
+		out.Holders = rep.listed(holder, v.down)
 	}
-	sort.Strings(out.Holders)
 	if holder != "" {
 		if owner != d.self {
-			rec = entry(d.replicas, url)
+			rec = entry(d.replicas, url, hash)
 			rec.from = owner
 		}
 		rec.list(holder, seq)
@@ -296,7 +324,7 @@ func (d *directory) deregister(holder string, seq uint64, urls []string) {
 func (d *directory) deregisterLocked(v *routeView, holder string, seq uint64, urls []string) {
 	for _, url := range urls {
 		table := d.replicas
-		if d.ownerOf(v, document.HashURL(url)) == d.self {
+		if d.ownerOf(v, d.hashOf(url)) == d.self {
 			table = d.owned
 		}
 		if rec, ok := table[url]; ok && rec.drop(holder, seq) {
@@ -313,19 +341,14 @@ func (d *directory) update(now int64, doc document.Document) (UpdateRequest, []l
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.charge(d.route(), hash)
-	rec := entry(d.owned, doc.URL)
+	rec := entry(d.owned, doc.URL, hash)
 	push := UpdateRequest{Doc: doc}
 	push.LookupRate, push.UpdateRate = rec.observe(now, false)
 	if doc.Version > rec.version {
 		rec.version = doc.Version
 	}
-	holders := make([]listing, 0, len(rec.holders))
-	for h, seq := range rec.holders {
-		holders = append(holders, listing{h, seq})
-	}
-	sort.Slice(holders, func(i, j int) bool { return holders[i].holder < holders[j].holder })
-	push.Replicas = len(holders)
-	return push, holders
+	push.Replicas = len(rec.holders)
+	return push, slices.Clone(rec.holders)
 }
 
 // unlist removes the listings of url that its fan-out found stale (dead,
@@ -343,8 +366,8 @@ func (d *directory) unlist(url string, stale []listing) {
 		return
 	}
 	for _, l := range stale {
-		if cur, listed := rec.holders[l.holder]; listed && cur == l.seq {
-			delete(rec.holders, l.holder)
+		if i, listed := rec.find(l.holder); listed && rec.holders[i].seq == l.seq {
+			rec.holders = slices.Delete(rec.holders, i, i+1)
 		}
 	}
 }
@@ -389,16 +412,16 @@ func (d *directory) install(a Assignments) (out []handoff, promoted int) {
 	v := &routeView{assign: a, down: d.route().down}
 	d.view.Store(v)
 	for url, rep := range d.replicas {
-		if d.ownerOf(v, document.HashURL(url)) != d.self {
+		if d.ownerOf(v, rep.hash) != d.self {
 			continue
 		}
-		rec := entry(d.owned, url)
+		rec := entry(d.owned, url, rep.hash)
 		if rep.version > rec.version {
 			rec.version = rep.version
 		}
-		for h, seq := range rep.holders {
-			if !v.down[h] {
-				rec.list(h, seq)
+		for _, l := range rep.holders {
+			if !v.down[l.holder] {
+				rec.list(l.holder, l.seq)
 			}
 		}
 		delete(d.replicas, url)
@@ -406,7 +429,7 @@ func (d *directory) install(a Assignments) (out []handoff, promoted int) {
 	}
 	byOwner := make(map[string][]WireRecord)
 	for url, rec := range d.owned {
-		owner := d.ownerOf(v, document.HashURL(url))
+		owner := d.ownerOf(v, rec.hash)
 		if owner == "" || owner == d.self {
 			continue
 		}
@@ -431,7 +454,7 @@ func (d *directory) importRecords(recs []WireRecord) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, wr := range recs {
-		entry(d.owned, wr.URL).merge(wr)
+		entry(d.owned, wr.URL, d.hashOf(wr.URL)).merge(wr)
 	}
 	return nil
 }
@@ -451,8 +474,8 @@ func (d *directory) acceptReplicas(from string, reset bool, recs []WireRecord) e
 	defer d.mu.Unlock()
 	d.pushes++
 	for _, wr := range recs {
-		rep := entry(d.replicas, wr.URL)
-		clear(rep.holders)
+		rep := entry(d.replicas, wr.URL, d.hashOf(wr.URL))
+		rep.holders = rep.holders[:0]
 		rep.version, rep.from, rep.push = 0, from, d.pushes
 		rep.merge(wr)
 	}
@@ -511,11 +534,10 @@ func (d *directory) setDown(names []string) {
 	if len(down) == 0 {
 		return
 	}
+	isDown := func(l listing) bool { return down[l.holder] }
 	for _, table := range []map[string]*record{d.owned, d.replicas} {
 		for _, rec := range table {
-			for name := range down {
-				delete(rec.holders, name)
-			}
+			rec.holders = slices.DeleteFunc(rec.holders, isDown)
 		}
 	}
 }
@@ -543,12 +565,13 @@ func (d *directory) reconcile(holder string, seq uint64, entries []ReconcileEntr
 	v := d.route()
 	for _, e := range entries {
 		reported[e.URL] = struct{}{}
-		owned := d.ownerOf(v, document.HashURL(e.URL)) == d.self
+		hash := d.hashOf(e.URL)
+		owned := d.ownerOf(v, hash) == d.self
 		res := ReconcileResult{URL: e.URL, Version: e.Version, Owned: owned, Keep: true}
 		if owned {
-			rec := entry(d.owned, e.URL)
+			rec := entry(d.owned, e.URL, hash)
 			if e.Version < rec.version {
-				delete(rec.holders, holder)
+				rec.drop(holder, 0)
 				res.Keep = false
 			} else {
 				rec.list(holder, seq)
@@ -559,7 +582,7 @@ func (d *directory) reconcile(holder string, seq uint64, entries []ReconcileEntr
 		out = append(out, res)
 	}
 	for url, rec := range d.owned {
-		if _, listed := rec.holders[holder]; !listed {
+		if _, listed := rec.find(holder); !listed {
 			continue
 		}
 		if _, ok := reported[url]; !ok {

@@ -56,8 +56,8 @@ func holdersOf(d *directory, replicas bool, url string) map[string]uint64 {
 		return nil
 	}
 	out := make(map[string]uint64, len(rec.holders))
-	for h, s := range rec.holders {
-		out[h] = s
+	for _, l := range rec.holders {
+		out[l.holder] = l.seq
 	}
 	return out
 }

@@ -1,0 +1,224 @@
+package node
+
+import (
+	"context"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"testing"
+
+	"cachecloud/internal/document"
+	"cachecloud/internal/obs"
+)
+
+// Footprint tests and the directory micro-benchmarks: what one document
+// costs a beacon point and a shield, in bytes and in time under d.mu. The
+// byte budgets sit ~25% above what the tables cost now and below what they
+// cost when a record kept a holder map and two separately allocated
+// monitors and the shield three URL-keyed maps (CHANGES.md, PR 19, has both
+// sets of figures): a revert fails them.
+
+// liveHeap returns the bytes the heap holds after a collection.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// wireRecords returns one WireRecord per URL listing the given holders.
+func wireRecords(urls []string, holders ...string) []WireRecord {
+	recs := make([]WireRecord, len(urls))
+	for i, u := range urls {
+		recs[i] = WireRecord{URL: u, Holders: append([]string(nil), holders...), Version: 1}
+	}
+	return recs
+}
+
+// TestDirectoryFootprint: 10,000 owned records, each looked up by its two
+// holders, then 10,000 replicas a sibling pushed and nobody ever looked up.
+// The URLs and the push are built before the first measurement and stay
+// alive, so the difference is the tables' and the records' own.
+func TestDirectoryFootprint(t *testing.T) {
+	const (
+		n             = 10000
+		ownedBudget   = 254 // bytes a record: 203 now, 427 with a holder map and two monitor pointers
+		replicaBudget = 214 // 171 now, 363 then
+	)
+	own := urlsOf(t, testLayout(), "a", n)
+	push := wireRecords(urlsOf(t, testLayout(), "b", n), "c", "d")
+	d := newTestDirectory("a")
+	h0 := liveHeap()
+	for i, u := range own {
+		d.lookup(0, u, "c", uint64(2*i+1), nil)
+		d.lookup(0, u, "b", uint64(2*i+2), nil)
+	}
+	h1 := liveHeap()
+	if err := d.acceptReplicas("b", true, push); err != nil {
+		t.Fatal(err)
+	}
+	h2 := liveHeap()
+	if owned, replicas := d.counts(); owned != n || replicas != n {
+		t.Fatalf("%d owned and %d replica records, want %d of each", owned, replicas, n)
+	}
+	perOwned, perReplica := (h1-h0)/n, (h2-h1)/n
+	t.Logf("owned record with 2 holders, looked up: %d B; never-observed replica with 2 holders: %d B", perOwned, perReplica)
+	if perOwned > ownedBudget {
+		t.Errorf("an owned record costs %d B, budget %d", perOwned, ownedBudget)
+	}
+	if perReplica > replicaBudget {
+		t.Errorf("a never-observed replica costs %d B, budget %d", perReplica, replicaBudget)
+	}
+	runtime.KeepAlive(own)
+	runtime.KeepAlive(push)
+	runtime.KeepAlive(d)
+}
+
+// originStub answers every origin fetch with a version-1 document and
+// refuses everything else.
+type originStub struct{ fuzzTransport }
+
+func (originStub) GetJSON(ctx context.Context, url string, out any) error {
+	fr, ok := out.(*FetchResponse)
+	if !ok {
+		return fmt.Errorf("origin stub: unexpected call %s", url)
+	}
+	fr.Doc = document.Document{Size: 1000, Version: 1}
+	return nil
+}
+
+// TestShieldFootprint: a shield that fetched 10,000 documents for one
+// cloud, through its own /sfetch handler, holds 10,000 copies with one
+// subscriber each. The cloud ID arrives unescaped, as CacheNode.shieldFetch
+// sends it: a table that keys on the parsed value pins the request's query
+// string per document.
+func TestShieldFootprint(t *testing.T) {
+	const (
+		n      = 10000
+		budget = 205 // bytes a held document: 164 now, 552 with three maps and a set per URL
+	)
+	cfg := ClusterConfig{
+		IntraGen:    16,
+		Rings:       [][]string{{"a", "b"}},
+		Addrs:       map[string]string{"a": "http://a", "b": "http://b"},
+		OriginAddr:  "http://origin",
+		Shields:     []string{"s0"},
+		ShieldAddrs: map[string]string{"s0": "http://s0"},
+	}
+	sn, err := NewShieldNodeWithTransport("s0", cfg, originStub{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	handler := sn.Handler()
+	h0 := liveHeap()
+	for i := 0; i < n; i++ {
+		target := "/sfetch?url=" + queryEscape(fmt.Sprintf("http://shield/doc/%05d", i)) + "&cloud=cloud0&v=0"
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest("GET", target, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("sfetch %d: status %d: %s", i, rec.Code, rec.Body)
+		}
+	}
+	h1 := liveHeap()
+	if st := sn.Stats(); st.HeldDocs != n || st.Subscriptions != n {
+		t.Fatalf("shield holds %d documents and %d subscriptions, want %d of each", st.HeldDocs, st.Subscriptions, n)
+	}
+	per := (h1 - h0) / n
+	t.Logf("held document with 1 subscriber: %d B", per)
+	if per > budget {
+		t.Errorf("a held document costs the shield %d B, budget %d", per, budget)
+	}
+	runtime.KeepAlive(sn)
+}
+
+// benchDirectory returns a's directory in a cluster of six, with n owned
+// records listing the given holders, and the records' URLs.
+func benchDirectory(n int, holders ...string) (*directory, []string) {
+	names := []string{"a", "b", "c", "d", "e", "f"}
+	d := newDirectory("a", 16, names, testLayout(), obs.NewRegistry("bench", nil))
+	urls := make([]string, 0, n)
+	for i := 0; len(urls) < n; i++ {
+		u := fmt.Sprintf("http://dir/doc/%06d", i)
+		if owner, _ := testLayout().ownerOf(u, 16); owner == "a" {
+			urls = append(urls, u)
+			for _, h := range holders {
+				d.lookup(0, u, h, 1, nil)
+			}
+		}
+	}
+	return d, urls
+}
+
+var benchSink int
+
+// BenchmarkDirectoryLookup is the beacon side of a cooperative miss on a
+// 20k-record directory: a registering lookup that carries two drops.
+func BenchmarkDirectoryLookup(b *testing.B) {
+	d, urls := benchDirectory(20000, "b", "c")
+	drops := make([]string, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		u := urls[i%len(urls)]
+		drops[0], drops[1] = urls[(i+7)%len(urls)], urls[(i+13)%len(urls)]
+		lr := d.lookup(int64(i>>16), u, "d", uint64(i+2), drops)
+		benchSink += len(lr.Holders)
+	}
+}
+
+// BenchmarkDirectoryUpdate is the beacon side of a publish: fold the update
+// in and hand back the six holders to push it to.
+func BenchmarkDirectoryUpdate(b *testing.B) {
+	d, urls := benchDirectory(20000, "f", "e", "d", "c", "b", "a")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, fan := d.update(int64(i>>16), document.Document{URL: urls[i%len(urls)], Version: document.Version(i)})
+		benchSink += len(fan)
+	}
+}
+
+// BenchmarkDirectoryInstall is one rebalance at a beacon point: 20k owned
+// records and 20k replicas, and a layout that moves half of each across —
+// the owned half is handed off, the replica half promoted. The directory is
+// rebuilt outside the timer for every iteration.
+func BenchmarkDirectoryInstall(b *testing.B) {
+	const n = 20000
+	old := testLayout()
+	// a and b swap the upper half of a's range for the lower half of b's.
+	next := Assignments{Rings: [][]Subrange{
+		{{Node: "a", Lo: 0, Hi: 2}, {Node: "b", Lo: 3, Hi: 5}, {Node: "a", Lo: 6, Hi: 8}, {Node: "b", Lo: 9, Hi: 10}, {Node: "c", Lo: 11, Hi: 15}},
+		old.Rings[1],
+	}}
+	var mine, theirs []string
+	for i := 0; len(mine) < n || len(theirs) < n; i++ {
+		u := fmt.Sprintf("http://dir/doc/%06d", i)
+		switch owner, _ := old.ownerOf(u, 16); {
+		case owner == "a" && len(mine) < n:
+			mine = append(mine, u)
+		case owner == "b" && len(theirs) < n:
+			theirs = append(theirs, u)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		d := newTestDirectory("a")
+		for _, u := range mine {
+			d.lookup(0, u, "c", 1, nil)
+			d.lookup(0, u, "d", 1, nil)
+		}
+		if err := d.acceptReplicas("b", true, wireRecords(theirs, "c", "d")); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		out, promoted := d.install(next)
+		benchSink += len(out) + promoted
+		if promoted == 0 || len(out) == 0 {
+			b.Fatalf("install promoted %d and handed off %d batches: the layouts do not differ", promoted, len(out))
+		}
+	}
+}

@@ -76,6 +76,8 @@ func FuzzProtocolDecode(f *testing.F) {
 	f.Add(uint8(1), "url=u&holder=nobody&seq=-1&drop=", []byte(""))
 	f.Add(uint8(2), "", []byte(`{"node":"n1","seq":1727500000000000002,"urls":["http://live/doc/2","http://live/doc/3"]}`))
 	f.Add(uint8(2), "", []byte(`{"url":"http://live/doc/1","node":"n1","seq":18446744073709551616,"urls":[null]}`))
+	// Holder names twice and out of order: merge lists each once, in order.
+	f.Add(uint8(8), "", []byte(`{"records":[{"url":"u","holders":["n1","n0","n1","n0"],"version":2},{"url":"u","holders":["n0","n0"]}]}`))
 	f.Fuzz(func(t *testing.T, endpoint uint8, query string, body []byte) {
 		cfg := ClusterConfig{
 			IntraGen: 100,
@@ -114,6 +116,16 @@ func FuzzProtocolDecode(f *testing.F) {
 		handler.ServeHTTP(rec, req) // must not panic
 		if rec.Code == 0 {
 			t.Fatalf("%s %s: no status written", ep.method, ep.path)
+		}
+		// Whatever got in, every holder list is in name order, each name once.
+		for _, replicas := range []bool{false, true} {
+			for _, wr := range cache.dir.snapshot(replicas) {
+				for i := 1; i < len(wr.Holders); i++ {
+					if wr.Holders[i-1] >= wr.Holders[i] {
+						t.Fatalf("%s %s left %q listing %v", ep.method, ep.path, wr.URL, wr.Holders)
+					}
+				}
+			}
 		}
 	})
 }

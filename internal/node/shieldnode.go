@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -44,11 +46,7 @@ func NewShieldRouter(cfg ClusterConfig) (*ShieldRouter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("node: shield ring: %w", err)
 	}
-	cloudID := cfg.CloudID
-	if cloudID == "" {
-		cloudID = "cloud0"
-	}
-	owner, err := rg.BeaconFor(document.HashURL(cloudID).IrH(cfg.IntraGen))
+	owner, err := rg.BeaconFor(document.HashURL(cfg.cloudID()).IrH(cfg.IntraGen))
 	if err != nil {
 		return nil, fmt.Errorf("node: shield ring: %w", err)
 	}
@@ -84,11 +82,7 @@ func (r *ShieldRouter) Walk() []string {
 // The fetch also (re-)subscribes this cloud to the serving shield's
 // fan-out. Fails only when every shield is unreachable.
 func (n *CacheNode) shieldFetch(ctx context.Context, url string, version document.Version) (FetchResponse, error) {
-	cloudID := n.cfg.CloudID
-	if cloudID == "" {
-		cloudID = "cloud0"
-	}
-	q := "/sfetch?url=" + queryEscape(url) + "&cloud=" + queryEscape(cloudID) +
+	q := "/sfetch?url=" + queryEscape(url) + "&cloud=" + queryEscape(n.cfg.cloudID()) +
 		"&v=" + strconv.FormatUint(uint64(version), 10)
 	var lastErr error
 	for i, base := range n.shieldRouter.Walk() {
@@ -202,16 +196,8 @@ type ShieldNode struct {
 	clock Clock
 	start time.Time
 
-	mu   sync.Mutex
-	docs map[string]document.Copy
-	// subs maps URL → the set of cloud IDs subscribed for update pushes;
-	// a subscription is created by the fetch that served the cloud and
-	// cancelled by purges or a fan-out that finds no holders left.
-	subs map[string]map[string]bool
-	// purgeSeen maps URL → the origin purge generation this shield has
-	// applied; Reconcile drops held copies whose generation is stale (a
-	// global purge that landed while this shield was unreachable).
-	purgeSeen map[string]int64
+	mu    sync.Mutex
+	table map[string]*shieldEntry // by URL
 	// assign is the cloud's beacon sub-range layout, installed by the
 	// origin's POST /subranges exactly as on cache nodes: the shield
 	// routes its fan-out through the document's current beacon point.
@@ -231,6 +217,49 @@ type ShieldNode struct {
 	resyncDrops   *obs.Counter
 }
 
+// shieldEntry is one URL's state at a shield; each part can be there
+// without the others (a global purge leaves a generation and no copy).
+type shieldEntry struct {
+	cp   document.Copy // the shield's copy, while held
+	held bool
+	// purgeGen is the origin purge generation applied; Reconcile drops a
+	// held copy whose generation is stale (a global purge the shield missed).
+	purgeGen int64
+	// subs is the cloud IDs subscribed for update pushes, sorted (the
+	// fan-out order) and interned: the fetch that serves a cloud adds it,
+	// purges and a fan-out that finds no holders left remove it.
+	subs []string
+}
+
+// entry is the get-or-create of url's table entry. Caller holds sn.mu.
+func (sn *ShieldNode) entry(url string) *shieldEntry {
+	e, ok := sn.table[url]
+	if !ok {
+		e = &shieldEntry{}
+		sn.table[url] = e
+	}
+	return e
+}
+
+// store makes cp the held copy of e's URL, in memory and (best-effort: a
+// degraded disk tier does not stop the shield) on disk. Caller holds sn.mu.
+func (sn *ShieldNode) store(e *shieldEntry, cp document.Copy) {
+	e.cp, e.held = cp, true
+	if sn.durable != nil {
+		_ = sn.durable.Put(cp)
+	}
+}
+
+// intern returns a copy of a cloud ID that the table may keep without
+// keeping the request line it was cut from alive: the configured cloud's
+// own (the only ID the live layer routes), a clone of any other.
+func (sn *ShieldNode) intern(cloudID string) string {
+	if own := sn.cfg.cloudID(); cloudID == own {
+		return own
+	}
+	return strings.Clone(cloudID)
+}
+
 // NewShieldNode constructs a live shield node. Its name must appear in the
 // cluster config's ShieldAddrs.
 func NewShieldNode(name string, cfg ClusterConfig) (*ShieldNode, error) {
@@ -242,14 +271,12 @@ func NewShieldNode(name string, cfg ClusterConfig) (*ShieldNode, error) {
 	}
 	clock := clockOrReal(cfg.Clock)
 	sn := &ShieldNode{
-		name:      name,
-		cfg:       cfg,
-		clock:     clock,
-		start:     clock.Now(),
-		docs:      make(map[string]document.Copy),
-		subs:      make(map[string]map[string]bool),
-		purgeSeen: make(map[string]int64),
-		assign:    equalSplit(cfg),
+		name:   name,
+		cfg:    cfg,
+		clock:  clock,
+		start:  clock.Now(),
+		table:  make(map[string]*shieldEntry),
+		assign: equalSplit(cfg),
 	}
 	sn.initMetrics()
 	if err := sn.initDurable(); err != nil {
@@ -286,20 +313,8 @@ func (sn *ShieldNode) initMetrics() {
 	sn.updatesFanned = reg.Counter("updates_fanned_total")
 	sn.purgesCtr = reg.Counter("purges_total")
 	sn.resyncDrops = reg.Counter("resync_drops_total")
-	reg.GaugeFunc("held_documents", func() float64 {
-		sn.mu.Lock()
-		defer sn.mu.Unlock()
-		return float64(len(sn.docs))
-	})
-	reg.GaugeFunc("subscriptions", func() float64 {
-		sn.mu.Lock()
-		defer sn.mu.Unlock()
-		n := 0
-		for _, m := range sn.subs {
-			n += len(m)
-		}
-		return float64(n)
-	})
+	reg.GaugeFunc("held_documents", func() float64 { return float64(sn.Stats().HeldDocs) })
+	reg.GaugeFunc("subscriptions", func() float64 { return float64(sn.Stats().Subscriptions) })
 	reg.GaugeFunc("uptime_seconds", func() float64 {
 		return float64(sn.clock.Since(sn.start) / time.Second)
 	})
@@ -323,9 +338,9 @@ func (sn *ShieldNode) initDurable() error {
 	}
 	sn.durable = st
 	for _, e := range st.Entries() {
-		sn.docs[e.Doc.URL] = document.Copy{Doc: e.Doc, FetchedAt: e.FetchedAt}
+		sn.table[e.Doc.URL] = &shieldEntry{cp: document.Copy{Doc: e.Doc, FetchedAt: e.FetchedAt}, held: true}
 	}
-	sn.warmRecovered = len(sn.docs)
+	sn.warmRecovered = len(sn.table)
 	sn.warmBoot = sn.warmRecovered > 0
 	return nil
 }
@@ -338,21 +353,6 @@ func (sn *ShieldNode) Close() error {
 		return nil
 	}
 	return sn.durable.Close()
-}
-
-// persist writes one copy through the durable hook (best-effort: the
-// shield keeps serving if the disk tier degrades).
-func (sn *ShieldNode) persist(cp document.Copy) {
-	if sn.durable != nil {
-		_ = sn.durable.Put(cp)
-	}
-}
-
-// unpersist tombstones one URL in the durable log.
-func (sn *ShieldNode) unpersist(url string) {
-	if sn.durable != nil {
-		_ = sn.durable.Delete(url)
-	}
 }
 
 // Handler returns the shield's HTTP handler.
@@ -394,9 +394,13 @@ func (sn *ShieldNode) handleFetch(w http.ResponseWriter, r *http.Request) {
 	sn.fetches.Inc()
 
 	sn.mu.Lock()
-	cp, held := sn.docs[url]
+	e := sn.table[url]
+	hit := e != nil && e.held && e.cp.Doc.Version >= hint
+	var cp document.Copy
+	if hit {
+		cp = e.cp
+	}
 	sn.mu.Unlock()
-	hit := held && cp.Doc.Version >= hint
 	if !hit {
 		fr, err := originFetchJSON(ctx, sn.tp, sn.cfg.OriginAddr, url)
 		if err != nil {
@@ -406,24 +410,21 @@ func (sn *ShieldNode) handleFetch(w http.ResponseWriter, r *http.Request) {
 		sn.originFetches.Inc()
 		cp = document.Copy{Doc: fr.Doc, FetchedAt: sn.now()}
 		sn.mu.Lock()
+		e = sn.entry(url)
 		// Keep the newer copy if an update overtook this fetch.
-		if old, ok := sn.docs[url]; !ok || cp.Doc.Version >= old.Doc.Version {
-			sn.docs[url] = cp
-			sn.persist(cp)
+		if !e.held || cp.Doc.Version >= e.cp.Doc.Version {
+			sn.store(e, cp)
 		} else {
-			cp = old
+			cp = e.cp
 		}
-		sn.purgeSeen[url] = fr.PurgeGen
+		e.purgeGen = fr.PurgeGen
 	} else {
 		sn.shieldHits.Inc()
-		sn.mu.Lock()
+		sn.mu.Lock() // e is still url's entry: the table never drops one
 	}
-	m, ok := sn.subs[url]
-	if !ok {
-		m = make(map[string]bool)
-		sn.subs[url] = m
+	if i, subscribed := slices.BinarySearch(e.subs, cloudID); !subscribed {
+		e.subs = slices.Insert(e.subs, i, sn.intern(cloudID))
 	}
-	m[cloudID] = true
 	sn.mu.Unlock()
 	writeJSON(w, http.StatusOK, ShieldFetchResponse{Doc: cp.Doc, ShieldHit: hit})
 }
@@ -433,7 +434,7 @@ func (sn *ShieldNode) handleFetch(w http.ResponseWriter, r *http.Request) {
 // cluster config; subscriptions from other cloud IDs have no route and
 // are pruned.
 func (sn *ShieldNode) cloudBeacon(url, cloudID string) (string, bool) {
-	if cloudID != sn.cloudID() {
+	if cloudID != sn.cfg.cloudID() {
 		return "", false
 	}
 	sn.mu.Lock()
@@ -446,20 +447,18 @@ func (sn *ShieldNode) cloudBeacon(url, cloudID string) (string, bool) {
 	return base, ok
 }
 
-func (sn *ShieldNode) cloudID() string {
-	if sn.cfg.CloudID != "" {
-		return sn.cfg.CloudID
+// cloudID is the name of the cluster's cloud inside the shield tier.
+func (cfg ClusterConfig) cloudID() string {
+	if cfg.CloudID != "" {
+		return cfg.CloudID
 	}
 	return "cloud0"
 }
 
 // handleUpdate receives the origin's versioned update push. A held copy is
-// refreshed and fanned out exactly once per subscribed cloud, through the
-// document's beacon point (the beacon then pushes /apply to its holders,
-// the intra-cloud half of the protocol). A fan-out that reaches a beacon
-// listing no holders prunes the subscription — deliveries refresh, they
-// never store. A shield that does not hold the document acknowledges
-// without fanning (nothing downstream can be subscribed).
+// refreshed and fanned out (fanOut). A shield that does not hold the
+// document acknowledges without fanning (nothing downstream can be
+// subscribed).
 func (sn *ShieldNode) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	var req UpdateRequest
 	if err := readJSON(r, &req); err != nil {
@@ -470,11 +469,10 @@ func (sn *ShieldNode) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	url := req.Doc.URL
 
 	sn.mu.Lock()
-	old, held := sn.docs[url]
-	if held && req.Doc.Version > old.Doc.Version {
-		cp := document.Copy{Doc: req.Doc, FetchedAt: sn.now()}
-		sn.docs[url] = cp
-		sn.persist(cp)
+	e := sn.table[url]
+	held := e != nil && e.held
+	if held && req.Doc.Version > e.cp.Doc.Version {
+		sn.store(e, document.Copy{Doc: req.Doc, FetchedAt: sn.now()})
 	}
 	clouds := sn.sortedSubs(url)
 	sn.mu.Unlock()
@@ -483,17 +481,26 @@ func (sn *ShieldNode) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, ShieldUpdateResponse{Held: false})
 		return
 	}
-	notified := 0
-	body := sharedBody(UpdateRequest{Doc: req.Doc})
+	notified := sn.fanOut(r.Context(), req.Doc, clouds)
+	writeJSON(w, http.StatusOK, ShieldUpdateResponse{Held: true, CloudsNotified: notified})
+}
+
+// fanOut pushes doc exactly once to each subscribed cloud, through the
+// document's beacon point there (the beacon then pushes /apply to its
+// holders, the intra-cloud half of the protocol), and returns how many
+// holders were notified. A beacon that lists no holders prunes the
+// subscription — deliveries refresh, they never store.
+func (sn *ShieldNode) fanOut(ctx context.Context, doc document.Document, clouds []string) (notified int) {
+	body := sharedBody(UpdateRequest{Doc: doc})
 	for _, cid := range clouds {
-		base, ok := sn.cloudBeacon(url, cid)
+		base, ok := sn.cloudBeacon(doc.URL, cid)
 		if !ok {
-			sn.dropSub(url, cid)
+			sn.dropSub(doc.URL, cid)
 			continue
 		}
 		sn.updatesFanned.Inc()
 		var ur UpdateResponse
-		if err := sn.tp.PostJSON(r.Context(), base+"/update", body, &ur); err != nil {
+		if err := sn.tp.PostJSON(ctx, base+"/update", body, &ur); err != nil {
 			// Unreachable beacon: keep the subscription; Reconcile re-fans
 			// once the cloud is reachable again.
 			continue
@@ -502,33 +509,59 @@ func (sn *ShieldNode) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		if ur.Notified == 0 {
 			// The cloud holds no copies anymore: cancel its subscription so
 			// the next publish skips it (it re-subscribes on its next miss).
-			sn.dropSub(url, cid)
+			sn.dropSub(doc.URL, cid)
 		}
 	}
-	writeJSON(w, http.StatusOK, ShieldUpdateResponse{Held: true, CloudsNotified: notified})
+	return notified
 }
 
-// sortedSubs returns the subscribed cloud IDs for a URL in sorted order —
-// the deterministic fan-out order. Caller holds sn.mu.
-func (sn *ShieldNode) sortedSubs(url string) []string {
-	m := sn.subs[url]
-	out := make([]string, 0, len(m))
-	for id := range m {
-		out = append(out, id)
+// purgeGlobal drops the shield's copy of url (the durable log gets a
+// tombstone), records the generation, cancels the subscriptions and forwards
+// the purge into each cloud that had one; it returns the copies dropped there.
+func (sn *ShieldNode) purgeGlobal(ctx context.Context, url string, gen int64) (dropped int) {
+	sn.mu.Lock()
+	e := sn.entry(url)
+	held, clouds := e.held, e.subs
+	e.cp, e.held, e.purgeGen, e.subs = document.Copy{}, false, gen, nil
+	sn.mu.Unlock()
+	if held && sn.durable != nil {
+		_ = sn.durable.Delete(url)
 	}
-	sort.Strings(out)
-	return out
+	for _, cid := range clouds {
+		dropped += sn.forwardPurge(ctx, url, cid)
+	}
+	return dropped
+}
+
+// forwardPurge sends a cloud-scoped purge of url into one subscribed cloud
+// and returns how many copies it dropped there.
+func (sn *ShieldNode) forwardPurge(ctx context.Context, url, cid string) int {
+	base, ok := sn.cloudBeacon(url, cid)
+	if !ok {
+		return 0
+	}
+	var pr PurgeResponse
+	if err := sn.tp.PostJSON(ctx, base+"/purge", PurgeRequest{URL: url, Scope: PurgeScopeCloud, Cloud: cid}, &pr); err != nil {
+		return 0
+	}
+	return pr.Dropped
+}
+
+// sortedSubs returns a copy of the subscribed cloud IDs for a URL, in
+// sorted order — the deterministic fan-out order. Caller holds sn.mu.
+func (sn *ShieldNode) sortedSubs(url string) []string {
+	if e := sn.table[url]; e != nil {
+		return slices.Clone(e.subs)
+	}
+	return nil
 }
 
 func (sn *ShieldNode) dropSub(url, cloudID string) {
 	sn.mu.Lock()
-	if m, ok := sn.subs[url]; ok {
-		delete(m, cloudID)
-		if len(m) == 0 {
-			delete(sn.subs, url)
-		}
+	defer sn.mu.Unlock()
+	if e := sn.table[url]; e != nil {
+		e.subs = slices.DeleteFunc(e.subs, func(id string) bool { return id == cloudID })
 	}
-	sn.mu.Unlock()
 }
 
 // handlePurge applies a scoped purge. Global: drop the shield's copy,
@@ -544,37 +577,16 @@ func (sn *ShieldNode) handlePurge(w http.ResponseWriter, r *http.Request) {
 	}
 	sn.purgesCtr.Inc()
 	dropped := 0
-	forward := func(cid string) {
-		base, ok := sn.cloudBeacon(req.URL, cid)
-		if !ok {
-			return
-		}
-		var pr PurgeResponse
-		if err := sn.tp.PostJSON(r.Context(), base+"/purge", PurgeRequest{URL: req.URL, Scope: PurgeScopeCloud, Cloud: cid}, &pr); err == nil {
-			dropped += pr.Dropped
-		}
-	}
 	switch req.Scope {
 	case PurgeScopeGlobal:
-		sn.mu.Lock()
-		_, held := sn.docs[req.URL]
-		delete(sn.docs, req.URL)
-		sn.purgeSeen[req.URL] = req.Gen
-		clouds := sn.sortedSubs(req.URL)
-		delete(sn.subs, req.URL)
-		sn.mu.Unlock()
-		if held {
-			sn.unpersist(req.URL)
-		}
-		for _, cid := range clouds {
-			forward(cid)
-		}
+		dropped = sn.purgeGlobal(r.Context(), req.URL, req.Gen)
 	case PurgeScopeCloud:
 		sn.mu.Lock()
-		subscribed := sn.subs[req.URL][req.Cloud]
+		e := sn.table[req.URL]
+		subscribed := e != nil && slices.Contains(e.subs, req.Cloud)
 		sn.mu.Unlock()
 		if subscribed {
-			forward(req.Cloud)
+			dropped += sn.forwardPurge(r.Context(), req.URL, req.Cloud)
 			sn.dropSub(req.URL, req.Cloud)
 		}
 	default:
@@ -615,10 +627,12 @@ func (sn *ShieldNode) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // Stats returns the shield's accounting snapshot.
 func (sn *ShieldNode) Stats() ShieldStats {
 	sn.mu.Lock()
-	held := len(sn.docs)
-	subCount := 0
-	for _, m := range sn.subs {
-		subCount += len(m)
+	held, subCount := 0, 0
+	for _, e := range sn.table {
+		if e.held {
+			held++
+		}
+		subCount += len(e.subs)
 	}
 	sn.mu.Unlock()
 	return ShieldStats{
@@ -650,17 +664,19 @@ func (sn *ShieldNode) Reconcile(ctx context.Context) (refreshed, purged int) {
 		return 0, 0
 	}
 	sn.mu.Lock()
-	urls := make([]string, 0, len(sn.docs))
-	for url := range sn.docs {
-		urls = append(urls, url)
+	urls := make([]string, 0, len(sn.table))
+	for url, e := range sn.table {
+		if e.held {
+			urls = append(urls, url)
+		}
 	}
-	sort.Strings(urls)
 	sn.mu.Unlock()
+	sort.Strings(urls)
 
 	for _, url := range urls {
 		sn.mu.Lock()
-		cp, held := sn.docs[url]
-		seen := sn.purgeSeen[url]
+		e := sn.table[url]
+		cp, held, seen := e.cp, e.held, e.purgeGen
 		sn.mu.Unlock()
 		if !held {
 			continue
@@ -669,23 +685,9 @@ func (sn *ShieldNode) Reconcile(ctx context.Context) (refreshed, purged int) {
 		// tables are keyed by the plain URL.
 		_, plain := document.SplitTenantKey(url)
 		if gen := vr.PurgeGen[plain]; gen > seen {
-			sn.mu.Lock()
-			delete(sn.docs, url)
-			sn.purgeSeen[url] = gen
-			clouds := sn.sortedSubs(url)
-			delete(sn.subs, url)
-			sn.mu.Unlock()
-			sn.unpersist(url)
+			sn.purgeGlobal(ctx, url, gen)
 			sn.resyncDrops.Inc()
 			purged++
-			for _, cid := range clouds {
-				base, ok := sn.cloudBeacon(url, cid)
-				if !ok {
-					continue
-				}
-				var pr PurgeResponse
-				_ = sn.tp.PostJSON(ctx, base+"/purge", PurgeRequest{URL: url, Scope: PurgeScopeCloud, Cloud: cid}, &pr)
-			}
 			continue
 		}
 		ov, known := vr.Versions[plain]
@@ -699,24 +701,12 @@ func (sn *ShieldNode) Reconcile(ctx context.Context) (refreshed, purged int) {
 		sn.originFetches.Inc()
 		fresh := document.Copy{Doc: fr.Doc, FetchedAt: sn.now()}
 		sn.mu.Lock()
-		sn.docs[url] = fresh
-		sn.persist(fresh)
-		sn.purgeSeen[url] = fr.PurgeGen
+		sn.store(e, fresh)
+		e.purgeGen = fr.PurgeGen
 		clouds := sn.sortedSubs(url)
 		sn.mu.Unlock()
 		refreshed++
-		for _, cid := range clouds {
-			base, ok := sn.cloudBeacon(url, cid)
-			if !ok {
-				sn.dropSub(url, cid)
-				continue
-			}
-			sn.updatesFanned.Inc()
-			var ur UpdateResponse
-			if err := sn.tp.PostJSON(ctx, base+"/update", UpdateRequest{Doc: fr.Doc}, &ur); err == nil && ur.Notified == 0 {
-				sn.dropSub(url, cid)
-			}
-		}
+		sn.fanOut(ctx, fr.Doc, clouds)
 	}
 	return refreshed, purged
 }
@@ -727,9 +717,11 @@ func (sn *ShieldNode) Reconcile(ctx context.Context) (refreshed, purged int) {
 func (sn *ShieldNode) HeldVersions() map[string]document.Version {
 	sn.mu.Lock()
 	defer sn.mu.Unlock()
-	out := make(map[string]document.Version, len(sn.docs))
-	for url, cp := range sn.docs {
-		out[url] = cp.Doc.Version
+	out := make(map[string]document.Version, len(sn.table))
+	for url, e := range sn.table {
+		if e.held {
+			out[url] = e.cp.Doc.Version
+		}
 	}
 	return out
 }
@@ -738,7 +730,10 @@ func (sn *ShieldNode) HeldVersions() map[string]document.Version {
 func (sn *ShieldNode) PurgeSeen(url string) int64 {
 	sn.mu.Lock()
 	defer sn.mu.Unlock()
-	return sn.purgeSeen[url]
+	if e := sn.table[url]; e != nil {
+		return e.purgeGen
+	}
+	return 0
 }
 
 // Subscribers returns the sorted cloud IDs subscribed for a URL.
