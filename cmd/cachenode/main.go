@@ -17,8 +17,11 @@
 //	cachenode -name n0 -listen 127.0.0.1:8100 -config cluster.json
 //
 // The node heartbeats its liveness to the origin every -heartbeat (0
-// disables); outbound calls get per-request deadlines (-timeout) with
-// -retries bounded retries and per-peer circuit breaking.
+// disables) and, every reconcileBeats heartbeats, runs the holder-side
+// anti-entropy pass: it reports its copies to their beacon points, drops
+// the ones they rule stale and re-attaches copies fetched while the shield
+// tier was unreachable. Outbound calls get per-request deadlines (-timeout)
+// with -retries bounded retries and per-peer circuit breaking.
 //
 // Overload resilience is tuned with -max-inflight (admission gate
 // capacity), -miss-queue (bounded miss-class queue) and -limit-mode
@@ -38,6 +41,11 @@ import (
 
 	"cachecloud/internal/node"
 )
+
+// reconcileBeats is the reconcile interval in heartbeat periods: the pass
+// costs one message per peer, so it runs well below the beat's rate, and
+// it bounds how long a beacon lists this node for a copy it no longer has.
+const reconcileBeats = 15
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -98,10 +106,8 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *heartbeat > 0 {
-		stop := n.StartHeartbeat(*heartbeat)
-		defer stop()
-	}
+	stopPeriodic := startPeriodic(n, *heartbeat)
+	defer stopPeriodic()
 	if warm, recovered := n.WarmBootInfo(); warm {
 		fmt.Fprintf(os.Stderr, "cachenode %s warm boot: %d entries recovered, revalidating\n", *name, recovered)
 		go func() {
@@ -117,6 +123,21 @@ func run(args []string) error {
 	}
 	fmt.Fprintf(os.Stderr, "cachenode %s listening on %s\n", *name, *listen)
 	return http.ListenAndServe(*listen, h)
+}
+
+// startPeriodic starts the node's periodic duties, the heartbeat and the
+// reconcile pass, and returns what stops them. A zero heartbeat turns both
+// off.
+func startPeriodic(n *node.CacheNode, heartbeat time.Duration) (stop func()) {
+	if heartbeat <= 0 {
+		return func() {}
+	}
+	stopBeat := n.StartHeartbeat(heartbeat)
+	stopReconcile := n.StartReconcile(reconcileBeats * heartbeat)
+	return func() {
+		stopBeat()
+		stopReconcile()
+	}
 }
 
 // withPprof mounts the net/http/pprof handlers under /debug/pprof/ in

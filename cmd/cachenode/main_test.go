@@ -1,9 +1,15 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
+	"time"
+
+	"cachecloud/internal/node"
 )
 
 func TestLoadConfig(t *testing.T) {
@@ -52,5 +58,69 @@ func TestLoadConfigErrors(t *testing.T) {
 func TestRunRequiresFlags(t *testing.T) {
 	if err := run([]string{}); err == nil {
 		t.Fatal("missing flags accepted")
+	}
+}
+
+// callLog is a node.Transport that reaches nobody and records the path of
+// every call.
+type callLog struct {
+	mu    sync.Mutex
+	paths map[string]int
+}
+
+func (c *callLog) GetJSON(ctx context.Context, url string, _ any) error {
+	return c.PostJSON(ctx, url, nil, nil)
+}
+
+func (c *callLog) PostJSON(_ context.Context, url string, _, _ any) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.paths[url[strings.LastIndex(url, "/"):]]++
+	return nil
+}
+
+func (c *callLog) count(path string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.paths[path]
+}
+
+// A deployed node must keep running the reconcile pass, not only the
+// heartbeat: startPeriodic starts both, stops both, and starts neither
+// without a heartbeat period.
+func TestStartPeriodicRunsHeartbeatAndReconcile(t *testing.T) {
+	cfg := node.ClusterConfig{
+		IntraGen:   100,
+		Rings:      [][]string{{"n0", "n1"}},
+		Addrs:      map[string]string{"n0": "http://n0", "n1": "http://n1"},
+		OriginAddr: "http://origin",
+	}
+	calls := &callLog{paths: make(map[string]int)}
+	n, err := node.NewCacheNodeWithTransport("n0", cfg, calls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+
+	startPeriodic(n, 0)()
+	if got := calls.count("/heartbeat") + calls.count("/reconcile"); got != 0 {
+		t.Fatalf("%d calls with the heartbeat off", got)
+	}
+
+	stop := startPeriodic(n, time.Millisecond)
+	deadline := time.Now().Add(10 * time.Second)
+	for calls.count("/reconcile") == 0 || calls.count("/heartbeat") < reconcileBeats {
+		if time.Now().After(deadline) {
+			t.Fatalf("after 10s: %d heartbeats, %d reconcile reports", calls.count("/heartbeat"), calls.count("/reconcile"))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	stop()
+	// A pass that was running when stop returned may still finish.
+	time.Sleep(20 * time.Millisecond)
+	beats, reports := calls.count("/heartbeat"), calls.count("/reconcile")
+	time.Sleep(50 * time.Millisecond)
+	if calls.count("/heartbeat") != beats || calls.count("/reconcile") != reports {
+		t.Fatalf("calls after stop: heartbeats %d -> %d, reconcile %d -> %d", beats, calls.count("/heartbeat"), reports, calls.count("/reconcile"))
 	}
 }

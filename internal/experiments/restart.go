@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math/rand"
 
 	"cachecloud/internal/admit"
 )
@@ -77,148 +76,51 @@ func (s *RestartSweep) Format(w io.Writer) {
 	}
 }
 
-// restartCell runs one grid cell: a warmup phase fills the cache, the
+// restartCell runs one grid cell on the storm sweep's model (missModel,
+// with no modelled fetch latency): a warmup phase fills the cache, the
 // process "restarts" (cold: everything lost; warm: the resident set minus
 // a stale fraction survives), and the recovery window is measured. The
 // cell self-checks conservation over the recovery window before
 // reporting.
 func restartCell(seed int64, warm bool, stalePct, rate, warmupTicks, recoveryTicks int) (RestartRow, error) {
-	rng := rand.New(rand.NewSource(seed))
-	cum := zipfCDF(restartDocs, restartAlpha)
-	gate := admit.NewGate(admit.GateOptions{Capacity: restartGateCap})
-	lim := admit.NewLimiter(admit.LimiterOptions{Mode: admit.LimitAIMD, Max: restartLimitMax})
-
-	type flight struct {
-		doc     int
-		waiters int64
-		release func()
-	}
-	var (
-		pending = make(map[int]*flight)
-		origin  []*flight
-		cached  = make(map[int]bool)
-		fifo    []int
-		row     = RestartRow{Rate: rate, StalePct: stalePct, Mode: "cold"}
-		peak    int
-	)
+	m := newMissModel(seed, restartDocs, restartAlpha, restartCacheCap, restartOriginRate, 0, restartGateCap,
+		admit.LimiterOptions{Mode: admit.LimitAIMD, Max: restartLimitMax})
+	row := RestartRow{Rate: rate, StalePct: stalePct, Mode: "cold"}
 	if warm {
 		row.Mode = "warm"
 	}
-	insert := func(doc int) {
-		if cached[doc] {
-			return
-		}
-		cached[doc] = true
-		fifo = append(fifo, doc)
-		if len(fifo) > restartCacheCap {
-			delete(cached, fifo[0])
-			fifo = fifo[1:]
-		}
-	}
 
-	// phase runs `ticks` of arrivals then drains the origin to quiescence.
-	// Counting is enabled only for the recovery phase.
-	phase := func(ticks int, count bool) {
-		for now := 0; ; now++ {
-			for done := 0; len(origin) > 0 && done < restartOriginRate; done++ {
-				f := origin[0]
-				origin = origin[1:]
-				lim.Release(0, true)
-				f.release()
-				delete(pending, f.doc)
-				insert(f.doc)
-				if count {
-					row.Served += f.waiters
-					row.Coalesced += f.waiters - 1
-					row.OriginFetches++
-				}
-			}
-			if now < ticks {
-				for i := 0; i < rate; i++ {
-					if count {
-						row.Offered++
-					}
-					doc := sampleZipf(rng, cum)
-					if cached[doc] {
-						if rel, ok := gate.TryAcquire(admit.Hit); ok {
-							rel()
-							if count {
-								row.Served++
-								row.Hits++
-							}
-						} else if count {
-							row.Shed++
-						}
-						continue
-					}
-					if f, ok := pending[doc]; ok {
-						f.waiters++
-						continue
-					}
-					grel, ok := gate.TryAcquire(admit.Miss)
-					if !ok {
-						if count {
-							row.Shed++
-						}
-						continue
-					}
-					if !lim.TryAcquire() {
-						grel()
-						if count {
-							row.Shed++
-						}
-						continue
-					}
-					f := &flight{doc: doc, waiters: 1, release: grel}
-					pending[doc] = f
-					origin = append(origin, f)
-				}
-			}
-			if count && len(origin) > peak {
-				peak = len(origin)
-			}
-			if now >= ticks && len(origin) == 0 {
-				break
-			}
-		}
-	}
-
-	phase(warmupTicks, false)
+	m.run(rate, warmupTicks)
+	m.missBooks = missBooks{} // only the recovery window is measured
 
 	// The restart: memory state is gone. A cold boot starts empty; a warm
 	// boot recovers the resident set from the durable tier, minus the
 	// stale fraction revalidation drops.
-	row.Resident = len(cached)
-	survivors := fifo
-	cached = make(map[int]bool)
-	fifo = nil
+	row.Resident = len(m.cached)
+	survivors := m.fifo
+	m.cached = make(map[int]bool)
+	m.fifo = nil
 	if warm {
 		for _, doc := range survivors {
-			if rng.Intn(100) < stalePct {
+			if m.rng.Intn(100) < stalePct {
 				continue // refreshed while down: revalidation drops it
 			}
-			insert(doc)
+			m.insert(doc)
 		}
 	}
-	row.Recovered = len(cached)
+	row.Recovered = len(m.cached)
 
-	phase(recoveryTicks, true)
+	m.run(rate, recoveryTicks)
 
-	if row.Served+row.Shed != row.Offered {
-		return row, fmt.Errorf("experiments: restartsweep %s rate=%d stale=%d: served %d + shed %d != offered %d",
-			row.Mode, rate, stalePct, row.Served, row.Shed, row.Offered)
+	row.Offered, row.Served, row.Shed, row.Hits = m.offered, m.served, m.shed, m.hits
+	row.Coalesced, row.OriginFetches, row.PeakInFlight = m.coalesced, m.fetches, m.peak
+	if err := m.check(fmt.Sprintf("restartsweep %s rate=%d stale=%d", row.Mode, rate, stalePct)); err != nil {
+		return row, err
 	}
-	if gate.InFlight() != 0 || lim.InFlight() != 0 || len(pending) != 0 {
-		return row, fmt.Errorf("experiments: restartsweep %s rate=%d stale=%d: not quiescent (gate %d, limiter %d, pending %d)",
-			row.Mode, rate, stalePct, gate.InFlight(), lim.InFlight(), len(pending))
-	}
-	if row.Offered > 0 {
-		row.GoodputPct = 100 * float64(row.Served) / float64(row.Offered)
-	}
+	row.GoodputPct = m.goodputPct()
 	if row.Served > 0 {
 		row.HitPct = 100 * float64(row.Hits) / float64(row.Served)
 	}
-	row.PeakInFlight = peak
 	return row, nil
 }
 

@@ -99,122 +99,182 @@ func sampleZipf(rng *rand.Rand, cum []float64) int {
 	return i
 }
 
+// missModel is the discrete-time model behind the storm and restart
+// sweeps: one cache node (FIFO replacement) whose misses pass the live
+// admission primitives — gate, limiter, coalescing onto the fetch already
+// in flight for the document — on their way to a fixed-capacity origin that
+// completes originRate fetches per tick in FIFO order.
+type missModel struct {
+	rng        *rand.Rand
+	cum        []float64 // popularity CDF (zipfCDF)
+	gate       *admit.Gate
+	lim        *admit.Limiter
+	cacheCap   int
+	originRate int
+	// tick is the modelled latency of one tick, what a completed fetch
+	// reports to the limiter per tick spent queued; zero for a model that
+	// does not study latency.
+	tick time.Duration
+
+	pending map[int]*flight // document -> in-flight fetch
+	origin  []*flight       // FIFO queue at the origin
+	cached  map[int]bool
+	fifo    []int
+	missBooks
+}
+
+// missBooks is what a missModel counts; a phase that is not measured is
+// followed by zeroing them.
+type missBooks struct {
+	offered, served, shed int64
+	hits                  int64 // served straight from the cache
+	coalesced             int64 // served by piggybacking on another request's fetch
+	fetches               int64
+	latSumMs              float64
+	peak                  int // most fetches ever queued at the origin at once
+}
+
+type flight struct {
+	doc     int
+	issued  int
+	waiters int64
+	release func()
+}
+
+func newMissModel(seed int64, docs int, alpha float64, cacheCap, originRate int, tick time.Duration, gateCap int, lopts admit.LimiterOptions) *missModel {
+	return &missModel{
+		rng:        rand.New(rand.NewSource(seed)),
+		cum:        zipfCDF(docs, alpha),
+		gate:       admit.NewGate(admit.GateOptions{Capacity: gateCap}),
+		lim:        admit.NewLimiter(lopts),
+		cacheCap:   cacheCap,
+		originRate: originRate,
+		tick:       tick,
+		pending:    make(map[int]*flight),
+		cached:     make(map[int]bool),
+	}
+}
+
+func (m *missModel) insert(doc int) {
+	if m.cached[doc] {
+		return
+	}
+	m.cached[doc] = true
+	m.fifo = append(m.fifo, doc)
+	if len(m.fifo) > m.cacheCap {
+		delete(m.cached, m.fifo[0])
+		m.fifo = m.fifo[1:]
+	}
+}
+
+// run steps the model through ticks of fixed-rate arrivals, then drains the
+// origin to quiescence.
+func (m *missModel) run(rate, ticks int) {
+	for now := 0; ; now++ {
+		// The origin completes up to its per-tick capacity; a completed
+		// fetch serves its whole coalesced group and reports its latency
+		// (queueing included) to the limiter.
+		for done := 0; len(m.origin) > 0 && done < m.originRate; done++ {
+			f := m.origin[0]
+			m.origin = m.origin[1:]
+			lat := time.Duration(now-f.issued+1) * m.tick
+			m.latSumMs += float64(lat) / float64(time.Millisecond)
+			m.lim.Release(lat, true)
+			f.release()
+			delete(m.pending, f.doc)
+			m.insert(f.doc)
+			m.served += f.waiters
+			m.coalesced += f.waiters - 1
+			m.fetches++
+		}
+
+		if now < ticks {
+			for i := 0; i < rate; i++ {
+				m.offered++
+				doc := sampleZipf(m.rng, m.cum)
+				if m.cached[doc] {
+					if rel, ok := m.gate.TryAcquire(admit.Hit); ok {
+						rel()
+						m.served++
+						m.hits++
+					} else {
+						m.shed++
+					}
+					continue
+				}
+				if f, ok := m.pending[doc]; ok {
+					f.waiters++ // coalesce onto the in-flight fetch
+					continue
+				}
+				grel, ok := m.gate.TryAcquire(admit.Miss)
+				if !ok {
+					m.shed++
+					continue
+				}
+				if !m.lim.TryAcquire() {
+					grel()
+					m.shed++
+					continue
+				}
+				f := &flight{doc: doc, issued: now, waiters: 1, release: grel}
+				m.pending[doc] = f
+				m.origin = append(m.origin, f)
+			}
+		}
+		if len(m.origin) > m.peak {
+			m.peak = len(m.origin)
+		}
+		if now >= ticks && len(m.origin) == 0 {
+			break
+		}
+	}
+}
+
+// check is the model's self-check over the measured phase: every offered
+// request was served or shed, and nothing lingers in the pipeline.
+func (m *missModel) check(cell string) error {
+	if m.served+m.shed != m.offered {
+		return fmt.Errorf("experiments: %s: served %d + shed %d != offered %d", cell, m.served, m.shed, m.offered)
+	}
+	if m.gate.InFlight() != 0 || m.lim.InFlight() != 0 || len(m.pending) != 0 {
+		return fmt.Errorf("experiments: %s: not quiescent (gate %d, limiter %d, pending %d)",
+			cell, m.gate.InFlight(), m.lim.InFlight(), len(m.pending))
+	}
+	return nil
+}
+
+// goodputPct is the share of offered requests that were served.
+func (m *missModel) goodputPct() float64 {
+	if m.offered == 0 {
+		return 0
+	}
+	return 100 * float64(m.served) / float64(m.offered)
+}
+
 // stormCell runs one grid cell: ticks of Poisson-free fixed-rate arrivals
 // against the gate/limiter/coalescing pipeline, then a drain to
 // quiescence. The cell self-checks the conservation invariant (every
 // offered request is served or shed, nothing lingers) before reporting.
 func stormCell(seed int64, mode admit.LimitMode, rate int, alpha float64, ticks int) (StormRow, error) {
-	rng := rand.New(rand.NewSource(seed))
-	cum := zipfCDF(stormDocs, alpha)
-	gate := admit.NewGate(admit.GateOptions{Capacity: stormGateCap})
 	lopts := admit.LimiterOptions{Mode: mode, Max: stormLimitMax}
 	if mode == admit.LimitFixed {
 		// Full throttle: the naive policy the adaptive law must beat.
 		lopts.Initial = stormLimitMax
 	}
-	lim := admit.NewLimiter(lopts)
-
-	type flight struct {
-		doc     int
-		issued  int
-		waiters int64
-		release func()
+	m := newMissModel(seed, stormDocs, alpha, stormCacheCap, stormOriginRate, stormTickMs*time.Millisecond, stormGateCap, lopts)
+	m.run(rate, ticks)
+	row := StormRow{
+		Mode: string(mode), Rate: rate, Alpha: alpha,
+		Offered: m.offered, Served: m.served, Shed: m.shed,
+		Coalesced: m.coalesced, OriginFetches: m.fetches,
+		GoodputPct: m.goodputPct(), FinalLimit: m.lim.Limit(), PeakInFlight: m.peak,
 	}
-	var (
-		pending  = make(map[int]*flight) // document -> in-flight fetch
-		origin   []*flight               // FIFO queue at the origin
-		cached   = make(map[int]bool)
-		fifo     []int
-		row      = StormRow{Mode: string(mode), Rate: rate, Alpha: alpha}
-		latSumMs float64
-		peak     int
-	)
-	insert := func(doc int) {
-		if cached[doc] {
-			return
-		}
-		cached[doc] = true
-		fifo = append(fifo, doc)
-		if len(fifo) > stormCacheCap {
-			delete(cached, fifo[0])
-			fifo = fifo[1:]
-		}
+	if err := m.check(fmt.Sprintf("stormsweep %s rate=%d alpha=%.2f", mode, rate, alpha)); err != nil {
+		return row, err
 	}
-
-	for now := 0; ; now++ {
-		// The origin completes up to its per-tick capacity; a completed
-		// fetch serves its whole coalesced group and reports its latency
-		// (queueing included) to the limiter.
-		for done := 0; len(origin) > 0 && done < stormOriginRate; done++ {
-			f := origin[0]
-			origin = origin[1:]
-			lat := time.Duration(now-f.issued+1) * stormTickMs * time.Millisecond
-			latSumMs += float64(lat) / float64(time.Millisecond)
-			lim.Release(lat, true)
-			f.release()
-			delete(pending, f.doc)
-			insert(f.doc)
-			row.Served += f.waiters
-			row.Coalesced += f.waiters - 1
-			row.OriginFetches++
-		}
-
-		if now < ticks {
-			for i := 0; i < rate; i++ {
-				row.Offered++
-				doc := sampleZipf(rng, cum)
-				if cached[doc] {
-					if rel, ok := gate.TryAcquire(admit.Hit); ok {
-						rel()
-						row.Served++
-					} else {
-						row.Shed++
-					}
-					continue
-				}
-				if f, ok := pending[doc]; ok {
-					f.waiters++ // coalesce onto the in-flight fetch
-					continue
-				}
-				grel, ok := gate.TryAcquire(admit.Miss)
-				if !ok {
-					row.Shed++
-					continue
-				}
-				if !lim.TryAcquire() {
-					grel()
-					row.Shed++
-					continue
-				}
-				f := &flight{doc: doc, issued: now, waiters: 1, release: grel}
-				pending[doc] = f
-				origin = append(origin, f)
-			}
-		}
-		if len(origin) > peak {
-			peak = len(origin)
-		}
-		if now >= ticks && len(origin) == 0 {
-			break
-		}
+	if m.fetches > 0 {
+		row.MeanFetchMs = m.latSumMs / float64(m.fetches)
 	}
-
-	if row.Served+row.Shed != row.Offered {
-		return row, fmt.Errorf("experiments: stormsweep %s rate=%d alpha=%.2f: served %d + shed %d != offered %d",
-			mode, rate, alpha, row.Served, row.Shed, row.Offered)
-	}
-	if gate.InFlight() != 0 || lim.InFlight() != 0 || len(pending) != 0 {
-		return row, fmt.Errorf("experiments: stormsweep %s rate=%d alpha=%.2f: not quiescent (gate %d, limiter %d, pending %d)",
-			mode, rate, alpha, gate.InFlight(), lim.InFlight(), len(pending))
-	}
-	if row.Offered > 0 {
-		row.GoodputPct = 100 * float64(row.Served) / float64(row.Offered)
-	}
-	if row.OriginFetches > 0 {
-		row.MeanFetchMs = latSumMs / float64(row.OriginFetches)
-	}
-	row.FinalLimit = lim.Limit()
-	row.PeakInFlight = peak
 	return row, nil
 }
 

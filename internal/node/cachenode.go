@@ -155,7 +155,11 @@ func NewCacheNode(name string, cfg ClusterConfig) (*CacheNode, error) {
 		n.peers = append(n.peers, peer)
 	}
 	sort.Strings(n.peers)
-	n.dir = newDirectory(name, cfg.IntraGen, n.peers, equalSplit(cfg), n.reg)
+	initial, err := equalSplit(cfg)
+	if err != nil {
+		return nil, err
+	}
+	n.dir = newDirectory(name, cfg.IntraGen, n.peers, initial, n.reg)
 	router, err := NewShieldRouter(cfg)
 	if err != nil {
 		return nil, err
@@ -295,53 +299,18 @@ func jsonCall[Req, Resp any](call func(Req) (Resp, error)) http.HandlerFunc {
 	}
 }
 
-// assignSnapshot returns the layout in force, without taking a lock.
-func (n *CacheNode) assignSnapshot() *Assignments {
-	return &n.dir.route().assign
-}
-
 // beaconURL resolves the beacon node's base URL for a document.
 func (n *CacheNode) beaconURL(url string) (name, base string, err error) {
-	owner, err := n.assignSnapshot().ownerOf(url, n.cfg.IntraGen)
-	if err != nil {
-		return "", "", err
-	}
-	base, ok := n.cfg.Addrs[owner]
-	if !ok {
-		return "", "", fmt.Errorf("node: no address for beacon %q", owner)
-	}
-	return owner, base, nil
+	return n.dir.route().beaconAddr(n.cfg.Addrs, url)
 }
 
-// siblingOf returns another live member of the beacon's ring — the node
-// that holds the lazy replica of the beacon's lookup records and can
-// answer lookups while the beacon is unreachable.
+// siblingOf returns the beacon's ring sibling (routeView.sibling), which
+// can answer lookups while the beacon is unreachable, and its address.
 func (n *CacheNode) siblingOf(beaconName string) (name, base string, ok bool) {
-	view := n.dir.route()
-	ringIdx := view.assign.ringOf(beaconName)
-	if ringIdx < 0 {
-		// The beacon may already have been removed from the assignment;
-		// fall back to its configured ring.
-		for r, members := range n.cfg.Rings {
-			for _, m := range members {
-				if m == beaconName {
-					ringIdx = r
-				}
-			}
-		}
+	if name, ok = n.dir.route().sibling(beaconName); ok {
+		base, ok = n.cfg.Addrs[name]
 	}
-	if ringIdx < 0 || ringIdx >= len(view.assign.Rings) {
-		return "", "", false
-	}
-	for _, sub := range view.assign.Rings[ringIdx] {
-		if sub.Node == beaconName || view.down[sub.Node] {
-			continue
-		}
-		if base, have := n.cfg.Addrs[sub.Node]; have {
-			return sub.Node, base, true
-		}
-	}
-	return "", "", false
+	return name, base, ok
 }
 
 // isDown reports whether the origin has declared the peer dead.
@@ -488,9 +457,6 @@ func (n *CacheNode) handleDoc(w http.ResponseWriter, r *http.Request) {
 	n.tenantCounts.served(tid)
 	writeJSON(w, http.StatusOK, DocResponse{Doc: doc, Source: source, Stored: stored, FailedOver: failedOver})
 }
-
-// msSince returns the elapsed wall time since t0 in milliseconds.
-func msSince(t0 time.Time) float64 { return float64(time.Since(t0)) / float64(time.Millisecond) }
 
 // peerRetrieve tries to fetch the document from a sibling holder.
 // Holders the origin has declared dead are skipped without a network
@@ -718,7 +684,7 @@ func (n *CacheNode) applyLocal(req UpdateRequest) bool {
 	if others < 0 {
 		others = 0
 	}
-	owner, ownerErr := n.assignSnapshot().ownerOf(req.Doc.URL, n.cfg.IntraGen)
+	owner, ownerErr := n.dir.route().beacon(document.HashURL(req.Doc.URL))
 	ctx := placement.Context{
 		Now: now, CacheID: n.name, DocURL: req.Doc.URL, DocSize: req.Doc.Size,
 		IsBeacon:        ownerErr == nil && owner == n.name,
@@ -849,7 +815,7 @@ func (n *CacheNode) handleReplicate(w http.ResponseWriter, r *http.Request) {
 // handleGetSubranges exposes this node's current view of the sub-range
 // layout (observability).
 func (n *CacheNode) handleGetSubranges(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, *n.assignSnapshot())
+	writeJSON(w, http.StatusOK, n.AssignmentsView())
 }
 
 // handleHealthz answers origin liveness probes.
@@ -1035,7 +1001,7 @@ func (n *CacheNode) ShieldDegraded() int64 {
 // AssignmentsView returns this node's current view of the sub-range
 // layout.
 func (n *CacheNode) AssignmentsView() Assignments {
-	return *n.assignSnapshot()
+	return n.dir.route().assign
 }
 
 // StartHeartbeat begins reporting liveness to the origin every interval.

@@ -73,16 +73,7 @@ func newDiffHarness(t *testing.T, seed int64) *diffHarness {
 }
 
 // layout converts the Cloud's rings into the node's wire form.
-func (h *diffHarness) layout() Assignments {
-	rings := h.cloud.RingAssignments()
-	a := Assignments{Rings: make([][]Subrange, len(rings))}
-	for r, subs := range rings {
-		for _, s := range subs {
-			a.Rings[r] = append(a.Rings[r], Subrange{Node: s.ID, Lo: s.Sub.Lo, Hi: s.Sub.Hi})
-		}
-	}
-	return a
-}
+func (h *diffHarness) layout() Assignments { return cloudLayout(h.cloud) }
 
 func (h *diffHarness) join(id string) {
 	h.dirs[id] = newDirectory(id, diffGen, h.ids, h.assign, obs.NewRegistry("diff", nil))

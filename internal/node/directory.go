@@ -145,14 +145,6 @@ func (r *record) merge(wr WireRecord) {
 	}
 }
 
-// routeView is the immutable routing snapshot: the sub-range layout and
-// the peers the origin declared dead. Installs and membership broadcasts
-// publish a whole new value; readers never lock.
-type routeView struct {
-	assign Assignments
-	down   map[string]bool
-}
-
 // handoff is the records one new owner is due after an install.
 type handoff struct {
 	owner   string
@@ -166,12 +158,11 @@ type handoff struct {
 // call here and sends what the call returns. mu is a leaf lock: nothing is
 // called while it is held.
 type directory struct {
-	self     string
-	intraGen int
-	names    []string // every node of the cluster, sorted
+	self  string
+	names []string // every node of the cluster, sorted
 
-	// view is republished under mu and read without it: request routing
-	// and placement never wait for an install or a hand-off.
+	// view (see route.go) is republished under mu and read without it:
+	// request routing and placement never wait for an install or a hand-off.
 	view atomic.Pointer[routeView]
 
 	mu       sync.Mutex
@@ -192,7 +183,6 @@ type directory struct {
 func newDirectory(self string, intraGen int, names []string, assign Assignments, reg *obs.Registry) *directory {
 	d := &directory{
 		self:       self,
-		intraGen:   intraGen,
 		names:      names,
 		owned:      make(map[string]*record),
 		replicas:   make(map[string]*record),
@@ -201,7 +191,7 @@ func newDirectory(self string, intraGen int, names []string, assign Assignments,
 		registered: reg.Counter("lookup_registered_total"),
 		staleDrops: reg.Counter("drops_ignored_stale_total"),
 	}
-	d.view.Store(&routeView{assign: assign, down: map[string]bool{}})
+	d.view.Store(newRouteView(intraGen, assign))
 	reg.GaugeFunc("lookup_records", func() float64 { owned, _ := d.counts(); return float64(owned) })
 	reg.GaugeFunc("replica_records", func() float64 { _, replicas := d.counts(); return float64(replicas) })
 	reg.GaugeFunc("ring_count", func() float64 { return float64(len(d.route().assign.Rings)) })
@@ -249,18 +239,18 @@ func (d *directory) admit(recs []WireRecord) error {
 // ownerOf returns the beacon of hash h under v, "" when no sub-range
 // covers it.
 func (d *directory) ownerOf(v *routeView, h document.Hash) string {
-	owner, _ := v.assign.ownerOfHash(h, d.intraGen)
+	owner, _ := v.beacon(h)
 	return owner
 }
 
 // charge records one beacon operation on h's IrH value. Caller holds mu.
 func (d *directory) charge(v *routeView, h document.Hash) {
 	ringIdx := h.RingIndex(len(v.assign.Rings))
-	irh := h.IrH(d.intraGen)
+	irh := h.IrH(v.intraGen)
 	d.beaconOps.Inc()
 	dense := d.loads[ringIdx]
 	if dense == nil {
-		dense = make([]int64, d.intraGen)
+		dense = make([]int64, v.intraGen)
 		d.loads[ringIdx] = dense
 	}
 	if irh >= 0 && irh < len(dense) {
@@ -409,7 +399,8 @@ func (d *directory) purge(url string) (peers []string) {
 // back as one batch per new owner, owners and URLs sorted.
 func (d *directory) install(a Assignments) (out []handoff, promoted int) {
 	d.mu.Lock()
-	v := &routeView{assign: a, down: d.route().down}
+	v := d.route()
+	v = v.with(a, v.down)
 	d.view.Store(v)
 	for url, rep := range d.replicas {
 		if d.ownerOf(v, rep.hash) != d.self {
@@ -530,7 +521,8 @@ func (d *directory) setDown(names []string) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.view.Store(&routeView{assign: d.route().assign, down: down})
+	v := d.route()
+	d.view.Store(v.with(v.assign, down))
 	if len(down) == 0 {
 		return
 	}

@@ -143,7 +143,7 @@ func (n *CacheNode) enqueueDropLocked(url string) {
 // message; it is drawn inside the section that checks for misses in flight,
 // so every registration a later miss makes is newer than these drops.
 func (n *CacheNode) takeDrops(beacon string, maxN, maxBytes int) (urls []string, seq uint64) {
-	assign := n.assignSnapshot()
+	view := n.dir.route()
 	var own []string
 	n.hmu.Lock()
 	n.seq++
@@ -152,7 +152,7 @@ func (n *CacheNode) takeDrops(beacon string, maxN, maxBytes int) (urls []string,
 	for _, d := range n.dropQueue {
 		// A drop no beacon covers (owner "") stays queued like one for
 		// another beacon.
-		owner, _ := assign.ownerOfHash(d.hash, n.cfg.IntraGen)
+		owner, _ := view.beacon(d.hash)
 		fits := owner == n.name || (owner == beacon && len(urls) < maxN && len(d.url) <= maxBytes)
 		if _, busy := n.misses[d.url]; !fits || busy {
 			kept = append(kept, d)

@@ -70,7 +70,10 @@ func cacheStats(t *testing.T, client *http.Client, base string) CacheStats {
 
 func TestEqualSplitLayout(t *testing.T) {
 	cfg := ClusterConfig{IntraGen: 10, Rings: [][]string{{"a", "b"}, {"c"}}}
-	a := equalSplit(cfg)
+	a, err := equalSplit(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a.Rings[0][0] != (Subrange{Node: "a", Lo: 0, Hi: 4}) {
 		t.Fatalf("ring0[0] = %+v", a.Rings[0][0])
 	}
@@ -86,11 +89,20 @@ func TestEqualSplitLayout(t *testing.T) {
 	if got := a.ringOf("zz"); got != -1 {
 		t.Fatalf("ringOf(zz) = %d", got)
 	}
+	// What internal/ring refuses, and a node in two rings, fail the boot.
+	for _, rings := range [][][]string{{{"a", "a"}}, {{}}, {{"a", "b"}, {"b", "c"}}} {
+		if _, err := equalSplit(ClusterConfig{IntraGen: 10, Rings: rings}); err == nil {
+			t.Fatalf("rings %v accepted", rings)
+		}
+	}
 }
 
 func TestOwnerOfCoversAllDocs(t *testing.T) {
 	cfg := ClusterConfig{IntraGen: 100, Rings: [][]string{{"a", "b"}, {"c", "d"}}}
-	a := equalSplit(cfg)
+	a, err := equalSplit(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	owners := map[string]int{}
 	for i := 0; i < 500; i++ {
 		o, err := a.ownerOf(fmt.Sprintf("u%d", i), cfg.IntraGen)

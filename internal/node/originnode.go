@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
-	"net/url"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -17,13 +17,10 @@ import (
 	"cachecloud/internal/ring"
 )
 
-// queryEscape escapes a URL for use as a query parameter.
-func queryEscape(s string) string { return url.QueryEscape(s) }
-
 // OriginNode is the live origin server. Besides serving fetches and
 // publishing updates, it executes the periodic sub-range determination
 // process: it collects load reports from the beacon points of each ring,
-// runs the same algorithm as internal/ring, and installs the new
+// feeds them to its beacon rings (internal/ring), and installs the new
 // assignments on every node (the paper notes the process may run at any
 // beacon point and that the origin server is informed of the results; a
 // single deterministic coordinator keeps the live protocol simple).
@@ -32,11 +29,22 @@ type OriginNode struct {
 	tp    Transport
 	clock Clock
 
-	mu          sync.Mutex
+	// The master topology: one beacon ring per configured ring, kept for
+	// the origin's whole life. topoMu serialises its writers — Rebalance,
+	// declareDead, Readmit — from their first read of the topology to the
+	// end of their install, their own network calls included (what Cloud.mu
+	// does for core.Cloud), so none of them computes from a layout another
+	// is changing. Nothing on a request path takes it.
+	topoMu sync.Mutex
+	rings  []*ring.Ring
+	// view is what the writers publish: the rings rendered as Assignments,
+	// and the nodes declared dead (probe or heartbeat). /publish, /purge,
+	// /heartbeat and the accessors read it without a lock.
+	view atomic.Pointer[routeView]
+
+	mu          sync.Mutex // guards the fields below, never held across a call
 	docs        map[string]document.Document
-	purgeGen    map[string]int64 // per-URL global purge generation (monotonic)
-	assign      Assignments
-	down        map[string]bool      // nodes declared dead (probe or heartbeat)
+	purgeGen    map[string]int64     // per-URL global purge generation (monotonic)
 	lastSeen    map[string]time.Time // last heartbeat arrival per node
 	recordsHeld map[string]int       // records reported in each node's last beat
 	tracer      *obs.Tracer
@@ -70,19 +78,23 @@ func NewOriginNode(cfg ClusterConfig, docs []document.Document) (*OriginNode, er
 	if len(cfg.Rings) == 0 {
 		return nil, errors.New("node: cluster has no rings")
 	}
+	rings, err := newRings(cfg)
+	if err != nil {
+		return nil, err
+	}
 	clock := clockOrReal(cfg.Clock)
 	o := &OriginNode{
 		cfg:         cfg,
 		tp:          NewHTTPTransport(TransportOptions{}),
 		clock:       clock,
+		rings:       rings,
 		docs:        make(map[string]document.Document, len(docs)),
 		purgeGen:    make(map[string]int64),
-		assign:      equalSplit(cfg),
-		down:        make(map[string]bool),
 		lastSeen:    make(map[string]time.Time),
 		recordsHeld: make(map[string]int),
 		started:     clock.Now(),
 	}
+	o.view.Store(newRouteView(cfg.IntraGen, layoutOf(rings)))
 	o.initMetrics()
 	for _, d := range docs {
 		if d.Version == 0 {
@@ -116,23 +128,9 @@ func (o *OriginNode) initMetrics() {
 		defer o.mu.Unlock()
 		return float64(len(o.docs))
 	})
-	reg.GaugeFunc("nodes_down", func() float64 {
-		o.mu.Lock()
-		defer o.mu.Unlock()
-		down := 0
-		for _, d := range o.down {
-			if d {
-				down++
-			}
-		}
-		return float64(down)
-	})
+	reg.GaugeFunc("nodes_down", func() float64 { return float64(len(o.view.Load().down)) })
 	reg.GaugeFunc("nodes_configured", func() float64 { return float64(len(o.cfg.Addrs)) })
-	reg.GaugeFunc("ring_count", func() float64 {
-		o.mu.Lock()
-		defer o.mu.Unlock()
-		return float64(len(o.assign.Rings))
-	})
+	reg.GaugeFunc("ring_count", func() float64 { return float64(len(o.rings)) })
 	reg.GaugeFunc("intra_ring_hash_n", func() float64 { return float64(o.cfg.IntraGen) })
 	reg.GaugeFunc("uptime_seconds", func() float64 { return o.clock.Since(o.started).Seconds() })
 	reg.GaugeFunc("fetch_inflight", func() float64 { return float64(o.fetchInFlight.Load()) })
@@ -259,7 +257,6 @@ func (o *OriginNode) handlePublish(w http.ResponseWriter, r *http.Request) {
 	}
 	d.Version++
 	o.docs[req.URL] = d
-	beacon, err := o.assign.ownerOf(req.URL, o.cfg.IntraGen)
 	o.mu.Unlock()
 	o.updates.Inc()
 	o.bytesOut.Add(d.Size)
@@ -283,29 +280,34 @@ func (o *OriginNode) handlePublish(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, PublishResponse{Version: d.Version, Notified: notified, ShieldsNotified: shields})
 		return
 	}
+	var ur UpdateResponse
+	if o.pushBeacon(w, r, req.URL, "/update", UpdateRequest{Doc: d}, &ur) {
+		writeJSON(w, http.StatusOK, PublishResponse{Version: d.Version, Notified: ur.Notified})
+	}
+}
+
+// pushBeacon posts body to path on the beacon point of url, or, when the
+// beacon is unreachable, on its ring sibling, which holds the lazy replica
+// of its records, so that the push is not lost. When neither takes it the
+// error reply is written and false returned.
+func (o *OriginNode) pushBeacon(w http.ResponseWriter, r *http.Request, url, path string, body, out any) bool {
+	v := o.view.Load()
+	beacon, base, err := v.beaconAddr(o.cfg.Addrs, url)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
-		return
+		return false
 	}
-	base, okAddr := o.cfg.Addrs[beacon]
-	if !okAddr {
-		writeErr(w, http.StatusInternalServerError, fmt.Errorf("no address for beacon %q", beacon))
-		return
-	}
-	var ur UpdateResponse
-	pushErr := o.tp.PostJSON(r.Context(), base+"/update", UpdateRequest{Doc: d}, &ur)
-	if pushErr != nil {
-		// Beacon unreachable: push through its ring sibling, which holds
-		// the lazy replica of the record, so the update is not lost.
-		if sibBase, ok := o.siblingAddr(beacon); ok {
-			pushErr = o.tp.PostJSON(r.Context(), sibBase+"/update", UpdateRequest{Doc: d}, &ur)
+	err = o.tp.PostJSON(r.Context(), base+path, body, out)
+	if err != nil {
+		if sib, ok := v.sibling(beacon); ok {
+			err = o.tp.PostJSON(r.Context(), o.cfg.Addrs[sib]+path, body, out)
 		}
 	}
-	if pushErr != nil {
-		writeErr(w, http.StatusBadGateway, pushErr)
-		return
+	if err != nil {
+		writeErr(w, http.StatusBadGateway, err)
+		return false
 	}
-	writeJSON(w, http.StatusOK, PublishResponse{Version: d.Version, Notified: ur.Notified})
+	return true
 }
 
 // sortedShieldNames returns the configured shield names in fixed order so
@@ -342,7 +344,6 @@ func (o *OriginNode) handlePurge(w http.ResponseWriter, r *http.Request) {
 		o.purgeGen[req.URL]++
 		req.Gen = o.purgeGen[req.URL]
 	}
-	beacon, ownErr := o.assign.ownerOf(req.URL, o.cfg.IntraGen)
 	o.mu.Unlock()
 
 	var resp PurgeResponse
@@ -362,28 +363,11 @@ func (o *OriginNode) handlePurge(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
-	if ownErr != nil {
-		writeErr(w, http.StatusInternalServerError, ownErr)
-		return
-	}
-	base, okAddr := o.cfg.Addrs[beacon]
-	if !okAddr {
-		writeErr(w, http.StatusInternalServerError, fmt.Errorf("no address for beacon %q", beacon))
-		return
-	}
 	var pr PurgeResponse
-	pushErr := o.tp.PostJSON(r.Context(), base+"/purge", req, &pr)
-	if pushErr != nil {
-		if sibBase, ok := o.siblingAddr(beacon); ok {
-			pushErr = o.tp.PostJSON(r.Context(), sibBase+"/purge", req, &pr)
-		}
+	if o.pushBeacon(w, r, req.URL, "/purge", req, &pr) {
+		resp.Dropped = pr.Dropped
+		writeJSON(w, http.StatusOK, resp)
 	}
-	if pushErr != nil {
-		writeErr(w, http.StatusBadGateway, pushErr)
-		return
-	}
-	resp.Dropped = pr.Dropped
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // PurgeGens returns the current global purge generation of every URL that
@@ -399,36 +383,6 @@ func (o *OriginNode) PurgeGens() map[string]int64 {
 	return out
 }
 
-// siblingAddr returns the address of another live member of the beacon's
-// ring, preferring the current assignment and falling back to the
-// configured ring layout.
-func (o *OriginNode) siblingAddr(beacon string) (string, bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	ringIdx := o.assign.ringOf(beacon)
-	if ringIdx < 0 {
-		for r, members := range o.cfg.Rings {
-			for _, m := range members {
-				if m == beacon {
-					ringIdx = r
-				}
-			}
-		}
-	}
-	if ringIdx < 0 || ringIdx >= len(o.assign.Rings) {
-		return "", false
-	}
-	for _, sub := range o.assign.Rings[ringIdx] {
-		if sub.Node == beacon || o.down[sub.Node] {
-			continue
-		}
-		if base, ok := o.cfg.Addrs[sub.Node]; ok {
-			return base, true
-		}
-	}
-	return "", false
-}
-
 // handleRebalance runs one sub-range determination cycle across all rings.
 func (o *OriginNode) handleRebalance(w http.ResponseWriter, r *http.Request) {
 	resp, err := o.Rebalance()
@@ -439,15 +393,14 @@ func (o *OriginNode) handleRebalance(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// Rebalance collects cycle loads from every beacon point, recomputes the
-// sub-ranges with the intra-ring algorithm, and installs the new layout on
-// all nodes (triggering record handoffs between them).
+// Rebalance collects cycle loads from every beacon point, has each ring
+// re-determine its sub-ranges (ring.Rebalance) and installs the new layout
+// on all nodes (triggering record handoffs between them).
 func (o *OriginNode) Rebalance() (RebalanceResponse, error) {
 	t0 := o.clock.Now()
 	defer func() { o.rebalanceMs.Observe(float64(o.clock.Since(t0)) / float64(time.Millisecond)) }()
-	o.mu.Lock()
-	current := o.assign
-	o.mu.Unlock()
+	o.topoMu.Lock()
+	defer o.topoMu.Unlock()
 
 	// Collect per-IrH loads from every live node.
 	ctx := context.Background()
@@ -460,60 +413,37 @@ func (o *OriginNode) Rebalance() (RebalanceResponse, error) {
 		reports[p.name] = rep
 	}
 
-	// Re-run the intra-ring algorithm per ring by reconstructing a ring
-	// with the current boundaries and replaying the reported loads.
-	next := Assignments{Rings: make([][]Subrange, len(current.Rings))}
-	totalMoves := 0
-	for ringIdx, subs := range current.Rings {
-		members := make([]ring.Member, len(subs))
-		for i, s := range subs {
-			members[i] = ring.Member{ID: s.Node, Capability: 1}
-		}
-		rg, err := ring.New(ring.Config{IntraGen: o.cfg.IntraGen, FineGrained: true}, members)
-		if err != nil {
-			return RebalanceResponse{}, fmt.Errorf("rebuild ring %d: %w", ringIdx, err)
-		}
-		// Resume the algorithm from the live layout rather than the
-		// constructor's equal split.
-		bounds := make([]ring.SubRange, len(subs))
-		for i, s := range subs {
-			bounds[i] = ring.SubRange{Lo: s.Lo, Hi: s.Hi}
-		}
-		if err := rg.SetSubRanges(bounds); err != nil {
-			return RebalanceResponse{}, fmt.Errorf("ring %d layout: %w", ringIdx, err)
-		}
-		for _, s := range subs {
-			rep, ok := reports[s.Node]
-			if !ok {
-				continue
-			}
-			dense := rep.PerIrH[ringIdx]
-			for irh, load := range dense {
-				if load == 0 || irh < s.Lo || irh > s.Hi {
-					continue
-				}
-				if err := rg.Record(irh, loadstats.Lookup, load); err != nil {
-					return RebalanceResponse{}, err
-				}
-			}
-		}
-		moves := rg.Rebalance()
-		totalMoves += len(moves)
+	// Replay each beacon point's report into its ring. Only the load of
+	// values inside the point's sub-range counts: what it reports for a
+	// value it handed off belongs to a range that has a new owner.
+	moves := 0
+	for ringIdx, rg := range o.rings {
 		for _, a := range rg.Assignments() {
-			next.Rings[ringIdx] = append(next.Rings[ringIdx], Subrange{Node: a.ID, Lo: a.Sub.Lo, Hi: a.Sub.Hi})
+			for irh, load := range reports[a.ID].PerIrH[ringIdx] {
+				if load != 0 && a.Sub.Contains(irh) {
+					// Cannot fail: irh lies in a sub-range rg itself reported.
+					_ = rg.Record(irh, loadstats.Lookup, load)
+				}
+			}
 		}
+		moves += len(rg.Rebalance())
 	}
-
-	o.mu.Lock()
-	o.assign = next
-	o.mu.Unlock()
+	next := o.publish(o.view.Load().down)
 	o.rebalances.Inc()
 
 	// Install everywhere; nodes hand off records among themselves.
 	if _, err := o.installAssignments(ctx, next); err != nil {
 		return RebalanceResponse{}, err
 	}
-	return RebalanceResponse{Moves: totalMoves, RecordsSent: totalMoves}, nil
+	return RebalanceResponse{Moves: moves}, nil
+}
+
+// publish renders the rings, puts the rendering and the dead set in force
+// as the origin's view and returns the layout. Caller holds topoMu.
+func (o *OriginNode) publish(down map[string]bool) Assignments {
+	next := layoutOf(o.rings)
+	o.view.Store(o.view.Load().with(next, down))
+	return next
 }
 
 // installAssignments posts the layout to every live node and sums the
@@ -546,17 +476,9 @@ func (o *OriginNode) installAssignments(ctx context.Context, next Assignments) (
 
 // broadcastMembership tells every live node which peers are down.
 func (o *OriginNode) broadcastMembership(ctx context.Context) {
-	o.mu.Lock()
-	downList := make([]string, 0, len(o.down))
-	for name, d := range o.down {
-		if d {
-			downList = append(downList, name)
-		}
-	}
-	o.mu.Unlock()
-	sort.Strings(downList)
+	down := o.DownNodes()
 	for _, p := range o.liveAddrs() {
-		_ = o.tp.PostJSON(ctx, p.base+"/membership", MembershipUpdate{Down: downList}, nil)
+		_ = o.tp.PostJSON(ctx, p.base+"/membership", MembershipUpdate{Down: down}, nil)
 	}
 }
 
@@ -568,11 +490,10 @@ type peerAddr struct{ name, base string }
 // deterministic, which the simulation harness relies on for
 // byte-identical replays.
 func (o *OriginNode) liveAddrs() []peerAddr {
-	o.mu.Lock()
-	defer o.mu.Unlock()
+	down := o.view.Load().down
 	out := make([]peerAddr, 0, len(o.cfg.Addrs))
 	for name, base := range o.cfg.Addrs {
-		if !o.down[name] {
+		if !down[name] {
 			out = append(out, peerAddr{name: name, base: base})
 		}
 	}
@@ -625,36 +546,40 @@ func (o *OriginNode) Repair() (RepairResponse, error) {
 }
 
 // declareDead runs the recovery path for a set of crashed nodes: merge
-// their sub-ranges into ring neighbours, account the lookup records they
-// took down (RecordsLost, from their last heartbeat), install the repaired
-// layout on the survivors — whose replica promotions are summed into
-// RecordsRecovered — and broadcast the membership change.
+// their sub-ranges into ring neighbours (ring.Remove), account the lookup
+// records they took down (RecordsLost, from their last heartbeat), install
+// the repaired layout on the survivors — whose replica promotions are
+// summed into RecordsRecovered — and broadcast the membership change.
 func (o *OriginNode) declareDead(ctx context.Context, dead []string) (RepairResponse, error) {
 	if len(dead) == 0 {
 		return RepairResponse{}, nil
 	}
+	o.topoMu.Lock()
+	defer o.topoMu.Unlock()
+	v := o.view.Load()
+	down := maps.Clone(v.down)
 	var lost int64
 	var removed []string
 	for _, name := range dead {
-		o.mu.Lock()
-		already := o.down[name]
-		held := int64(o.recordsHeld[name])
-		o.mu.Unlock()
-		if already {
+		if down[name] {
 			continue
 		}
-		if err := o.removeNode(name); err != nil {
-			return RepairResponse{}, err
+		if r, ok := v.home[name]; ok {
+			if _, err := o.rings[r].Remove(name); err != nil {
+				o.publish(down) // the nodes removed before this one stay removed
+				return RepairResponse{}, fmt.Errorf("node: cannot repair ring %d without %q: %w", r, name, err)
+			}
 		}
-		lost += held
+		down[name] = true
+		o.mu.Lock()
+		lost += int64(o.recordsHeld[name])
+		o.mu.Unlock()
 		removed = append(removed, name)
 	}
 	if len(removed) == 0 {
 		return RepairResponse{}, nil
 	}
-	o.mu.Lock()
-	next := o.assign
-	o.mu.Unlock()
+	next := o.publish(down)
 	o.repairs.Inc()
 	o.recordsLost.Add(lost)
 	if tr := o.Tracer(); tr != nil {
@@ -689,10 +614,9 @@ func (o *OriginNode) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	o.mu.Lock()
 	o.lastSeen[req.Node] = o.clock.Now()
 	o.recordsHeld[req.Node] = req.RecordsHeld
-	wasDown := o.down[req.Node]
 	o.mu.Unlock()
 	rejoined := false
-	if wasDown {
+	if o.view.Load().down[req.Node] {
 		if err := o.Readmit(r.Context(), req.Node); err == nil {
 			rejoined = true
 		}
@@ -701,54 +625,26 @@ func (o *OriginNode) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 }
 
 // Readmit re-admits a previously dead node: the widest sub-range in its
-// configured ring is split and the upper half handed to the rejoiner, the
-// new layout is installed everywhere (migrating the records it now owns
-// back to it), and membership is re-broadcast.
+// configured ring is split and the upper half handed to the rejoiner
+// (ring.Add), the new layout is installed everywhere (migrating the records
+// it now owns back to it), and membership is re-broadcast.
 func (o *OriginNode) Readmit(ctx context.Context, name string) error {
-	o.mu.Lock()
-	if !o.down[name] {
-		o.mu.Unlock()
+	o.topoMu.Lock()
+	defer o.topoMu.Unlock()
+	v := o.view.Load()
+	if !v.down[name] {
 		return nil
 	}
-	ringIdx := -1
-	for r, members := range o.cfg.Rings {
-		for _, m := range members {
-			if m == name {
-				ringIdx = r
-			}
-		}
-	}
-	if ringIdx < 0 || ringIdx >= len(o.assign.Rings) {
-		o.mu.Unlock()
+	r, ok := v.home[name]
+	if !ok {
 		return fmt.Errorf("node: %q is not in any configured ring", name)
 	}
-	subs := o.assign.Rings[ringIdx]
-	wi := -1
-	for i, s := range subs {
-		if s.Hi-s.Lo < 1 {
-			continue // a single-value range cannot be split
-		}
-		if wi == -1 || s.Hi-s.Lo > subs[wi].Hi-subs[wi].Lo {
-			wi = i
-		}
+	if _, err := o.rings[r].Add(ring.Member{ID: name, Capability: 1}); err != nil {
+		return fmt.Errorf("node: ring %d cannot take %q back: %w", r, name, err)
 	}
-	if wi == -1 {
-		o.mu.Unlock()
-		return fmt.Errorf("node: ring %d has no splittable sub-range for %q", ringIdx, name)
-	}
-	donor := subs[wi]
-	mid := (donor.Lo + donor.Hi) / 2
-	newSubs := make([]Subrange, 0, len(subs)+1)
-	newSubs = append(newSubs, subs[:wi]...)
-	newSubs = append(newSubs, Subrange{Node: donor.Node, Lo: donor.Lo, Hi: mid})
-	newSubs = append(newSubs, Subrange{Node: name, Lo: mid + 1, Hi: donor.Hi})
-	newSubs = append(newSubs, subs[wi+1:]...)
-	next := Assignments{Rings: make([][]Subrange, len(o.assign.Rings))}
-	copy(next.Rings, o.assign.Rings)
-	next.Rings[ringIdx] = newSubs
-	o.assign = next
-	delete(o.down, name)
-	o.mu.Unlock()
+	down := maps.Clone(v.down)
+	delete(down, name)
+	next := o.publish(down)
 	o.rejoins.Inc()
 	if tr := o.Tracer(); tr != nil {
 		tr.Emit(obs.Event{Time: o.uptime(), Kind: obs.EvNodeRejoin, Node: name})
@@ -766,10 +662,11 @@ func (o *OriginNode) Readmit(ctx context.Context, name string) error {
 // starting), as are nodes already down.
 func (o *OriginNode) SweepFailures(maxAge time.Duration) (RepairResponse, error) {
 	now := o.clock.Now()
+	down := o.view.Load().down
 	o.mu.Lock()
 	var dead []string
 	for name := range o.cfg.Addrs {
-		if o.down[name] {
+		if down[name] {
 			continue
 		}
 		if seen, ok := o.lastSeen[name]; ok && now.Sub(seen) > maxAge {
@@ -791,45 +688,6 @@ func (o *OriginNode) StartFailureDetector(interval time.Duration, k int) (stop f
 	}
 	maxAge := time.Duration(k) * interval
 	return every(o.clock, interval, false, func() { _, _ = o.SweepFailures(maxAge) })
-}
-
-// removeNode merges the dead node's sub-ranges into a ring neighbour and
-// marks it down.
-func (o *OriginNode) removeNode(name string) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.down[name] {
-		return nil
-	}
-	next := Assignments{Rings: make([][]Subrange, len(o.assign.Rings))}
-	for r, subs := range o.assign.Rings {
-		kept := make([]Subrange, 0, len(subs))
-		deadIdx := -1
-		for i, sub := range subs {
-			if sub.Node == name {
-				deadIdx = i
-				continue
-			}
-			kept = append(kept, sub)
-		}
-		if deadIdx == -1 {
-			next.Rings[r] = append(next.Rings[r], subs...)
-			continue
-		}
-		if len(kept) == 0 {
-			return fmt.Errorf("node: cannot repair ring %d: %q was its only beacon point", r, name)
-		}
-		deadSub := subs[deadIdx]
-		if deadIdx > 0 {
-			kept[deadIdx-1].Hi = deadSub.Hi
-		} else {
-			kept[0].Lo = deadSub.Lo
-		}
-		next.Rings[r] = kept
-	}
-	o.assign = next
-	o.down[name] = true
-	return nil
 }
 
 func (o *OriginNode) handleReplicate(w http.ResponseWriter, r *http.Request) {
@@ -859,12 +717,6 @@ func (o *OriginNode) handleStats(w http.ResponseWriter, r *http.Request) {
 func (o *OriginNode) Stats() OriginStats {
 	o.mu.Lock()
 	docs := len(o.docs)
-	nodesDown := 0
-	for _, d := range o.down {
-		if d {
-			nodesDown++
-		}
-	}
 	o.mu.Unlock()
 	return OriginStats{
 		Documents:        docs,
@@ -874,7 +726,7 @@ func (o *OriginNode) Stats() OriginStats {
 		Rebalances:       o.rebalances.Value(),
 		Repairs:          o.repairs.Value(),
 		Heartbeats:       o.heartbeats.Value(),
-		NodesDown:        nodesDown,
+		NodesDown:        len(o.view.Load().down),
 		FetchInFlight:    o.fetchInFlight.Load(),
 		FetchHighWater:   o.fetchHighWater.Load(),
 		RecordsLost:      o.recordsLost.Value(),
@@ -890,11 +742,7 @@ func (o *OriginNode) uptime() int64 {
 }
 
 // Assignments returns the origin's current view of the sub-range layout.
-func (o *OriginNode) Assignments() Assignments {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.assign
-}
+func (o *OriginNode) Assignments() Assignments { return o.view.Load().assign }
 
 // DocVersions returns the current version of every catalog document —
 // the ground truth the simulation harness checks staleness against.
@@ -910,13 +758,10 @@ func (o *OriginNode) DocVersions() map[string]document.Version {
 
 // DownNodes returns the sorted names of nodes currently declared dead.
 func (o *OriginNode) DownNodes() []string {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	out := make([]string, 0, len(o.down))
-	for name, d := range o.down {
-		if d {
-			out = append(out, name)
-		}
+	down := o.view.Load().down
+	out := make([]string, 0, len(down))
+	for name := range down {
+		out = append(out, name)
 	}
 	sort.Strings(out)
 	return out

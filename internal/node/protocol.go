@@ -46,6 +46,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 
 	"cachecloud/internal/document"
@@ -144,28 +145,10 @@ type ClusterConfig struct {
 	Tracer *obs.Tracer `json:"-"`
 }
 
-// Assignments carries the complete sub-range layout of all rings.
+// Assignments carries the complete sub-range layout of all rings: the wire
+// rendering of the origin's beacon rings (layoutOf), never edited by hand.
 type Assignments struct {
 	Rings [][]Subrange `json:"rings"`
-}
-
-// equalSplit builds the initial assignment: each ring's range divided
-// equally among its beacon points.
-func equalSplit(cfg ClusterConfig) Assignments {
-	a := Assignments{Rings: make([][]Subrange, len(cfg.Rings))}
-	for r, members := range cfg.Rings {
-		n := len(members)
-		lo := 0
-		for i, m := range members {
-			hi := (i + 1) * cfg.IntraGen / n
-			if i == n-1 {
-				hi = cfg.IntraGen
-			}
-			a.Rings[r] = append(a.Rings[r], Subrange{Node: m, Lo: lo, Hi: hi - 1})
-			lo = hi
-		}
-	}
-	return a
 }
 
 // ownerOf resolves the beacon node for a URL under an assignment.
@@ -424,8 +407,8 @@ type ShieldStats struct {
 
 // RebalanceResponse answers the origin's POST /rebalance.
 type RebalanceResponse struct {
-	Moves       int `json:"moves"`
-	RecordsSent int `json:"recordsSent"`
+	// Moves counts the blocks of IrH values that changed beacon point.
+	Moves int `json:"moves"`
 }
 
 // CacheStats answers a cache node's GET /stats.
@@ -579,6 +562,10 @@ type SubrangesResponse struct {
 }
 
 // --- small HTTP helpers shared by both node kinds ---
+
+// queryEscape escapes s for use as a query parameter. Most callers hold the
+// document's URL in a variable named url, which hides the package.
+func queryEscape(s string) string { return url.QueryEscape(s) }
 
 // writeJSON encodes v before it writes anything, so the reply carries its
 // Content-Length and goes out in one Write.

@@ -86,7 +86,7 @@ func Replay(cfg ClusterConfig, tr *trace.Trace, opts ReplayOptions) (*ReplayResu
 			var dr DocResponse
 			t0 := time.Now()
 			err := tp.GetJSON(ctx, base+"/doc?url="+queryEscape(ev.URL), &dr)
-			lat.Observe(msSince(t0))
+			lat.Observe(float64(time.Since(t0)) / float64(time.Millisecond))
 			if err != nil {
 				res.Errors++
 				continue

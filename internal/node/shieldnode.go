@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cachecloud/internal/document"
@@ -198,10 +199,11 @@ type ShieldNode struct {
 
 	mu    sync.Mutex
 	table map[string]*shieldEntry // by URL
-	// assign is the cloud's beacon sub-range layout, installed by the
+	// view holds the cloud's beacon sub-range layout, installed by the
 	// origin's POST /subranges exactly as on cache nodes: the shield
-	// routes its fan-out through the document's current beacon point.
-	assign Assignments
+	// routes its fan-out through the document's current beacon point, and
+	// reads the layout without a lock, once per message.
+	view atomic.Pointer[routeView]
 
 	durable       *durable.Store
 	warmBoot      bool
@@ -269,15 +271,19 @@ func NewShieldNode(name string, cfg ClusterConfig) (*ShieldNode, error) {
 	if cfg.IntraGen <= 0 {
 		return nil, fmt.Errorf("node: IntraGen must be positive")
 	}
+	initial, err := equalSplit(cfg)
+	if err != nil {
+		return nil, err
+	}
 	clock := clockOrReal(cfg.Clock)
 	sn := &ShieldNode{
-		name:   name,
-		cfg:    cfg,
-		clock:  clock,
-		start:  clock.Now(),
-		table:  make(map[string]*shieldEntry),
-		assign: equalSplit(cfg),
+		name:  name,
+		cfg:   cfg,
+		clock: clock,
+		start: clock.Now(),
+		table: make(map[string]*shieldEntry),
 	}
+	sn.view.Store(newRouteView(cfg.IntraGen, initial))
 	sn.initMetrics()
 	if err := sn.initDurable(); err != nil {
 		return nil, err
@@ -437,14 +443,8 @@ func (sn *ShieldNode) cloudBeacon(url, cloudID string) (string, bool) {
 	if cloudID != sn.cfg.cloudID() {
 		return "", false
 	}
-	sn.mu.Lock()
-	owner, err := sn.assign.ownerOf(url, sn.cfg.IntraGen)
-	sn.mu.Unlock()
-	if err != nil {
-		return "", false
-	}
-	base, ok := sn.cfg.Addrs[owner]
-	return base, ok
+	_, base, err := sn.view.Load().beaconAddr(sn.cfg.Addrs, url)
+	return base, err == nil
 }
 
 // cloudID is the name of the cluster's cloud inside the shield tier.
@@ -605,9 +605,8 @@ func (sn *ShieldNode) handleSubranges(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	sn.mu.Lock()
-	sn.assign = req
-	sn.mu.Unlock()
+	v := sn.view.Load()
+	sn.view.Store(v.with(req, v.down))
 	writeJSON(w, http.StatusOK, SubrangesResponse{})
 }
 

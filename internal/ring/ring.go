@@ -362,32 +362,6 @@ func diffAssignments(points []*point, oldSubs []SubRange) []Move {
 	return moves
 }
 
-// SetSubRanges installs an explicit sub-range layout, one entry per beacon
-// point in position order. The layout must be a contiguous partition of
-// [0, IntraGen) with no empty sub-range. Used to resume the algorithm from
-// a previously distributed assignment (e.g. by the live origin node).
-func (r *Ring) SetSubRanges(subs []SubRange) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(subs) != len(r.points) {
-		return fmt.Errorf("ring: %d sub-ranges for %d beacon points", len(subs), len(r.points))
-	}
-	next := 0
-	for _, s := range subs {
-		if s.Lo != next || s.Len() < 1 {
-			return fmt.Errorf("ring: sub-ranges are not a contiguous partition at %v", s)
-		}
-		next = s.Hi + 1
-	}
-	if next != r.intraGen {
-		return fmt.Errorf("ring: sub-ranges end at %d, want %d", next, r.intraGen)
-	}
-	for i, p := range r.points {
-		p.sub = subs[i]
-	}
-	return nil
-}
-
 // Add inserts a new beacon point by splitting the sub-range of the point
 // that currently covers the widest span (a simple, deterministic choice that
 // keeps the layout contiguous). Returns the migration needed to hand the

@@ -424,32 +424,6 @@ func TestSubRangeHelpers(t *testing.T) {
 	}
 }
 
-func TestSetSubRanges(t *testing.T) {
-	r := newFigure2Ring(t, true)
-	if err := r.SetSubRanges([]SubRange{{0, 6}, {7, 9}}); err != nil {
-		t.Fatal(err)
-	}
-	id, err := r.BeaconFor(6)
-	if err != nil || id != "Pc00" {
-		t.Fatalf("BeaconFor(6) = %q, %v", id, err)
-	}
-	checkPartition(t, r)
-
-	cases := [][]SubRange{
-		{{0, 4}},          // wrong count
-		{{1, 4}, {5, 9}},  // gap at start
-		{{0, 4}, {6, 9}},  // gap in middle
-		{{0, 4}, {5, 8}},  // short
-		{{0, 9}, {10, 9}}, // empty second range
-		{{0, 4}, {5, 10}}, // overruns IntraGen
-	}
-	for _, c := range cases {
-		if err := r.SetSubRanges(c); err == nil {
-			t.Fatalf("SetSubRanges(%v) accepted", c)
-		}
-	}
-}
-
 // Property: the partition invariant holds under arbitrary interleavings of
 // Add, Remove, Record and Rebalance.
 func TestChurnPartitionInvariant(t *testing.T) {
