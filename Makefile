@@ -62,10 +62,12 @@ bench-compare:
 # The tenant quota-eviction benchmark rides along so its 100k-resident
 # set-up (three replacement kinds) is built and evicted from once per push,
 # and so do the live directory's lookup, update and install benchmarks
-# (internal/node: a 20k-record directory each).
+# (internal/node: a 20k-record directory each) and the peer exchange's ladder
+# row, one call on each server path (BenchmarkPeerExchange: net/http's and
+# the node's own loop, /fetch and /apply).
 bench-smoke:
 	$(GO) test -race -run NoTestsJustBench -bench 'BenchmarkCloudLookupParallel|BenchmarkCloudContention|BenchmarkPutTenantQuotaEvict' -benchtime 1x -benchmem .
-	$(GO) test -race -run NoTestsJustBench -bench 'BenchmarkDirectory(Lookup|Update|Install)' -benchtime 1x -benchmem ./internal/node
+	$(GO) test -race -run NoTestsJustBench -bench 'BenchmarkDirectory(Lookup|Update|Install)|BenchmarkPeerExchange' -benchtime 1x -benchmem ./internal/node
 
 # Reproduce every paper figure at full scale (several minutes).
 figures:
@@ -81,13 +83,16 @@ figures-fast:
 golden:
 	$(GO) run ./cmd/cloudsim -all -json -scale 0.02 -seed 1 > cmd/cloudsim/testdata/golden_all.json
 
-# Short randomized fuzzing of the trace parser, the node wire protocol and
-# the peer exchange's reply parser (the committed seed corpora run on every
-# plain `go test`).
+# Short randomized fuzzing of the trace parser, the node wire protocol, the
+# peer exchange's reply parser and the served loop's request parser (the
+# committed seed corpora run on every plain `go test`). FuzzWireRequest's
+# corpus has a 70 KB request in it: minimizing what mutates from that one is
+# capped, or it takes the whole half minute.
 fuzz:
 	$(GO) test -fuzz=FuzzTraceParse -fuzztime=30s ./internal/trace
 	$(GO) test -fuzz=FuzzProtocolDecode -fuzztime=30s ./internal/node
 	$(GO) test -fuzz=FuzzWireReply -fuzztime=30s ./internal/node
+	$(GO) test -fuzz=FuzzWireRequest -fuzztime=30s -fuzzminimizetime=2s ./internal/node
 	$(GO) test -fuzz=FuzzScheduleDecode -fuzztime=30s ./internal/simnet
 
 # Deterministic simulation sweep: run SEEDS generated fault schedules

@@ -21,7 +21,10 @@
 // anti-entropy pass: it reports its copies to their beacon points, drops
 // the ones they rule stale and re-attaches copies fetched while the shield
 // tier was unreachable. Outbound calls get per-request deadlines (-timeout)
-// with -retries bounded retries and per-peer circuit breaking.
+// with -retries bounded retries and per-peer circuit breaking. On SIGTERM or
+// an interrupt the node stops listening, lets requests in flight finish
+// (serve.ShutdownTimeout), stops the heartbeat and the reconcile pass and
+// seals the durable tier.
 //
 // Overload resilience is tuned with -max-inflight (admission gate
 // capacity), -miss-queue (bounded miss-class queue) and -limit-mode
@@ -34,11 +37,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
-	"net/http/pprof"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
+	"cachecloud/cmd/internal/serve"
 	"cachecloud/internal/node"
 )
 
@@ -107,7 +111,6 @@ func run(args []string) error {
 		return err
 	}
 	stopPeriodic := startPeriodic(n, *heartbeat)
-	defer stopPeriodic()
 	if warm, recovered := n.WarmBootInfo(); warm {
 		fmt.Fprintf(os.Stderr, "cachenode %s warm boot: %d entries recovered, revalidating\n", *name, recovered)
 		go func() {
@@ -117,12 +120,16 @@ func run(args []string) error {
 			fmt.Fprintf(os.Stderr, "cachenode %s warm revalidation: %d fresh, %d stale dropped\n", *name, kept, dropped)
 		}()
 	}
-	h := n.Handler()
-	if *pprofOn {
-		h = withPprof(h)
-	}
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
+	defer stop()
 	fmt.Fprintf(os.Stderr, "cachenode %s listening on %s\n", *name, *listen)
-	return http.ListenAndServe(*listen, h)
+	err = serve.Run(ctx, serve.New(*listen, n.Handler(), *pprofOn))
+	// The server has shut down: stop the timers, then seal the durable tier.
+	stopPeriodic()
+	if cerr := n.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // startPeriodic starts the node's periodic duties, the heartbeat and the
@@ -138,20 +145,6 @@ func startPeriodic(n *node.CacheNode, heartbeat time.Duration) (stop func()) {
 		stopBeat()
 		stopReconcile()
 	}
-}
-
-// withPprof mounts the net/http/pprof handlers under /debug/pprof/ in
-// front of the node's own routes. Gated behind -pprof: the profiling
-// endpoints should not be exposed by default.
-func withPprof(h http.Handler) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/", h)
-	return mux
 }
 
 func loadConfig(path string) (node.ClusterConfig, error) {

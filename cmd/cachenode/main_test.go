@@ -2,13 +2,20 @@ package main
 
 import (
 	"context"
+	"encoding/json"
+	"net"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
+	"cachecloud/internal/document"
 	"cachecloud/internal/node"
 )
 
@@ -122,5 +129,111 @@ func TestStartPeriodicRunsHeartbeatAndReconcile(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	if calls.count("/heartbeat") != beats || calls.count("/reconcile") != reports {
 		t.Fatalf("calls after stop: heartbeats %d -> %d, reconcile %d -> %d", beats, calls.count("/heartbeat"), reports, calls.count("/reconcile"))
+	}
+}
+
+// storeFDs counts the process's open descriptors on files under dir.
+func storeFDs(t *testing.T, dir string) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skip("no /proc/self/fd to count descriptors in")
+	}
+	n := 0
+	for _, e := range ents {
+		if target, err := os.Readlink("/proc/self/fd/" + e.Name()); err == nil && strings.HasPrefix(target, dir) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestRunShutsDownOnSIGTERM runs the command as deployed — its own server,
+// transport and timers, a durable tier — and sends the process SIGTERM: run
+// returns nil, the port and the peer connection the node was serving from
+// its own loop are closed, the heartbeat has stopped and the durable tier
+// is sealed.
+func TestRunShutsDownOnSIGTERM(t *testing.T) {
+	var beats atomic.Int64
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/heartbeat":
+			beats.Add(1)
+			_ = json.NewEncoder(w).Encode(node.HeartbeatResponse{})
+		case "/fetch":
+			_ = json.NewEncoder(w).Encode(node.FetchResponse{Doc: document.Document{URL: r.URL.Query().Get("url"), Size: 100, Version: 1}})
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer origin.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	_ = ln.Close() // run listens on it next
+	dir := t.TempDir()
+	cfg, err := json.Marshal(node.ClusterConfig{
+		IntraGen: 100, Rings: [][]string{{"n0"}},
+		Addrs: map[string]string{"n0": "http://" + addr}, OriginAddr: origin.URL,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgPath := filepath.Join(dir, "cluster.json")
+	if err := os.WriteFile(cfgPath, cfg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store := filepath.Join(dir, "store")
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"-name", "n0", "-listen", addr, "-config", cfgPath, "-store-dir", store, "-heartbeat", "5ms"})
+	}()
+
+	// A peer's calls: marked, so the node serves their connection itself.
+	tp := node.NewHTTPTransport(node.TransportOptions{RequestTimeout: time.Second, NoRetries: true, BreakerThreshold: -1})
+	bg := context.Background()
+	deadline := time.Now().Add(10 * time.Second)
+	for tp.GetJSON(bg, "http://"+addr+"/healthz", nil) != nil {
+		if time.Now().After(deadline) {
+			t.Fatal("the node never answered")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := tp.GetJSON(bg, "http://"+addr+"/doc?url=http%3A%2F%2Flive%2Fdoc%2F1", nil); err != nil {
+		t.Fatal(err)
+	}
+	for beats.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no heartbeat reached the origin")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if storeFDs(t, store) == 0 {
+		t.Fatal("the durable tier has no file open: the test would not see it sealed")
+	}
+
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run after SIGTERM: %v", err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("run did not return after SIGTERM")
+	}
+	if err := tp.GetJSON(bg, "http://"+addr+"/healthz", nil); err == nil {
+		t.Error("the node still answers: the port or the connection it was serving is open")
+	}
+	if n := storeFDs(t, store); n != 0 {
+		t.Errorf("%d descriptors still open on the durable tier", n)
+	}
+	after := beats.Load()
+	time.Sleep(50 * time.Millisecond)
+	if beats.Load() != after {
+		t.Error("the heartbeat outlived the shutdown")
 	}
 }

@@ -16,17 +16,22 @@
 // ring neighbour, survivors promote their lazy record replicas, and the
 // membership change is broadcast. A dead node that heartbeats again is
 // re-admitted with a fresh sub-range.
+//
+// On SIGTERM or an interrupt the origin stops listening, lets requests in
+// flight finish (serve.ShutdownTimeout) and stops its timers.
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
-	"net/http/pprof"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
+	"cachecloud/cmd/internal/serve"
 	"cachecloud/internal/node"
 	"cachecloud/internal/trace"
 )
@@ -81,6 +86,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	defer o.Close()
 
 	stop := make(chan struct{})
 	defer close(stop)
@@ -111,24 +117,8 @@ func run(args []string) error {
 		defer stopFD()
 	}
 
-	h := o.Handler()
-	if *pprofOn {
-		h = withPprof(h)
-	}
+	ctx, cancel := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
+	defer cancel()
 	fmt.Fprintf(os.Stderr, "originsrv listening on %s with %d documents\n", *listen, len(tr.Docs))
-	return http.ListenAndServe(*listen, h)
-}
-
-// withPprof mounts the net/http/pprof handlers under /debug/pprof/ in
-// front of the origin's own routes. Gated behind -pprof: the profiling
-// endpoints should not be exposed by default.
-func withPprof(h http.Handler) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/", h)
-	return mux
+	return serve.Run(ctx, serve.New(*listen, o.Handler(), *pprofOn))
 }

@@ -31,6 +31,7 @@ type CacheNode struct {
 	tp     Transport
 	clock  Clock
 	start  time.Time
+	served servedConns // peer connections served from the node's own loop (serve.go)
 
 	// dir is the node's beacon-point state (see directory.go): the layout
 	// and the dead-peer set, lookup records, sibling replicas and load
@@ -277,7 +278,7 @@ func (n *CacheNode) Handler() http.Handler {
 	mux.HandleFunc("POST /membership", jsonCall(n.membership))
 	mux.HandleFunc("GET /stats", n.handleStats)
 	mux.HandleFunc("GET /metrics", n.handleMetrics)
-	return mux
+	return n.served.handler(mux)
 }
 
 // jsonCall is the handler of a message that sends nothing of its own:

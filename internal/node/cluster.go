@@ -158,14 +158,20 @@ func StartLocalClusterWith(nodeNames []string, ringSize int, docs []document.Doc
 	return lc, nil
 }
 
-// StopNode kills one cache node's server, simulating a crash. Returns
-// false if the node is unknown or already stopped.
+// StopNode kills one cache node's or shield's server, simulating a crash:
+// the peer connections it serves from its own loop go with the server's.
+// Returns false if the node is unknown or already stopped.
 func (lc *LocalCluster) StopNode(name string) bool {
 	srv, ok := lc.byName[name]
 	if !ok {
 		return false
 	}
 	srv.Close()
+	if cn := lc.Caches[name]; cn != nil {
+		cn.served.close(nil)
+	} else if sn := lc.Shields[name]; sn != nil {
+		sn.served.close(nil)
+	}
 	delete(lc.byName, name)
 	return true
 }
@@ -232,6 +238,9 @@ func (lc *LocalCluster) Close() {
 	}
 	for _, sn := range lc.Shields {
 		_ = sn.Close()
+	}
+	if lc.Origin != nil {
+		_ = lc.Origin.Close()
 	}
 	closeIdlePeerConns(lc.Cfg)
 }

@@ -123,12 +123,13 @@ func (n *CacheNode) DurableStats() (durable.Stats, bool) {
 }
 
 // Close waits out the background drop flush, if one is running, closes the
-// idle connections to the cluster's addresses, then detaches and seals the
-// durable tier (nothing to seal on memory-only
-// nodes). Call it on shutdown — and before reopening the same store
-// directory in a replacement node.
+// peer connections the node serves and the idle ones it holds to the
+// cluster's addresses, then detaches and seals the durable tier (nothing to
+// seal on memory-only nodes). Call it on shutdown — and before reopening the
+// same store directory in a replacement node.
 func (n *CacheNode) Close() error {
 	n.stopFlush()
+	n.served.close(nil)
 	closeIdlePeerConns(n.cfg)
 	if n.durable == nil {
 		return nil

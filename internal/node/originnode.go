@@ -25,9 +25,10 @@ import (
 // beacon point and that the origin server is informed of the results; a
 // single deterministic coordinator keeps the live protocol simple).
 type OriginNode struct {
-	cfg   ClusterConfig
-	tp    Transport
-	clock Clock
+	cfg    ClusterConfig
+	tp     Transport
+	clock  Clock
+	served servedConns // peer connections served from the node's own loop (serve.go)
 
 	// The master topology: one beacon ring per configured ring, kept for
 	// the origin's whole life. topoMu serialises its writers — Rebalance,
@@ -173,6 +174,14 @@ func NewOriginNodeWithTransport(cfg ClusterConfig, docs []document.Document, tp 
 	return o, nil
 }
 
+// Close closes the peer connections the origin serves and the idle ones it
+// holds to the cluster's addresses.
+func (o *OriginNode) Close() error {
+	o.served.close(nil)
+	closeIdlePeerConns(o.cfg)
+	return nil
+}
+
 // Handler returns the origin's HTTP handler.
 func (o *OriginNode) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -186,7 +195,7 @@ func (o *OriginNode) Handler() http.Handler {
 	mux.HandleFunc("POST /heartbeat", o.handleHeartbeat)
 	mux.HandleFunc("GET /stats", o.handleStats)
 	mux.HandleFunc("GET /metrics", o.handleMetrics)
-	return mux
+	return o.served.handler(mux)
 }
 
 func (o *OriginNode) handleFetch(w http.ResponseWriter, r *http.Request) {

@@ -589,7 +589,7 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// readJSON decodes a request body of at most 16 MB.
+// readJSON decodes a request body of at most maxRequestBody (16 MB).
 func readJSON(r *http.Request, v any) error {
 	defer func() {
 		_, _ = io.Copy(io.Discard, r.Body)
@@ -597,7 +597,7 @@ func readJSON(r *http.Request, v any) error {
 	}()
 	buf := getBuf()
 	defer putBuf(buf)
-	if _, err := readInto(buf, r.Body, 16<<20); err != nil {
+	if _, err := readInto(buf, r.Body, maxRequestBody); err != nil {
 		return err
 	}
 	return json.Unmarshal(buf.Bytes(), v)

@@ -196,6 +196,8 @@ type ShieldNode struct {
 	tp    Transport
 	clock Clock
 	start time.Time
+	// served is the peer connections served from the node's own loop (serve.go).
+	served servedConns
 
 	mu    sync.Mutex
 	table map[string]*shieldEntry // by URL
@@ -351,9 +353,11 @@ func (sn *ShieldNode) initDurable() error {
 	return nil
 }
 
-// Close closes the idle connections to the cluster's addresses and seals
-// the durable tier (nothing to seal on memory-only shields).
+// Close closes the peer connections the shield serves and the idle ones it
+// holds to the cluster's addresses, and seals the durable tier (nothing to
+// seal on memory-only shields).
 func (sn *ShieldNode) Close() error {
+	sn.served.close(nil)
 	closeIdlePeerConns(sn.cfg)
 	if sn.durable == nil {
 		return nil
@@ -371,7 +375,7 @@ func (sn *ShieldNode) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", sn.handleHealthz)
 	mux.HandleFunc("GET /stats", sn.handleStats)
 	mux.HandleFunc("GET /metrics", sn.handleMetrics)
-	return mux
+	return sn.served.handler(mux)
 }
 
 func (sn *ShieldNode) now() int64 { return int64(sn.clock.Since(sn.start) / time.Second) }

@@ -159,6 +159,7 @@ func sumAdmission(lc *LocalCluster) AdmissionStats {
 // Run under -race this doubles as the no-deadlock check for the
 // gate/limiter/coalescer composition.
 func TestChaosStormHotDocVsSlowOrigin(t *testing.T) {
+	checkLeaks(t)
 	const (
 		nodes       = 4
 		ringSize    = 2

@@ -167,6 +167,7 @@ func TestRebalanceDoesNotUndoDeclareDead(t *testing.T) {
 // bring them back, probe-and-repair passes — in bursts, and requires one
 // quiet cycle after each burst to leave a consistent cluster.
 func TestChaosTopologyHammer(t *testing.T) {
+	checkLeaks(t)
 	const bursts, rounds = 10, 30
 	lc, _ := topologyCluster(t)
 	client := &http.Client{Timeout: 5 * time.Second}

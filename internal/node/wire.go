@@ -181,18 +181,8 @@ func splitPlainHTTP(rawurl string) (host, target string, ok bool) {
 	} else {
 		host, target = rest[:slash], rest[slash:]
 	}
-	if host == "" {
+	if host == "" || !allOf(host, &hostBytes) || !allOf(target, &targetBytes) {
 		return "", "", false
-	}
-	for i := 0; i < len(host); i++ {
-		if !hostBytes[host[i]] {
-			return "", "", false
-		}
-	}
-	for i := 0; i < len(target); i++ {
-		if !targetBytes[target[i]] {
-			return "", "", false
-		}
 	}
 	return host, target, true
 }
@@ -343,7 +333,7 @@ func (pc *peerConn) roundTrip(ctx context.Context, deadline time.Time, c peerCal
 	bw.WriteString(c.target)
 	bw.WriteString(" HTTP/1.1\r\nHost: ")
 	bw.WriteString(c.host)
-	bw.WriteString("\r\n")
+	bw.WriteString("\r\n" + PeerHeader + ": 1\r\n")
 	if body != nil {
 		bw.WriteString("Content-Type: application/json\r\nContent-Length: ")
 		bw.Write(strconv.AppendInt(bw.AvailableBuffer(), int64(len(body)), 10))

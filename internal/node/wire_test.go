@@ -10,8 +10,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -26,9 +24,12 @@ type seenRequest struct {
 }
 
 // scriptedPeer is one net/http server whose reply depends on the path. It
-// counts the connections it accepts and remembers the last request.
+// counts the connections it accepts and remembers the last request. With
+// served set, its handler stands behind the nodes' choice of server path
+// (serve.go), so a marked request's connection is served by the loop.
 type scriptedPeer struct {
 	srv     *httptest.Server
+	served  *servedConns
 	addr    string
 	conns   atomic.Int64
 	stalled chan struct{} // one token per /stall reply that has flushed its head
@@ -38,11 +39,11 @@ type scriptedPeer struct {
 
 var bigBody = strings.Repeat("x", 8<<10)
 
-func newScriptedPeer(t *testing.T) *scriptedPeer {
+func newScriptedPeer(t *testing.T, served bool) *scriptedPeer {
 	t.Helper()
 	p := &scriptedPeer{stalled: make(chan struct{}, 16)}
 	stop := make(chan struct{})
-	p.srv = httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	var h http.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		body, _ := io.ReadAll(r.Body)
 		seen := seenRequest{method: r.Method, target: r.RequestURI, contentType: r.Header.Get("Content-Type"),
 			tenant: r.Header.Get(TenantHeader), body: strings.TrimSpace(string(body))}
@@ -111,7 +112,12 @@ func newScriptedPeer(t *testing.T) *scriptedPeer {
 		default:
 			io.WriteString(w, `{"n":0}`)
 		}
-	}))
+	})
+	if served {
+		p.served = &servedConns{}
+		h = p.served.handler(h)
+	}
+	p.srv = httptest.NewUnstartedServer(h)
 	p.srv.Config.ConnState = func(c net.Conn, s http.ConnState) {
 		if s == http.StateNew {
 			p.conns.Add(1)
@@ -121,10 +127,30 @@ func newScriptedPeer(t *testing.T) *scriptedPeer {
 	p.addr = strings.TrimPrefix(p.srv.URL, "http://")
 	t.Cleanup(func() {
 		close(stop)
+		p.closeClientConns()
 		p.srv.Close()
 		peerConns.closeIdle([]string{p.addr})
 	})
 	return p
+}
+
+// closeClientConns closes the peer's end of every connection, whoever
+// serves it.
+func (p *scriptedPeer) closeClientConns() {
+	p.srv.CloseClientConnections()
+	if p.served != nil {
+		p.served.close(p.srv.Config)
+	}
+}
+
+// markRequests is an http.RoundTripper that marks what passes, as the
+// exchange marks its own: it puts net/http's client on the served loop.
+type markRequests struct{ base http.RoundTripper }
+
+func (m markRequests) RoundTrip(r *http.Request) (*http.Response, error) {
+	r = r.Clone(r.Context())
+	r.Header.Set(PeerHeader, "1")
+	return m.base.RoundTrip(r)
 }
 
 func (p *scriptedPeer) seen() seenRequest {
@@ -135,14 +161,18 @@ func (p *scriptedPeer) seen() seenRequest {
 
 // bothPaths returns a transport that makes its own exchanges and one that
 // is handed an *http.Client — the reference the first is compared with.
-// Neither retries; both run on mc.
-func bothPaths(t *testing.T, mc *manualClock) (direct, ref *HTTPTransport) {
+// Neither retries; both run on mc. With marked set the reference's requests
+// carry the marker too.
+func bothPaths(t *testing.T, mc *manualClock, marked bool) (direct, ref *HTTPTransport) {
 	t.Helper()
 	rt := &http.Transport{}
 	t.Cleanup(rt.CloseIdleConnections)
 	opts := TransportOptions{NoRetries: true, BreakerThreshold: -1, Clock: mc}
 	direct = fastTransport(opts)
 	opts.Client = &http.Client{Transport: rt}
+	if marked {
+		opts.Client.Transport = markRequests{rt}
+	}
 	ref = fastTransport(opts)
 	if !direct.direct || ref.direct {
 		t.Fatal("the transports do not take the paths the test is about")
@@ -174,13 +204,20 @@ func outcome(err error, out map[string]any) string {
 }
 
 // TestExchangeMatchesHTTPClient is the differential test of the two kinds
-// of attempt: against one server, the transport's own exchange and the
-// *http.Client attempt return the same value or the same class of error,
-// and the exchange keeps, closes and replaces connections by its rules.
-func TestExchangeMatchesHTTPClient(t *testing.T) {
-	peer := newScriptedPeer(t)
+// of attempt, on each of the two server paths: against one server, the
+// transport's own exchange and the *http.Client attempt return the same
+// value or the same class of error, and the exchange keeps, closes and
+// replaces connections by its rules. Behind the served loop the reference
+// client marks its requests too, so all four pairings are compared; the
+// replies only a hijack or a flush mid-body can make are net/http's alone.
+func TestExchangeMatchesHTTPClient(t *testing.T) { exchangeMatchesHTTPClient(t, false) }
+
+func TestExchangeMatchesHTTPClientOnServedLoop(t *testing.T) { exchangeMatchesHTTPClient(t, true) }
+
+func exchangeMatchesHTTPClient(t *testing.T, served bool) {
+	peer := newScriptedPeer(t, served)
 	mc := newManualClock()
-	direct, ref := bothPaths(t, mc)
+	direct, ref := bothPaths(t, mc, served)
 	call := func(tp *HTTPTransport, ctx context.Context, path string, decode bool) string {
 		t.Helper()
 		var out map[string]any
@@ -202,7 +239,7 @@ func TestExchangeMatchesHTTPClient(t *testing.T) {
 			want   string // a prefix of the outcome
 		}{
 			{"/len", true, "ok map[n:1 s:ab]"},
-			{"/chunked", true, "ok map[n:2 s:yyy"},
+			{"/chunked", true, "ok map[n:2 s:yyy"}, // not chunked by the loop, which sends one body
 			{"/chunked", false, "ok map[]"},
 			{"/404", true, "not found"},
 			{"/429ms", true, "shed 500ms"},
@@ -231,10 +268,19 @@ func TestExchangeMatchesHTTPClient(t *testing.T) {
 				t.Errorf("%s: exchange %.80q, http.Client %.80q", s.path, got[i], want)
 			}
 		}
+		if served {
+			if n := peer.served.count(); n != 2 {
+				t.Errorf("%d served connections, want the exchange's and the client's", n)
+			}
+		}
 	})
 
 	t.Run("a reply that ends the connection is not pooled", func(t *testing.T) {
-		for _, path := range []string{"/close", "/http10"} {
+		paths := []string{"/close", "/http10"}
+		if served {
+			paths = paths[:1]
+		}
+		for _, path := range paths {
 			call(direct, bg, "/len", true) // leaves one idle connection, which the next call uses
 			got, want := call(direct, bg, path, true), call(ref, bg, path, true)
 			if got != want || !strings.HasPrefix(got, "ok ") {
@@ -246,7 +292,13 @@ func TestExchangeMatchesHTTPClient(t *testing.T) {
 		}
 	})
 
-	t.Run("a malformed reply is an error and closes the connection", func(t *testing.T) {
+	// Only a handler that hijacks sends one.
+	netHTTPOnly := func(name string, f func(t *testing.T)) {
+		if !served {
+			t.Run(name, f)
+		}
+	}
+	netHTTPOnly("a malformed reply is an error and closes the connection", func(t *testing.T) {
 		for _, path := range []string{"/badstatus", "/badheader", "/badlength"} {
 			call(direct, bg, "/len", true)
 			got, want := call(direct, bg, path, true), call(ref, bg, path, true)
@@ -271,7 +323,7 @@ func TestExchangeMatchesHTTPClient(t *testing.T) {
 			t.Fatalf("%d idle connections, want 1", n)
 		}
 		before := peer.conns.Load()
-		peer.srv.CloseClientConnections()
+		peer.closeClientConns()
 		out = nil
 		if err := tp.GetJSON(bg, peer.srv.URL+"/len", &out); err != nil || fmt.Sprint(out) != "map[n:1 s:ab]" {
 			t.Fatalf("call over a connection closed while idle: %v, %v", out, err)
@@ -287,7 +339,8 @@ func TestExchangeMatchesHTTPClient(t *testing.T) {
 		}
 	})
 
-	t.Run("a deadline or a cancel mid-body is the context's error", func(t *testing.T) {
+	// The loop sends a reply whole or not at all.
+	netHTTPOnly("a deadline or a cancel mid-body is the context's error", func(t *testing.T) {
 		for _, tp := range []*HTTPTransport{direct, ref} {
 			call(tp, bg, "/len", true)
 			ctx, cancel := context.WithTimeout(bg, 60*time.Millisecond)
@@ -378,7 +431,7 @@ func TestExchangeLeavesOddURLsToHTTPClient(t *testing.T) {
 
 // TestPoolKeepsFourPerHostAndDropsTheOld: the pool's two bounds.
 func TestPoolKeepsFourPerHostAndDropsTheOld(t *testing.T) {
-	peer := newScriptedPeer(t)
+	peer := newScriptedPeer(t, false)
 	tp := fastTransport(TransportOptions{NoRetries: true})
 	var wg sync.WaitGroup
 	for i := 0; i < 12; i++ {
@@ -424,19 +477,10 @@ func (p *connPool) idleCount(addr string) int {
 	return len(p.idle[addr])
 }
 
-// openFDs counts the process's open file descriptors (-1 where /proc does
-// not say).
-func openFDs() int {
-	ents, err := os.ReadDir("/proc/self/fd")
-	if err != nil {
-		return -1
-	}
-	return len(ents)
-}
-
 // TestLocalClusterCloseLeavesNothingOpen starts, uses and closes a cluster
 // twenty times: goroutines and file descriptors are back where they began,
-// so no connection of the process-wide pool outlives the cluster it went to.
+// so no connection of the process-wide pool and none a node serves from its
+// own loop outlives the cluster it went to.
 func TestLocalClusterCloseLeavesNothingOpen(t *testing.T) {
 	round := func() {
 		lc, err := StartLocalCluster([]string{"a", "b", "c", "d"}, 2, testCatalog(20), ClusterConfig{Shields: []string{"s0"}})
@@ -456,17 +500,11 @@ func TestLocalClusterCloseLeavesNothingOpen(t *testing.T) {
 				}
 			}
 		}
-	}
-	round() // whatever the first use of net/http leaves running is not a leak
-	settle := func() (goroutines, fds int) {
-		for i := 0; ; i++ {
-			goroutines, fds = runtime.NumGoroutine(), openFDs()
-			time.Sleep(20 * time.Millisecond)
-			if g, f := runtime.NumGoroutine(), openFDs(); g == goroutines && f == fds || i == 100 {
-				return g, f
-			}
+		if lc.Caches["a"].served.count() == 0 || lc.Shields["s0"].served.count() == 0 || lc.Origin.served.count() == 0 {
+			t.Error("a node kind served no connection from its own loop: the test does not cover them")
 		}
 	}
+	round() // whatever the first use of net/http leaves running is not a leak
 	g0, f0 := settle()
 	for i := 0; i < 20; i++ {
 		round()
