@@ -64,10 +64,12 @@ bench-compare:
 # and so do the live directory's lookup, update and install benchmarks
 # (internal/node: a 20k-record directory each) and the peer exchange's ladder
 # row, one call on each server path (BenchmarkPeerExchange: net/http's and
-# the node's own loop, /fetch and /apply).
+# the node's own loop, /fetch and /apply), and the store tier's four ladder
+# rows (a hit, a store that evicts, an update in place, a durable append).
 bench-smoke:
 	$(GO) test -race -run NoTestsJustBench -bench 'BenchmarkCloudLookupParallel|BenchmarkCloudContention|BenchmarkPutTenantQuotaEvict' -benchtime 1x -benchmem .
 	$(GO) test -race -run NoTestsJustBench -bench 'BenchmarkDirectory(Lookup|Update|Install)|BenchmarkPeerExchange' -benchtime 1x -benchmem ./internal/node
+	$(GO) test -race -run NoTestsJustBench -bench 'BenchmarkCache(Get|PutEvict|ApplyUpdate)|BenchmarkDurablePut' -benchtime 1x -benchmem ./internal/cache ./internal/durable
 
 # Reproduce every paper figure at full scale (several minutes).
 figures:

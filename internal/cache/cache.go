@@ -43,9 +43,14 @@ type Cache struct {
 	id       string
 	capacity int64 // bytes; 0 means unlimited
 	used     int64
-	entries  map[string]document.Copy
-	policy   replacementPolicy
-	kind     ReplacementKind
+	// entries finds a stored document's slot: the copy, its access monitor
+	// and its place in the replacement order, behind one hashed lookup.
+	entries map[string]*slot
+	// spare is the slot the last eviction or removal emptied; the next
+	// document stored takes it, so a store that evicts allocates no slot.
+	spare  *slot
+	policy replacementPolicy
+	kind   ReplacementKind
 
 	// Multi-tenant residency: resident bytes per tenant (derived from the
 	// tenant-folded keys) and the optional quota table enforced on every
@@ -54,10 +59,11 @@ type Cache struct {
 	quotas         TenantQuotas
 	quotaEvictions map[string]int64 // documents evicted per tenant by its byte quota
 
-	// monitors tracks access rates per document URL, by value (a URL only
-	// ever seen costs a map slot), including documents that are not
-	// currently stored — the paper's placement scheme decides using
-	// patterns "collected through continued monitoring".
+	// monitors tracks access rates of the documents that have been asked
+	// for and are not currently stored, by value (a URL only ever seen costs
+	// a map slot) — the paper's placement scheme decides using patterns
+	// "collected through continued monitoring". A stored document's monitor
+	// is in its slot: a URL is here or there, never both.
 	monitors   map[string]loadstats.EWRate
 	totalRate  loadstats.EWRate // all accesses at this cache
 	evictBytes loadstats.EWRate // bytes evicted per unit (disk contention)
@@ -100,7 +106,7 @@ func NewWithReplacement(id string, capacity int64, kind ReplacementKind) *Cache 
 	return &Cache{
 		id:             id,
 		capacity:       capacity,
-		entries:        make(map[string]document.Copy),
+		entries:        make(map[string]*slot),
 		policy:         newReplacementPolicy(kind),
 		kind:           kind,
 		quotaEvictions: make(map[string]int64),
@@ -208,15 +214,19 @@ func (c *Cache) Len() int {
 func (c *Cache) Get(url string, now int64) (document.Copy, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.observeAccess(url, now)
-	cp, ok := c.entries[url]
+	c.totalRate.Observe(accessHalfLife, now, 1)
+	s, ok := c.entries[url]
 	if !ok {
+		m := c.monitors[url]
+		m.Observe(accessHalfLife, now, 1)
+		c.monitors[url] = m
 		c.misses++
 		return document.Copy{}, false
 	}
+	s.monitor.Observe(accessHalfLife, now, 1)
 	c.hits++
-	c.policy.onAccess(url)
-	return cp, true
+	c.policy.onAccess(s)
+	return s.cp, true
 }
 
 // Peek returns the stored copy without touching replacement state or
@@ -224,8 +234,10 @@ func (c *Cache) Get(url string, now int64) (document.Copy, bool) {
 func (c *Cache) Peek(url string) (document.Copy, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cp, ok := c.entries[url]
-	return cp, ok
+	if s, ok := c.entries[url]; ok {
+		return s.cp, true
+	}
+	return document.Copy{}, false
 }
 
 // Has reports whether the document is stored.
@@ -251,62 +263,92 @@ func (c *Cache) Put(cp document.Copy, now int64) ([]document.Document, error) {
 		c.mu.Unlock()
 		return nil, err
 	}
-	if old, ok := c.entries[cp.Doc.URL]; ok {
-		c.used += size - old.Doc.Size
-		c.noteTenantBytes(tenant, size-old.Doc.Size)
+	s, again := c.entries[cp.Doc.URL]
+	grown := size
+	if again {
+		grown -= s.cp.Doc.Size
+		cp.Doc.URL = s.cp.Doc.URL // the string the map key already pins
+		s.cp = cp
 	} else {
-		c.used += size
-		c.noteTenantBytes(tenant, size)
+		s = c.newSlot(cp)
+		c.entries[cp.Doc.URL] = s
 	}
-	c.entries[cp.Doc.URL] = cp
-	c.policy.onInsert(cp.Doc.URL, size)
+	c.used += grown
+	c.noteTenantBytes(tenant, grown)
+	c.policy.onStore(s, again)
 	c.persist(cp)
-	evicted := c.makeTenantRoom(tenant, c.tenantQuotaOf(tenant), cp.Doc.URL, now)
-	evicted = append(evicted, c.makeRoom(cp.Doc.URL, now)...)
+	evicted := c.makeTenantRoom(tenant, c.tenantQuotaOf(tenant), s, now)
+	evicted = c.makeRoom(evicted, s, now)
 	c.mu.Unlock()
 	c.flushDurable()
 	return evicted, nil
 }
 
-// makeRoom evicts policy victims (never the protected URL) until used fits
-// capacity. Caller holds the lock.
-func (c *Cache) makeRoom(protect string, now int64) []document.Document {
-	if c.capacity <= 0 {
-		return nil
+// newSlot returns the slot for a document about to be stored, taking over
+// the monitor the URL has had while it was not. Caller holds the lock.
+func (c *Cache) newSlot(cp document.Copy) *slot {
+	s := c.spare
+	if s == nil {
+		s = new(slot)
 	}
-	var evicted []document.Document
-	for c.used > c.capacity {
-		url, ok := c.policy.victim(protect)
-		if !ok {
+	c.spare = nil
+	s.cp = cp
+	if m, seen := c.monitors[cp.Doc.URL]; seen {
+		s.monitor = m
+		delete(c.monitors, cp.Doc.URL)
+	}
+	return s
+}
+
+// makeRoom evicts policy victims (never the protected slot) until used fits
+// capacity, appending them to evicted. Caller holds the lock.
+func (c *Cache) makeRoom(evicted []document.Document, protect *slot, now int64) []document.Document {
+	for c.capacity > 0 && c.used > c.capacity {
+		victim := c.policy.victim(protect)
+		if victim == nil {
 			break
 		}
-		victim := c.entries[url]
-		c.removeLocked(url)
-		c.evictBytes.Observe(accessHalfLife, now, float64(victim.Doc.Size))
-		evicted = append(evicted, victim.Doc)
+		evicted = append(evicted, c.evict(victim, now))
 	}
 	return evicted
+}
+
+// evict removes a victim the policy chose and counts its bytes as disk
+// contention. Caller holds the lock.
+func (c *Cache) evict(victim *slot, now int64) document.Document {
+	doc := c.removeLocked(victim)
+	c.evictBytes.Observe(accessHalfLife, now, float64(doc.Size))
+	return doc
 }
 
 // Remove drops a document, returning whether it was present.
 func (c *Cache) Remove(url string) bool {
 	c.mu.Lock()
-	_, ok := c.entries[url]
+	s, ok := c.entries[url]
 	if ok {
-		c.removeLocked(url)
+		c.removeLocked(s)
 	}
 	c.mu.Unlock()
 	c.flushDurable()
 	return ok
 }
 
-func (c *Cache) removeLocked(url string) {
-	cp := c.entries[url]
-	c.policy.onRemove(url)
-	c.used -= cp.Doc.Size
-	c.noteTenantBytes(tenantOf(url), -cp.Doc.Size)
-	delete(c.entries, url)
-	c.tombstone(url)
+// removeLocked takes s's document out of the store and returns it: the
+// monitor goes back to monitors if it has seen an access, and the emptied
+// slot becomes the spare.
+func (c *Cache) removeLocked(s *slot) document.Document {
+	doc := s.cp.Doc
+	c.policy.onRemove(s)
+	c.used -= doc.Size
+	c.noteTenantBytes(tenantOf(doc.URL), -doc.Size)
+	delete(c.entries, doc.URL)
+	if s.monitor != (loadstats.EWRate{}) {
+		c.monitors[doc.URL] = s.monitor
+	}
+	c.tombstone(doc.URL)
+	*s = slot{}
+	c.spare = s
+	return doc
 }
 
 // ApplyUpdate refreshes the stored copy to the new document version if the
@@ -315,8 +357,8 @@ func (c *Cache) removeLocked(url string) {
 // access.
 func (c *Cache) ApplyUpdate(doc document.Document, now int64) bool {
 	c.mu.Lock()
-	cp, ok := c.entries[doc.URL]
-	if !ok || cp.Doc.Version >= doc.Version {
+	s, ok := c.entries[doc.URL]
+	if !ok || s.cp.Doc.Version >= doc.Version {
 		c.mu.Unlock()
 		return ok // absent, or already fresh
 	}
@@ -325,20 +367,19 @@ func (c *Cache) ApplyUpdate(doc document.Document, now int64) bool {
 		// The update grew the document past its tenant's whole quota: the
 		// copy can no longer be resident, so drop it and report not-held
 		// (the core then prunes this cache from the holder list).
-		c.removeLocked(doc.URL)
+		c.removeLocked(s)
 		c.mu.Unlock()
 		c.flushDurable()
 		return false
 	}
-	c.used += doc.Size - cp.Doc.Size
-	c.noteTenantBytes(tenant, doc.Size-cp.Doc.Size)
-	cp.Doc = doc
-	cp.FetchedAt = now
-	c.entries[doc.URL] = cp
-	c.persist(cp)
+	c.used += doc.Size - s.cp.Doc.Size
+	c.noteTenantBytes(tenant, doc.Size-s.cp.Doc.Size)
+	doc.URL = s.cp.Doc.URL // the string the map key already pins
+	s.cp = document.Copy{Doc: doc, FetchedAt: now}
+	c.persist(s.cp)
 	// A grown update can overflow the tenant quota or the byte budget.
-	c.makeTenantRoom(tenant, c.tenantQuotaOf(tenant), doc.URL, now)
-	c.makeRoom(doc.URL, now)
+	c.makeTenantRoom(tenant, c.tenantQuotaOf(tenant), s, now)
+	c.makeRoom(nil, s, now)
 	c.mu.Unlock()
 	c.flushDurable()
 	return true
@@ -352,18 +393,16 @@ func (c *Cache) Documents() []string {
 	return c.policy.ordered()
 }
 
-// observeAccess updates the monitoring state. Caller holds the lock.
-func (c *Cache) observeAccess(url string, now int64) {
-	m := c.monitors[url]
-	m.Observe(accessHalfLife, now, 1)
-	c.monitors[url] = m
-	c.totalRate.Observe(accessHalfLife, now, 1)
-}
-
 // AccessRate estimates the document's local accesses per time unit.
 func (c *Cache) AccessRate(url string, now int64) float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if s, ok := c.entries[url]; ok {
+		if s.monitor == (loadstats.EWRate{}) {
+			return 0 // stored and never asked for
+		}
+		return s.monitor.Rate(accessHalfLife, now)
+	}
 	m, ok := c.monitors[url]
 	if !ok {
 		return 0
@@ -371,6 +410,15 @@ func (c *Cache) AccessRate(url string, now int64) float64 {
 	rate := m.Rate(accessHalfLife, now)
 	c.monitors[url] = m // Rate decayed it to now
 	return rate
+}
+
+// Forget drops the access history of a document that is not stored: the
+// caller has learned that the URL names nothing, so no placement decision
+// is left for its monitor to inform.
+func (c *Cache) Forget(url string) {
+	c.mu.Lock()
+	delete(c.monitors, url)
+	c.mu.Unlock()
 }
 
 // MeanAccessRate estimates the mean per-document access rate over the

@@ -42,6 +42,9 @@ func tenantOf(key string) string {
 // noteTenantBytes adjusts the tenant's resident-byte accounting by
 // delta. Caller holds mu.
 func (c *Cache) noteTenantBytes(tenant string, delta int64) {
+	if delta == 0 {
+		return // an update or a store of the same size
+	}
 	if c.tenantUsed == nil {
 		c.tenantUsed = make(map[string]int64)
 	}
@@ -63,25 +66,22 @@ func (c *Cache) tenantQuotaOf(tenant string) int64 {
 }
 
 // makeTenantRoom evicts the tenant's own entries — in replacement-policy
-// order, never the protected key — until the tenant fits its quota.
+// order, never the protected slot — until the tenant fits its quota.
 // Tenant-fair eviction: one tenant going over its cap reclaims only its
 // own documents; other tenants' working sets are untouched. Each victim
 // comes from the policy's sub-order for the tenant, so an eviction costs
 // the same whatever the other tenants store. Caller holds mu.
-func (c *Cache) makeTenantRoom(tenant string, quota int64, protect string, now int64) []document.Document {
+func (c *Cache) makeTenantRoom(tenant string, quota int64, protect *slot, now int64) []document.Document {
 	if quota <= 0 {
 		return nil
 	}
 	var evicted []document.Document
 	for c.tenantUsed[tenant] > quota {
-		victim, ok := c.policy.tenantVictim(tenant, protect)
-		if !ok {
+		victim := c.policy.tenantVictim(tenant, protect)
+		if victim == nil {
 			break // only the protected entry remains for this tenant
 		}
-		cp := c.entries[victim]
-		c.removeLocked(victim)
-		c.evictBytes.Observe(accessHalfLife, now, float64(cp.Doc.Size))
-		evicted = append(evicted, cp.Doc)
+		evicted = append(evicted, c.evict(victim, now))
 	}
 	if len(evicted) > 0 {
 		c.quotaEvictions[tenant] += int64(len(evicted))
@@ -101,7 +101,7 @@ func (c *Cache) EnforceTenantQuotas(now int64) []document.Document {
 	sort.Strings(tenants) // deterministic sweep order
 	var evicted []document.Document
 	for _, t := range tenants {
-		evicted = append(evicted, c.makeTenantRoom(t, c.tenantQuotaOf(t), "", now)...)
+		evicted = append(evicted, c.makeTenantRoom(t, c.tenantQuotaOf(t), nil, now)...)
 	}
 	c.mu.Unlock()
 	c.flushDurable()

@@ -16,17 +16,21 @@ var allKinds = []ReplacementKind{LRU, LFU, GreedyDualSize}
 // scanPolicy is the reference for tenantVictim: the selection
 // makeTenantRoom made before the policies kept tenant sub-orders. It walks
 // ordered() from the cold end to the first key of the tenant that is not
-// protected, so it reads only the full order and builds no sub-order.
-type scanPolicy struct{ replacementPolicy }
+// protected, so it reads only the full order and builds no sub-order. The
+// cache it serves finds the key's slot (the caller holds its lock).
+type scanPolicy struct {
+	replacementPolicy
+	c *Cache
+}
 
-func (s scanPolicy) tenantVictim(tenant, protect string) (string, bool) {
+func (s scanPolicy) tenantVictim(tenant string, protect *slot) *slot {
 	ordered := s.ordered()
 	for i := len(ordered) - 1; i >= 0; i-- {
-		if key := ordered[i]; key != protect && tenantOf(key) == tenant {
-			return key, true
+		if v := s.c.entries[ordered[i]]; v != protect && tenantOf(ordered[i]) == tenant {
+			return v
 		}
 	}
-	return "", false
+	return nil
 }
 
 // tenantSubOrders returns every tenant sub-order the policy keeps, each in
@@ -34,19 +38,38 @@ func (s scanPolicy) tenantVictim(tenant, protect string) (string, bool) {
 func tenantSubOrders(t *testing.T, p replacementPolicy) map[string][]string {
 	t.Helper()
 	out := map[string][]string{}
+	var subs tenantOrders
 	switch p := p.(type) {
 	case *lruPolicy:
-		for tenant, sub := range p.tenants {
-			out[tenant] = sub.ordered()
-		}
+		subs = p.subs
 	case *keyedPolicy:
-		for tenant, sub := range p.tenants {
-			out[tenant] = sub.ordered()
-		}
+		subs = p.subs
+		checkHeap(t, "the policy's heap", &p.slotHeap, 0)
 	default:
 		t.Fatalf("unknown policy type %T", p)
 	}
+	for tenant, sub := range subs {
+		checkHeap(t, fmt.Sprintf("tenant %q sub-order", tenant), sub, 1)
+		out[tenant] = sub.ordered()
+	}
 	return out
+}
+
+// checkHeap requires h to be a heap that files positions under pos[which]
+// and every slot to know its own.
+func checkHeap(t *testing.T, name string, h *slotHeap, which int) {
+	t.Helper()
+	if h.which != which {
+		t.Fatalf("%s files positions under pos[%d], want pos[%d]", name, h.which, which)
+	}
+	for i, s := range h.slots {
+		if int(s.pos[which]) != i {
+			t.Fatalf("%s: slot %q at %d believes it is at %d", name, s.cp.Doc.URL, i, s.pos[which])
+		}
+		if i > 0 && h.Less(i, (i-1)/2) {
+			t.Fatalf("%s: slot %q at %d goes before its parent", name, s.cp.Doc.URL, i)
+		}
+	}
 }
 
 // checkSubOrders requires every sub-order to be non-empty and equal to the
@@ -94,7 +117,7 @@ func TestTenantVictimMatchesScanOracle(t *testing.T) {
 					quotas := quotaTable{"t1": 900}
 					got := NewWithReplacement("got", capacity, kind)
 					ref := NewWithReplacement("ref", capacity, kind)
-					ref.policy = scanPolicy{ref.policy}
+					ref.policy = scanPolicy{ref.policy, ref}
 					got.SetTenantQuotas(quotas)
 					ref.SetTenantQuotas(quotas)
 					versions := map[string]document.Version{}
@@ -202,12 +225,12 @@ func TestTenantVictimCases(t *testing.T) {
 				keyA := document.TenantKey("acme", "http://o/a")
 				// The quota shrank between the fit check and the eviction.
 				c.mu.Lock()
-				ev := c.makeTenantRoom("acme", 10, keyA, 2)
+				ev := c.makeTenantRoom("acme", 10, c.entries[keyA], 2)
 				c.mu.Unlock()
 				if len(ev) != 0 || !c.Has(keyA) || c.Len() != 2 {
 					t.Fatalf("evicted %v, want nothing (only the protected copy is acme's)", ev)
 				}
-				if _, ok := c.policy.tenantVictim("nobody", ""); ok {
+				if c.policy.tenantVictim("nobody", nil) != nil {
 					t.Fatal("a tenant with no copies has a victim")
 				}
 				if subs := tenantSubOrders(t, c.policy); len(subs) != 1 || len(subs["acme"]) != 1 {
@@ -266,9 +289,9 @@ func TestTenantVictimCases(t *testing.T) {
 	}
 }
 
-// selectionOrdered is the routine keyedOrder.ordered replaced, kept as the
+// selectionOrdered is the routine slotHeap.ordered replaced, kept as the
 // reference for its order: pick the highest (key, seq) left, n times.
-func selectionOrdered(h entryHeap) []string {
+func selectionOrdered(h []*slot) []string {
 	out := slices.Clone(h)
 	urls := make([]string, 0, len(out))
 	for len(out) > 0 {
@@ -279,7 +302,7 @@ func selectionOrdered(h entryHeap) []string {
 				best = i
 			}
 		}
-		urls = append(urls, out[best].url)
+		urls = append(urls, out[best].cp.Doc.URL)
 		out = append(out[:best], out[best+1:]...)
 	}
 	return urls
@@ -287,17 +310,19 @@ func selectionOrdered(h entryHeap) []string {
 
 func TestKeyedOrderedMatchesSelectionSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	p := newLFUPolicy()
-	for i := 0; i < 20000; i++ {
-		p.onInsert(fmt.Sprintf("d%d", i), 1)
+	p := &keyedPolicy{subs: make(tenantOrders)} // LFU
+	slots := make([]slot, 20000)
+	for i := range slots {
+		slots[i].cp.Doc = document.Document{URL: fmt.Sprintf("d%d", i), Size: 1}
+		p.onStore(&slots[i], false)
 	}
 	for i := 0; i < 60000; i++ { // few distinct keys, so ties are common
-		p.onAccess(fmt.Sprintf("d%d", rng.Intn(20000)))
+		p.onAccess(&slots[rng.Intn(len(slots))])
 	}
 	start := time.Now()
 	got := p.ordered()
 	elapsed := time.Since(start)
-	if want := selectionOrdered(p.heap); !slices.Equal(got, want) {
+	if want := selectionOrdered(p.slots); !slices.Equal(got, want) {
 		t.Fatal("ordered() differs from the selection sort it replaced")
 	}
 	if elapsed > time.Second {
@@ -385,7 +410,7 @@ func TestTenantQuotaEvictionAllocations(t *testing.T) {
 			const uncapped, capped, runs = 2000, 20, 200
 			quota := newQuotaChurn(t, kind, uncapped, capped)
 			if n := testing.AllocsPerRun(runs, func() {
-				if _, ok := quota.c.policy.tenantVictim("beta", ""); !ok {
+				if quota.c.policy.tenantVictim("beta", nil) == nil {
 					t.Fatal("no victim")
 				}
 			}); n != 0 {

@@ -28,6 +28,7 @@
 package durable
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -106,10 +107,22 @@ func (o *Options) defaults() {
 	}
 }
 
-// Entry is one live document in the store's index.
+// Entry is one live document of the store.
 type Entry struct {
 	Doc       document.Document
 	FetchedAt int64
+}
+
+// indexed is what the index keeps for a live document under its URL: the
+// fields of the newest put record that the URL itself does not give.
+type indexed struct {
+	version   document.Version
+	size      int64
+	fetchedAt int64
+}
+
+func (x indexed) entry(url string) Entry {
+	return Entry{Doc: document.Document{URL: url, Size: x.size, Version: x.version}, FetchedAt: x.fetchedAt}
 }
 
 // Stats is a point-in-time summary of the store.
@@ -153,7 +166,16 @@ const (
 	// (27 fixed bytes + URL) far below maxRecordPayload, so anything
 	// appendable is always replayable.
 	maxURLBytes = 1<<16 - 1
+	// frameBytes and fixedPayload are a record's length and checksum words
+	// and the payload's fields before the URL.
+	frameBytes   = 8
+	fixedPayload = 1 + 8 + 8 + 8 + 2
 )
+
+// frameLen is the framed length of url's record, put or tombstone alike. A
+// record's length is a function of its URL, so the byte accounting needs no
+// table of lengths beside the index.
+func frameLen(url string) int64 { return frameBytes + fixedPayload + int64(len(url)) }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -180,7 +202,7 @@ type Store struct {
 	opts   Options
 	closed bool
 
-	index map[string]Entry
+	index map[string]indexed
 	segs  []uint64 // sealed + active segment IDs, replay order
 	next  uint64   // next segment ID to allocate
 
@@ -190,11 +212,9 @@ type Store struct {
 
 	totalBytes int64
 	deadBytes  int64
-	// liveBytes tracks the encoded size of the current index.
+	// liveBytes tracks the encoded size of the current index: frameLen of
+	// every indexed URL.
 	liveBytes int64
-	// recSize[url] is the encoded record size currently live for url, so
-	// overwrites and tombstones can move exact byte counts to deadBytes.
-	recSize map[string]int64
 
 	truncations     int64
 	truncatedBytes  int64
@@ -212,12 +232,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durable: create dir: %w", err)
 	}
-	s := &Store{
-		dir:     dir,
-		opts:    opts,
-		index:   make(map[string]Entry),
-		recSize: make(map[string]int64),
-	}
+	s := &Store{dir: dir, opts: opts, index: make(map[string]indexed)}
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
@@ -379,17 +394,21 @@ func (s *Store) replaySegment(id uint64) (clean bool, size int64, err error) {
 	}
 	defer func() { _ = f.Close() }()
 
+	// Records are read through a buffer (two reads a record otherwise, each
+	// a system call); truncation goes by the offsets counted in good, not by
+	// the file's position.
+	r := bufio.NewReader(f)
 	header := make([]byte, len(segMagic))
-	n, rerr := io.ReadFull(f, header)
+	n, rerr := io.ReadFull(r, header)
 	if rerr != nil || string(header) != segMagic {
 		// No verifiable header: the whole file is garbage.
 		s.truncateAt(f, path, 0, int64(n))
 		return false, 0, nil
 	}
 	good := int64(len(segMagic))
-	var frame [8]byte
+	var frame [frameBytes]byte
 	for {
-		if _, rerr := io.ReadFull(f, frame[:]); rerr != nil {
+		if _, rerr := io.ReadFull(r, frame[:]); rerr != nil {
 			if rerr == io.EOF {
 				return true, good, nil // exact end of segment
 			}
@@ -403,7 +422,7 @@ func (s *Store) replaySegment(id uint64) (clean bool, size int64, err error) {
 			return false, good, nil
 		}
 		payload := make([]byte, plen)
-		if _, rerr := io.ReadFull(f, payload); rerr != nil {
+		if _, rerr := io.ReadFull(r, payload); rerr != nil {
 			s.truncateAt(f, path, good, partialLen(f, good))
 			return false, good, nil
 		}
@@ -411,14 +430,13 @@ func (s *Store) replaySegment(id uint64) (clean bool, size int64, err error) {
 			s.truncateAt(f, path, good, partialLen(f, good))
 			return false, good, nil
 		}
-		url, ent, op, ok := decodePayload(payload)
+		url, x, op, ok := decodePayload(payload)
 		if !ok {
 			s.truncateAt(f, path, good, partialLen(f, good))
 			return false, good, nil
 		}
-		recLen := int64(8 + len(payload))
-		s.applyRecord(op, url, ent, recLen)
-		good += recLen
+		s.applyRecord(op, url, x)
+		good += frameLen(url)
 	}
 }
 
@@ -448,64 +466,57 @@ func (s *Store) truncateAt(f *os.File, path string, good, lost int64) {
 
 // applyRecord folds one replayed or appended record into the index and the
 // live/dead byte accounting.
-func (s *Store) applyRecord(op byte, url string, ent Entry, recLen int64) {
-	if prev, ok := s.recSize[url]; ok {
-		// The previous record for this URL (put or implicit state) is now
+func (s *Store) applyRecord(op byte, url string, x indexed) {
+	recLen := frameLen(url)
+	if _, live := s.index[url]; live {
+		// The previous record for this URL, as long as this one, is now
 		// garbage.
-		s.deadBytes += prev
-		s.liveBytes -= prev
-		delete(s.recSize, url)
-		delete(s.index, url)
+		s.deadBytes += recLen
+		s.liveBytes -= recLen
 	}
 	switch op {
 	case opPut:
-		s.index[url] = ent
-		s.recSize[url] = recLen
+		s.index[url] = x
 		s.liveBytes += recLen
 	case opTombstone:
 		// The tombstone record itself is garbage the moment it is the
 		// newest state for the URL.
+		delete(s.index, url)
 		s.deadBytes += recLen
 	}
 }
 
-// encodePayload renders one record payload.
-func encodePayload(op byte, url string, ent Entry) []byte {
-	b := make([]byte, 0, 1+8+8+8+2+len(url))
-	b = append(b, op)
-	var u64 [8]byte
-	binary.LittleEndian.PutUint64(u64[:], uint64(ent.Doc.Version))
-	b = append(b, u64[:]...)
-	binary.LittleEndian.PutUint64(u64[:], uint64(ent.Doc.Size))
-	b = append(b, u64[:]...)
-	binary.LittleEndian.PutUint64(u64[:], uint64(ent.FetchedAt))
-	b = append(b, u64[:]...)
-	var u16 [2]byte
-	binary.LittleEndian.PutUint16(u16[:], uint16(len(url)))
-	b = append(b, u16[:]...)
+// encodeFrame renders one framed record.
+func encodeFrame(op byte, url string, x indexed) []byte {
+	b := make([]byte, frameBytes+fixedPayload, frameLen(url))
+	p := b[frameBytes:]
+	p[0] = op
+	binary.LittleEndian.PutUint64(p[1:9], uint64(x.version))
+	binary.LittleEndian.PutUint64(p[9:17], uint64(x.size))
+	binary.LittleEndian.PutUint64(p[17:25], uint64(x.fetchedAt))
+	binary.LittleEndian.PutUint16(p[25:27], uint16(len(url)))
 	b = append(b, url...)
+	binary.LittleEndian.PutUint32(b[0:4], uint32(len(b)-frameBytes))
+	binary.LittleEndian.PutUint32(b[4:8], crc32.Checksum(b[frameBytes:], crcTable))
 	return b
 }
 
 // decodePayload parses one record payload.
-func decodePayload(p []byte) (url string, ent Entry, op byte, ok bool) {
-	if len(p) < 1+8+8+8+2 {
-		return "", Entry{}, 0, false
+func decodePayload(p []byte) (url string, x indexed, op byte, ok bool) {
+	if len(p) < fixedPayload {
+		return "", indexed{}, 0, false
 	}
 	op = p[0]
 	if op != opPut && op != opTombstone {
-		return "", Entry{}, 0, false
+		return "", indexed{}, 0, false
 	}
-	ent.Doc.Version = document.Version(binary.LittleEndian.Uint64(p[1:9]))
-	ent.Doc.Size = int64(binary.LittleEndian.Uint64(p[9:17]))
-	ent.FetchedAt = int64(binary.LittleEndian.Uint64(p[17:25]))
-	ulen := int(binary.LittleEndian.Uint16(p[25:27]))
-	if len(p) != 27+ulen {
-		return "", Entry{}, 0, false
+	x.version = document.Version(binary.LittleEndian.Uint64(p[1:9]))
+	x.size = int64(binary.LittleEndian.Uint64(p[9:17]))
+	x.fetchedAt = int64(binary.LittleEndian.Uint64(p[17:25]))
+	if len(p) != fixedPayload+int(binary.LittleEndian.Uint16(p[25:27])) {
+		return "", indexed{}, 0, false
 	}
-	url = string(p[27:])
-	ent.Doc.URL = url
-	return url, ent, op, true
+	return string(p[fixedPayload:]), x, op, true
 }
 
 // openActive starts a fresh active segment for new appends.
@@ -554,18 +565,14 @@ func (s *Store) writeManifest() error {
 
 // append writes one framed record to the active segment, rotating and
 // compacting as configured. Caller holds s.mu.
-func (s *Store) append(op byte, url string, ent Entry) error {
+func (s *Store) append(op byte, url string, x indexed) error {
 	if s.closed {
 		return ErrClosed
 	}
 	if len(url) > maxURLBytes {
 		return fmt.Errorf("%w: %d bytes (max %d)", ErrURLTooLong, len(url), maxURLBytes)
 	}
-	payload := encodePayload(op, url, ent)
-	frame := make([]byte, 8, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
-	frame = append(frame, payload...)
+	frame := encodeFrame(op, url, x)
 	if _, err := s.active.Write(frame); err != nil {
 		s.appendErrors++
 		return fmt.Errorf("durable: append: %w", err)
@@ -579,7 +586,7 @@ func (s *Store) append(op byte, url string, ent Entry) error {
 	recLen := int64(len(frame))
 	s.activeBytes += recLen
 	s.totalBytes += recLen
-	s.applyRecord(op, url, ent, recLen)
+	s.applyRecord(op, url, x)
 	if s.activeBytes >= s.opts.MaxSegmentBytes {
 		return s.rotate()
 	}
@@ -608,7 +615,7 @@ func (s *Store) rotate() error {
 func (s *Store) Put(cp document.Copy) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.append(opPut, cp.Doc.URL, Entry{Doc: cp.Doc, FetchedAt: cp.FetchedAt})
+	return s.append(opPut, cp.Doc.URL, indexed{cp.Doc.Version, cp.Doc.Size, cp.FetchedAt})
 }
 
 // Delete records an eviction or explicit removal, so the entry cannot
@@ -620,10 +627,10 @@ func (s *Store) Delete(url string) error {
 	if s.closed {
 		return ErrClosed
 	}
-	if _, ok := s.recSize[url]; !ok {
+	if _, ok := s.index[url]; !ok {
 		return nil
 	}
-	return s.append(opTombstone, url, Entry{})
+	return s.append(opTombstone, url, indexed{})
 }
 
 // Entries returns the live index sorted by URL (the warm-boot load set).
@@ -631,8 +638,8 @@ func (s *Store) Entries() []Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]Entry, 0, len(s.index))
-	for _, e := range s.index {
-		out = append(out, e)
+	for url, x := range s.index {
+		out = append(out, x.entry(url))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Doc.URL < out[j].Doc.URL })
 	return out
@@ -642,8 +649,8 @@ func (s *Store) Entries() []Entry {
 func (s *Store) Get(url string) (Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.index[url]
-	return e, ok
+	x, ok := s.index[url]
+	return x.entry(url), ok
 }
 
 // Len returns the live index size.
@@ -690,8 +697,7 @@ func (s *Store) Reset(entries []Entry) error {
 		}
 		s.active = nil
 	}
-	s.index = make(map[string]Entry, len(entries))
-	s.recSize = make(map[string]int64)
+	s.index = make(map[string]indexed, len(entries))
 	s.liveBytes, s.deadBytes, s.totalBytes = 0, 0, 0
 	for _, e := range entries {
 		if len(e.Doc.URL) > maxURLBytes {
@@ -699,7 +705,7 @@ func (s *Store) Reset(entries []Entry) error {
 			// writing a segment recovery would read as corruption.
 			continue
 		}
-		s.index[e.Doc.URL] = e
+		s.index[e.Doc.URL] = indexed{e.Doc.Version, e.Doc.Size, e.FetchedAt}
 	}
 	return s.compactLocked()
 }
@@ -725,18 +731,12 @@ func (s *Store) compactLocked() error {
 		urls = append(urls, url)
 	}
 	sort.Strings(urls)
-	recSize := make(map[string]int64, len(urls))
 	for _, url := range urls {
-		payload := encodePayload(opPut, url, s.index[url])
-		frame := make([]byte, 8, 8+len(payload))
-		binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
-		frame = append(frame, payload...)
+		frame := encodeFrame(opPut, url, s.index[url])
 		if _, err := f.Write(frame); err != nil {
 			_ = f.Close()
 			return fmt.Errorf("durable: compact write: %w", err)
 		}
-		recSize[url] = int64(len(frame))
 		written += int64(len(frame))
 	}
 	if s.opts.Fsync != FsyncNever {
@@ -751,7 +751,6 @@ func (s *Store) compactLocked() error {
 	s.activeID = id
 	s.activeBytes = written
 	s.segs = []uint64{id}
-	s.recSize = recSize
 	s.liveBytes = written - int64(len(segMagic))
 	s.deadBytes = 0
 	s.totalBytes = written

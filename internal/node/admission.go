@@ -148,9 +148,10 @@ func shedOf(err error, class admit.Class) (*admit.ShedError, bool) {
 
 // refuseDoc terminates a /doc request on an admission or retrieval
 // error, keeping the conservation counters exact — node-wide and for the
-// requesting tenant: a shed answers 429 (counted as Shed), a
-// caller-deadline expiry answers 504 and anything else 502 (both counted
-// as Failed).
+// requesting tenant: a shed answers 429 (counted as Shed); a URL the origin
+// does not know answers 404 and takes the monitor the miss created with it,
+// a caller-deadline expiry answers 504 and anything else 502 (all three
+// counted as Failed).
 func (n *CacheNode) refuseDoc(w http.ResponseWriter, tid, url string, class admit.Class, err error) {
 	if se, ok := shedOf(err, class); ok {
 		n.docShed.Inc()
@@ -162,7 +163,10 @@ func (n *CacheNode) refuseDoc(w http.ResponseWriter, tid, url string, class admi
 	n.docFailed.Inc()
 	n.tenantCounts.failed(tid)
 	status := http.StatusBadGateway
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+	if errors.Is(err, ErrNotFound) {
+		status = http.StatusNotFound
+		n.store.Forget(url)
+	} else if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 		status = http.StatusGatewayTimeout
 	}
 	writeErr(w, status, err)
@@ -188,7 +192,8 @@ func (n *CacheNode) refuseServe(w http.ResponseWriter, url string, class admit.C
 // overload controls: concurrent misses for the same (hash, version)
 // coalesce onto one wire fetch; the leader holds a miss-class gate slot
 // and an adaptive-limiter token for the duration, and reports the
-// observed origin latency back to the limiter.
+// observed origin latency back to the limiter. A 404 is the origin
+// answering, so the limiter hears of it as a success.
 func (n *CacheNode) originFetch(ctx context.Context, url string, version document.Version) (document.Document, error) {
 	key := flightKey{hash: document.HashURL(url), version: version}
 	doc, shared, err := n.flights.Do(ctx, key, func() (document.Document, error) {
@@ -203,7 +208,7 @@ func (n *CacheNode) originFetch(ctx context.Context, url string, version documen
 		}
 		t0 := n.clock.Now()
 		fr, ferr := n.fetchUpstream(ctx, url, version)
-		limRelease(n.clock.Since(t0), ferr == nil)
+		limRelease(n.clock.Since(t0), ferr == nil || errors.Is(ferr, ErrNotFound))
 		if ferr != nil {
 			return document.Document{}, ferr
 		}

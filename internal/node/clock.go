@@ -65,9 +65,12 @@ func clockOrReal(c Clock) Clock {
 // AfterFunc-chain equivalent of the ticker loops the node layer used to
 // run; under a virtual clock each firing happens synchronously in the
 // simulation scheduler. The stop function is idempotent and safe to call
-// concurrently.
+// concurrently, and returns once a firing already under way has finished
+// (so what f holds — a connection it will hand back to the pool — is
+// settled before the caller closes what f talks to); f must not call it.
 func every(clock Clock, interval time.Duration, immediate bool, f func()) (stop func()) {
-	var mu sync.Mutex
+	var mu sync.Mutex      // guards stopped and timer
+	var running sync.Mutex // held for the length of a firing
 	stopped := false
 	var timer Timer
 	var fire func()
@@ -79,6 +82,14 @@ func every(clock Clock, interval time.Duration, immediate bool, f func()) (stop 
 		mu.Unlock()
 	}
 	fire = func() {
+		running.Lock()
+		defer running.Unlock()
+		mu.Lock()
+		done := stopped
+		mu.Unlock()
+		if done {
+			return // the timer fired as stop was called
+		}
 		f()
 		schedule()
 	}
@@ -93,5 +104,7 @@ func every(clock Clock, interval time.Duration, immediate bool, f func()) (stop 
 			timer.Stop()
 		}
 		mu.Unlock()
+		running.Lock() // waits out a firing under way; nothing to guard
+		running.Unlock()
 	}
 }

@@ -69,6 +69,7 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 // balance (RecordsRecovered == RecordsLost under replication), and the
 // healed node must be re-admitted.
 func TestChaosBeaconFailoverEndToEnd(t *testing.T) {
+	checkLeaks(t)
 	const (
 		hbInterval = 100 * time.Millisecond
 		missK      = 4
@@ -219,6 +220,7 @@ func TestChaosBeaconFailoverEndToEnd(t *testing.T) {
 // chaos network (no partitions) and checks the client failover chain
 // absorbs injected drops.
 func TestChaosDropsAreAbsorbedByClientFailover(t *testing.T) {
+	checkLeaks(t)
 	net := chaos.NewNetwork(chaos.Config{Seed: 77, DropProb: 0.10})
 	lc := chaosCluster(t, net, []string{"d0", "d1", "d2", "d3"}, 2)
 	c, err := NewClientWithTransport(lc.Cfg, "d0",

@@ -8,7 +8,9 @@ import (
 	"runtime"
 	"testing"
 
+	"cachecloud/internal/cache"
 	"cachecloud/internal/document"
+	"cachecloud/internal/durable"
 	"cachecloud/internal/obs"
 )
 
@@ -17,7 +19,8 @@ import (
 // byte budgets sit ~25% above what the tables cost now and below what they
 // cost when a record kept a holder map and two separately allocated
 // monitors and the shield three URL-keyed maps (CHANGES.md, PR 19, has both
-// sets of figures): a revert fails them.
+// sets of figures): a revert fails them. TestStoreFootprint does the same
+// for the store tier (CHANGES.md, PR 23).
 
 // liveHeap returns the bytes the heap holds after a collection.
 func liveHeap() int64 {
@@ -131,6 +134,57 @@ func TestShieldFootprint(t *testing.T) {
 		t.Errorf("a held document costs the shield %d B, budget %d", per, budget)
 	}
 	runtime.KeepAlive(sn)
+}
+
+// TestStoreFootprint: a node's store after 10,000 documents were each asked
+// for, missed and then stored, memory-only and mirrored into a durable
+// store. The URL strings are built first and stay alive (the cache and the
+// durable index share them), so the difference is the slots' and the tables'.
+func TestStoreFootprint(t *testing.T) {
+	const (
+		n             = 10000
+		memoryBudget  = 165 // bytes a stored document: 155 now, 278 with six URL-keyed tables
+		durableBudget = 255 // 234 now, 426 then
+	)
+	urls := make([]string, n)
+	for i := range urls {
+		urls[i] = document.TenantKey("acme", fmt.Sprintf("http://store/doc/%05d", i))
+	}
+	perDocument := func(st *durable.Store) int64 {
+		c := cache.New("e0", 0)
+		if st != nil {
+			c.SetDurable(st)
+		}
+		h0 := liveHeap()
+		for i, u := range urls {
+			now := int64(i >> 8)
+			c.Get(u, now)
+			if _, err := c.Put(document.Copy{Doc: document.Document{URL: u, Size: 1000, Version: 1}, FetchedAt: now}, now); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h1 := liveHeap()
+		if c.Len() != n || c.DurableErrors() != 0 || (st != nil && st.Len() != n) {
+			t.Fatalf("%d stored, %d disk-tier errors", c.Len(), c.DurableErrors())
+		}
+		runtime.KeepAlive(c)
+		runtime.KeepAlive(st)
+		return (h1 - h0) / n
+	}
+	st, err := durable.Open(t.TempDir(), durable.Options{Fsync: durable.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = st.Close() }()
+	memory, mirrored := perDocument(nil), perDocument(st)
+	t.Logf("stored document: %d B memory-only, %d B with the durable tier", memory, mirrored)
+	if memory > memoryBudget {
+		t.Errorf("a stored document costs %d B, budget %d", memory, memoryBudget)
+	}
+	if mirrored > durableBudget {
+		t.Errorf("a stored document with the durable tier costs %d B, budget %d", mirrored, durableBudget)
+	}
+	runtime.KeepAlive(urls)
 }
 
 // benchDirectory returns a's directory in a cluster of six, with n owned

@@ -29,6 +29,10 @@ type OriginNode struct {
 	tp     Transport
 	clock  Clock
 	served servedConns // peer connections served from the node's own loop (serve.go)
+	// shieldBases are the addressable shields' base URLs in name order, so
+	// every multi-shield pass (publish fan-out, purge forwarding, installs)
+	// is deterministic.
+	shieldBases []string
 
 	// The master topology: one beacon ring per configured ring, kept for
 	// the origin's whole life. topoMu serialises its writers — Rebalance,
@@ -96,6 +100,13 @@ func NewOriginNode(cfg ClusterConfig, docs []document.Document) (*OriginNode, er
 		started:     clock.Now(),
 	}
 	o.view.Store(newRouteView(cfg.IntraGen, layoutOf(rings)))
+	shields := append([]string(nil), cfg.Shields...)
+	sort.Strings(shields)
+	for _, name := range shields {
+		if base, ok := cfg.ShieldAddrs[name]; ok {
+			o.shieldBases = append(o.shieldBases, base)
+		}
+	}
 	o.initMetrics()
 	for _, d := range docs {
 		if d.Version == 0 {
@@ -274,13 +285,10 @@ func (o *OriginNode) handlePublish(w http.ResponseWriter, r *http.Request) {
 		// shield, regardless of how many clouds subscribe — the O(clouds) →
 		// O(shields) collapse. Each shield fans the update to its clouds.
 		notified, shields := 0, 0
-		for _, name := range sortedShieldNames(o.cfg) {
-			base, ok := o.cfg.ShieldAddrs[name]
-			if !ok {
-				continue
-			}
+		body := sharedBody(UpdateRequest{Doc: d})
+		for _, base := range o.shieldBases {
 			var sur ShieldUpdateResponse
-			if e := o.tp.PostJSON(r.Context(), base+"/supdate", UpdateRequest{Doc: d}, &sur); e != nil {
+			if e := o.tp.PostJSON(r.Context(), base+"/supdate", body, &sur); e != nil {
 				continue // crashed shield catches up at its next resync
 			}
 			shields++
@@ -319,15 +327,6 @@ func (o *OriginNode) pushBeacon(w http.ResponseWriter, r *http.Request, url, pat
 	return true
 }
 
-// sortedShieldNames returns the configured shield names in fixed order so
-// every multi-shield pass (publish fan-out, purge forwarding, installs) is
-// deterministic.
-func sortedShieldNames(cfg ClusterConfig) []string {
-	out := append([]string(nil), cfg.Shields...)
-	sort.Strings(out)
-	return out
-}
-
 // handlePurge invalidates a document across the hierarchy. Scope "global"
 // bumps the URL's purge generation and tells every shield to drop its copy
 // and purge every subscribed cloud; scope "cloud" forwards a purge of one
@@ -357,13 +356,10 @@ func (o *OriginNode) handlePurge(w http.ResponseWriter, r *http.Request) {
 
 	var resp PurgeResponse
 	if len(o.cfg.Shields) > 0 {
-		for _, name := range sortedShieldNames(o.cfg) {
-			base, ok := o.cfg.ShieldAddrs[name]
-			if !ok {
-				continue
-			}
+		body := sharedBody(req)
+		for _, base := range o.shieldBases {
 			var pr PurgeResponse
-			if e := o.tp.PostJSON(r.Context(), base+"/spurge", req, &pr); e != nil {
+			if e := o.tp.PostJSON(r.Context(), base+"/spurge", body, &pr); e != nil {
 				continue // crashed shield applies the generation at resync
 			}
 			resp.ShieldsNotified++
@@ -473,11 +469,7 @@ func (o *OriginNode) installAssignments(ctx context.Context, next Assignments) (
 	// Shields route their fan-out through the same beacon layout, so the
 	// install reaches them too (an unreachable shield re-learns the layout
 	// implicitly: its stale view still names live nodes after merges).
-	for _, name := range sortedShieldNames(o.cfg) {
-		base, ok := o.cfg.ShieldAddrs[name]
-		if !ok {
-			continue
-		}
+	for _, base := range o.shieldBases {
 		_ = o.tp.PostJSON(ctx, base+"/subranges", next, nil)
 	}
 	return promoted, err

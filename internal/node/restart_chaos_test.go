@@ -29,6 +29,7 @@ import (
 //   - conservation (Requests == Served + Shed + Failed) and quiescence
 //     hold on every node afterwards, the restarted one included.
 func TestChaosRestartUnderLoadWarmBoot(t *testing.T) {
+	checkLeaks(t)
 	const (
 		nodes    = 4
 		ringSize = 2

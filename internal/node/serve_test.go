@@ -758,6 +758,11 @@ func TestIdleServedConnectionFootprint(t *testing.T) {
 				t.Fatalf("the large request: %s", replyOf(resp, true))
 			}
 		}
+		// The server lets go of what it read of a request after its reply has
+		// left: the last connection's next exchange says that it has.
+		if last := peers[conns-1]; last.send(last.request("GET", "/healthz", "", marked)) == nil {
+			t.Fatal("no reply")
+		}
 		if got := n.served.count(); marked && got != conns || !marked && got != 0 {
 			t.Fatalf("%d served connections of %d, marked %v", got, conns, marked)
 		}

@@ -89,6 +89,9 @@ func (n *CacheNode) shieldFetch(ctx context.Context, url string, version documen
 	for i, base := range n.shieldRouter.Walk() {
 		var sr ShieldFetchResponse
 		if err := n.tp.GetJSON(ctx, base+q, &sr); err != nil {
+			if errors.Is(err, ErrNotFound) {
+				return FetchResponse{}, err // the origin's answer, relayed: no other shield has a better one
+			}
 			lastErr = err
 			continue
 		}
@@ -117,8 +120,8 @@ func (n *CacheNode) fetchUpstream(ctx context.Context, url string, version docum
 		return originFetchJSON(ctx, n.tp, n.cfg.OriginAddr, url)
 	}
 	fr, err := n.shieldFetch(ctx, url, version)
-	if err == nil {
-		return fr, nil
+	if err == nil || errors.Is(err, ErrNotFound) {
+		return fr, err
 	}
 	fr, err = originFetchJSON(ctx, n.tp, n.cfg.OriginAddr, url)
 	if err != nil {
@@ -414,7 +417,13 @@ func (sn *ShieldNode) handleFetch(w http.ResponseWriter, r *http.Request) {
 	if !hit {
 		fr, err := originFetchJSON(ctx, sn.tp, sn.cfg.OriginAddr, url)
 		if err != nil {
-			writeErr(w, http.StatusBadGateway, err)
+			status := http.StatusBadGateway
+			if errors.Is(err, ErrNotFound) {
+				// The origin answered: a 502 here would have the cloud's
+				// transport retry and charge this shield's breaker.
+				status = http.StatusNotFound
+			}
+			writeErr(w, status, err)
 			return
 		}
 		sn.originFetches.Inc()

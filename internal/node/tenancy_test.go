@@ -343,6 +343,7 @@ func TestTenantHeaderValidation(t *testing.T) {
 //   - per-tenant conservation (Requests == Served + Shed + Failed) is
 //     exact on every node at quiescence, for every tenant.
 func TestChaosNoisyNeighborTenantStorm(t *testing.T) {
+	checkLeaks(t)
 	const (
 		nodes       = 4
 		ringSize    = 2
