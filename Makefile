@@ -62,13 +62,14 @@ bench-compare:
 # The tenant quota-eviction benchmark rides along so its 100k-resident
 # set-up (three replacement kinds) is built and evicted from once per push,
 # and so do the live directory's lookup, update and install benchmarks
-# (internal/node: a 20k-record directory each) and the peer exchange's ladder
-# row, one call on each server path (BenchmarkPeerExchange: net/http's and
-# the node's own loop, /fetch and /apply), and the store tier's four ladder
-# rows (a hit, a store that evicts, an update in place, a durable append).
+# (internal/node: a 20k-record directory each) and the two exchanges' ladder
+# rows, one call on each server path (BenchmarkPeerExchange: net/http's and
+# the node's own loop, /fetch and /apply; BenchmarkClientDoc: a client's warm
+# /doc hit), and the store tier's four ladder rows (a hit, a store that
+# evicts, an update in place, a durable append).
 bench-smoke:
 	$(GO) test -race -run NoTestsJustBench -bench 'BenchmarkCloudLookupParallel|BenchmarkCloudContention|BenchmarkPutTenantQuotaEvict' -benchtime 1x -benchmem .
-	$(GO) test -race -run NoTestsJustBench -bench 'BenchmarkDirectory(Lookup|Update|Install)|BenchmarkPeerExchange' -benchtime 1x -benchmem ./internal/node
+	$(GO) test -race -run NoTestsJustBench -bench 'BenchmarkDirectory(Lookup|Update|Install)|BenchmarkPeerExchange|BenchmarkClientDoc' -benchtime 1x -benchmem ./internal/node
 	$(GO) test -race -run NoTestsJustBench -bench 'BenchmarkCache(Get|PutEvict|ApplyUpdate)|BenchmarkDurablePut' -benchtime 1x -benchmem ./internal/cache ./internal/durable
 
 # Reproduce every paper figure at full scale (several minutes).
@@ -87,7 +88,9 @@ golden:
 
 # Short randomized fuzzing of the trace parser, the node wire protocol, the
 # peer exchange's reply parser and the served loop's request parser (the
-# committed seed corpora run on every plain `go test`). FuzzWireRequest's
+# committed seed corpora run on every plain `go test`; FuzzWireRequest's
+# include what the loop hands back to net/http: chunked after a GET, Expect
+# with and without its body, Transfer-Encoding beside Content-Length). Its
 # corpus has a 70 KB request in it: minimizing what mutates from that one is
 # capped, or it takes the whole half minute.
 fuzz:

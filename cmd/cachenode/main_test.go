@@ -191,7 +191,7 @@ func TestRunShutsDownOnSIGTERM(t *testing.T) {
 		done <- run([]string{"-name", "n0", "-listen", addr, "-config", cfgPath, "-store-dir", store, "-heartbeat", "5ms"})
 	}()
 
-	// A peer's calls: marked, so the node serves their connection itself.
+	// A peer's calls: the node serves their connection from its own loop.
 	tp := node.NewHTTPTransport(node.TransportOptions{RequestTimeout: time.Second, NoRetries: true, BreakerThreshold: -1})
 	bg := context.Background()
 	deadline := time.Now().Add(10 * time.Second)

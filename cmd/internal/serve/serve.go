@@ -1,7 +1,8 @@
 // Package serve is the HTTP server the cluster's commands run: one set of
-// timeouts, the pprof mount, and a shutdown on SIGTERM that the nodes'
-// served peer connections follow (node.PeerHeader: they hang on the
-// server's RegisterOnShutdown).
+// timeouts, the pprof mount, and a shutdown on SIGTERM. The connections a
+// node serves from its own loop (internal/node/serve.go) keep to the same
+// two timeouts and close with the server: they hang on its
+// RegisterOnShutdown.
 package serve
 
 import (

@@ -31,7 +31,7 @@ type CacheNode struct {
 	tp     Transport
 	clock  Clock
 	start  time.Time
-	served servedConns // peer connections served from the node's own loop (serve.go)
+	served servedConns // connections served from the node's own loop (serve.go)
 
 	// dir is the node's beacon-point state (see directory.go): the layout
 	// and the dead-peer set, lookup records, sibling replicas and load

@@ -159,7 +159,7 @@ func StartLocalClusterWith(nodeNames []string, ringSize int, docs []document.Doc
 }
 
 // StopNode kills one cache node's or shield's server, simulating a crash:
-// the peer connections it serves from its own loop go with the server's.
+// the connections it serves from its own loop go with the server's.
 // Returns false if the node is unknown or already stopped.
 func (lc *LocalCluster) StopNode(name string) bool {
 	srv, ok := lc.byName[name]

@@ -123,7 +123,7 @@ func (n *CacheNode) DurableStats() (durable.Stats, bool) {
 }
 
 // Close waits out the background drop flush, if one is running, closes the
-// peer connections the node serves and the idle ones it holds to the
+// connections the node serves and the idle ones it holds to the
 // cluster's addresses, then detaches and seals the durable tier (nothing to
 // seal on memory-only nodes). Call it on shutdown — and before reopening the
 // same store directory in a replacement node.

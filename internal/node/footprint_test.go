@@ -12,6 +12,7 @@ import (
 	"cachecloud/internal/document"
 	"cachecloud/internal/durable"
 	"cachecloud/internal/obs"
+	"cachecloud/internal/tenant"
 )
 
 // Footprint tests and the directory micro-benchmarks: what one document
@@ -274,5 +275,49 @@ func BenchmarkDirectoryInstall(b *testing.B) {
 		if promoted == 0 || len(out) == 0 {
 			b.Fatalf("install promoted %d and handed off %d batches: the layouts do not differ", promoted, len(out))
 		}
+	}
+}
+
+// TestTenantTableFootprint: any client can put any valid ID in the tenant
+// header, so 100,000 distinct ones must leave the per-tenant tables the size
+// a few dozen leave them: the first maxUnregisteredTenants get counters of
+// their own, the rest are counted under overflowTenant, and the fair share
+// keeps nothing for a tenant without a quota. Each ID does here what
+// handleDoc does with it and nothing else: the tables a /doc fills per
+// document asked for (ROADMAP 6(c)) are not this test's.
+func TestTenantTableFootprint(t *testing.T) {
+	const ids = 100000
+	cfg := trioConfig()
+	cfg.Tenants = map[string]tenant.Quota{"acme": {Weight: 1}}
+	n, err := NewCacheNodeWithTransport("n0", cfg, scriptedNet{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	doc := func(id string) {
+		n.tenantCounts.request(id)
+		release, ok := n.tenantAcquire(id)
+		if !ok {
+			t.Fatalf("tenant %q was shed", id)
+		}
+		n.tenantCounts.served(id)
+		release()
+	}
+	doc("acme")
+	h0 := liveHeap()
+	for i := 0; i < ids; i++ {
+		doc(fmt.Sprintf("t%d", i))
+	}
+	grown := liveHeap() - h0
+	stats := n.TenantAdmission()
+	t.Logf("%d tenant IDs: %d entries in the table, %d B of heap grown", ids, len(stats), grown)
+	if want := maxUnregisteredTenants + 3; len(stats) != want { // and acme, the default tenant, the overflow entry
+		t.Errorf("%d entries, want %d", len(stats), want)
+	}
+	if got := stats[overflowTenant].Requests; got != ids-maxUnregisteredTenants {
+		t.Errorf("%d requests under %q, want %d", got, overflowTenant, ids-maxUnregisteredTenants)
+	}
+	if grown > 64<<10 { // 64 entries of four counters and their keys; a map entry an ID would be megabytes
+		t.Errorf("the heap grew by %d B: something keeps state for every ID", grown)
 	}
 }

@@ -28,7 +28,7 @@ type OriginNode struct {
 	cfg    ClusterConfig
 	tp     Transport
 	clock  Clock
-	served servedConns // peer connections served from the node's own loop (serve.go)
+	served servedConns // connections served from the node's own loop (serve.go)
 	// shieldBases are the addressable shields' base URLs in name order, so
 	// every multi-shield pass (publish fan-out, purge forwarding, installs)
 	// is deterministic.
@@ -185,7 +185,7 @@ func NewOriginNodeWithTransport(cfg ClusterConfig, docs []document.Document, tp 
 	return o, nil
 }
 
-// Close closes the peer connections the origin serves and the idle ones it
+// Close closes the connections the origin serves and the idle ones it
 // holds to the cluster's addresses.
 func (o *OriginNode) Close() error {
 	o.served.close(nil)

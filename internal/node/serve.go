@@ -15,28 +15,23 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// The served half of a peer call (DESIGN.md §10): the handler every node
-// kind returns takes the connection of the first request wire.go's exchange
-// marked away from net/http and serves the rest of it from one goroutine,
-// which reads each request by hand and gives it to the http.Server's own
-// handler. Routes, handlers, gates and JSON are everyone's; any other
-// request, or one on a connection that cannot be hijacked, is net/http's.
-
-// PeerHeader marks a request of the node's own exchange: its sender speaks
-// the subset of HTTP/1.1 the served loop reads and keeps the connection for
-// more calls. A proxy between nodes must drop it or speak that subset.
-const PeerHeader = "X-Cachecloud-Peer"
+// The served half of an exchange (DESIGN.md §10): the handler every node
+// kind returns takes a keep-alive HTTP/1.1 connection away from net/http on
+// the first request the loop below would have read itself, and serves the
+// rest of it from one goroutine, which reads each request by hand and gives
+// it to the http.Server's own handler. Routes, handlers, gates and JSON are
+// everyone's. What the loop does not read it does not answer either: the
+// connection goes back to net/http, the unanswered bytes in front.
 
 const (
-	// servedIdleTimeout bounds a served connection nobody uses, and a
-	// request from its first byte to the last of its reply. arm pushes the
-	// deadline out only when under half is left, so an idle connection
-	// closes after 120 to 240 s: past the client pool's idleConnTimeout
-	// either way, so the caller's side goes first.
-	servedIdleTimeout = 240 * time.Second
+	// servedTimeout is the loop's own bound where the server sets none: on a
+	// request's head, on a connection nobody uses, on a reply nobody reads.
+	// Above the client pool's idleConnTimeout, so the caller's side goes first.
+	servedTimeout = 120 * time.Second
 	// maxRequestHead bounds a request line and header block together: a
 	// durable-tier URL of 64 KB, escaped threefold in /fetch?url=, fits.
 	maxRequestHead = 256 << 10
@@ -44,11 +39,19 @@ const (
 	maxRequestBody = 16 << 20
 )
 
-// refused is a request the served loop does not read: the value is the
-// status it answers with before it closes the connection.
-type refused int
+// errNotSpoken is a request outside the subset the loop reads: the bytes
+// read of it are net/http's to read again.
+var errNotSpoken = errors.New("node: not a request the served loop reads")
 
-func (e refused) Error() string { return "node: peer request refused: " + http.StatusText(int(e)) }
+// loopReads reports whether a request's head asks for what the served loop
+// does: the one test the front handler makes on net/http's parse and
+// readRequest on its own. Everything else is net/http's.
+func loopReads(r *http.Request) bool {
+	return r.ProtoMajor == 1 && r.ProtoMinor == 1 &&
+		(r.Method == http.MethodGet || r.Method == http.MethodPost) &&
+		r.ContentLength >= 0 && r.ContentLength <= maxRequestBody && // net/http: -1 when chunked
+		r.Header["Transfer-Encoding"] == nil && r.Header["Expect"] == nil && r.Header["Upgrade"] == nil
+}
 
 // servedConns is the connections one node serves. Each belongs to the
 // http.Server that accepted it, whose Shutdown closes it; the node's Close
@@ -58,7 +61,6 @@ type servedConns struct {
 	closed bool
 	conns  map[*servedConn]struct{}
 	hooked map[*http.Server]bool // servers whose Shutdown calls close
-	idle   time.Duration         // servedIdleTimeout unless a test shortens it
 }
 
 // add registers a connection; false means the node is closed.
@@ -79,6 +81,12 @@ func (s *servedConns) add(sc *servedConn) bool {
 	return true
 }
 
+func (s *servedConns) remove(sc *servedConn) {
+	s.mu.Lock()
+	delete(s.conns, sc)
+	s.mu.Unlock()
+}
+
 // close closes the served connections of srv, or with a nil srv every one,
 // for good. Like http.Server.Close it does not wait for a running handler:
 // that connection's loop ends when its reply cannot be written.
@@ -94,18 +102,13 @@ func (s *servedConns) close(srv *http.Server) {
 }
 
 // handler puts the choice between the two server paths in front of a
-// node's routes. It is made from the request alone: marked, HTTP/1.1, a
-// body of known and readable size, on a connection net/http lets go of.
+// node's routes: a request the loop would have read, on a plain connection
+// that stays open and that net/http lets go of.
 func (s *servedConns) handler(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if _, marked := r.Header[PeerHeader]; !marked {
-			next.ServeHTTP(w, r)
-			return
-		}
-		hj, canHijack := w.(http.Hijacker)
+		hj, canHijack := w.(http.Hijacker) // not the loop's own writer: its requests stop here
 		srv, _ := r.Context().Value(http.ServerContextKey).(*http.Server)
-		if !canHijack || srv == nil || r.ProtoMajor != 1 || r.ProtoMinor != 1 || r.Close ||
-			r.ContentLength < 0 || r.ContentLength > maxRequestBody {
+		if !canHijack || srv == nil || r.TLS != nil || r.Close || !loopReads(r) {
 			next.ServeHTTP(w, r)
 			return
 		}
@@ -122,29 +125,32 @@ func (s *servedConns) handler(next http.Handler) http.Handler {
 			next.ServeHTTP(w, r)
 			return
 		}
-		sc := newServedConn(s, srv, c, rw.Reader, rw.Writer, r)
+		sc := newServedConn(s, srv, c, rw.Reader, rw.Writer, r.RemoteAddr)
 		sc.body.Reset(buf.Bytes())
 		r.Body = &sc.body
-		sc.arm()
+		sc.last = time.Now()
+		sc.arm(sc.last)
 		r.Close = !s.add(sc) // a closed node answers and lets go
 		// This request has come through the server's outer handlers already.
 		if sc.answer(next, r) {
 			go sc.run()
 		} else {
-			sc.close()
+			s.remove(sc)
+			_ = c.Close()
 		}
 	})
 }
 
-// servedConn is one peer's connection, served by one goroutine.
+// servedConn is one connection, served by one goroutine.
 type servedConn struct {
 	set *servedConns
 	srv *http.Server
 	c   net.Conn
 	br  *bufio.Reader
 	bw  *bufio.Writer
-	// deadline is the connection's I/O deadline, as last set.
-	deadline time.Time
+	// last is when the newest request's first byte was seen; readBy and
+	// writeBy are the connection's read and write deadlines, as last set.
+	last, readBy, writeBy time.Time
 	// base is what every request of the connection starts from; ctx is the
 	// parent of every request's context, with the values net/http gives a
 	// request's. It is never cancelled: a request's own context ends when
@@ -156,12 +162,11 @@ type servedConn struct {
 	reply replyWriter
 }
 
-// newServedConn is the state for serving c, taken from the server on the
-// first request's terms.
-func newServedConn(set *servedConns, srv *http.Server, c net.Conn, br *bufio.Reader, bw *bufio.Writer, first *http.Request) *servedConn {
+// newServedConn is the state for serving c, taken from srv.
+func newServedConn(set *servedConns, srv *http.Server, c net.Conn, br *bufio.Reader, bw *bufio.Writer, remoteAddr string) *servedConn {
 	ctx := context.WithValue(context.Background(), http.ServerContextKey, srv)
 	return &servedConn{set: set, srv: srv, c: c, br: br, bw: bw,
-		base:  http.Request{Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1, RemoteAddr: first.RemoteAddr, TLS: first.TLS},
+		base:  http.Request{Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1, RemoteAddr: remoteAddr},
 		ctx:   context.WithValue(ctx, http.LocalAddrContextKey, c.LocalAddr()),
 		reply: replyWriter{header: make(http.Header, 4)},
 	}
@@ -196,71 +201,176 @@ func (w *replyWriter) Write(p []byte) (int, error) {
 // Flush is net/http's writer's too, but the reply goes out whole.
 func (*replyWriter) Flush() {}
 
-func (sc *servedConn) close() {
-	sc.set.mu.Lock()
-	delete(sc.set.conns, sc)
-	sc.set.mu.Unlock()
-	_ = sc.c.Close()
+// timeouts is how long a request's head may take from its first byte and
+// how long the connection may sit unused: the server's ReadHeaderTimeout and
+// IdleTimeout, with ReadTimeout standing in for either as in net/http, and
+// the loop's own bound where the server sets none.
+func (sc *servedConn) timeouts() (head, idle time.Duration) {
+	srv := sc.srv
+	return firstSet(srv.ReadHeaderTimeout, srv.ReadTimeout), firstSet(srv.IdleTimeout, srv.ReadTimeout)
 }
 
-// arm pushes the connection's deadline out to the idle time when less than
-// half of that is left: a deadline set for every request costs a microsecond
-// an exchange in timer updates, and one that has just arrived needs only
-// that plenty is left.
-func (sc *servedConn) arm() {
-	idle := sc.set.idle
-	if idle <= 0 {
-		idle = servedIdleTimeout
+func firstSet(a, b time.Duration) time.Duration {
+	if a > 0 {
+		return a
 	}
-	if now := time.Now(); sc.deadline.Sub(now) < idle/2 {
-		sc.deadline = now.Add(idle)
-		_ = sc.c.SetDeadline(sc.deadline)
+	if b > 0 {
+		return b
+	}
+	return servedTimeout
+}
+
+// arm keeps the read deadline between one and two head timeouts ahead of
+// now (idle timeouts, should that be the shorter: the next wait begins under
+// what this request leaves). A deadline set for every request costs a
+// microsecond an exchange in timer updates.
+func (sc *servedConn) arm(now time.Time) {
+	head, idle := sc.timeouts()
+	head = min(head, idle)
+	if left := sc.readBy.Sub(now); left < head || left > 2*head {
+		sc.readBy = now.Add(2 * head)
+		_ = sc.c.SetReadDeadline(sc.readBy)
+	}
+}
+
+// await waits for a request's first byte under whatever read deadline the
+// last request left. One that runs out before the idle time has passed was a
+// head's: the wait goes on to the idle time's end, so an unused connection
+// wakes its goroutine once and a busy one sets no timer.
+func (sc *servedConn) await() bool {
+	for {
+		_, err := sc.br.Peek(1)
+		if err == nil {
+			sc.last = time.Now()
+			sc.arm(sc.last)
+			return true
+		}
+		_, idle := sc.timeouts()
+		if end := sc.last.Add(idle); isTimeout(err) && time.Now().Before(end) {
+			sc.readBy = end
+			_ = sc.c.SetReadDeadline(end)
+			continue
+		}
+		return false
 	}
 }
 
 // run serves the connection until it fails, idles out, is closed by an
-// owner or carries a request the loop refuses.
+// owner, or carries a request the loop does not read: then the server that
+// accepted it gets it back as a listener's only connection.
 func (sc *servedConn) run() {
-	defer sc.close()
-	for sc.serveNext() {
+	back := sc.serve()
+	sc.set.remove(sc)
+	if back == nil {
+		_ = sc.c.Close()
+		return
+	}
+	_ = back.SetDeadline(time.Time{}) // net/http resets no deadline it did not set
+	l := &oneConn{c: back}
+	// Serve returns once the connection has its goroutine (the second Accept
+	// fails), or at once if the server is shutting down.
+	if _ = sc.srv.Serve(l); !l.taken {
+		_ = back.Close()
 	}
 }
 
-// serveNext waits for a request, reads it, gives it to the server's current
-// handler — read per request, as net/http does, so whatever wraps the
-// node's Handler() sees every request and a swapped handler takes effect —
-// and answers. It holds pooled buffers only between a request's first byte
-// and its reply.
-func (sc *servedConn) serveNext() (keep bool) {
-	if _, err := sc.br.Peek(1); err != nil {
-		return false
+// serve answers requests until the connection is over (nil) or the next one
+// is not the loop's: then it returns the connection as net/http is to have it.
+func (sc *servedConn) serve() (back net.Conn) {
+	for sc.await() {
+		keep, back := sc.serveNext()
+		if !keep {
+			return back
+		}
 	}
-	sc.arm()
+	return nil
+}
+
+// serveNext reads the request that has begun to arrive, gives it to the
+// server's current handler — read per request, as net/http does, so whatever
+// wraps the node's Handler() sees every request and a swapped handler takes
+// effect — and answers. It holds pooled buffers only between a request's
+// first byte and its reply.
+func (sc *servedConn) serveNext() (keep bool, back net.Conn) {
 	buf := getBuf()
 	defer putBuf(buf)
 	ctx, cancel := context.WithCancel(sc.ctx)
 	defer cancel()
 	r, err := sc.readRequest(ctx, buf)
+	if err == errNotSpoken {
+		return false, sc.release(buf.Bytes())
+	}
 	if err != nil {
-		var status refused
-		if errors.As(err, &status) {
-			sc.bw.WriteString("HTTP/1.1 " + strconv.Itoa(int(status)) + " " + http.StatusText(int(status)) +
-				"\r\nConnection: close\r\nContent-Length: 0\r\n\r\n")
-			_ = sc.bw.Flush() // the connection is closed either way
-		}
-		return false
+		return false, nil
 	}
 	h := sc.srv.Handler
 	if h == nil {
 		h = http.DefaultServeMux
 	}
-	return sc.answer(h, r)
+	return sc.answer(h, r), nil
 }
+
+// release wraps the connection for its way back: unread (what the loop has
+// consumed of the request it does not read), whatever else it has buffered,
+// then the connection.
+func (sc *servedConn) release(unread []byte) net.Conn {
+	rest, _ := sc.br.Peek(sc.br.Buffered())
+	front := make([]byte, len(unread)+len(rest))
+	copy(front[copy(front, unread):], rest)
+	base := sc.c
+	if rc, ok := base.(*replayConn); ok && rc.front == nil {
+		base = rc.Conn // or a connection that goes back and forth grows a wrapper a round
+	}
+	return &replayConn{Conn: base, front: front}
+}
+
+// replayConn is a connection with bytes already read off it back in front.
+type replayConn struct {
+	net.Conn
+	front []byte
+}
+
+func (c *replayConn) Read(p []byte) (int, error) {
+	if c.front == nil {
+		return c.Conn.Read(p)
+	}
+	n := copy(p, c.front)
+	if c.front = c.front[n:]; len(c.front) == 0 {
+		c.front = nil // and the array goes
+	}
+	return n, nil
+}
+
+// CloseWrite is how net/http ends a reply it closes the connection after.
+func (c *replayConn) CloseWrite() error {
+	if cw, ok := c.Conn.(interface{ CloseWrite() error }); ok {
+		return cw.CloseWrite()
+	}
+	return nil
+}
+
+// oneConn is a listener with one connection to give.
+type oneConn struct {
+	c     net.Conn
+	taken bool
+}
+
+func (l *oneConn) Accept() (net.Conn, error) {
+	if l.taken {
+		return nil, net.ErrClosed
+	}
+	l.taken = true
+	return l.c, nil
+}
+
+func (l *oneConn) Close() error   { return nil }
+func (l *oneConn) Addr() net.Addr { return l.c.LocalAddr() }
 
 // readRequest reads one request, head and body, through buf: a strict
 // subset of HTTP/1.1 (DESIGN.md §10 lists it), so that whatever it accepts
 // http.ReadRequest reads the same way. Header values are copied out of buf,
-// the body stays in it.
+// the body stays in it. With errNotSpoken nothing past the head has been
+// read, and buf holds every byte that has.
 func (sc *servedConn) readRequest(ctx context.Context, buf *bytes.Buffer) (*http.Request, error) {
 	for {
 		start := buf.Len()
@@ -268,7 +378,7 @@ func (sc *servedConn) readRequest(ctx context.Context, buf *bytes.Buffer) (*http
 			frag, err := sc.br.ReadSlice('\n')
 			buf.Write(frag)
 			if buf.Len() > maxRequestHead {
-				return nil, refused(http.StatusRequestHeaderFieldsTooLarge)
+				return nil, errNotSpoken
 			}
 			if err == nil {
 				break
@@ -279,28 +389,29 @@ func (sc *servedConn) readRequest(ctx context.Context, buf *bytes.Buffer) (*http
 		}
 		line := buf.Bytes()[start:]
 		if len(line) < 2 || line[len(line)-2] != '\r' {
-			return nil, refused(http.StatusBadRequest)
+			return nil, errNotSpoken
 		}
 		if len(line) == 2 {
 			break
 		}
 	}
 	head := buf.String()
-	buf.Reset()
 
 	line, rest, _ := strings.Cut(head, "\r\n")
 	method, line, _ := strings.Cut(line, " ")
 	target, proto, _ := strings.Cut(line, " ")
-	if method != http.MethodGet && method != http.MethodPost || proto != "HTTP/1.1" ||
-		!strings.HasPrefix(target, "/") || !allOf(target, &targetBytes) {
-		return nil, refused(http.StatusBadRequest)
+	if !strings.HasPrefix(target, "/") || !allOf(target, &targetBytes) {
+		return nil, errNotSpoken
 	}
 	u, err := url.ParseRequestURI(target)
 	if err != nil {
-		return nil, refused(http.StatusBadRequest)
+		return nil, errNotSpoken
 	}
 	r := sc.base.WithContext(ctx) // a copy
 	r.Method, r.URL, r.RequestURI, r.Header = method, u, target, make(http.Header, 8)
+	if proto != "HTTP/1.1" {
+		r.ProtoMajor = 0 // whatever it is, loopReads says no
+	}
 	length, hosts := int64(-1), 0
 	vals := make([]string, 0, strings.Count(rest, "\n")) // one allocation for the values' slices
 	for rest != "\r\n" {
@@ -308,11 +419,11 @@ func (sc *servedConn) readRequest(ctx context.Context, buf *bytes.Buffer) (*http
 		name, val, found := strings.Cut(line, ":")
 		val = strings.Trim(val, " \t")
 		if !found || name == "" || !allOf(name, &tokenBytes) || !headerSafe(val) {
-			return nil, refused(http.StatusBadRequest)
+			return nil, errNotSpoken
 		}
 		key := name
 		switch name {
-		case "Host", "Content-Length", "Content-Type", PeerHeader, DeadlineHeader, TenantHeader:
+		case "Host", "Content-Length", "Content-Type", DeadlineHeader, TenantHeader:
 		default: // not as the exchange writes it
 			key = textproto.CanonicalMIMEHeaderKey(name)
 		}
@@ -320,17 +431,12 @@ func (sc *servedConn) readRequest(ctx context.Context, buf *bytes.Buffer) (*http
 		case "Content-Length":
 			n, err := strconv.ParseUint(val, 10, 63)
 			if err != nil || length >= 0 {
-				return nil, refused(http.StatusBadRequest)
-			}
-			if n > maxRequestBody {
-				return nil, refused(http.StatusRequestEntityTooLarge)
+				return nil, errNotSpoken
 			}
 			length = int64(n)
-		case "Transfer-Encoding", "Expect", "Upgrade":
-			return nil, refused(http.StatusBadRequest)
 		case "Host":
 			if hosts++; val == "" || !allOf(val, &hostBytes) {
-				return nil, refused(http.StatusBadRequest)
+				return nil, errNotSpoken
 			}
 			r.Host = val
 			continue // net/http keeps it out of the header too
@@ -342,11 +448,15 @@ func (sc *servedConn) readRequest(ctx context.Context, buf *bytes.Buffer) (*http
 			r.Header[key] = vals[len(vals)-1 : len(vals) : len(vals)]
 		}
 	}
-	if hosts != 1 {
-		return nil, refused(http.StatusBadRequest)
-	}
 	r.Close = saysClose(r.Header["Connection"])
 	r.ContentLength = max(length, 0)
+	if hosts != 1 || !loopReads(r) {
+		return nil, errNotSpoken
+	}
+	buf.Reset()
+	if r.ContentLength > int64(sc.br.Buffered()) {
+		sc.arm(time.Now()) // a body still on its way gets a head's time again
+	}
 	if _, err := readInto(buf, sc.br, r.ContentLength); err != nil {
 		return nil, err
 	}
@@ -380,10 +490,29 @@ func allOf(s string, set *[256]bool) bool {
 	return true
 }
 
-// answer runs the handler and writes its reply — status line, the handler's
-// headers, Content-Length, body — in one flush. keep reports whether the
-// connection can carry another request. A panic costs the connection and
-// nothing else, as in net/http; so does a reply that cannot be written.
+// dateLine is a Date header line and the second it is of.
+type dateLine struct {
+	sec  int64
+	line string
+}
+
+// servedDate is the newest Date line any served connection has needed.
+var servedDate atomic.Pointer[dateLine]
+
+func dateHeader(now time.Time) string {
+	d := servedDate.Load()
+	if sec := now.Unix(); d == nil || d.sec != sec {
+		d = &dateLine{sec, "Date: " + now.UTC().Format(http.TimeFormat) + "\r\n"}
+		servedDate.Store(d)
+	}
+	return d.line
+}
+
+// answer runs the handler and writes its reply — status line, Date, the
+// handler's headers, Content-Length, body — in one flush. keep reports
+// whether the connection can carry another request. A panic costs the
+// connection and nothing else, as in net/http; so does a reply that cannot
+// be written.
 func (sc *servedConn) answer(h http.Handler, r *http.Request) (keep bool) {
 	w := &sc.reply
 	clear(w.header)
@@ -405,12 +534,20 @@ func (sc *servedConn) answer(h http.Handler, r *http.Request) (keep bool) {
 	if status == 0 {
 		status = http.StatusOK
 	}
+	// A client that does not read its reply holds the goroutine no longer.
+	if sc.writeBy.Sub(sc.last) < servedTimeout {
+		sc.writeBy = time.Now().Add(2 * servedTimeout)
+		_ = sc.c.SetWriteDeadline(sc.writeBy)
+	}
 	bw := sc.bw
 	bw.WriteString("HTTP/1.1 ")
 	bw.Write(strconv.AppendInt(bw.AvailableBuffer(), int64(status), 10))
 	bw.WriteByte(' ')
 	bw.WriteString(http.StatusText(status))
 	bw.WriteString("\r\n")
+	if w.header["Date"] == nil {
+		bw.WriteString(dateHeader(sc.last))
+	}
 	closing := r.Close || saysClose(w.header["Connection"])
 	for key, vals := range w.header {
 		if key == "Content-Length" || key == "Connection" {

@@ -199,7 +199,7 @@ type ShieldNode struct {
 	tp    Transport
 	clock Clock
 	start time.Time
-	// served is the peer connections served from the node's own loop (serve.go).
+	// served is the connections served from the node's own loop (serve.go).
 	served servedConns
 
 	mu    sync.Mutex
@@ -356,7 +356,7 @@ func (sn *ShieldNode) initDurable() error {
 	return nil
 }
 
-// Close closes the peer connections the shield serves and the idle ones it
+// Close closes the connections the shield serves and the idle ones it
 // holds to the cluster's addresses, and seals the durable tier (nothing to
 // seal on memory-only shields).
 func (sn *ShieldNode) Close() error {

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"cachecloud/internal/admit"
 	"cachecloud/internal/document"
@@ -14,36 +15,68 @@ import (
 	"cachecloud/internal/tenant"
 )
 
+const (
+	// maxUnregisteredTenants is how many IDs that no quota names get
+	// conservation counters of their own: any client can invent an ID.
+	maxUnregisteredTenants = 64
+	// overflowTenant is the entry the rest are counted under, in /stats and
+	// /metrics too; requests that give this very ID land there as well.
+	overflowTenant = "(other)"
+)
+
 // tenantCounters holds the per-tenant conservation counters. A nil
 // receiver (tenancy disabled) turns every method into a no-op so the
-// single-tenant request path pays nothing.
+// single-tenant request path pays nothing. The tenants registered when the
+// node started, the default tenant and overflowTenant are in fixed, which
+// is never written again and read without the lock.
 type tenantCounters struct {
-	mu sync.Mutex
-	m  map[string]*tenantCount
+	fixed map[string]*tenantCount
+	mu    sync.Mutex
+	extra map[string]*tenantCount // at most maxUnregisteredTenants
 }
 
-type tenantCount struct {
-	requests, served, shed, failed int64
+// tenantCount is one entry: requests, and the three things that become of one.
+type tenantCount [4]atomic.Int64
+
+const (
+	tcRequests = iota
+	tcServed
+	tcShed
+	tcFailed
+)
+
+func newTenantCounters(registered []string) *tenantCounters {
+	tc := &tenantCounters{fixed: make(map[string]*tenantCount), extra: make(map[string]*tenantCount)}
+	for _, id := range append(registered, tenant.Default, overflowTenant) {
+		tc.fixed[id] = &tenantCount{}
+	}
+	return tc
 }
 
-func (tc *tenantCounters) bump(id string, f func(*tenantCount)) {
+// add counts one event for a tenant: under its own entry if it has or can
+// still get one, else under overflowTenant.
+func (tc *tenantCounters) add(id string, kind int) {
 	if tc == nil {
 		return
 	}
-	tc.mu.Lock()
-	c := tc.m[id]
+	c := tc.fixed[id]
 	if c == nil {
-		c = &tenantCount{}
-		tc.m[id] = c
+		tc.mu.Lock()
+		if c = tc.extra[id]; c == nil {
+			if c = tc.fixed[overflowTenant]; len(tc.extra) < maxUnregisteredTenants {
+				c = &tenantCount{}
+				tc.extra[id] = c
+			}
+		}
+		tc.mu.Unlock()
 	}
-	f(c)
-	tc.mu.Unlock()
+	c[kind].Add(1)
 }
 
-func (tc *tenantCounters) request(id string) { tc.bump(id, func(c *tenantCount) { c.requests++ }) }
-func (tc *tenantCounters) served(id string)  { tc.bump(id, func(c *tenantCount) { c.served++ }) }
-func (tc *tenantCounters) shed(id string)    { tc.bump(id, func(c *tenantCount) { c.shed++ }) }
-func (tc *tenantCounters) failed(id string)  { tc.bump(id, func(c *tenantCount) { c.failed++ }) }
+func (tc *tenantCounters) request(id string) { tc.add(id, tcRequests) }
+func (tc *tenantCounters) served(id string)  { tc.add(id, tcServed) }
+func (tc *tenantCounters) shed(id string)    { tc.add(id, tcShed) }
+func (tc *tenantCounters) failed(id string)  { tc.add(id, tcFailed) }
 
 // initTenancy turns on multi-tenant admission when the cluster config
 // carries tenant quotas: a weighted fair share of the admission capacity
@@ -65,7 +98,7 @@ func (n *CacheNode) initTenancy() error {
 	n.tenants = reg
 	n.fair = tenant.NewFairShare(reg, maxInflight)
 	n.store.SetTenantQuotas(reg)
-	n.tenantCounts = &tenantCounters{m: make(map[string]*tenantCount)}
+	n.tenantCounts = newTenantCounters(reg.IDs())
 	return nil
 }
 
@@ -115,12 +148,16 @@ func originFetchJSON(ctx context.Context, tp Transport, originAddr, key string) 
 }
 
 // tenantAcquire charges one admission unit to the tenant's weighted fair
-// share. The returned release is a no-op when tenancy is off.
+// share. The returned release is a no-op when tenancy is off, and for a
+// tenant no quota names: it has no share to be held to, and an ID anyone can
+// invent leaves no state behind.
 func (n *CacheNode) tenantAcquire(id string) (func(), bool) {
-	if n.fair == nil {
-		return func() {}, true
+	if n.fair != nil {
+		if _, registered := n.tenants.Get(id); registered {
+			return n.fair.TryAcquire(id)
+		}
 	}
-	return n.fair.TryAcquire(id)
+	return func() {}, true
 }
 
 // refuseTenantShed terminates a /doc request refused by the weighted
@@ -138,26 +175,39 @@ func (n *CacheNode) refuseTenantShed(w http.ResponseWriter, tid, url string) {
 
 // TenantAdmission snapshots the per-tenant stats: conservation counters,
 // the tenant's current fair share, and its resident bytes in the store.
-// Registered tenants appear even before their first request; nil when
-// tenancy is off.
+// Registered tenants, the default one and overflowTenant — every tenant past
+// the ones with counters of their own, resident bytes included — appear even
+// before their first request; nil when tenancy is off.
 func (n *CacheNode) TenantAdmission() map[string]TenantStats {
 	if n.tenantCounts == nil {
 		return nil
 	}
 	out := make(map[string]TenantStats)
+	snapshot := func(id string, c *tenantCount) {
+		// Requests last: what a request became is counted after the request.
+		ts := TenantStats{Served: c[tcServed].Load(), Shed: c[tcShed].Load(), Failed: c[tcFailed].Load()}
+		ts.Requests = c[tcRequests].Load()
+		out[id] = ts
+	}
+	for id, c := range n.tenantCounts.fixed {
+		snapshot(id, c)
+	}
 	n.tenantCounts.mu.Lock()
-	for id, c := range n.tenantCounts.m {
-		out[id] = TenantStats{Requests: c.requests, Served: c.served, Shed: c.shed, Failed: c.failed}
+	for id, c := range n.tenantCounts.extra {
+		snapshot(id, c)
 	}
 	n.tenantCounts.mu.Unlock()
-	for _, id := range n.tenants.IDs() {
+	for _, id := range n.tenants.IDs() { // registered since the node started
 		if _, ok := out[id]; !ok {
 			out[id] = TenantStats{}
 		}
 	}
 	for id, b := range n.store.TenantUsage() {
+		if _, listed := out[id]; !listed {
+			id = overflowTenant // where its requests are counted
+		}
 		ts := out[id]
-		ts.ResidentBytes = b
+		ts.ResidentBytes += b
 		out[id] = ts
 	}
 	for id := range out {

@@ -478,3 +478,60 @@ func TestChaosNoisyNeighborTenantStorm(t *testing.T) {
 		t.Fatalf("cluster not quiescent after the storm: %+v", sum)
 	}
 }
+
+// TestTenantOverflowConservation: tenant IDs past the ones that get
+// counters of their own are counted under one entry that /stats and
+// /metrics name, and conservation holds for it as for every other: per
+// entry, and summed against the node's own counters.
+func TestTenantOverflowConservation(t *testing.T) {
+	lc := startCluster(t, 2, 2, ClusterConfig{
+		Tenants: map[string]tenant.Quota{"acme": {Weight: 1}},
+	})
+	httpc := &http.Client{Timeout: 10 * time.Second}
+	base, n := lc.Cfg.Addrs["live-00"], lc.Caches["live-00"]
+	const beyond = 40
+	ids := []string{"", "acme", overflowTenant}
+	for i := 0; i < maxUnregisteredTenants+beyond; i++ {
+		ids = append(ids, fmt.Sprintf("t%d", i))
+	}
+	for round := 0; round < 2; round++ { // a miss, then a hit
+		for _, tid := range ids {
+			if _, code, body, err := tenantGet(httpc, base, tid, "http://live/doc/1"); err != nil || code != http.StatusOK {
+				t.Fatalf("tenant %q: %d %s %v", tid, code, body, err)
+			}
+		}
+	}
+	stats := n.TenantAdmission()
+	if got := len(stats); got != maxUnregisteredTenants+3 {
+		t.Errorf("%d entries, want the default tenant, acme, %d more and %q", got, maxUnregisteredTenants, overflowTenant)
+	}
+	if got := stats[overflowTenant].Requests; got != 2*(beyond+1) {
+		t.Errorf("%d requests under %q, want %d", got, overflowTenant, 2*(beyond+1))
+	}
+	var sum int64
+	for tid, ts := range stats {
+		if ts.Served+ts.Shed+ts.Failed != ts.Requests {
+			t.Errorf("tenant %q: %+v does not add up", tid, ts)
+		}
+		sum += ts.Requests
+	}
+	if st := n.Admission(); sum != st.Requests || sum != int64(2*len(ids)) {
+		t.Errorf("the tenants' entries count %d requests, the node %d, sent %d", sum, st.Requests, 2*len(ids))
+	}
+	var st CacheStats
+	if err := getJSON(httpc, base+"/stats", &st); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Tenants[overflowTenant].Requests; got != 2*(beyond+1) {
+		t.Errorf("/stats counts %d requests under %q", got, overflowTenant)
+	}
+	resp, err := httpc.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := fmt.Sprintf("cachecloud_node_tenant_requests_total{node=\"live-00\",tenant=%q} %d\n", overflowTenant, 2*(beyond+1)); !strings.Contains(string(metrics), want) {
+		t.Errorf("/metrics lacks %q", want)
+	}
+}

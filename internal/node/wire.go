@@ -333,7 +333,7 @@ func (pc *peerConn) roundTrip(ctx context.Context, deadline time.Time, c peerCal
 	bw.WriteString(c.target)
 	bw.WriteString(" HTTP/1.1\r\nHost: ")
 	bw.WriteString(c.host)
-	bw.WriteString("\r\n" + PeerHeader + ": 1\r\n")
+	bw.WriteString("\r\n")
 	if body != nil {
 		bw.WriteString("Content-Type: application/json\r\nContent-Length: ")
 		bw.Write(strconv.AppendInt(bw.AvailableBuffer(), int64(len(body)), 10))

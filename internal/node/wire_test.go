@@ -26,7 +26,7 @@ type seenRequest struct {
 // scriptedPeer is one net/http server whose reply depends on the path. It
 // counts the connections it accepts and remembers the last request. With
 // served set, its handler stands behind the nodes' choice of server path
-// (serve.go), so a marked request's connection is served by the loop.
+// (serve.go), so its connections are served by the loop.
 type scriptedPeer struct {
 	srv     *httptest.Server
 	served  *servedConns
@@ -143,16 +143,6 @@ func (p *scriptedPeer) closeClientConns() {
 	}
 }
 
-// markRequests is an http.RoundTripper that marks what passes, as the
-// exchange marks its own: it puts net/http's client on the served loop.
-type markRequests struct{ base http.RoundTripper }
-
-func (m markRequests) RoundTrip(r *http.Request) (*http.Response, error) {
-	r = r.Clone(r.Context())
-	r.Header.Set(PeerHeader, "1")
-	return m.base.RoundTrip(r)
-}
-
 func (p *scriptedPeer) seen() seenRequest {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -161,18 +151,14 @@ func (p *scriptedPeer) seen() seenRequest {
 
 // bothPaths returns a transport that makes its own exchanges and one that
 // is handed an *http.Client — the reference the first is compared with.
-// Neither retries; both run on mc. With marked set the reference's requests
-// carry the marker too.
-func bothPaths(t *testing.T, mc *manualClock, marked bool) (direct, ref *HTTPTransport) {
+// Neither retries; both run on mc.
+func bothPaths(t *testing.T, mc *manualClock) (direct, ref *HTTPTransport) {
 	t.Helper()
 	rt := &http.Transport{}
 	t.Cleanup(rt.CloseIdleConnections)
 	opts := TransportOptions{NoRetries: true, BreakerThreshold: -1, Clock: mc}
 	direct = fastTransport(opts)
 	opts.Client = &http.Client{Transport: rt}
-	if marked {
-		opts.Client.Transport = markRequests{rt}
-	}
 	ref = fastTransport(opts)
 	if !direct.direct || ref.direct {
 		t.Fatal("the transports do not take the paths the test is about")
@@ -208,8 +194,9 @@ func outcome(err error, out map[string]any) string {
 // transport's own exchange and the *http.Client attempt return the same
 // value or the same class of error, and the exchange keeps, closes and
 // replaces connections by its rules. Behind the served loop the reference
-// client marks its requests too, so all four pairings are compared; the
-// replies only a hijack or a flush mid-body can make are net/http's alone.
+// client's plain requests are the loop's too, so all four pairings are
+// compared; the replies only a hijack or a flush mid-body can make are
+// net/http's alone.
 func TestExchangeMatchesHTTPClient(t *testing.T) { exchangeMatchesHTTPClient(t, false) }
 
 func TestExchangeMatchesHTTPClientOnServedLoop(t *testing.T) { exchangeMatchesHTTPClient(t, true) }
@@ -217,7 +204,7 @@ func TestExchangeMatchesHTTPClientOnServedLoop(t *testing.T) { exchangeMatchesHT
 func exchangeMatchesHTTPClient(t *testing.T, served bool) {
 	peer := newScriptedPeer(t, served)
 	mc := newManualClock()
-	direct, ref := bothPaths(t, mc, served)
+	direct, ref := bothPaths(t, mc)
 	call := func(tp *HTTPTransport, ctx context.Context, path string, decode bool) string {
 		t.Helper()
 		var out map[string]any
@@ -487,7 +474,12 @@ func TestLocalClusterCloseLeavesNothingOpen(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer lc.Close()
+		closed := false
+		defer func() {
+			if !closed {
+				lc.Close()
+			}
+		}()
 		tp := NewHTTPTransport(TransportOptions{})
 		for i, d := range testCatalog(20) {
 			entry := lc.Cfg.Addrs[[]string{"a", "b", "c", "d"}[i%4]]
@@ -503,12 +495,39 @@ func TestLocalClusterCloseLeavesNothingOpen(t *testing.T) {
 		if lc.Caches["a"].served.count() == 0 || lc.Shields["s0"].served.count() == 0 || lc.Origin.served.count() == 0 {
 			t.Error("a node kind served no connection from its own loop: the test does not cover them")
 		}
+		// Clients' connections, left open: one the loop is serving, one it has
+		// given back to net/http, one net/http's client keeps alive.
+		onLoop, givenBack := dialRaw(t, lc.Cfg.Addrs["b"]), dialRaw(t, lc.Cfg.Addrs["c"])
+		for _, p := range []*rawPeer{onLoop, givenBack} {
+			if resp := p.send(p.request("GET", "/healthz", "")); resp == nil || resp.StatusCode != 200 {
+				t.Fatal("a node does not answer a client")
+			}
+		}
+		if resp := givenBack.send("OPTIONS /healthz HTTP/1.1\r\nHost: " + givenBack.host + "\r\n\r\n"); resp == nil || resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Fatal("a node does not answer an OPTIONS")
+		}
+		resp, err := http.Post(lc.Cfg.Addrs["d"]+"/drop", "application/json", struct{ io.Reader }{strings.NewReader(`{"url":"u"}`)}) // chunked
+		if err != nil || resp.StatusCode != 200 {
+			t.Fatalf("a chunked POST from net/http's client: %v", err)
+		}
+		_ = resp.Body.Close()
+		lc.Close()
+		closed = true
+		for _, p := range []*rawPeer{onLoop, givenBack} {
+			if !p.closed() {
+				t.Error("a client's connection outlived the cluster")
+			}
+			_ = p.c.Close()
+		}
 	}
+	idle := http.DefaultTransport.(*http.Transport).CloseIdleConnections
 	round() // whatever the first use of net/http leaves running is not a leak
+	idle()
 	g0, f0 := settle()
 	for i := 0; i < 20; i++ {
 		round()
 	}
+	idle()
 	g1, f1 := settle()
 	if g1 > g0 {
 		t.Errorf("goroutines: %d before, %d after twenty clusters", g0, g1)
