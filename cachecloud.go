@@ -54,6 +54,7 @@ import (
 	"cachecloud/internal/landmark"
 	"cachecloud/internal/loadstats"
 	"cachecloud/internal/node"
+	"cachecloud/internal/obs"
 	"cachecloud/internal/origin"
 	"cachecloud/internal/placement"
 	"cachecloud/internal/ring"
@@ -153,7 +154,7 @@ type (
 	// LoadDistribution summarises per-beacon loads (CoV, max/mean).
 	LoadDistribution = loadstats.Distribution
 	// LatencyHistogram records client latencies with percentile queries.
-	LatencyHistogram = loadstats.Histogram
+	LatencyHistogram = obs.Histogram
 	// LoadKind distinguishes lookup load from update-propagation load.
 	LoadKind = loadstats.Kind
 )

@@ -20,16 +20,17 @@
 // disables) and, every reconcileBeats heartbeats, runs the holder-side
 // anti-entropy pass: it reports its copies to their beacon points, drops
 // the ones they rule stale and re-attaches copies fetched while the shield
-// tier was unreachable. Outbound calls get per-request deadlines (-timeout)
-// with -retries bounded retries and per-peer circuit breaking. On SIGTERM or
-// an interrupt the node stops listening, lets requests in flight finish
-// (serve.ShutdownTimeout), stops the heartbeat and the reconcile pass and
-// seals the durable tier.
+// tier was unreachable. Outbound calls go through the node's own transport:
+// a 5 s deadline per attempt, two retries and per-peer circuit breaking,
+// each open circuit counted in cachecloud_node_circuit_open_total. On
+// SIGTERM or an interrupt the node stops listening, lets requests in flight
+// finish (serve.ShutdownTimeout), stops the heartbeat and the reconcile
+// pass and seals the durable tier.
 //
 // Overload resilience is tuned with -max-inflight (admission gate
-// capacity), -miss-queue (bounded miss-class queue) and -limit-mode
-// (adaptive origin-fetch limiter: aimd, gradient or fixed); each
-// overrides the matching cluster-config field when set.
+// capacity) and -miss-queue (bounded miss-class queue); each overrides the
+// matching cluster-config field when set. The cluster file is decoded
+// strictly: a field the node does not know is refused at start.
 package main
 
 import (
@@ -58,72 +59,73 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+// options is the command line.
+type options struct {
+	name, listen, config, storeDir, fsync string
+	heartbeat                             time.Duration
+	pprof                                 bool
+	maxInflight, missQueue                int
+}
+
+// flags binds the command's flags to o.
+func flags(o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("cachenode", flag.ContinueOnError)
-	var (
-		name      = fs.String("name", "", "this node's name (must appear in the cluster config)")
-		listen    = fs.String("listen", "", "listen address, e.g. 127.0.0.1:8100")
-		cfgPath   = fs.String("config", "cluster.json", "cluster configuration file")
-		heartbeat = fs.Duration("heartbeat", 2*time.Second, "heartbeat period to the origin (0 disables)")
-		timeout   = fs.Duration("timeout", 5*time.Second, "per-request deadline for outbound calls")
-		retries   = fs.Int("retries", 2, "outbound retries after a failed attempt (-1 disables)")
-		pprofOn   = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-		maxInfl   = fs.Int("max-inflight", 0, "admission gate capacity in weight units (0 = config value or 64)")
-		missQueue = fs.Int("miss-queue", 0, "bounded queue for miss-class admissions (0 = config value or 32)")
-		limitMode = fs.String("limit-mode", "", "origin-fetch limiter: aimd, gradient or fixed (default config value or aimd)")
-		storeDir  = fs.String("store-dir", "", "durable cache tier directory root (empty = memory-only; overrides config)")
-		fsyncPol  = fs.String("fsync", "", "durable store fsync policy: rotate, always or never (default config value or rotate)")
-	)
-	if err := fs.Parse(args); err != nil {
+	fs.StringVar(&o.name, "name", "", "this node's name (must appear in the cluster config)")
+	fs.StringVar(&o.listen, "listen", "", "listen address, e.g. 127.0.0.1:8100")
+	fs.StringVar(&o.config, "config", "cluster.json", "cluster configuration file")
+	fs.DurationVar(&o.heartbeat, "heartbeat", 2*time.Second, "heartbeat period to the origin (0 disables)")
+	fs.BoolVar(&o.pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/")
+	fs.IntVar(&o.maxInflight, "max-inflight", 0, "admission gate capacity in weight units (0 = config value or 64)")
+	fs.IntVar(&o.missQueue, "miss-queue", 0, "bounded queue for miss-class admissions (0 = config value or 32)")
+	fs.StringVar(&o.storeDir, "store-dir", "", "durable cache tier directory root (empty = memory-only; overrides config)")
+	fs.StringVar(&o.fsync, "fsync", "", "durable store fsync policy: rotate, always or never (default config value or rotate)")
+	return fs
+}
+
+func run(args []string) error {
+	var o options
+	if err := flags(&o).Parse(args); err != nil {
 		return err
 	}
-	if *name == "" || *listen == "" {
+	if o.name == "" || o.listen == "" {
 		return fmt.Errorf("both -name and -listen are required")
 	}
-	cfg, err := loadConfig(*cfgPath)
+	cfg, err := loadConfig(o.config)
 	if err != nil {
 		return err
 	}
 	// Overload knobs: flags override the shared cluster config so a single
 	// node can be retuned without editing the file every node reads.
-	if *maxInfl > 0 {
-		cfg.MaxInflight = *maxInfl
+	if o.maxInflight > 0 {
+		cfg.MaxInflight = o.maxInflight
 	}
-	if *missQueue > 0 {
-		cfg.MissQueue = *missQueue
+	if o.missQueue > 0 {
+		cfg.MissQueue = o.missQueue
 	}
-	if *limitMode != "" {
-		cfg.LimitMode = *limitMode
+	if o.storeDir != "" {
+		cfg.StoreDir = o.storeDir
 	}
-	if *storeDir != "" {
-		cfg.StoreDir = *storeDir
+	if o.fsync != "" {
+		cfg.Fsync = o.fsync
 	}
-	if *fsyncPol != "" {
-		cfg.Fsync = *fsyncPol
-	}
-	tp := node.NewHTTPTransport(node.TransportOptions{
-		RequestTimeout: *timeout,
-		MaxRetries:     *retries,
-		NoRetries:      *retries < 0,
-	})
-	n, err := node.NewCacheNodeWithTransport(*name, cfg, tp)
+	n, err := node.NewCacheNode(o.name, cfg)
 	if err != nil {
 		return err
 	}
-	stopPeriodic := startPeriodic(n, *heartbeat)
+	stopPeriodic := startPeriodic(n, o.heartbeat)
 	if warm, recovered := n.WarmBootInfo(); warm {
-		fmt.Fprintf(os.Stderr, "cachenode %s warm boot: %d entries recovered, revalidating\n", *name, recovered)
+		fmt.Fprintf(os.Stderr, "cachenode %s warm boot: %d entries recovered, revalidating\n", o.name, recovered)
 		go func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
 			kept, dropped := n.WarmRevalidate(ctx)
-			fmt.Fprintf(os.Stderr, "cachenode %s warm revalidation: %d fresh, %d stale dropped\n", *name, kept, dropped)
+			fmt.Fprintf(os.Stderr, "cachenode %s warm revalidation: %d fresh, %d stale dropped\n", o.name, kept, dropped)
 		}()
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
 	defer stop()
-	fmt.Fprintf(os.Stderr, "cachenode %s listening on %s\n", *name, *listen)
-	err = serve.Run(ctx, serve.New(*listen, n.Handler(), *pprofOn))
+	fmt.Fprintf(os.Stderr, "cachenode %s listening on %s\n", o.name, o.listen)
+	err = serve.Run(ctx, serve.New(o.listen, n.Handler(), o.pprof))
 	// The server has shut down: stop the timers, then seal the durable tier.
 	stopPeriodic()
 	if cerr := n.Close(); err == nil {
@@ -149,11 +151,14 @@ func startPeriodic(n *node.CacheNode, heartbeat time.Duration) (stop func()) {
 
 func loadConfig(path string) (node.ClusterConfig, error) {
 	var cfg node.ClusterConfig
-	raw, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return cfg, fmt.Errorf("read cluster config: %w", err)
 	}
-	if err := json.Unmarshal(raw, &cfg); err != nil {
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
 		return cfg, fmt.Errorf("parse cluster config: %w", err)
 	}
 	return cfg, nil

@@ -3,11 +3,17 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"flag"
+	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	neturl "net/url"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -28,8 +34,7 @@ func TestLoadConfig(t *testing.T) {
 	  "originAddr": "http://127.0.0.1:8000",
 	  "utilityPlacement": true,
 	  "maxInflight": 128,
-	  "missQueue": 48,
-	  "limitMode": "gradient"
+	  "missQueue": 48
 	}`
 	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
@@ -44,8 +49,33 @@ func TestLoadConfig(t *testing.T) {
 	if cfg.Addrs["n1"] != "http://127.0.0.1:8101" {
 		t.Fatalf("addrs = %v", cfg.Addrs)
 	}
-	if cfg.MaxInflight != 128 || cfg.MissQueue != 48 || cfg.LimitMode != "gradient" {
-		t.Fatalf("overload knobs = %d/%d/%q", cfg.MaxInflight, cfg.MissQueue, cfg.LimitMode)
+	if cfg.MaxInflight != 128 || cfg.MissQueue != 48 {
+		t.Fatalf("overload knobs = %d/%d", cfg.MaxInflight, cfg.MissQueue)
+	}
+}
+
+// A config that still names a removed setting is refused at start, not
+// silently ignored.
+func TestLoadConfigRefusesUnknownFields(t *testing.T) {
+	for _, field := range []string{`"limitMode": "gradient"`, `"cloudID": "edge-a"`} {
+		path := filepath.Join(t.TempDir(), "cluster.json")
+		body := `{"intraGen": 1000, "rings": [["n0"]], "addrs": {"n0": "http://127.0.0.1:8100"}, ` + field + `}`
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := loadConfig(path); err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("config with %s: err = %v, want an unknown-field refusal", field, err)
+		}
+	}
+}
+
+// TestFlagCensus pins the command line: a new flag is a visible edit here.
+func TestFlagCensus(t *testing.T) {
+	var got []string
+	flags(new(options)).VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+	want := []string{"config", "fsync", "heartbeat", "listen", "max-inflight", "miss-queue", "name", "pprof", "store-dir"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("flags = %v, want %v", got, want)
 	}
 }
 
@@ -148,6 +178,124 @@ func storeFDs(t *testing.T, dir string) int {
 	return n
 }
 
+// deadAddr returns a loopback address nothing listens on.
+func deadAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	_ = ln.Close()
+	return addr
+}
+
+// startRun writes cfg to a file and runs the command on addr with it and
+// extra, returning once the node answers and a stop that sends the process
+// SIGTERM and waits for run to return nil.
+func startRun(t *testing.T, addr string, cfg node.ClusterConfig, extra ...string) (stop func()) {
+	t.Helper()
+	raw, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgPath := filepath.Join(t.TempDir(), "cluster.json")
+	if err := os.WriteFile(cfgPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		done <- run(append([]string{"-name", "n0", "-listen", addr, "-config", cfgPath}, extra...))
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if resp, err := http.Get("http://" + addr + "/healthz"); err == nil {
+			_ = resp.Body.Close()
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the node never answered")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	return func() {
+		t.Helper()
+		if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("run after SIGTERM: %v", err)
+			}
+		case <-time.After(15 * time.Second):
+			t.Fatal("run did not return after SIGTERM")
+		}
+	}
+}
+
+// TestRunCountsOpenCircuits: a deployed node counts the circuits its
+// transport opens. The ring's other member and the origin listen nowhere;
+// four /doc requests whose beacon is that member make at least four failed
+// attempts to it, which opens its circuit.
+func TestRunCountsOpenCircuits(t *testing.T) {
+	addr := deadAddr(t)
+	cfg := node.ClusterConfig{
+		IntraGen: 100, Rings: [][]string{{"n0", "n1"}},
+		Addrs:      map[string]string{"n0": "http://" + addr, "n1": "http://" + deadAddr(t)},
+		OriginAddr: "http://" + deadAddr(t),
+	}
+	stop := startRun(t, addr, cfg, "-heartbeat", "0")
+	defer stop()
+
+	var layout node.Assignments
+	if err := getJSON("http://"+addr+"/subranges", &layout); err != nil {
+		t.Fatal(err)
+	}
+	sent := 0
+	for i := 0; sent < 4; i++ {
+		url := fmt.Sprintf("http://live/doc/%d", i)
+		if owner, err := layout.Owner(url, cfg.IntraGen); err != nil || owner != "n1" {
+			continue
+		}
+		resp, err := http.Get("http://" + addr + "/doc?url=" + neturl.QueryEscape(url))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = resp.Body.Close()
+		sent++
+	}
+
+	resp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	_ = resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened := -1
+	for _, line := range strings.Split(string(body), "\n") {
+		if strings.HasPrefix(line, "cachecloud_node_circuit_open_total{") {
+			opened, _ = strconv.Atoi(line[strings.LastIndexByte(line, ' ')+1:])
+		}
+	}
+	if opened < 1 {
+		t.Fatalf("cachecloud_node_circuit_open_total = %d after %d /doc requests to a dead beacon, want >= 1", opened, sent)
+	}
+}
+
+// getJSON decodes the JSON reply of a GET.
+func getJSON(url string, out any) error {
+	resp, err := http.Get(url)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
 // TestRunShutsDownOnSIGTERM runs the command as deployed — its own server,
 // transport and timers, a durable tier — and sends the process SIGTERM: run
 // returns nil, the port and the peer connection the node was serving from
@@ -167,43 +315,20 @@ func TestRunShutsDownOnSIGTERM(t *testing.T) {
 		}
 	}))
 	defer origin.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	_ = ln.Close() // run listens on it next
-	dir := t.TempDir()
-	cfg, err := json.Marshal(node.ClusterConfig{
+	addr := deadAddr(t) // run listens on it
+	store := filepath.Join(t.TempDir(), "store")
+	stop := startRun(t, addr, node.ClusterConfig{
 		IntraGen: 100, Rings: [][]string{{"n0"}},
 		Addrs: map[string]string{"n0": "http://" + addr}, OriginAddr: origin.URL,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgPath := filepath.Join(dir, "cluster.json")
-	if err := os.WriteFile(cfgPath, cfg, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	store := filepath.Join(dir, "store")
-	done := make(chan error, 1)
-	go func() {
-		done <- run([]string{"-name", "n0", "-listen", addr, "-config", cfgPath, "-store-dir", store, "-heartbeat", "5ms"})
-	}()
+	}, "-store-dir", store, "-heartbeat", "5ms")
 
 	// A peer's calls: the node serves their connection from its own loop.
-	tp := node.NewHTTPTransport(node.TransportOptions{RequestTimeout: time.Second, NoRetries: true, BreakerThreshold: -1})
+	tp := node.NewHTTPTransport(node.TransportOptions{RequestTimeout: time.Second, MaxRetries: -1, BreakerThreshold: -1})
 	bg := context.Background()
-	deadline := time.Now().Add(10 * time.Second)
-	for tp.GetJSON(bg, "http://"+addr+"/healthz", nil) != nil {
-		if time.Now().After(deadline) {
-			t.Fatal("the node never answered")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 	if err := tp.GetJSON(bg, "http://"+addr+"/doc?url=http%3A%2F%2Flive%2Fdoc%2F1", nil); err != nil {
 		t.Fatal(err)
 	}
+	deadline := time.Now().Add(10 * time.Second)
 	for beats.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no heartbeat reached the origin")
@@ -214,17 +339,7 @@ func TestRunShutsDownOnSIGTERM(t *testing.T) {
 		t.Fatal("the durable tier has no file open: the test would not see it sealed")
 	}
 
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("run after SIGTERM: %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("run did not return after SIGTERM")
-	}
+	stop()
 	if err := tp.GetJSON(bg, "http://"+addr+"/healthz", nil); err == nil {
 		t.Error("the node still answers: the port or the connection it was serving is open")
 	}

@@ -22,6 +22,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -43,36 +44,51 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+// options is the command line.
+type options struct {
+	listen, config, catalog                      string
+	rebalance, repair, replicate, heartbeatSweep time.Duration
+	missK                                        int
+	pprof                                        bool
+}
+
+// flags binds the command's flags to o.
+func flags(o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("originsrv", flag.ContinueOnError)
-	var (
-		listen    = fs.String("listen", "", "listen address, e.g. 127.0.0.1:8000")
-		cfgPath   = fs.String("config", "cluster.json", "cluster configuration file")
-		catalog   = fs.String("catalog", "", "trace file providing the document catalog")
-		rebalance = fs.Duration("rebalance", 0, "rebalance period (0 = only on POST /rebalance)")
-		repair    = fs.Duration("repair", 0, "health-check/repair period (0 = only on POST /repair)")
-		replicate = fs.Duration("replicate", 0, "record-replication period (0 = only on POST /replicate)")
-		hbSweep   = fs.Duration("heartbeat-interval", 2*time.Second, "failure-detector sweep period over heartbeats (0 disables)")
-		missK     = fs.Int("miss-k", 3, "missed heartbeats before a node is declared dead")
-		pprofOn   = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-	)
-	if err := fs.Parse(args); err != nil {
+	fs.StringVar(&o.listen, "listen", "", "listen address, e.g. 127.0.0.1:8000")
+	fs.StringVar(&o.config, "config", "cluster.json", "cluster configuration file")
+	fs.StringVar(&o.catalog, "catalog", "", "trace file providing the document catalog")
+	fs.DurationVar(&o.rebalance, "rebalance", 0, "rebalance period (0 = only on POST /rebalance)")
+	fs.DurationVar(&o.repair, "repair", 0, "health-check/repair period (0 = only on POST /repair)")
+	fs.DurationVar(&o.replicate, "replicate", 0, "record-replication period (0 = only on POST /replicate)")
+	fs.DurationVar(&o.heartbeatSweep, "heartbeat-interval", 2*time.Second, "failure-detector sweep period over heartbeats (0 disables)")
+	fs.IntVar(&o.missK, "miss-k", 3, "missed heartbeats before a node is declared dead")
+	fs.BoolVar(&o.pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/")
+	return fs
+}
+
+func run(args []string) error {
+	var opts options
+	if err := flags(&opts).Parse(args); err != nil {
 		return err
 	}
-	if *listen == "" || *catalog == "" {
+	if opts.listen == "" || opts.catalog == "" {
 		return fmt.Errorf("both -listen and -catalog are required")
 	}
 
-	raw, err := os.ReadFile(*cfgPath)
+	raw, err := os.ReadFile(opts.config)
 	if err != nil {
 		return fmt.Errorf("read cluster config: %w", err)
 	}
+	// Strict: a field the origin does not know is refused, not ignored.
 	var cfg node.ClusterConfig
-	if err := json.Unmarshal(raw, &cfg); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
 		return fmt.Errorf("parse cluster config: %w", err)
 	}
 
-	f, err := os.Open(*catalog)
+	f, err := os.Open(opts.catalog)
 	if err != nil {
 		return err
 	}
@@ -109,16 +125,16 @@ func run(args []string) error {
 			}
 		}()
 	}
-	runEvery(*rebalance, "rebalance", func() error { _, err := o.Rebalance(); return err })
-	runEvery(*repair, "repair", func() error { _, err := o.Repair(); return err })
-	runEvery(*replicate, "replicate", func() error { _, err := o.TriggerReplication(); return err })
-	if *hbSweep > 0 {
-		stopFD := o.StartFailureDetector(*hbSweep, *missK)
+	runEvery(opts.rebalance, "rebalance", func() error { _, err := o.Rebalance(); return err })
+	runEvery(opts.repair, "repair", func() error { _, err := o.Repair(); return err })
+	runEvery(opts.replicate, "replicate", func() error { _, err := o.TriggerReplication(); return err })
+	if opts.heartbeatSweep > 0 {
+		stopFD := o.StartFailureDetector(opts.heartbeatSweep, opts.missK)
 		defer stopFD()
 	}
 
 	ctx, cancel := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
 	defer cancel()
-	fmt.Fprintf(os.Stderr, "originsrv listening on %s with %d documents\n", *listen, len(tr.Docs))
-	return serve.Run(ctx, serve.New(*listen, o.Handler(), *pprofOn))
+	fmt.Fprintf(os.Stderr, "originsrv listening on %s with %d documents\n", opts.listen, len(tr.Docs))
+	return serve.Run(ctx, serve.New(opts.listen, o.Handler(), opts.pprof))
 }

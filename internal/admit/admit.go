@@ -1,7 +1,7 @@
 // Package admit implements the overload-resilience primitives for the
 // live node layer: a weighted class-priority admission gate with
 // explicit queue caps and queue-time deadlines (Gate), an adaptive
-// AIMD/gradient concurrency limiter for the origin-fetch path
+// AIMD concurrency limiter for the origin-fetch path
 // (Limiter), and a singleflight coalescer that collapses concurrent
 // misses for the same document version into one wire fetch (Coalescer).
 //

@@ -11,34 +11,29 @@ const (
 	DefaultCapacity = 64
 )
 
-// defaultWeights is the admission cost per class: a miss occupies four
-// times the capacity of a hit, so even a full complement of misses
-// leaves room for many hits.
-var defaultWeights = [numClasses]int{Hit: 1, Lookup: 2, Miss: 4}
+// weights is the admission cost per class: a miss occupies four times the
+// capacity of a hit, so even a full complement of misses leaves room for
+// many hits.
+var weights = [numClasses]int{Hit: 1, Lookup: 2, Miss: 4}
 
-// defaultQueueDeadline is the queue-time budget per class. Hits wait the
-// least: a hit that cannot be admitted quickly is better shed (the
-// client retries another replica) than served late.
-var defaultQueueDeadline = [numClasses]time.Duration{
+// queueDeadline is the queue-time budget per class. Hits wait the least: a
+// hit that cannot be admitted quickly is better shed (the client retries
+// another replica) than served late.
+var queueDeadline = [numClasses]time.Duration{
 	Hit:    100 * time.Millisecond,
 	Lookup: 250 * time.Millisecond,
 	Miss:   500 * time.Millisecond,
 }
 
-// GateOptions tunes a Gate. Zero values select the documented defaults.
+// GateOptions tunes a Gate. Zero values select the documented defaults;
+// the per-class weights and queue deadlines are the tables above.
 type GateOptions struct {
 	// Capacity is the total concurrent weight admitted (default 64).
 	Capacity int
-	// Weights is the capacity cost of one admission per class
-	// (defaults: hit 1, lookup 2, miss 4).
-	Weights [numClasses]int
 	// QueueCap bounds the number of queued waiters per class (defaults:
 	// hit and lookup = Capacity, miss = Capacity/2). A class whose queue
 	// is full sheds new arrivals immediately.
 	QueueCap [numClasses]int
-	// QueueDeadline is the maximum time a waiter spends queued before
-	// being shed (defaults: hit 100ms, lookup 250ms, miss 500ms).
-	QueueDeadline [numClasses]time.Duration
 	// Clock is the deadline time source (nil = wall clock).
 	Clock Clock
 }
@@ -74,9 +69,6 @@ func NewGate(opts GateOptions) *Gate {
 		opts.Capacity = DefaultCapacity
 	}
 	for c := Class(0); c < numClasses; c++ {
-		if opts.Weights[c] <= 0 {
-			opts.Weights[c] = defaultWeights[c]
-		}
 		if opts.QueueCap[c] <= 0 {
 			if c == Miss {
 				opts.QueueCap[c] = opts.Capacity / 2
@@ -86,9 +78,6 @@ func NewGate(opts GateOptions) *Gate {
 			if opts.QueueCap[c] < 1 {
 				opts.QueueCap[c] = 1
 			}
-		}
-		if opts.QueueDeadline[c] <= 0 {
-			opts.QueueDeadline[c] = defaultQueueDeadline[c]
 		}
 	}
 	opts.Clock = clockOrReal(opts.Clock)
@@ -104,7 +93,7 @@ func NewGate(opts GateOptions) *Gate {
 func (g *Gate) Acquire(ctx context.Context, c Class) (release func(), err error) {
 	g.mu.Lock()
 	if g.canAdmitLocked(c) {
-		g.inflight += g.opts.Weights[c]
+		g.inflight += weights[c]
 		g.admitted[c]++
 		g.mu.Unlock()
 		return g.releaser(c), nil
@@ -112,14 +101,14 @@ func (g *Gate) Acquire(ctx context.Context, c Class) (release func(), err error)
 	if len(g.queues[c]) >= g.opts.QueueCap[c] {
 		g.shedFull[c]++
 		g.mu.Unlock()
-		return nil, &ShedError{Class: c, Reason: ReasonQueueFull, RetryAfter: g.opts.QueueDeadline[c]}
+		return nil, &ShedError{Class: c, Reason: ReasonQueueFull, RetryAfter: queueDeadline[c]}
 	}
 	w := &gateWaiter{class: c, grant: make(chan struct{})}
 	g.queues[c] = append(g.queues[c], w)
 	g.mu.Unlock()
 
 	expired := make(chan struct{})
-	timer := g.opts.Clock.AfterFunc(g.opts.QueueDeadline[c], func() { close(expired) })
+	timer := g.opts.Clock.AfterFunc(queueDeadline[c], func() { close(expired) })
 	defer timer.Stop()
 
 	select {
@@ -127,7 +116,7 @@ func (g *Gate) Acquire(ctx context.Context, c Class) (release func(), err error)
 		return g.releaser(c), nil
 	case <-expired:
 		if g.abandon(w, true) {
-			return nil, &ShedError{Class: c, Reason: ReasonQueueDeadline, RetryAfter: g.opts.QueueDeadline[c]}
+			return nil, &ShedError{Class: c, Reason: ReasonQueueDeadline, RetryAfter: queueDeadline[c]}
 		}
 		// Granted concurrently with expiry: the slot is ours, keep it.
 		<-w.grant
@@ -150,7 +139,7 @@ func (g *Gate) TryAcquire(c Class) (release func(), ok bool) {
 	if !g.canAdmitLocked(c) {
 		return nil, false
 	}
-	g.inflight += g.opts.Weights[c]
+	g.inflight += weights[c]
 	g.admitted[c]++
 	return g.releaser(c), true
 }
@@ -159,7 +148,7 @@ func (g *Gate) TryAcquire(c Class) (release func(), ok bool) {
 // there must be capacity, and no queued waiter of the same or higher
 // priority (a new hit may overtake queued misses, never queued hits).
 func (g *Gate) canAdmitLocked(c Class) bool {
-	if g.inflight+g.opts.Weights[c] > g.opts.Capacity {
+	if g.inflight+weights[c] > g.opts.Capacity {
 		return false
 	}
 	for cc := Class(0); cc <= c; cc++ {
@@ -199,7 +188,7 @@ func (g *Gate) releaser(c Class) func() {
 	return func() {
 		once.Do(func() {
 			g.mu.Lock()
-			g.inflight -= g.opts.Weights[c]
+			g.inflight -= weights[c]
 			g.pumpLocked()
 			g.mu.Unlock()
 		})
@@ -210,7 +199,7 @@ func (g *Gate) releaser(c Class) func() {
 // capacity allows.
 func (g *Gate) pumpLocked() {
 	for c := Class(0); c < numClasses; c++ {
-		w := g.opts.Weights[c]
+		w := weights[c]
 		for len(g.queues[c]) > 0 && g.inflight+w <= g.opts.Capacity {
 			qw := g.queues[c][0]
 			g.queues[c] = g.queues[c][1:]

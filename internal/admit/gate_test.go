@@ -51,11 +51,7 @@ func TestGateWeights(t *testing.T) {
 // queue is at cap refuses new arrivals with a typed queue-full shed and
 // bumps the matching counter.
 func TestGateQueueFullSheds(t *testing.T) {
-	g := NewGate(GateOptions{
-		Capacity: 1,
-		Weights:  [3]int{1, 1, 1},
-		QueueCap: [3]int{1, 1, 1},
-	})
+	g := NewGate(GateOptions{Capacity: 4, QueueCap: [3]int{1, 1, 1}})
 	rel, err := g.Acquire(context.Background(), Miss)
 	if err != nil {
 		t.Fatalf("Acquire: %v", err)
@@ -101,12 +97,7 @@ func TestGateQueueFullSheds(t *testing.T) {
 // context deadline error — and the deadline-shed metric increments.
 func TestGateQueueDeadlineShedsNotTimeout(t *testing.T) {
 	mc := newManualClock()
-	g := NewGate(GateOptions{
-		Capacity:      1,
-		Weights:       [3]int{1, 1, 1},
-		QueueDeadline: [3]time.Duration{time.Second, time.Second, time.Second},
-		Clock:         mc,
-	})
+	g := NewGate(GateOptions{Capacity: 4, Clock: mc})
 	rel, err := g.Acquire(context.Background(), Hit)
 	if err != nil {
 		t.Fatalf("Acquire: %v", err)
@@ -123,7 +114,7 @@ func TestGateQueueDeadlineShedsNotTimeout(t *testing.T) {
 	}()
 	waitUntil(t, func() bool { return g.Queued(Miss) == 1 }, "miss waiter queued")
 
-	mc.advance(time.Second + time.Millisecond)
+	mc.advance(queueDeadline[Miss] + time.Millisecond)
 	err = <-got
 	var se *ShedError
 	if !errors.As(err, &se) {
@@ -147,7 +138,7 @@ func TestGateQueueDeadlineShedsNotTimeout(t *testing.T) {
 // ctx.Err() (the caller gave up — that is not a shed) and stops
 // consuming its queue slot.
 func TestGateCallerDeadlineFreesSlot(t *testing.T) {
-	g := NewGate(GateOptions{Capacity: 1, Weights: [3]int{1, 1, 1}})
+	g := NewGate(GateOptions{Capacity: 2})
 	rel, err := g.Acquire(context.Background(), Hit)
 	if err != nil {
 		t.Fatalf("Acquire: %v", err)
@@ -182,32 +173,25 @@ func TestGateCallerDeadlineFreesSlot(t *testing.T) {
 
 // TestGatePriorityHitsBeforeMisses is the satellite property test:
 // under saturation, queued hit-class work is always admitted before
-// queued miss-class work, across randomized queue mixes. Slots are
-// released one at a time so the observed grant order is exact.
+// queued miss-class work, across randomized queue mixes. A release grants
+// its waiters before it returns, so the gate's counters after each release
+// show whether a miss went ahead of a queued hit. The clock never moves:
+// no waiter's queue deadline expires.
 func TestGatePriorityHitsBeforeMisses(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 10; round++ {
-		nHits := 1 + rng.Intn(5)
+		nHits := 1 + rng.Intn(6)
 		nMisses := 1 + rng.Intn(5)
-		g := NewGate(GateOptions{
-			Capacity:      2,
-			Weights:       [3]int{1, 1, 1},
-			QueueCap:      [3]int{16, 16, 16},
-			QueueDeadline: [3]time.Duration{time.Hour, time.Hour, time.Hour},
-		})
+		g := NewGate(GateOptions{Capacity: 4, QueueCap: [3]int{16, 16, 16}, Clock: newManualClock()})
 
-		// Saturate the gate.
-		var holders []func()
-		for i := 0; i < 2; i++ {
-			rel, err := g.Acquire(context.Background(), Miss)
-			if err != nil {
-				t.Fatalf("saturate: %v", err)
-			}
-			holders = append(holders, rel)
+		// Saturate the gate with one miss.
+		held, err := g.Acquire(context.Background(), Miss)
+		if err != nil {
+			t.Fatalf("saturate: %v", err)
 		}
+		holders := []func(){held}
 
 		// Queue misses first, then hits — the adversarial order.
-		granted := make(chan Class, nHits+nMisses)
 		rels := make(chan func(), nHits+nMisses)
 		spawn := func(c Class) {
 			go func() {
@@ -216,7 +200,6 @@ func TestGatePriorityHitsBeforeMisses(t *testing.T) {
 					t.Errorf("waiter %v: %v", c, err)
 					return
 				}
-				granted <- c
 				rels <- rel
 			}()
 		}
@@ -229,44 +212,33 @@ func TestGatePriorityHitsBeforeMisses(t *testing.T) {
 		}
 		waitUntil(t, func() bool { return g.Queued(Hit) == nHits }, "hits queued")
 
-		// Free one slot at a time; each release grants exactly one waiter,
-		// so receive order is grant order.
-		var order []Class
-		release := holders
-		for i := 0; i < nHits+nMisses; i++ {
-			release[0]()
-			release = release[1:]
-			select {
-			case c := <-granted:
-				order = append(order, c)
-				release = append(release, <-rels)
-			case <-time.After(5 * time.Second):
-				t.Fatalf("round %d: no grant after release %d (order so far %v)", round, i, order)
+		// Release the holders one at a time, collecting each grant's release.
+		admitted := func() int64 { return g.Admitted(Hit) + g.Admitted(Miss) }
+		for len(holders) > 0 {
+			misses, before := g.Admitted(Miss), admitted()
+			holders[0]()
+			holders = holders[1:]
+			if g.Admitted(Miss) > misses && g.Queued(Hit) > 0 {
+				t.Fatalf("round %d (hits=%d misses=%d): a miss was granted with %d hits queued",
+					round, nHits, nMisses, g.Queued(Hit))
+			}
+			for i := before; i < admitted(); i++ {
+				select {
+				case rel := <-rels:
+					holders = append(holders, rel)
+				case <-time.After(5 * time.Second):
+					t.Fatalf("round %d: a granted waiter never returned", round)
+				}
 			}
 		}
-		for _, rel := range release {
-			rel()
-		}
-
-		// Property: every hit precedes every miss.
-		firstMiss := len(order)
-		for i, c := range order {
-			if c == Miss {
-				firstMiss = i
-				break
-			}
-		}
-		for _, c := range order[firstMiss:] {
-			if c == Hit {
-				t.Fatalf("round %d (hits=%d misses=%d): hit granted after a miss: %v",
-					round, nHits, nMisses, order)
-			}
+		if got := g.Admitted(Hit) + g.Admitted(Miss); got != int64(1+nHits+nMisses) || g.QueuedTotal() != 0 {
+			t.Fatalf("round %d: %d admitted, %d queued; want %d and 0", round, got, g.QueuedTotal(), 1+nHits+nMisses)
 		}
 	}
 }
 
 func TestGateTryAcquire(t *testing.T) {
-	g := NewGate(GateOptions{Capacity: 4, Weights: [3]int{1, 1, 4}})
+	g := NewGate(GateOptions{Capacity: 4})
 	rel, ok := g.TryAcquire(Miss)
 	if !ok {
 		t.Fatal("TryAcquire(Miss) refused on an empty gate")
@@ -287,7 +259,7 @@ func TestGateDefaults(t *testing.T) {
 	}
 	// Misses cost 4× a hit: only Capacity/4 fit concurrently.
 	var rels []func()
-	for i := 0; i < DefaultCapacity/defaultWeights[Miss]; i++ {
+	for i := 0; i < DefaultCapacity/weights[Miss]; i++ {
 		rel, ok := g.TryAcquire(Miss)
 		if !ok {
 			t.Fatalf("miss %d refused below capacity", i)

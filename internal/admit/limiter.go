@@ -14,55 +14,42 @@ const (
 	// LimitAIMD (the default): additive increase on healthy samples,
 	// multiplicative decrease when a sample is slow or fails.
 	LimitAIMD LimitMode = "aimd"
-	// LimitGradient: the limit tracks limit × (baseline/latency) + 1,
-	// smoothed — it shrinks in proportion to how much slower than the
-	// moving baseline the origin has become.
-	LimitGradient LimitMode = "gradient"
 	// LimitFixed: the limit never adapts (a plain bounded semaphore).
 	LimitFixed LimitMode = "fixed"
 )
 
-// ParseLimitMode maps a flag string to a LimitMode, defaulting unknown
-// or empty values to LimitAIMD.
-func ParseLimitMode(s string) LimitMode {
-	switch LimitMode(s) {
-	case LimitGradient:
-		return LimitGradient
-	case LimitFixed:
-		return LimitFixed
-	default:
-		return LimitAIMD
-	}
-}
+// The adaptation law's constants.
+const (
+	// limitMin is the limit floor: the limiter never starves the path
+	// entirely.
+	limitMin = 1
+	// slowFactor: a sample slower than slowFactor × the moving baseline
+	// counts as congestion.
+	slowFactor = 2.0
+	// backoff is the multiplicative decrease applied on congestion.
+	backoff = 0.5
+	// baselineAlpha is the EWMA weight of a healthy sample in the moving
+	// latency baseline. Slow samples are folded in at baselineAlpha/8 so a
+	// persistent slowdown only creeps into the baseline instead of
+	// instantly becoming the new normal.
+	baselineAlpha = 1.0 / 16
+	// limiterQueueDeadline is the maximum time a waiter spends queued
+	// before being shed.
+	limiterQueueDeadline = 500 * time.Millisecond
+)
 
 // LimiterOptions tunes a Limiter. Zero values select the documented
 // defaults.
 type LimiterOptions struct {
-	// Mode is the adaptation law (default LimitAIMD).
+	// Mode is the adaptation law (default LimitAIMD; any value but
+	// LimitFixed runs it).
 	Mode LimitMode
-	// Initial is the starting limit (default Max/4, at least Min).
+	// Initial is the starting limit (default Max/4, at least 1).
 	Initial int
-	// Min is the limit floor — the limiter never starves the path
-	// entirely (default 1).
-	Min int
 	// Max is the limit ceiling (default 16).
 	Max int
-	// SlowFactor: a sample slower than SlowFactor × the moving baseline
-	// counts as congestion (default 2.0).
-	SlowFactor float64
-	// Backoff is the multiplicative decrease applied on congestion
-	// (default 0.5).
-	Backoff float64
-	// BaselineAlpha is the EWMA weight of a healthy sample in the moving
-	// latency baseline (default 1/16). Slow samples are folded in at
-	// BaselineAlpha/8 so a persistent slowdown only creeps into the
-	// baseline instead of instantly becoming the new normal.
-	BaselineAlpha float64
 	// QueueCap bounds waiters blocked at the limit (default Max×2).
 	QueueCap int
-	// QueueDeadline is the maximum time a waiter spends queued before
-	// being shed (default 500ms).
-	QueueDeadline time.Duration
 	// Clock is the deadline time source (nil = wall clock).
 	Clock Clock
 }
@@ -99,41 +86,20 @@ type Limiter struct {
 // NewLimiter builds a limiter, applying defaults for zero-valued
 // options.
 func NewLimiter(opts LimiterOptions) *Limiter {
-	if opts.Mode == "" {
-		opts.Mode = LimitAIMD
-	}
-	if opts.Min <= 0 {
-		opts.Min = 1
-	}
 	if opts.Max <= 0 {
 		opts.Max = 16
-	}
-	if opts.Max < opts.Min {
-		opts.Max = opts.Min
 	}
 	if opts.Initial <= 0 {
 		opts.Initial = opts.Max / 4
 	}
-	if opts.Initial < opts.Min {
-		opts.Initial = opts.Min
+	if opts.Initial < limitMin {
+		opts.Initial = limitMin
 	}
 	if opts.Initial > opts.Max {
 		opts.Initial = opts.Max
 	}
-	if opts.SlowFactor <= 1 {
-		opts.SlowFactor = 2.0
-	}
-	if opts.Backoff <= 0 || opts.Backoff >= 1 {
-		opts.Backoff = 0.5
-	}
-	if opts.BaselineAlpha <= 0 || opts.BaselineAlpha > 1 {
-		opts.BaselineAlpha = 1.0 / 16
-	}
 	if opts.QueueCap <= 0 {
 		opts.QueueCap = opts.Max * 2
-	}
-	if opts.QueueDeadline <= 0 {
-		opts.QueueDeadline = 500 * time.Millisecond
 	}
 	opts.Clock = clockOrReal(opts.Clock)
 	return &Limiter{opts: opts, limit: float64(opts.Initial)}
@@ -155,14 +121,14 @@ func (l *Limiter) Acquire(ctx context.Context) (release func(latency time.Durati
 	if len(l.queue) >= l.opts.QueueCap {
 		l.shedFull++
 		l.mu.Unlock()
-		return nil, &ShedError{Class: Miss, Reason: ReasonLimit, RetryAfter: l.opts.QueueDeadline}
+		return nil, &ShedError{Class: Miss, Reason: ReasonLimit, RetryAfter: limiterQueueDeadline}
 	}
 	w := &limiterWaiter{grant: make(chan struct{})}
 	l.queue = append(l.queue, w)
 	l.mu.Unlock()
 
 	expired := make(chan struct{})
-	timer := l.opts.Clock.AfterFunc(l.opts.QueueDeadline, func() { close(expired) })
+	timer := l.opts.Clock.AfterFunc(limiterQueueDeadline, func() { close(expired) })
 	defer timer.Stop()
 
 	select {
@@ -170,7 +136,7 @@ func (l *Limiter) Acquire(ctx context.Context) (release func(latency time.Durati
 		return l.releaser(), nil
 	case <-expired:
 		if l.abandon(w, true) {
-			return nil, &ShedError{Class: Miss, Reason: ReasonQueueDeadline, RetryAfter: l.opts.QueueDeadline}
+			return nil, &ShedError{Class: Miss, Reason: ReasonQueueDeadline, RetryAfter: limiterQueueDeadline}
 		}
 		<-w.grant
 		return l.releaser(), nil
@@ -246,38 +212,18 @@ func (l *Limiter) observeLocked(latency time.Duration, ok bool) {
 	if l.baseline == 0 && ok {
 		l.baseline = ms
 	}
-	slow := !ok || (l.baseline > 0 && ms > l.opts.SlowFactor*l.baseline)
-	switch l.opts.Mode {
-	case LimitFixed:
+	slow := !ok || (l.baseline > 0 && ms > slowFactor*l.baseline)
+	switch {
+	case l.opts.Mode == LimitFixed:
 		// No adaptation.
-	case LimitGradient:
-		if !ok {
-			l.congested++
-			l.limit = l.clamp(l.limit * l.opts.Backoff)
-		} else if l.baseline > 0 && ms > 0 {
-			grad := l.baseline / ms
-			if grad > 1 {
-				grad = 1
-			}
-			if grad < l.opts.Backoff {
-				grad = l.opts.Backoff
-			}
-			if grad < 1 {
-				l.congested++
-			}
-			target := l.limit*grad + 1
-			l.limit = l.clamp((l.limit + target) / 2)
-		}
-	default: // LimitAIMD
-		if slow {
-			l.congested++
-			l.limit = l.clamp(l.limit * l.opts.Backoff)
-		} else {
-			l.limit = l.clamp(l.limit + 1/math.Max(l.limit, 1))
-		}
+	case slow:
+		l.congested++
+		l.limit = l.clamp(l.limit * backoff)
+	default:
+		l.limit = l.clamp(l.limit + 1/math.Max(l.limit, 1))
 	}
 	if ok {
-		alpha := l.opts.BaselineAlpha
+		alpha := baselineAlpha
 		if slow {
 			alpha /= 8
 		}
@@ -290,8 +236,8 @@ func (l *Limiter) observeLocked(latency time.Duration, ok bool) {
 }
 
 func (l *Limiter) clamp(v float64) float64 {
-	if v < float64(l.opts.Min) {
-		return float64(l.opts.Min)
+	if v < limitMin {
+		return limitMin
 	}
 	if v > float64(l.opts.Max) {
 		return float64(l.opts.Max)
@@ -300,11 +246,11 @@ func (l *Limiter) clamp(v float64) float64 {
 }
 
 // limitLocked is the integer admission limit (floor of the fractional
-// limit, never below Min).
+// limit, never below limitMin).
 func (l *Limiter) limitLocked() int {
 	n := int(l.limit)
-	if n < l.opts.Min {
-		n = l.opts.Min
+	if n < limitMin {
+		n = limitMin
 	}
 	return n
 }

@@ -3,6 +3,7 @@ package admit
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 )
@@ -17,7 +18,7 @@ func feed(l *Limiter, n int, latency time.Duration, ok bool) {
 }
 
 func TestLimiterAIMDGrowsWhenHealthy(t *testing.T) {
-	l := NewLimiter(LimiterOptions{Min: 1, Max: 16, Initial: 2})
+	l := NewLimiter(LimiterOptions{Max: 16, Initial: 2})
 	feed(l, 200, 10*time.Millisecond, true)
 	if got := l.Limit(); got != 16 {
 		t.Fatalf("Limit = %d after healthy samples, want 16 (ceiling)", got)
@@ -28,7 +29,7 @@ func TestLimiterAIMDGrowsWhenHealthy(t *testing.T) {
 }
 
 func TestLimiterAIMDShrinksWhenOriginSlows(t *testing.T) {
-	l := NewLimiter(LimiterOptions{Min: 1, Max: 16, Initial: 16})
+	l := NewLimiter(LimiterOptions{Max: 16, Initial: 16})
 	feed(l, 20, 10*time.Millisecond, true) // establish ~10ms baseline
 	before := l.Limit()
 	// Origin slowed 5×: every sample is past SlowFactor × baseline.
@@ -50,7 +51,7 @@ func TestLimiterAIMDShrinksWhenOriginSlows(t *testing.T) {
 }
 
 func TestLimiterFailuresShrink(t *testing.T) {
-	l := NewLimiter(LimiterOptions{Min: 1, Max: 16, Initial: 8})
+	l := NewLimiter(LimiterOptions{Max: 16, Initial: 8})
 	feed(l, 10, 10*time.Millisecond, true)
 	feed(l, 10, 10*time.Millisecond, false)
 	if got := l.Limit(); got != 1 {
@@ -59,7 +60,7 @@ func TestLimiterFailuresShrink(t *testing.T) {
 }
 
 func TestLimiterFixedModeNeverAdapts(t *testing.T) {
-	l := NewLimiter(LimiterOptions{Mode: LimitFixed, Min: 1, Max: 16, Initial: 8})
+	l := NewLimiter(LimiterOptions{Mode: LimitFixed, Max: 16, Initial: 8})
 	feed(l, 50, 10*time.Millisecond, true)
 	feed(l, 50, 500*time.Millisecond, true)
 	feed(l, 10, time.Millisecond, false)
@@ -68,19 +69,29 @@ func TestLimiterFixedModeNeverAdapts(t *testing.T) {
 	}
 }
 
-func TestLimiterGradientTracksSlowdown(t *testing.T) {
-	l := NewLimiter(LimiterOptions{Mode: LimitGradient, Min: 1, Max: 16, Initial: 16})
-	feed(l, 20, 10*time.Millisecond, true)
-	before := l.Limit()
-	feed(l, 40, 50*time.Millisecond, true)
-	after := l.Limit()
-	if after >= before {
-		t.Fatalf("gradient Limit %d -> %d under slowdown, want decrease", before, after)
+// TestLimitModeCensus pins the adaptation laws: aimd and fixed, with any
+// other Mode running the default aimd. A third law is a visible edit here.
+func TestLimitModeCensus(t *testing.T) {
+	if LimitAIMD != "aimd" || LimitFixed != "fixed" {
+		t.Fatalf("modes = %q, %q; want aimd, fixed", LimitAIMD, LimitFixed)
 	}
-	// Recovery: healthy samples grow the limit back.
-	feed(l, 200, 10*time.Millisecond, true)
-	if rec := l.Limit(); rec <= after {
-		t.Fatalf("gradient Limit stuck at %d after recovery, want growth past %d", rec, after)
+	trajectory := func(m LimitMode) []int {
+		l := NewLimiter(LimiterOptions{Mode: m, Max: 16, Initial: 16})
+		var limits []int
+		for _, lat := range []time.Duration{10, 10, 10, 50, 50, 50, 50, 10, 10, 10} {
+			feed(l, 10, lat*time.Millisecond, true)
+			limits = append(limits, l.Limit())
+		}
+		return limits
+	}
+	aimd, fixed := trajectory(LimitAIMD), trajectory(LimitFixed)
+	if slices.Equal(aimd, fixed) {
+		t.Fatalf("aimd and fixed ran the same law: %v", aimd)
+	}
+	for _, m := range []LimitMode{"", "gradient", "vegas"} {
+		if got := trajectory(m); !slices.Equal(got, aimd) {
+			t.Errorf("Mode %q: limits %v, want aimd's %v", m, got, aimd)
+		}
 	}
 }
 
@@ -88,7 +99,7 @@ func TestLimiterGradientTracksSlowdown(t *testing.T) {
 // limiter state — the property the stormsweep golden test rests on.
 func TestLimiterDeterministic(t *testing.T) {
 	mk := func() *Limiter {
-		l := NewLimiter(LimiterOptions{Min: 1, Max: 32, Initial: 4})
+		l := NewLimiter(LimiterOptions{Max: 32, Initial: 4})
 		feed(l, 30, 8*time.Millisecond, true)
 		feed(l, 10, 40*time.Millisecond, true)
 		feed(l, 5, 8*time.Millisecond, false)
@@ -103,7 +114,7 @@ func TestLimiterDeterministic(t *testing.T) {
 }
 
 func TestLimiterTryAcquireBounds(t *testing.T) {
-	l := NewLimiter(LimiterOptions{Mode: LimitFixed, Min: 1, Max: 3, Initial: 3})
+	l := NewLimiter(LimiterOptions{Mode: LimitFixed, Max: 3, Initial: 3})
 	for i := 0; i < 3; i++ {
 		if !l.TryAcquire() {
 			t.Fatalf("TryAcquire %d refused under the limit", i)
@@ -122,7 +133,7 @@ func TestLimiterTryAcquireBounds(t *testing.T) {
 }
 
 func TestLimiterQueueShedAndPump(t *testing.T) {
-	l := NewLimiter(LimiterOptions{Mode: LimitFixed, Min: 1, Max: 1, Initial: 1, QueueCap: 1})
+	l := NewLimiter(LimiterOptions{Mode: LimitFixed, Max: 1, Initial: 1, QueueCap: 1})
 	rel, err := l.Acquire(context.Background())
 	if err != nil {
 		t.Fatalf("Acquire: %v", err)
@@ -158,8 +169,7 @@ func TestLimiterQueueShedAndPump(t *testing.T) {
 func TestLimiterQueueDeadlineSheds(t *testing.T) {
 	mc := newManualClock()
 	l := NewLimiter(LimiterOptions{
-		Mode: LimitFixed, Min: 1, Max: 1, Initial: 1,
-		QueueDeadline: time.Second, Clock: mc,
+		Mode: LimitFixed, Max: 1, Initial: 1, Clock: mc,
 	})
 	rel, err := l.Acquire(context.Background())
 	if err != nil {
@@ -176,7 +186,7 @@ func TestLimiterQueueDeadlineSheds(t *testing.T) {
 		got <- err
 	}()
 	waitUntil(t, func() bool { return l.Queued() == 1 }, "limiter waiter queued")
-	mc.advance(time.Second + time.Millisecond)
+	mc.advance(limiterQueueDeadline + time.Millisecond)
 	err = <-got
 	var se *ShedError
 	if !errors.As(err, &se) || se.Reason != ReasonQueueDeadline {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"cachecloud/internal/shield"
+	"cachecloud/internal/trace"
 )
 
 // Shield-sweep constants: the workload each grid cell drives through the
@@ -44,7 +45,7 @@ type ShieldRow struct {
 	// OriginUpdates is origin-sent update messages (per shield behind the
 	// tier, per holding cloud in the baseline); UpdatesPerPublish is the
 	// same normalised per publish — the O(clouds) → O(shields) series.
-	OriginUpdates    int64
+	OriginUpdates     int64
 	UpdatesPerPublish float64
 	// ShieldUpdates is shield → cloud fan-out messages (0 in the baseline).
 	ShieldUpdates int64
@@ -103,7 +104,7 @@ func shieldCell(seed int64, clouds, shields, ticks int) (ShieldRow, error) {
 		return ShieldRow{}, fmt.Errorf("experiments: shieldsweep %d/%d: %w", clouds, shields, err)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	cum := zipfCDF(shieldDocs, shieldAlpha)
+	popular := trace.NewZipf(rng, shieldDocs, shieldAlpha)
 	row := ShieldRow{Clouds: clouds, Shields: shields}
 	url := func(d int) string { return fmt.Sprintf("http://cloud/doc/%03d", d) }
 	cloudID := func(c int) string { return fmt.Sprintf("c%02d", c) }
@@ -111,7 +112,7 @@ func shieldCell(seed int64, clouds, shields, ticks int) (ShieldRow, error) {
 	for tick := 0; tick < ticks; tick++ {
 		for c := 0; c < clouds; c++ {
 			for i := 0; i < shieldReqPerCloud; i++ {
-				u := url(sampleZipf(rng, cum))
+				u := url(popular.Sample())
 				if _, held := tier.CloudVersion(u, cloudID(c)); held && rng.Float64() >= shieldEvictP {
 					continue // edge-cache hit: never enters the fabric
 				}
@@ -119,7 +120,7 @@ func shieldCell(seed int64, clouds, shields, ticks int) (ShieldRow, error) {
 			}
 		}
 		for i := 0; i < shieldPubPerTick; i++ {
-			rep := tier.Publish(url(sampleZipf(rng, cum)))
+			rep := tier.Publish(url(popular.Sample()))
 			row.Publishes++
 			for sid, n := range rep.PerShield {
 				if n != 1 {
@@ -140,10 +141,10 @@ func shieldCell(seed int64, clouds, shields, ticks int) (ShieldRow, error) {
 			}
 		}
 		if tick%40 == 20 {
-			tier.PurgeGlobal(url(sampleZipf(rng, cum)))
+			tier.PurgeGlobal(url(popular.Sample()))
 		}
 		if tick%25 == 5 {
-			tier.PurgeCloud(url(sampleZipf(rng, cum)), cloudID(rng.Intn(clouds)))
+			tier.PurgeCloud(url(popular.Sample()), cloudID(rng.Intn(clouds)))
 		}
 	}
 

@@ -3,12 +3,11 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
-	"sort"
 	"time"
 
 	"cachecloud/internal/admit"
+	"cachecloud/internal/trace"
 )
 
 // Storm-model constants: one cache node facing a fixed-capacity origin.
@@ -75,30 +74,6 @@ func (s *StormSweep) Format(w io.Writer) {
 	}
 }
 
-// zipfCDF precomputes the cumulative distribution of a power law with
-// exponent alpha over n ranks.
-func zipfCDF(n int, alpha float64) []float64 {
-	cum := make([]float64, n)
-	var total float64
-	for i := 0; i < n; i++ {
-		total += math.Pow(float64(i+1), -alpha)
-		cum[i] = total
-	}
-	for i := range cum {
-		cum[i] /= total
-	}
-	return cum
-}
-
-// sampleZipf draws one rank from the precomputed CDF.
-func sampleZipf(rng *rand.Rand, cum []float64) int {
-	i := sort.SearchFloat64s(cum, rng.Float64())
-	if i >= len(cum) {
-		i = len(cum) - 1
-	}
-	return i
-}
-
 // missModel is the discrete-time model behind the storm and restart
 // sweeps: one cache node (FIFO replacement) whose misses pass the live
 // admission primitives — gate, limiter, coalescing onto the fetch already
@@ -106,7 +81,7 @@ func sampleZipf(rng *rand.Rand, cum []float64) int {
 // completes originRate fetches per tick in FIFO order.
 type missModel struct {
 	rng        *rand.Rand
-	cum        []float64 // popularity CDF (zipfCDF)
+	popular    *trace.Zipf // document popularity, drawn from rng
 	gate       *admit.Gate
 	lim        *admit.Limiter
 	cacheCap   int
@@ -142,9 +117,10 @@ type flight struct {
 }
 
 func newMissModel(seed int64, docs int, alpha float64, cacheCap, originRate int, tick time.Duration, gateCap int, lopts admit.LimiterOptions) *missModel {
+	rng := rand.New(rand.NewSource(seed))
 	return &missModel{
-		rng:        rand.New(rand.NewSource(seed)),
-		cum:        zipfCDF(docs, alpha),
+		rng:        rng,
+		popular:    trace.NewZipf(rng, docs, alpha),
 		gate:       admit.NewGate(admit.GateOptions{Capacity: gateCap}),
 		lim:        admit.NewLimiter(lopts),
 		cacheCap:   cacheCap,
@@ -191,7 +167,7 @@ func (m *missModel) run(rate, ticks int) {
 		if now < ticks {
 			for i := 0; i < rate; i++ {
 				m.offered++
-				doc := sampleZipf(m.rng, m.cum)
+				doc := m.popular.Sample()
 				if m.cached[doc] {
 					if rel, ok := m.gate.TryAcquire(admit.Hit); ok {
 						rel()

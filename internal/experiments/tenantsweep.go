@@ -8,6 +8,7 @@ import (
 	"cachecloud/internal/cache"
 	"cachecloud/internal/document"
 	"cachecloud/internal/tenant"
+	"cachecloud/internal/trace"
 )
 
 // Tenant-model constants: one cache node shared by a warm victim tenant
@@ -140,11 +141,11 @@ func (t *tenantRun) hitPct(id string) float64 {
 // invariant at every tick, and quiescence.
 func tenantCellRun(seed int64, law TenantLaw, alpha float64, ticks int, storm bool) (*tenantRun, error) {
 	const victim, aggr = "victim", "aggr"
-	vrng := rand.New(rand.NewSource(seed*3 + 1))
-	arng := rand.New(rand.NewSource(seed*5 + 2))
-	prng := rand.New(rand.NewSource(seed*7 + 3))
-	vcum := zipfCDF(tenantVictimDocs, alpha)
-	acum := zipfCDF(tenantAggrDocs, tenantAggrAlpha)
+	// Three independent streams: the victim's requests, the aggressor's,
+	// and the origin's purges of victim documents.
+	victimReqs := trace.NewZipf(rand.New(rand.NewSource(seed*3+1)), tenantVictimDocs, alpha)
+	aggrReqs := trace.NewZipf(rand.New(rand.NewSource(seed*5+2)), tenantAggrDocs, tenantAggrAlpha)
+	purges := trace.NewZipf(rand.New(rand.NewSource(seed*7+3)), tenantVictimDocs, alpha)
 
 	// Both runs register both tenants: the victim's share must not depend
 	// on whether the neighbor happens to be sending traffic.
@@ -240,13 +241,13 @@ func tenantCellRun(seed int64, law TenantLaw, alpha float64, ticks int, storm bo
 			// The origin purges one victim document per tick (an update
 			// invalidating the copy); its next request refetches through
 			// the shared origin — the victim's exposure to the neighbor.
-			c.Remove(key(victim, sampleZipf(prng, vcum)))
+			c.Remove(key(victim, purges.Sample()))
 			for i := 0; i < tenantVictimRate; i++ {
-				arrive(victim, doc(victim, sampleZipf(vrng, vcum)))
+				arrive(victim, doc(victim, victimReqs.Sample()))
 			}
 			if storm {
 				for i := 0; i < tenantAggrRate; i++ {
-					arrive(aggr, doc(aggr, sampleZipf(arng, acum)))
+					arrive(aggr, doc(aggr, aggrReqs.Sample()))
 				}
 			}
 		}

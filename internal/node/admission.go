@@ -60,7 +60,6 @@ func (n *CacheNode) initAdmission() {
 		Clock:    clock,
 	})
 	n.limiter = admit.NewLimiter(admit.LimiterOptions{
-		Mode:     admit.ParseLimitMode(n.cfg.LimitMode),
 		Max:      limMax,
 		QueueCap: missQueue,
 		Clock:    clock,
@@ -126,7 +125,7 @@ func writeShed(w http.ResponseWriter, se *admit.ShedError) {
 // noteShed counts one shed decision of class c and traces it.
 func (n *CacheNode) noteShed(c admit.Class, url string) {
 	n.shedByClass[c].Inc()
-	if tr := n.Tracer(); tr != nil {
+	if tr := n.cfg.Tracer; tr != nil {
 		tr.Emit(obs.Event{Time: n.now(), Kind: obs.EvShed, Node: n.name, URL: url})
 	}
 }
@@ -217,7 +216,7 @@ func (n *CacheNode) originFetch(ctx context.Context, url string, version documen
 	})
 	if shared && err == nil {
 		n.coalescedMiss.Inc()
-		if tr := n.Tracer(); tr != nil {
+		if tr := n.cfg.Tracer; tr != nil {
 			tr.Emit(obs.Event{Time: n.now(), Kind: obs.EvCoalesced, Node: n.name, URL: url})
 		}
 	}

@@ -37,9 +37,8 @@ type CacheNode struct {
 	// and the dead-peer set, lookup records, sibling replicas and load
 	// counters, under its own lock. Request routing reads its lock-free
 	// view (the node-layer mirror of the core's epoch pointer).
-	dir    *directory
-	hbSeq  atomic.Int64
-	tracer atomic.Pointer[obs.Tracer]
+	dir   *directory
+	hbSeq atomic.Int64
 
 	// Holder-list maintenance, requester side (see drops.go). hmu guards
 	// the block and is never held across a network call.
@@ -122,6 +121,13 @@ type CacheNode struct {
 // initial sub-range split; the origin installs rebalanced assignments
 // later.
 func NewCacheNode(name string, cfg ClusterConfig) (*CacheNode, error) {
+	return NewCacheNodeWithTransport(name, cfg, nil)
+}
+
+// NewCacheNodeWithTransport constructs a cache node whose outbound calls go
+// through the given transport (tests inject the chaos transport here); nil
+// selects the node's own, whose open circuits the node counts.
+func NewCacheNodeWithTransport(name string, cfg ClusterConfig, tp Transport) (*CacheNode, error) {
 	if _, ok := cfg.Addrs[name]; !ok {
 		return nil, fmt.Errorf("node: %q missing from cluster addresses", name)
 	}
@@ -166,7 +172,6 @@ func NewCacheNode(name string, cfg ClusterConfig) (*CacheNode, error) {
 		return nil, err
 	}
 	n.shieldRouter = router
-	n.tracer.Store(cfg.Tracer)
 	n.initAdmission()
 	// Tenancy precedes the durable warm boot so replayed entries land
 	// under their tenants' byte quotas.
@@ -177,7 +182,10 @@ func NewCacheNode(name string, cfg ClusterConfig) (*CacheNode, error) {
 	if err := n.initDurable(); err != nil {
 		return nil, err
 	}
-	n.tp = NewHTTPTransport(TransportOptions{OnBreakerOpen: n.noteCircuitOpen, Clock: clock})
+	if tp == nil {
+		tp = NewHTTPTransport(TransportOptions{OnBreakerOpen: n.noteCircuitOpen, Clock: clock})
+	}
+	n.tp = tp
 	return n, nil
 }
 
@@ -215,32 +223,12 @@ func (n *CacheNode) initMetrics() {
 // Metrics exposes the node's metrics registry.
 func (n *CacheNode) Metrics() *obs.Registry { return n.reg }
 
-// SetTracer attaches a protocol-event tracer; the node emits
-// EvFailedOver and EvCircuitOpen.
-func (n *CacheNode) SetTracer(t *obs.Tracer) { n.tracer.Store(t) }
-
-// Tracer returns the attached tracer (nil when tracing is off).
-func (n *CacheNode) Tracer() *obs.Tracer { return n.tracer.Load() }
-
 // noteCircuitOpen is the transport's breaker-open callback.
 func (n *CacheNode) noteCircuitOpen(host string) {
 	n.circuitOpen.Inc()
-	if tr := n.Tracer(); tr != nil {
+	if tr := n.cfg.Tracer; tr != nil {
 		tr.Emit(obs.Event{Time: n.now(), Kind: obs.EvCircuitOpen, Node: host})
 	}
-}
-
-// NewCacheNodeWithTransport constructs a cache node whose outbound calls
-// go through the given transport (tests inject the chaos transport here).
-func NewCacheNodeWithTransport(name string, cfg ClusterConfig, tp Transport) (*CacheNode, error) {
-	n, err := NewCacheNode(name, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if tp != nil {
-		n.tp = tp
-	}
-	return n, nil
 }
 
 // Name returns the node name.
@@ -435,7 +423,7 @@ func (n *CacheNode) handleDoc(w http.ResponseWriter, r *http.Request) {
 	}
 	if failedOver {
 		n.failedOver.Inc()
-		if tr := n.Tracer(); tr != nil {
+		if tr := n.cfg.Tracer; tr != nil {
 			tr.Emit(obs.Event{Time: now, Kind: obs.EvFailedOver, Node: deadBeacon, URL: url})
 		}
 	}

@@ -45,22 +45,11 @@ func StartLocalClusterWith(nodeNames []string, ringSize int, docs []document.Doc
 	if len(nodeNames) < ringSize {
 		return nil, fmt.Errorf("node: %d nodes cannot form rings of %d", len(nodeNames), ringSize)
 	}
-	cfg := ClusterConfig{
-		IntraGen:         opts.IntraGen,
-		CapacityBytes:    opts.CapacityBytes,
-		UtilityPlacement: opts.UtilityPlacement,
-		MaxInflight:      opts.MaxInflight,
-		MissQueue:        opts.MissQueue,
-		LimitMode:        opts.LimitMode,
-		StoreDir:         opts.StoreDir,
-		Fsync:            opts.Fsync,
-		Clock:            opts.Clock,
-		Tracer:           opts.Tracer,
-		Shields:          opts.Shields,
-		CloudID:          opts.CloudID,
-		Tenants:          opts.Tenants,
-		Addrs:            make(map[string]string, len(nodeNames)),
-	}
+	// Every setting comes from opts; the layout and the addresses are the
+	// cluster's own.
+	cfg := opts
+	cfg.Addrs = make(map[string]string, len(nodeNames))
+	cfg.ShieldAddrs = nil
 	if len(cfg.Shields) > 0 {
 		cfg.ShieldAddrs = make(map[string]string, len(cfg.Shields))
 	}
@@ -178,20 +167,41 @@ func (lc *LocalCluster) StopNode(name string) bool {
 
 // RestartNode brings a stopped node back on its original address with a
 // freshly constructed CacheNode — when the cluster config names a
-// StoreDir the replacement boots warm from the crashed node's log. The
-// old node object's durable tier is sealed first so the replacement can
-// reopen the same directory. Rebinding the just-released port can race
-// the kernel, so the listen is retried briefly.
+// StoreDir the replacement boots warm from the crashed node's log.
 func (lc *LocalCluster) RestartNode(name string, mk TransportFactory) (*CacheNode, error) {
+	return restart(lc, lc.Caches, lc.Cfg.Addrs, name, mk, NewCacheNodeWithTransport)
+}
+
+// RestartShield brings a stopped shield back on its original address with
+// a freshly constructed ShieldNode — with a StoreDir configured it boots
+// warm from the crashed shield's durable log.
+func (lc *LocalCluster) RestartShield(name string, mk TransportFactory) (*ShieldNode, error) {
+	return restart(lc, lc.Shields, lc.Cfg.ShieldAddrs, name, mk, NewShieldNodeWithTransport)
+}
+
+// restartable is what restart needs of a node kind.
+type restartable interface {
+	Close() error
+	Handler() http.Handler
+}
+
+// restart is RestartNode and RestartShield over the participant's map,
+// addresses and constructor. The old node's durable tier is sealed first
+// so the replacement can reopen the same directory. Rebinding the
+// just-released port can race the kernel, so the listen is retried
+// briefly.
+func restart[N restartable](lc *LocalCluster, nodes map[string]N, addrs map[string]string, name string,
+	mk TransportFactory, build func(string, ClusterConfig, Transport) (N, error)) (N, error) {
+	var none N
 	if _, running := lc.byName[name]; running {
-		return nil, fmt.Errorf("node: %q is still running", name)
+		return none, fmt.Errorf("node: %q is still running", name)
 	}
-	old, ok := lc.Caches[name]
+	old, ok := nodes[name]
 	if !ok {
-		return nil, fmt.Errorf("node: unknown node %q", name)
+		return none, fmt.Errorf("node: unknown node %q", name)
 	}
 	_ = old.Close()
-	addr := strings.TrimPrefix(lc.Cfg.Addrs[name], "http://")
+	addr := strings.TrimPrefix(addrs[name], "http://")
 	var (
 		ln  net.Listener
 		err error
@@ -204,26 +214,26 @@ func (lc *LocalCluster) RestartNode(name string, mk TransportFactory) (*CacheNod
 		time.Sleep(50 * time.Millisecond)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("node: rebind %s: %w", addr, err)
+		return none, fmt.Errorf("node: rebind %s: %w", addr, err)
 	}
 	var tp Transport
 	if mk != nil {
 		tp = mk(name)
 	}
-	cn, err := NewCacheNodeWithTransport(name, lc.Cfg, tp)
+	n, err := build(name, lc.Cfg, tp)
 	if err != nil {
 		_ = ln.Close()
-		return nil, err
+		return none, err
 	}
 	srv := &httptest.Server{
 		Listener: ln,
-		Config:   &http.Server{Handler: cn.Handler()},
+		Config:   &http.Server{Handler: n.Handler()},
 	}
 	srv.Start()
-	lc.Caches[name] = cn
+	nodes[name] = n
 	lc.byName[name] = srv
 	lc.servers = append(lc.servers, srv)
-	return cn, nil
+	return n, nil
 }
 
 // Close shuts down every server in the cluster, seals each node's durable
@@ -243,51 +253,4 @@ func (lc *LocalCluster) Close() {
 		_ = lc.Origin.Close()
 	}
 	closeIdlePeerConns(lc.Cfg)
-}
-
-// RestartShield brings a stopped shield back on its original address with
-// a freshly constructed ShieldNode — with a StoreDir configured it boots
-// warm from the crashed shield's durable log.
-func (lc *LocalCluster) RestartShield(name string, mk TransportFactory) (*ShieldNode, error) {
-	if _, running := lc.byName[name]; running {
-		return nil, fmt.Errorf("node: shield %q is still running", name)
-	}
-	old, ok := lc.Shields[name]
-	if !ok {
-		return nil, fmt.Errorf("node: unknown shield %q", name)
-	}
-	_ = old.Close()
-	addr := strings.TrimPrefix(lc.Cfg.ShieldAddrs[name], "http://")
-	var (
-		ln  net.Listener
-		err error
-	)
-	for i := 0; i < 40; i++ {
-		ln, err = net.Listen("tcp", addr)
-		if err == nil {
-			break
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("node: rebind shield %s: %w", addr, err)
-	}
-	var tp Transport
-	if mk != nil {
-		tp = mk(name)
-	}
-	sn, err := NewShieldNodeWithTransport(name, lc.Cfg, tp)
-	if err != nil {
-		_ = ln.Close()
-		return nil, err
-	}
-	srv := &httptest.Server{
-		Listener: ln,
-		Config:   &http.Server{Handler: sn.Handler()},
-	}
-	srv.Start()
-	lc.Shields[name] = sn
-	lc.byName[name] = srv
-	lc.servers = append(lc.servers, srv)
-	return sn, nil
 }

@@ -18,10 +18,8 @@ func chaosCluster(t *testing.T, net *chaos.Network, names []string, ringSize int
 		return NewHTTPTransport(TransportOptions{
 			RequestTimeout:   2 * time.Second,
 			MaxRetries:       1,
-			BackoffBase:      2 * time.Millisecond,
-			BackoffMax:       10 * time.Millisecond,
 			BreakerThreshold: -1, // keep routing deterministic under chaos
-			JitterSeed:       7,
+			Clock:            quickClock{},
 		})
 	}
 	lc, err := StartLocalClusterWith(names, ringSize, testCatalog(60), ClusterConfig{IntraGen: 200},
@@ -84,9 +82,7 @@ func TestChaosBeaconFailoverEndToEnd(t *testing.T) {
 			net.Transport("client-"+preferred, NewHTTPTransport(TransportOptions{
 				RequestTimeout: 2 * time.Second,
 				MaxRetries:     1,
-				BackoffBase:    2 * time.Millisecond,
-				BackoffMax:     10 * time.Millisecond,
-				JitterSeed:     11,
+				Clock:          quickClock{},
 			})))
 		if err != nil {
 			t.Fatal(err)
@@ -227,9 +223,7 @@ func TestChaosDropsAreAbsorbedByClientFailover(t *testing.T) {
 		net.Transport("client", NewHTTPTransport(TransportOptions{
 			RequestTimeout: 2 * time.Second,
 			MaxRetries:     1,
-			BackoffBase:    2 * time.Millisecond,
-			BackoffMax:     10 * time.Millisecond,
-			JitterSeed:     3,
+			Clock:          quickClock{},
 		})))
 	if err != nil {
 		t.Fatal(err)

@@ -52,7 +52,6 @@ type OriginNode struct {
 	purgeGen    map[string]int64     // per-URL global purge generation (monotonic)
 	lastSeen    map[string]time.Time // last heartbeat arrival per node
 	recordsHeld map[string]int       // records reported in each node's last beat
-	tracer      *obs.Tracer
 	started     time.Time
 
 	// fetchInFlight / fetchHighWater track concurrent /fetch serving;
@@ -77,6 +76,13 @@ type OriginNode struct {
 
 // NewOriginNode constructs the origin with its document catalog.
 func NewOriginNode(cfg ClusterConfig, docs []document.Document) (*OriginNode, error) {
+	return NewOriginNodeWithTransport(cfg, docs, nil)
+}
+
+// NewOriginNodeWithTransport constructs an origin whose outbound calls go
+// through the given transport (tests inject the chaos transport here); nil
+// selects the origin's own.
+func NewOriginNodeWithTransport(cfg ClusterConfig, docs []document.Document, tp Transport) (*OriginNode, error) {
 	if cfg.IntraGen <= 0 {
 		return nil, errors.New("node: IntraGen must be positive")
 	}
@@ -88,9 +94,12 @@ func NewOriginNode(cfg ClusterConfig, docs []document.Document) (*OriginNode, er
 		return nil, err
 	}
 	clock := clockOrReal(cfg.Clock)
+	if tp == nil {
+		tp = NewHTTPTransport(TransportOptions{Clock: clock})
+	}
 	o := &OriginNode{
 		cfg:         cfg,
-		tp:          NewHTTPTransport(TransportOptions{}),
+		tp:          tp,
 		clock:       clock,
 		rings:       rings,
 		docs:        make(map[string]document.Document, len(docs)),
@@ -155,35 +164,6 @@ func (o *OriginNode) FetchHighWater() int64 { return o.fetchHighWater.Load() }
 
 // Metrics exposes the origin's metrics registry.
 func (o *OriginNode) Metrics() *obs.Registry { return o.reg }
-
-// SetTracer attaches a protocol-event tracer; the origin emits
-// EvNodeDead when a node is declared dead and EvNodeRejoin on
-// re-admission.
-func (o *OriginNode) SetTracer(t *obs.Tracer) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.tracer = t
-}
-
-// Tracer returns the attached tracer (nil when tracing is off).
-func (o *OriginNode) Tracer() *obs.Tracer {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.tracer
-}
-
-// NewOriginNodeWithTransport constructs an origin whose outbound calls go
-// through the given transport (tests inject the chaos transport here).
-func NewOriginNodeWithTransport(cfg ClusterConfig, docs []document.Document, tp Transport) (*OriginNode, error) {
-	o, err := NewOriginNode(cfg, docs)
-	if err != nil {
-		return nil, err
-	}
-	if tp != nil {
-		o.tp = tp
-	}
-	return o, nil
-}
 
 // Close closes the connections the origin serves and the idle ones it
 // holds to the cluster's addresses.
@@ -583,7 +563,7 @@ func (o *OriginNode) declareDead(ctx context.Context, dead []string) (RepairResp
 	next := o.publish(down)
 	o.repairs.Inc()
 	o.recordsLost.Add(lost)
-	if tr := o.Tracer(); tr != nil {
+	if tr := o.cfg.Tracer; tr != nil {
 		now := o.uptime()
 		for _, name := range removed {
 			tr.Emit(obs.Event{Time: now, Kind: obs.EvNodeDead, Node: name})
@@ -647,7 +627,7 @@ func (o *OriginNode) Readmit(ctx context.Context, name string) error {
 	delete(down, name)
 	next := o.publish(down)
 	o.rejoins.Inc()
-	if tr := o.Tracer(); tr != nil {
+	if tr := o.cfg.Tracer; tr != nil {
 		tr.Emit(obs.Event{Time: o.uptime(), Kind: obs.EvNodeRejoin, Node: name})
 	}
 	if _, err := o.installAssignments(ctx, next); err != nil {

@@ -103,9 +103,6 @@ type ClusterConfig struct {
 	// MissQueue caps queued miss-class (origin fetch) waiters; arrivals
 	// past the cap are shed immediately (0 selects the default, 32).
 	MissQueue int `json:"missQueue,omitempty"`
-	// LimitMode selects the adaptive origin-fetch concurrency law:
-	// "aimd" (default), "gradient", or "fixed".
-	LimitMode string `json:"limitMode,omitempty"`
 	// StoreDir, when non-empty, is the directory root for the durable
 	// cache tier: each node persists its admitted documents into
 	// StoreDir/<node-name> and boots warm from it after a restart
@@ -124,10 +121,6 @@ type ClusterConfig struct {
 	Shields []string `json:"shields,omitempty"`
 	// ShieldAddrs maps shield name to base URL.
 	ShieldAddrs map[string]string `json:"shieldAddrs,omitempty"`
-	// CloudID names this cache cloud inside the shield tier. Shield-ring
-	// placement hashes it exactly as a URL hashes into a beacon ring
-	// (default "cloud0"). Ignored when Shields is empty.
-	CloudID string `json:"cloudID,omitempty"`
 	// Tenants, when non-empty, turns on multi-tenant admission and
 	// residency quotas: each entry maps a tenant ID to its weighted fair
 	// share of MaxInflight and its resident-byte cap. Tenants absent from
@@ -139,9 +132,8 @@ type ClusterConfig struct {
 	// injects a virtual clock here. Never serialised.
 	Clock Clock `json:"-"`
 	// Tracer, when non-nil, receives protocol events from nodes built
-	// from this config — including durable-store recovery events that
-	// fire during construction, before SetTracer could run. Never
-	// serialised.
+	// from this config, durable-store recovery events during construction
+	// included. Never serialised.
 	Tracer *obs.Tracer `json:"-"`
 }
 

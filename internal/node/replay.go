@@ -54,7 +54,7 @@ func Replay(cfg ClusterConfig, tr *trace.Trace, opts ReplayOptions) (*ReplayResu
 		return nil, fmt.Errorf("node: empty trace")
 	}
 	// One attempt a call, as a client that counts its errors wants.
-	tp := NewHTTPTransport(TransportOptions{RequestTimeout: 10 * time.Second, NoRetries: true, BreakerThreshold: -1})
+	tp := NewHTTPTransport(TransportOptions{RequestTimeout: 10 * time.Second, MaxRetries: -1, BreakerThreshold: -1})
 	ctx := context.Background()
 	res := &ReplayResult{}
 	lat := obs.NewHistogram(obs.DefaultLatencyBounds())

@@ -421,7 +421,7 @@ func servedNode(t *testing.T, conf ...func(*httptest.Server)) (*CacheNode, *http
 		_ = n.Close()
 		peerConns.closeIdle([]string{strings.TrimPrefix(srv.URL, "http://")})
 	})
-	return n, srv, counter, fastTransport(TransportOptions{NoRetries: true, BreakerThreshold: -1})
+	return n, srv, counter, fastTransport(TransportOptions{MaxRetries: -1, BreakerThreshold: -1})
 }
 
 // hidden keeps a server's connections net/http's.
@@ -741,7 +741,7 @@ func TestStopNodeEndsServedConnections(t *testing.T) {
 			t.Errorf("a stopped node answered a client on a connection %s", name)
 		}
 	}
-	tp := fastTransport(TransportOptions{NoRetries: true, BreakerThreshold: -1})
+	tp := fastTransport(TransportOptions{MaxRetries: -1, BreakerThreshold: -1})
 	if err := tp.GetJSON(context.Background(), lc.Cfg.Addrs[victim]+"/healthz", nil); err == nil {
 		t.Error("a stopped node answered")
 	}

@@ -20,6 +20,10 @@ import (
 	"cachecloud/internal/ring"
 )
 
+// liveCloud names the cluster's cloud inside the shield tier. Shield-ring
+// placement hashes it exactly as a URL hashes into a beacon ring.
+const liveCloud = "cloud0"
+
 // ShieldRouter resolves which shield serves a cloud — the recursive reuse
 // of the beacon-ring machinery: the shields form a ring (internal/ring)
 // and the cloud ID hashes into its intra-ring range exactly as a URL
@@ -47,7 +51,7 @@ func NewShieldRouter(cfg ClusterConfig) (*ShieldRouter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("node: shield ring: %w", err)
 	}
-	owner, err := rg.BeaconFor(document.HashURL(cfg.cloudID()).IrH(cfg.IntraGen))
+	owner, err := rg.BeaconFor(document.HashURL(liveCloud).IrH(cfg.IntraGen))
 	if err != nil {
 		return nil, fmt.Errorf("node: shield ring: %w", err)
 	}
@@ -83,7 +87,7 @@ func (r *ShieldRouter) Walk() []string {
 // The fetch also (re-)subscribes this cloud to the serving shield's
 // fan-out. Fails only when every shield is unreachable.
 func (n *CacheNode) shieldFetch(ctx context.Context, url string, version document.Version) (FetchResponse, error) {
-	q := "/sfetch?url=" + queryEscape(url) + "&cloud=" + queryEscape(n.cfg.cloudID()) +
+	q := "/sfetch?url=" + queryEscape(url) + "&cloud=" + liveCloud +
 		"&v=" + strconv.FormatUint(uint64(version), 10)
 	var lastErr error
 	for i, base := range n.shieldRouter.Walk() {
@@ -258,11 +262,11 @@ func (sn *ShieldNode) store(e *shieldEntry, cp document.Copy) {
 }
 
 // intern returns a copy of a cloud ID that the table may keep without
-// keeping the request line it was cut from alive: the configured cloud's
-// own (the only ID the live layer routes), a clone of any other.
+// keeping the request line it was cut from alive: liveCloud (the only ID
+// the live layer routes), a clone of any other.
 func (sn *ShieldNode) intern(cloudID string) string {
-	if own := sn.cfg.cloudID(); cloudID == own {
-		return own
+	if cloudID == liveCloud {
+		return liveCloud
 	}
 	return strings.Clone(cloudID)
 }
@@ -270,6 +274,13 @@ func (sn *ShieldNode) intern(cloudID string) string {
 // NewShieldNode constructs a live shield node. Its name must appear in the
 // cluster config's ShieldAddrs.
 func NewShieldNode(name string, cfg ClusterConfig) (*ShieldNode, error) {
+	return NewShieldNodeWithTransport(name, cfg, nil)
+}
+
+// NewShieldNodeWithTransport constructs a shield node whose outbound calls
+// go through the given transport (the simulation harness injects the chaos
+// transport here); nil selects the shield's own.
+func NewShieldNodeWithTransport(name string, cfg ClusterConfig, tp Transport) (*ShieldNode, error) {
 	if _, ok := cfg.ShieldAddrs[name]; !ok {
 		return nil, fmt.Errorf("node: shield %q missing from shield addresses", name)
 	}
@@ -281,9 +292,13 @@ func NewShieldNode(name string, cfg ClusterConfig) (*ShieldNode, error) {
 		return nil, err
 	}
 	clock := clockOrReal(cfg.Clock)
+	if tp == nil {
+		tp = NewHTTPTransport(TransportOptions{Clock: clock})
+	}
 	sn := &ShieldNode{
 		name:  name,
 		cfg:   cfg,
+		tp:    tp,
 		clock: clock,
 		start: clock.Now(),
 		table: make(map[string]*shieldEntry),
@@ -292,21 +307,6 @@ func NewShieldNode(name string, cfg ClusterConfig) (*ShieldNode, error) {
 	sn.initMetrics()
 	if err := sn.initDurable(); err != nil {
 		return nil, err
-	}
-	sn.tp = NewHTTPTransport(TransportOptions{Clock: clock})
-	return sn, nil
-}
-
-// NewShieldNodeWithTransport constructs a shield node whose outbound calls
-// go through the given transport (the simulation harness injects the chaos
-// transport here).
-func NewShieldNodeWithTransport(name string, cfg ClusterConfig, tp Transport) (*ShieldNode, error) {
-	sn, err := NewShieldNode(name, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if tp != nil {
-		sn.tp = tp
 	}
 	return sn, nil
 }
@@ -449,23 +449,15 @@ func (sn *ShieldNode) handleFetch(w http.ResponseWriter, r *http.Request) {
 }
 
 // cloudBeacon resolves the beacon base URL a fan-out for url goes to
-// inside the named cloud. The live layer runs one cloud (cfg.CloudID) per
+// inside the named cloud. The live layer runs one cloud (liveCloud) per
 // cluster config; subscriptions from other cloud IDs have no route and
 // are pruned.
 func (sn *ShieldNode) cloudBeacon(url, cloudID string) (string, bool) {
-	if cloudID != sn.cfg.cloudID() {
+	if cloudID != liveCloud {
 		return "", false
 	}
 	_, base, err := sn.view.Load().beaconAddr(sn.cfg.Addrs, url)
 	return base, err == nil
-}
-
-// cloudID is the name of the cluster's cloud inside the shield tier.
-func (cfg ClusterConfig) cloudID() string {
-	if cfg.CloudID != "" {
-		return cfg.CloudID
-	}
-	return "cloud0"
 }
 
 // handleUpdate receives the origin's versioned update push. A held copy is

@@ -167,7 +167,7 @@ func (n *CacheNode) tenantAcquire(id string) (func(), bool) {
 func (n *CacheNode) refuseTenantShed(w http.ResponseWriter, tid, url string) {
 	n.docShed.Inc()
 	n.tenantCounts.shed(tid)
-	if tr := n.Tracer(); tr != nil {
+	if tr := n.cfg.Tracer; tr != nil {
 		tr.Emit(obs.Event{Time: n.now(), Kind: obs.EvTenantShed, Node: n.name, URL: url, Tenant: tid})
 	}
 	writeShed(w, &admit.ShedError{Class: admit.Hit, Reason: admit.ReasonTenantShare, Tenant: tid})

@@ -73,6 +73,17 @@ func ShedRetryAfter(err error) (time.Duration, bool) {
 // fail-fast window open, so a bogus hint cannot poison a peer for long.
 const maxShedRetryAfter = 2 * time.Second
 
+// The retry and breaker timings of HTTPTransport.
+const (
+	// backoffBase is the first retry delay; each further retry doubles it
+	// up to backoffMax, with ±50% jitter.
+	backoffBase = 25 * time.Millisecond
+	backoffMax  = 500 * time.Millisecond
+	// breakerCooldown is how long an open circuit refuses calls before
+	// letting a probe through.
+	breakerCooldown = time.Second
+)
+
 // TransportOptions tunes HTTPTransport. The zero value selects the
 // defaults noted on each field.
 type TransportOptions struct {
@@ -80,23 +91,11 @@ type TransportOptions struct {
 	// a tighter overall budget through the context.
 	RequestTimeout time.Duration
 	// MaxRetries is the number of re-attempts after the first failure
-	// (default 2; 0 keeps the default, use NoRetries to disable).
+	// (default 2 for 0; negative disables retries).
 	MaxRetries int
-	// NoRetries disables retries entirely (single attempt per call).
-	NoRetries bool
-	// BackoffBase is the first retry delay (default 25ms); each further
-	// retry doubles it up to BackoffMax (default 500ms), with ±50% jitter.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// BreakerThreshold is the number of consecutive failures to one peer
 	// that opens its circuit (default 4; negative disables the breaker).
 	BreakerThreshold int
-	// BreakerCooldown is how long an open circuit refuses calls before
-	// letting a probe through (default 1s).
-	BreakerCooldown time.Duration
-	// JitterSeed seeds the backoff jitter source; 0 derives a seed from
-	// the wall clock. Fix it for reproducible retry schedules in tests.
-	JitterSeed int64
 	// OnBreakerOpen, when non-nil, is called each time a peer's circuit
 	// transitions from closed to open (observability hook). It is invoked
 	// outside the transport's lock and must be safe for concurrent use.
@@ -144,27 +143,14 @@ func NewHTTPTransport(opts TransportOptions) *HTTPTransport {
 	if opts.RequestTimeout <= 0 {
 		opts.RequestTimeout = 5 * time.Second
 	}
-	if opts.MaxRetries <= 0 {
+	switch {
+	case opts.MaxRetries == 0:
 		opts.MaxRetries = 2
-	}
-	if opts.NoRetries {
+	case opts.MaxRetries < 0:
 		opts.MaxRetries = 0
-	}
-	if opts.BackoffBase <= 0 {
-		opts.BackoffBase = 25 * time.Millisecond
-	}
-	if opts.BackoffMax <= 0 {
-		opts.BackoffMax = 500 * time.Millisecond
 	}
 	if opts.BreakerThreshold == 0 {
 		opts.BreakerThreshold = 4
-	}
-	if opts.BreakerCooldown <= 0 {
-		opts.BreakerCooldown = time.Second
-	}
-	seed := opts.JitterSeed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
 	}
 	client := opts.Client
 	if client == nil {
@@ -175,7 +161,7 @@ func NewHTTPTransport(opts TransportOptions) *HTTPTransport {
 		client:   client,
 		direct:   opts.Client == nil,
 		clock:    clockOrReal(opts.Clock),
-		rng:      rand.New(rand.NewSource(seed)),
+		rng:      rand.New(rand.NewSource(time.Now().UnixNano())),
 		breakers: make(map[string]*breaker),
 	}
 }
@@ -335,7 +321,7 @@ func (t *HTTPTransport) admit(host string) error {
 	if t.opts.BreakerThreshold < 0 || b.openedAt.IsZero() {
 		return nil
 	}
-	if t.clock.Since(b.openedAt) >= t.opts.BreakerCooldown && !b.probing {
+	if t.clock.Since(b.openedAt) >= breakerCooldown && !b.probing {
 		b.probing = true // half-open: let exactly one probe through
 		return nil
 	}
@@ -377,15 +363,15 @@ func (t *HTTPTransport) PeerDown(baseURL string) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	b := t.breakers[hostOf(baseURL)]
-	return b != nil && !b.openedAt.IsZero() && t.clock.Since(b.openedAt) < t.opts.BreakerCooldown
+	return b != nil && !b.openedAt.IsZero() && t.clock.Since(b.openedAt) < breakerCooldown
 }
 
 // sleep waits for the attempt's backoff (exponential with ±50% jitter),
 // aborting early when the context is cancelled.
 func (t *HTTPTransport) sleep(ctx context.Context, attempt int) error {
-	d := t.opts.BackoffBase << uint(attempt)
-	if d > t.opts.BackoffMax {
-		d = t.opts.BackoffMax
+	d := backoffBase << uint(attempt)
+	if d > backoffMax {
+		d = backoffMax
 	}
 	t.mu.Lock()
 	jitter := 0.5 + t.rng.Float64() // [0.5, 1.5)

@@ -63,7 +63,7 @@ func TestTransportShedDoesNotTripBreaker(t *testing.T) {
 	defer srv.Close()
 
 	mc := newManualClock()
-	tp := fastTransport(TransportOptions{NoRetries: true, BreakerThreshold: 3, Clock: mc})
+	tp := fastTransport(TransportOptions{MaxRetries: -1, BreakerThreshold: 3, Clock: mc})
 
 	// Two real failures: one short of the threshold.
 	for i := 0; i < 2; i++ {
@@ -95,7 +95,7 @@ func TestTransportShedHonorsRetryAfter(t *testing.T) {
 	defer srv.Close()
 
 	mc := newManualClock()
-	tp := fastTransport(TransportOptions{NoRetries: true, Clock: mc})
+	tp := fastTransport(TransportOptions{MaxRetries: -1, Clock: mc})
 
 	if err := tp.GetJSON(context.Background(), srv.URL+"/x", nil); !errors.Is(err, ErrShed) {
 		t.Fatalf("first call err = %v, want ErrShed", err)
@@ -133,7 +133,7 @@ func TestTransportShedRetryAfterSecondsAndCap(t *testing.T) {
 	defer srv.Close()
 
 	mc := newManualClock()
-	tp := fastTransport(TransportOptions{NoRetries: true, Clock: mc})
+	tp := fastTransport(TransportOptions{MaxRetries: -1, Clock: mc})
 	err := tp.GetJSON(context.Background(), srv.URL+"/x", nil)
 	if ra, ok := ShedRetryAfter(err); !ok || ra != time.Hour {
 		t.Fatalf("ShedRetryAfter = (%v, %v), want (1h, true): seconds header not parsed", ra, ok)
@@ -180,7 +180,7 @@ func TestTransportNoConnectionLeakOnErrorPaths(t *testing.T) {
 	defer srv.Close()
 
 	mc := newManualClock()
-	tp := fastTransport(TransportOptions{NoRetries: true, BreakerThreshold: -1, Clock: mc})
+	tp := fastTransport(TransportOptions{MaxRetries: -1, BreakerThreshold: -1, Clock: mc})
 	wantErrs := []func(error) bool{
 		func(err error) bool { return err != nil && !errors.Is(err, ErrShed) }, // 500
 		func(err error) bool { return errors.Is(err, ErrNotFound) },            // 404

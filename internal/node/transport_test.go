@@ -72,19 +72,21 @@ func (c *manualClock) advance(d time.Duration) {
 	}
 }
 
+// quickClock is the wall clock with every timer 25× shorter: a transport
+// on it backs off 1–20 ms between retries instead of 25–500 ms.
+type quickClock struct{ realClock }
+
+func (quickClock) AfterFunc(d time.Duration, f func()) Timer {
+	return realClock{}.AfterFunc(d/25, f)
+}
+
 // fastTransport returns a transport with short timings for tests.
 func fastTransport(opts TransportOptions) *HTTPTransport {
 	if opts.RequestTimeout == 0 {
 		opts.RequestTimeout = 2 * time.Second
 	}
-	if opts.BackoffBase == 0 {
-		opts.BackoffBase = time.Millisecond
-	}
-	if opts.BackoffMax == 0 {
-		opts.BackoffMax = 5 * time.Millisecond
-	}
-	if opts.JitterSeed == 0 {
-		opts.JitterSeed = 42
+	if opts.Clock == nil {
+		opts.Clock = quickClock{}
 	}
 	return NewHTTPTransport(opts)
 }
@@ -174,7 +176,9 @@ func TestTransportContextCancelStopsRetries(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	tp := fastTransport(TransportOptions{MaxRetries: 10, BackoffBase: 50 * time.Millisecond, BackoffMax: 50 * time.Millisecond})
+	// On the wall clock the second backoff alone (25 ms × 2, ±50%) outlasts
+	// the caller's 20 ms.
+	tp := fastTransport(TransportOptions{MaxRetries: 10, Clock: realClock{}})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	if err := tp.GetJSON(ctx, srv.URL+"/x", nil); err == nil {
@@ -193,7 +197,7 @@ func TestTransportPerRequestDeadline(t *testing.T) {
 	defer srv.Close()
 	defer close(release)
 
-	tp := fastTransport(TransportOptions{RequestTimeout: 30 * time.Millisecond, NoRetries: true})
+	tp := fastTransport(TransportOptions{RequestTimeout: 30 * time.Millisecond, MaxRetries: -1})
 	start := time.Now()
 	err := tp.GetJSON(context.Background(), srv.URL+"/slow", nil)
 	if err == nil {
@@ -211,11 +215,8 @@ func TestTransportCircuitBreaker(t *testing.T) {
 	base := srv.URL
 	srv.Close() // all calls now fail with connection refused
 
-	tp := fastTransport(TransportOptions{
-		NoRetries:        true,
-		BreakerThreshold: 3,
-		BreakerCooldown:  time.Hour,
-	})
+	// The manual clock never moves: the circuit stays open.
+	tp := fastTransport(TransportOptions{MaxRetries: -1, BreakerThreshold: 3, Clock: newManualClock()})
 	for i := 0; i < 3; i++ {
 		if err := tp.GetJSON(context.Background(), base+"/x", nil); err == nil {
 			t.Fatal("call to closed server succeeded")
@@ -244,12 +245,7 @@ func TestTransportBreakerHalfOpenRecovery(t *testing.T) {
 	// The breaker runs on an injected manual clock, so cooldown expiry is a
 	// deterministic advance instead of a real sleep-and-poll loop.
 	mc := newManualClock()
-	tp := fastTransport(TransportOptions{
-		NoRetries:        true,
-		BreakerThreshold: 2,
-		BreakerCooldown:  10 * time.Millisecond,
-		Clock:            mc,
-	})
+	tp := fastTransport(TransportOptions{MaxRetries: -1, BreakerThreshold: 2, Clock: mc})
 	for i := 0; i < 2; i++ {
 		_ = tp.GetJSON(context.Background(), srv.URL+"/x", nil)
 	}
@@ -260,7 +256,7 @@ func TestTransportBreakerHalfOpenRecovery(t *testing.T) {
 		t.Fatalf("err = %v, want ErrPeerDown before cooldown", err)
 	}
 	healthy.Store(true)
-	mc.advance(11 * time.Millisecond) // past cooldown: next call is the probe
+	mc.advance(breakerCooldown + time.Millisecond) // past cooldown: next call is the probe
 	if err := tp.GetJSON(context.Background(), srv.URL+"/x", nil); err != nil {
 		t.Fatalf("half-open probe after cooldown failed: %v", err)
 	}
@@ -284,7 +280,7 @@ func TestTransportDrainsBodyForConnectionReuse(t *testing.T) {
 	srv.Start()
 	defer srv.Close()
 
-	tp := fastTransport(TransportOptions{NoRetries: true})
+	tp := fastTransport(TransportOptions{MaxRetries: -1})
 	for i := 0; i < 5; i++ {
 		var out map[string]bool
 		if err := tp.GetJSON(context.Background(), srv.URL+"/x", &out); err != nil {

@@ -156,7 +156,7 @@ func bothPaths(t *testing.T, mc *manualClock) (direct, ref *HTTPTransport) {
 	t.Helper()
 	rt := &http.Transport{}
 	t.Cleanup(rt.CloseIdleConnections)
-	opts := TransportOptions{NoRetries: true, BreakerThreshold: -1, Clock: mc}
+	opts := TransportOptions{MaxRetries: -1, BreakerThreshold: -1, Clock: mc}
 	direct = fastTransport(opts)
 	opts.Client = &http.Client{Transport: rt}
 	ref = fastTransport(opts)
@@ -300,7 +300,7 @@ func exchangeMatchesHTTPClient(t *testing.T, served bool) {
 
 	t.Run("a connection the peer closed while idle is replaced silently", func(t *testing.T) {
 		var opened atomic.Int64
-		tp := fastTransport(TransportOptions{NoRetries: true, BreakerThreshold: 1,
+		tp := fastTransport(TransportOptions{MaxRetries: -1, BreakerThreshold: 1,
 			OnBreakerOpen: func(string) { opened.Add(1) }})
 		var out map[string]any
 		if err := tp.GetJSON(bg, peer.srv.URL+"/len", &out); err != nil {
@@ -419,7 +419,7 @@ func TestExchangeLeavesOddURLsToHTTPClient(t *testing.T) {
 // TestPoolKeepsFourPerHostAndDropsTheOld: the pool's two bounds.
 func TestPoolKeepsFourPerHostAndDropsTheOld(t *testing.T) {
 	peer := newScriptedPeer(t, false)
-	tp := fastTransport(TransportOptions{NoRetries: true})
+	tp := fastTransport(TransportOptions{MaxRetries: -1})
 	var wg sync.WaitGroup
 	for i := 0; i < 12; i++ {
 		wg.Add(1)
@@ -573,7 +573,7 @@ func FuzzWireReply(f *testing.F) {
 	f.Add([]byte("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n7\r\n{\"n\":1}\r\n"), false)
 
 	const timeout = 150 * time.Millisecond
-	tp := NewHTTPTransport(TransportOptions{RequestTimeout: timeout, NoRetries: true, BreakerThreshold: -1})
+	tp := NewHTTPTransport(TransportOptions{RequestTimeout: timeout, MaxRetries: -1, BreakerThreshold: -1})
 	f.Fuzz(func(t *testing.T, reply []byte, closeAfter bool) {
 		// One read of the client's 4 KB buffer takes in the whole reply, so
 		// "nothing left buffered" means nothing left at all.

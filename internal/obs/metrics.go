@@ -108,6 +108,9 @@ func (h *Histogram) Count() int64 {
 	return h.total
 }
 
+// Mean returns the exact mean of the current contents.
+func (h *Histogram) Mean() float64 { return h.Snapshot().Mean() }
+
 // Quantile estimates the q-th quantile (0..1) from the current contents.
 func (h *Histogram) Quantile(q float64) float64 { return h.Snapshot().Quantile(q) }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -48,6 +49,68 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 	if NewHistogram(nil).Quantile(0.5) != 0 {
 		t.Fatal("empty histogram quantile should be 0")
+	}
+}
+
+// TestHistogramEmpty and the four tests after it are the cases the
+// simulator's own histogram was tested on before it became this one.
+func TestHistogramEmpty(t *testing.T) {
+	h := NewHistogram([]float64{1, 10})
+	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
+		t.Fatal("empty histogram not zeroed")
+	}
+}
+
+func TestHistogramMeanExact(t *testing.T) {
+	h := NewHistogram([]float64{1, 2, 5, 10, 20, 35, 50})
+	for _, v := range []float64{10, 20, 30} {
+		h.Observe(v)
+	}
+	if got := h.Mean(); got != 20 {
+		t.Fatalf("mean = %v, want 20 (exact, not bucketed)", got)
+	}
+}
+
+func TestHistogramQuantilesOrdered(t *testing.T) {
+	h := NewHistogram([]float64{1, 2, 5, 10, 20, 35, 50, 75, 100, 150, 250, 400, 650, 1000, 2000})
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 10000; i++ {
+		v := 8 + rng.Float64()*4 // mostly ~10ms, a tail at ~200ms
+		if rng.Intn(10) == 0 {
+			v = 150 + rng.Float64()*100
+		}
+		h.Observe(v)
+	}
+	p50, p90, p99 := h.Quantile(0.5), h.Quantile(0.9), h.Quantile(0.99)
+	if !(p50 <= p90 && p90 <= p99) || p50 < 5 || p50 > 20 || p99 < 100 {
+		t.Fatalf("p50/p90/p99 = %v/%v/%v, want monotone, p50 ≈ 10, p99 in the tail", p50, p90, p99)
+	}
+	if h.Quantile(-1) > h.Quantile(2) {
+		t.Fatal("clamped quantiles out of order")
+	}
+}
+
+func TestHistogramUniformQuantileAccuracy(t *testing.T) {
+	h := NewHistogram([]float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100})
+	for v := 1; v <= 100; v++ {
+		h.Observe(float64(v))
+	}
+	p50 := h.Quantile(0.5)
+	if p50 < 45 || p50 > 55 {
+		t.Fatalf("p50 = %v, want ≈50", p50)
+	}
+	p90 := h.Quantile(0.9)
+	if p90 < 85 || p90 > 95 {
+		t.Fatalf("p90 = %v, want ≈90", p90)
+	}
+}
+
+func TestHistogramOverflowBucket(t *testing.T) {
+	h := NewHistogram([]float64{10})
+	h.Observe(5)
+	h.Observe(5000)
+	if got := h.Quantile(1); got != 5000 {
+		t.Fatalf("max quantile = %v, want 5000", got)
 	}
 }
 

@@ -14,10 +14,12 @@
 // walks the ring order, and anti-entropy (Resync) plays the role
 // /reconcile plays inside a cloud.
 //
-// Tier is the deterministic single-threaded model of this fabric: it is
-// the reference the live node layer (node.ShieldNode) is checked against,
-// the subject of the monotonic-staleness property test, and the engine of
-// the shieldsweep experiment. The model's central invariant — checked by
+// Tier is the deterministic single-threaded model of this fabric: the
+// subject of the monotonic-staleness property test and the engine of the
+// shieldsweep experiment's multi-cloud grid, which the live layer cannot
+// run (node.ShieldNode routes one cloud per cluster). No test compares
+// the two; simnet checks node.ShieldNode against the same invariants on
+// its own. The model's central invariant — checked by
 // CheckStalenessBound — is the two-sided sandwich
 //
 //	delivered ≤ cloud copy ≤ serving shield ≤ origin

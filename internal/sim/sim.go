@@ -86,6 +86,10 @@ func DefaultLatencyModel() LatencyModel {
 	return LatencyModel{LocalMs: 5, LookupMs: 10, PeerFetchMs: 30, OriginFetchMs: 150, RevalidateMs: 140}
 }
 
+// latencyBounds are Result.Latency's bucket bounds: 1 ms .. 2 s in roughly
+// geometric steps, the span of the latency model's costs.
+var latencyBounds = []float64{1, 2, 5, 10, 20, 35, 50, 75, 100, 150, 250, 400, 650, 1000, 2000}
+
 // replacementOrLRU maps the zero value to LRU.
 func replacementOrLRU(k cache.ReplacementKind) cache.ReplacementKind {
 	if k == 0 {
@@ -229,7 +233,7 @@ type Result struct {
 
 	// Latency is the client-latency histogram (milliseconds) under the
 	// run's latency model.
-	Latency *loadstats.Histogram
+	Latency *obs.Histogram
 
 	// CachesFailed counts injected crashes; RecordsLost and
 	// RecordsRecovered report the lookup records destroyed and recovered
@@ -377,7 +381,7 @@ func Run(cfg Config, tr *trace.Trace) (*Result, error) {
 		catalog:  len(tr.Docs),
 		capacity: capacity,
 	}
-	s.res.Latency = loadstats.NewHistogram(loadstats.DefaultLatencyBounds())
+	s.res.Latency = obs.NewHistogram(latencyBounds)
 	if cfg.LeaseDuration > 0 {
 		s.leases = make(map[string]int64)
 	}

@@ -284,7 +284,6 @@ func (s *sim) build() error {
 	// The shield config is part of clcfg before any cache node is built:
 	// the nodes' shield routers derive the failover ring from it.
 	if cfg.Shields > 0 {
-		clcfg.CloudID = "cloud0"
 		clcfg.Shields = make([]string, cfg.Shields)
 		clcfg.ShieldAddrs = make(map[string]string, cfg.Shields)
 		for i := 0; i < cfg.Shields; i++ {
@@ -342,9 +341,6 @@ func (s *sim) build() error {
 		if err != nil {
 			return err
 		}
-		if cfg.Tracer != nil {
-			cn.SetTracer(cfg.Tracer)
-		}
 		s.caches[name] = cn
 		s.mem.bindHandler(clcfg.Addrs[name], cn.Handler())
 		s.net.Bind(name, clcfg.Addrs[name])
@@ -354,9 +350,6 @@ func (s *sim) build() error {
 		return err
 	}
 	s.origin = on
-	if cfg.Tracer != nil {
-		on.SetTracer(cfg.Tracer)
-	}
 	s.mem.bindHandler(clcfg.OriginAddr, on.Handler())
 	s.net.Bind("origin", clcfg.OriginAddr)
 	s.client = s.net.Transport("client", s.mem.transport())
@@ -1043,9 +1036,6 @@ func (s *sim) execHealWarm(victim string) {
 	if err != nil {
 		s.failf("heal-warm: rebuild %s: %v", victim, err)
 		return
-	}
-	if s.tracer != nil {
-		cn.SetTracer(s.tracer)
 	}
 	s.caches[victim] = cn
 	s.mem.bindHandler(s.clcfg.Addrs[victim], cn.Handler())

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"cachecloud/internal/obs"
 )
 
 // TestSingleSeedRunsClean runs one full generated scenario and requires
@@ -85,5 +87,27 @@ func TestVirtualClockOrdering(t *testing.T) {
 		if fired[i] != want[i] {
 			t.Fatalf("fired %v, want %v", fired, want)
 		}
+	}
+}
+
+// TestTracerReachesTheNodes: the run's one tracer, handed to every node
+// through ClusterConfig.Tracer, hears the origin's failure detector, and
+// tracing changes nothing the run does.
+func TestTracerReachesTheNodes(t *testing.T) {
+	plain, err := Run(Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTracer(1 << 12)
+	traced, err := Run(Config{Seed: 1, Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if traced.Log != plain.Log {
+		t.Fatalf("tracing changed the run:\n--- plain ---\n%s\n--- traced ---\n%s", plain.Log, traced.Log)
+	}
+	if tr.Count(obs.EvSimFault) == 0 || tr.Count(obs.EvNodeDead) == 0 {
+		t.Fatalf("sim faults %d, origin's node-dead events %d; want both > 0",
+			tr.Count(obs.EvSimFault), tr.Count(obs.EvNodeDead))
 	}
 }
