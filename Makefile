@@ -119,11 +119,13 @@ simsweep:
 # tests under the race detector, then a simulation sweep whose generated
 # schedules add a shield-tier fault phase to every round (shield crash,
 # failover, publishes and scoped/global purges past the crashed shield)
-# with the cross-tier invariants armed, and the same sweep in-process under
-# the race detector (TestShieldSweep).
+# with the cross-tier invariants armed, the same sweep over durable stores
+# and warm restarts, and the first sweep in-process under the race detector
+# (TestShieldSweep).
 shield-sweep:
 	$(GO) test -race -run 'TestShield' ./internal/node ./internal/shield ./internal/experiments
 	$(GO) run ./cmd/simnet -seeds $(SEEDS) -shields 2
+	$(GO) run ./cmd/simnet -seeds $(SEEDS) -warm -shields 2
 	$(GO) test -race -run 'TestShieldSweep' ./internal/simnet
 
 # Overload-resilience gate: the chaos end-to-ends (beacon failover,

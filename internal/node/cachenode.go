@@ -55,16 +55,17 @@ type CacheNode struct {
 	// Operational metrics live in the obs registry: counters are atomic
 	// and /metrics renders the registry without holding any node lock
 	// across the response write.
-	reg         *obs.Registry
-	localHits   *obs.Counter
-	peerHits    *obs.Counter
-	originMZ    *obs.Counter
-	failedOver  *obs.Counter // lookups answered by the ring sibling after a beacon failure
-	degraded    *obs.Counter // requests that fell through to the origin with no beacon
-	circuitOpen *obs.Counter
-	reqMs       *obs.Histogram // client /doc handling latency
-	lookupMs    *obs.Histogram // beacon lookup round trip
-	fetchMs     *obs.Histogram // peer/origin document retrieval
+	reg          *obs.Registry
+	localHits    *obs.Counter
+	peerHits     *obs.Counter
+	originMZ     *obs.Counter
+	lookupCopies *obs.Counter // lookups this node answered, as beacon, with its own copy
+	failedOver   *obs.Counter // lookups answered by the ring sibling after a beacon failure
+	degraded     *obs.Counter // requests that fell through to the origin with no beacon
+	circuitOpen  *obs.Counter
+	reqMs        *obs.Histogram // client /doc handling latency
+	lookupMs     *obs.Histogram // beacon lookup round trip
+	fetchMs      *obs.Histogram // peer/origin document retrieval
 
 	// Holder-list maintenance, requester side: drops sent on a lookup, sent
 	// in a batch, and cancelled because the document was held again. (The
@@ -197,6 +198,7 @@ func (n *CacheNode) initMetrics() {
 	n.localHits = reg.Counter("local_hits_total")
 	n.peerHits = reg.Counter("peer_hits_total")
 	n.originMZ = reg.Counter("origin_miss_total")
+	n.lookupCopies = reg.Counter("lookup_copies_total")
 	n.failedOver = reg.Counter("failed_over_total")
 	n.degraded = reg.Counter("degraded_total")
 	n.circuitOpen = reg.Counter("circuit_open_total")
@@ -447,8 +449,9 @@ func (n *CacheNode) handleDoc(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, DocResponse{Doc: doc, Source: source, Stored: stored, FailedOver: failedOver})
 }
 
-// peerRetrieve tries to fetch the document from a sibling holder.
-// Holders the origin has declared dead are skipped without a network
+// peerRetrieve tries to fetch the document from a sibling holder, unless
+// the beacon's answer carried its own copy (handleLookup), which is served
+// as is. Holders the origin has declared dead are skipped without a network
 // call; a holder that sheds (429), is unreachable, or lacks the copy is
 // skipped for the next one; so is a copy older than the version the beacon
 // has already fanned out (the holder's push is still on its way, and a
@@ -456,6 +459,10 @@ func (n *CacheNode) handleDoc(w http.ResponseWriter, r *http.Request) {
 // ok=false means the caller must fall back to the origin (via originFetch,
 // under the miss-class controls).
 func (n *CacheNode) peerRetrieve(ctx context.Context, url string, lr LookupResponse) (doc document.Document, source string, ok bool) {
+	if lr.Doc != nil {
+		n.peerHits.Inc()
+		return *lr.Doc, "peer", true
+	}
 	for _, h := range lr.Holders {
 		if h == n.name || n.isDown(h) {
 			continue
@@ -557,7 +564,16 @@ func (n *CacheNode) handleLookup(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	writeJSON(w, http.StatusOK, n.dir.lookup(n.now(), url, holder, seq, drops))
+	lr := n.dir.lookup(n.now(), url, holder, seq, drops)
+	// A requester that registers is about to fetch a copy at lr.Version or
+	// newer: when this node holds one, the answer carries it.
+	if holder != "" {
+		if cp, ok := n.store.Peek(url); ok && cp.Doc.Version >= lr.Version {
+			lr.Doc = &cp.Doc
+			n.lookupCopies.Inc()
+		}
+	}
+	writeJSON(w, http.StatusOK, lr)
 }
 
 // deregister serves POST /deregister: the batched drops a flush sends.

@@ -3,12 +3,15 @@ package node
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"testing"
+
+	"cachecloud/internal/document"
 )
 
 // fuzzTransport fails every outbound call, so fuzzed handlers exercise
@@ -78,54 +81,86 @@ func FuzzProtocolDecode(f *testing.F) {
 	f.Add(uint8(2), "", []byte(`{"url":"http://live/doc/1","node":"n1","seq":18446744073709551616,"urls":[null]}`))
 	// Holder names twice and out of order: merge lists each once, in order.
 	f.Add(uint8(8), "", []byte(`{"records":[{"url":"u","holders":["n1","n0","n1","n0"],"version":2},{"url":"u","holders":["n0","n0"]}]}`))
+	// A registering lookup of the document n0 holds: the answer carries the
+	// copy (LookupResponse.Doc).
+	f.Add(uint8(1), "url=http://live/doc/0&holder=n1&seq=1", []byte(""))
+	// A publish of the document the shield declined: the origin skips it
+	// (PublishResponse.ShieldsSkipped).
+	f.Add(uint8(17), "", []byte(`{"url":"http://live/doc/0"}`))
 	f.Fuzz(func(t *testing.T, endpoint uint8, query string, body []byte) {
-		cfg := ClusterConfig{
-			IntraGen: 100,
-			Rings:    [][]string{{"n0", "n1"}},
-			Addrs: map[string]string{
-				"n0": "http://127.0.0.1:1", "n1": "http://127.0.0.1:2",
-			},
-			OriginAddr: "http://127.0.0.1:3",
+		// Every input runs against the single-tier cloud, then against one
+		// behind a shield in which n0 holds doc 0 and the shield has
+		// declined an update of it.
+		for _, shielded := range []bool{false, true} {
+			fuzzOne(t, shielded, endpoint, query, body)
 		}
-		cache, err := NewCacheNodeWithTransport("n0", cfg, fuzzTransport{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		origin, err := NewOriginNodeWithTransport(cfg, testCatalog(3), fuzzTransport{})
-		if err != nil {
-			t.Fatal(err)
-		}
+	})
+}
 
-		ep := fuzzEndpoints[int(endpoint)%len(fuzzEndpoints)]
-		handler := cache.Handler()
-		if ep.origin {
-			handler = origin.Handler()
+func fuzzOne(t *testing.T, shielded bool, endpoint uint8, query string, body []byte) {
+	cfg := ClusterConfig{
+		IntraGen: 100,
+		Rings:    [][]string{{"n0", "n1"}},
+		Addrs: map[string]string{
+			"n0": "http://127.0.0.1:1", "n1": "http://127.0.0.1:2",
+		},
+		OriginAddr: "http://127.0.0.1:3",
+	}
+	if shielded {
+		cfg.Shields = []string{"s0"}
+		cfg.ShieldAddrs = map[string]string{"s0": "http://127.0.0.1:4"}
+	}
+	cache, err := NewCacheNodeWithTransport("n0", cfg, fuzzTransport{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	origin, err := NewOriginNodeWithTransport(cfg, testCatalog(3), fuzzTransport{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shielded {
+		d := origin.docs["http://live/doc/0"]
+		if _, err := cache.store.Put(document.Copy{Doc: d.Document}, 0); err != nil {
+			t.Fatal(err)
 		}
-		req := &http.Request{
-			Method:     ep.method,
-			URL:        &url.URL{Path: ep.path, RawQuery: query},
-			Proto:      "HTTP/1.1",
-			ProtoMajor: 1,
-			ProtoMinor: 1,
-			Header:     http.Header{"Content-Type": []string{"application/json"}},
-			Body:       io.NopCloser(bytes.NewReader(body)),
-			Host:       "fuzz.local",
-			RemoteAddr: "127.0.0.1:9",
-		}
-		rec := httptest.NewRecorder()
-		handler.ServeHTTP(rec, req) // must not panic
-		if rec.Code == 0 {
-			t.Fatalf("%s %s: no status written", ep.method, ep.path)
-		}
-		// Whatever got in, every holder list is in name order, each name once.
-		for _, replicas := range []bool{false, true} {
-			for _, wr := range cache.dir.snapshot(replicas) {
-				for i := 1; i < len(wr.Holders); i++ {
-					if wr.Holders[i-1] >= wr.Holders[i] {
-						t.Fatalf("%s %s left %q listing %v", ep.method, ep.path, wr.URL, wr.Holders)
-					}
+		d.declined = 1
+		origin.docs[d.URL] = d
+	}
+
+	ep := fuzzEndpoints[int(endpoint)%len(fuzzEndpoints)]
+	handler := cache.Handler()
+	if ep.origin {
+		handler = origin.Handler()
+	}
+	req := &http.Request{
+		Method:     ep.method,
+		URL:        &url.URL{Path: ep.path, RawQuery: query},
+		Proto:      "HTTP/1.1",
+		ProtoMajor: 1,
+		ProtoMinor: 1,
+		Header:     http.Header{"Content-Type": []string{"application/json"}},
+		Body:       io.NopCloser(bytes.NewReader(body)),
+		Host:       "fuzz.local",
+		RemoteAddr: "127.0.0.1:9",
+	}
+	rec := httptest.NewRecorder()
+	handler.ServeHTTP(rec, req) // must not panic
+	if rec.Code == 0 {
+		t.Fatalf("shielded=%v %s %s: no status written", shielded, ep.method, ep.path)
+	}
+	// A lookup's answer never carries a copy older than its version.
+	var lr LookupResponse
+	if ep.path == "/lookup" && json.Unmarshal(rec.Body.Bytes(), &lr) == nil && lr.Doc != nil && lr.Doc.Version < lr.Version {
+		t.Fatalf("lookup answered version %d with a version-%d copy", lr.Version, lr.Doc.Version)
+	}
+	// Whatever got in, every holder list is in name order, each name once.
+	for _, replicas := range []bool{false, true} {
+		for _, wr := range cache.dir.snapshot(replicas) {
+			for i := 1; i < len(wr.Holders); i++ {
+				if wr.Holders[i-1] >= wr.Holders[i] {
+					t.Fatalf("shielded=%v %s %s left %q listing %v", shielded, ep.method, ep.path, wr.URL, wr.Holders)
 				}
 			}
 		}
-	})
+	}
 }

@@ -38,11 +38,17 @@ func getJSON(client *http.Client, url string, out any) error {
 
 func startCluster(t *testing.T, nodes, ringSize int, opts ClusterConfig) *LocalCluster {
 	t.Helper()
+	return startClusterWith(t, nodes, ringSize, opts, nil)
+}
+
+// startClusterWith is startCluster with per-participant transports.
+func startClusterWith(t *testing.T, nodes, ringSize int, opts ClusterConfig, mk TransportFactory) *LocalCluster {
+	t.Helper()
 	names := make([]string, nodes)
 	for i := range names {
 		names[i] = fmt.Sprintf("live-%02d", i)
 	}
-	lc, err := StartLocalCluster(names, ringSize, testCatalog(200), opts)
+	lc, err := StartLocalClusterWith(names, ringSize, testCatalog(200), opts, mk)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ type OriginNode struct {
 	view atomic.Pointer[routeView]
 
 	mu          sync.Mutex // guards the fields below, never held across a call
-	docs        map[string]document.Document
+	docs        map[string]originDoc
 	purgeGen    map[string]int64     // per-URL global purge generation (monotonic)
 	lastSeen    map[string]time.Time // last heartbeat arrival per node
 	recordsHeld map[string]int       // records reported in each node's last beat
@@ -67,11 +67,27 @@ type OriginNode struct {
 	rejoins     *obs.Counter
 	fetches     *obs.Counter
 	updates     *obs.Counter
+	skipped     *obs.Counter // /supdates not sent: the shield held no copy
 	bytesOut    *obs.Counter
 	rebalances  *obs.Counter
 	repairs     *obs.Counter
 	rebalanceMs *obs.Histogram
 	publishMs   *obs.Histogram
+}
+
+// originDoc is one catalog document and what the origin knows of the
+// shields' copies of it.
+type originDoc struct {
+	document.Document
+	// declined has bit i set while shield i (in shieldBases order) is known
+	// to hold no copy: it answered an /supdate Held: false and no /fetch of
+	// the URL has been served since. A publish skips those shields. Shields
+	// past the 32nd have no bit (the shift yields 0) and are always sent it.
+	declined uint32
+	// fetches counts the /fetches of the URL served. A Held: false reply
+	// sets its shield's bit only if the count has not moved since the
+	// publish read the mask: a fetch served in between may be that shield's.
+	fetches uint32
 }
 
 // NewOriginNode constructs the origin with its document catalog.
@@ -102,7 +118,7 @@ func NewOriginNodeWithTransport(cfg ClusterConfig, docs []document.Document, tp 
 		tp:          tp,
 		clock:       clock,
 		rings:       rings,
-		docs:        make(map[string]document.Document, len(docs)),
+		docs:        make(map[string]originDoc, len(docs)),
 		purgeGen:    make(map[string]int64),
 		lastSeen:    make(map[string]time.Time),
 		recordsHeld: make(map[string]int),
@@ -121,7 +137,7 @@ func NewOriginNodeWithTransport(cfg ClusterConfig, docs []document.Document, tp 
 		if d.Version == 0 {
 			d.Version = 1
 		}
-		o.docs[d.URL] = d
+		o.docs[d.URL] = originDoc{Document: d}
 	}
 	return o, nil
 }
@@ -134,6 +150,7 @@ func (o *OriginNode) initMetrics() {
 	o.reg = reg
 	o.fetches = reg.Counter("fetches_total")
 	o.updates = reg.Counter("updates_total")
+	o.skipped = reg.Counter("supdates_skipped_total")
 	o.bytesOut = reg.Counter("bytes_sent_total")
 	o.rebalances = reg.Counter("rebalances_total")
 	o.repairs = reg.Counter("repairs_total")
@@ -209,17 +226,23 @@ func (o *OriginNode) handleFetch(w http.ResponseWriter, r *http.Request) {
 	u := r.URL.Query().Get("url")
 	o.mu.Lock()
 	d, ok := o.docs[u]
+	if ok {
+		// The fetch carries no shield identity: any shield may hold a copy
+		// from here on. (Keyed by d.URL: assigning under u would make the
+		// map keep the request's copy of the string.)
+		d.declined = 0
+		d.fetches++
+		o.docs[d.URL] = d
+	}
 	gen := o.purgeGen[u]
 	o.mu.Unlock()
-	if ok {
-		o.fetches.Inc()
-		o.bytesOut.Add(d.Size)
-	}
 	if !ok {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown document %q", u))
 		return
 	}
-	writeJSON(w, http.StatusOK, FetchResponse{Doc: d, PurgeGen: gen})
+	o.fetches.Inc()
+	o.bytesOut.Add(d.Size)
+	writeJSON(w, http.StatusOK, FetchResponse{Doc: d.Document, PurgeGen: gen})
 }
 
 // handleVersions serves the full catalog's version and purge-generation
@@ -256,31 +279,50 @@ func (o *OriginNode) handlePublish(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	d.Version++
-	o.docs[req.URL] = d
+	o.docs[d.URL] = d
 	o.mu.Unlock()
 	o.updates.Inc()
 	o.bytesOut.Add(d.Size)
-	if len(o.cfg.Shields) > 0 {
-		// Two-tier mode: the origin sends exactly one versioned update per
-		// shield, regardless of how many clouds subscribe — the O(clouds) →
-		// O(shields) collapse. Each shield fans the update to its clouds.
-		notified, shields := 0, 0
-		body := sharedBody(UpdateRequest{Doc: d})
-		for _, base := range o.shieldBases {
-			var sur ShieldUpdateResponse
-			if e := o.tp.PostJSON(r.Context(), base+"/supdate", body, &sur); e != nil {
-				continue // crashed shield catches up at its next resync
-			}
-			shields++
-			notified += sur.CloudsNotified
+	if len(o.cfg.Shields) == 0 {
+		var ur UpdateResponse
+		if o.pushBeacon(w, r, req.URL, "/update", UpdateRequest{Doc: d.Document}, &ur) {
+			writeJSON(w, http.StatusOK, PublishResponse{Version: d.Version, Notified: ur.Notified})
 		}
-		writeJSON(w, http.StatusOK, PublishResponse{Version: d.Version, Notified: notified, ShieldsNotified: shields})
 		return
 	}
-	var ur UpdateResponse
-	if o.pushBeacon(w, r, req.URL, "/update", UpdateRequest{Doc: d}, &ur) {
-		writeJSON(w, http.StatusOK, PublishResponse{Version: d.Version, Notified: ur.Notified})
+	// Two-tier mode: the origin sends one versioned update per shield that
+	// may hold the document, regardless of how many clouds subscribe — the
+	// O(clouds) → O(shields) collapse. Each shield fans the update to its
+	// clouds.
+	resp := PublishResponse{Version: d.Version}
+	var declined uint32
+	body := sharedBody(UpdateRequest{Doc: d.Document})
+	for i, base := range o.shieldBases {
+		bit := uint32(1) << i
+		if d.declined&bit != 0 {
+			resp.ShieldsSkipped++
+			continue
+		}
+		var sur ShieldUpdateResponse
+		if e := o.tp.PostJSON(r.Context(), base+"/supdate", body, &sur); e != nil {
+			continue // crashed shield catches up at its next resync
+		}
+		resp.ShieldsNotified++
+		resp.Notified += sur.CloudsNotified
+		if !sur.Held {
+			declined |= bit
+		}
 	}
+	o.skipped.Add(int64(resp.ShieldsSkipped))
+	if declined != 0 {
+		o.mu.Lock()
+		if cur, ok := o.docs[req.URL]; ok && cur.fetches == d.fetches {
+			cur.declined |= declined
+			o.docs[cur.URL] = cur
+		}
+		o.mu.Unlock()
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // pushBeacon posts body to path on the beacon point of url, or, when the

@@ -189,6 +189,10 @@ type LookupResponse struct {
 	Version    document.Version `json:"version"`
 	LookupRate float64          `json:"lookupRate"`
 	UpdateRate float64          `json:"updateRate"`
+	// Doc is the beacon's own copy, on a registering lookup that finds the
+	// beacon holding the document at Version or newer: the requester serves
+	// it as a peer hit instead of fetching it from a holder.
+	Doc *document.Document `json:"doc,omitempty"`
 }
 
 // DeregisterRequest is the body of POST /deregister: Node no longer holds
@@ -314,10 +318,14 @@ type PublishRequest struct {
 type PublishResponse struct {
 	Version  document.Version `json:"version"`
 	Notified int              `json:"notified"`
-	// ShieldsNotified counts shields the update reached — exactly one
-	// versioned update per reachable shield per publish (0 in the
+	// ShieldsNotified counts the shields the update reached: one versioned
+	// update per reachable shield that may hold the document (0 in the
 	// single-tier layout).
 	ShieldsNotified int `json:"shieldsNotified,omitempty"`
+	// ShieldsSkipped counts the shields the origin sent nothing: each
+	// answered an earlier update that it held no copy, and no fetch of the
+	// document was served since.
+	ShieldsSkipped int `json:"shieldsSkipped,omitempty"`
 }
 
 // Shield-tier wire protocol. The shield tier reuses the beacon-ring

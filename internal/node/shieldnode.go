@@ -184,12 +184,12 @@ func (n *CacheNode) resubscribeDegraded(ctx context.Context) {
 
 // ShieldNode is one live shield-tier cache: a cache interposed between the
 // edge clouds and the origin. Cloud misses resolve cloud → shield → origin
-// (GET /sfetch), the origin pushes exactly one versioned update per shield
-// per publish (POST /supdate) which the shield fans out once per subscribed
-// cloud through the cloud's beacon machinery, and purges arrive scoped
-// (POST /spurge): global-edge purges evict the shield copy and every
-// subscribed cloud, per-cloud purges evict one cloud and cancel its
-// subscription while the shield keeps serving everyone else.
+// (GET /sfetch), the origin pushes one versioned update per publish to each
+// shield that may hold the document (POST /supdate), which the shield fans
+// out once per subscribed cloud through the cloud's beacon machinery, and
+// purges arrive scoped (POST /spurge): global-edge purges evict the shield
+// copy and every subscribed cloud, per-cloud purges evict one cloud and
+// cancel its subscription while the shield keeps serving everyone else.
 //
 // The shield tier reuses the beacon-ring machinery recursively: shields
 // form their own ring (internal/ring) whose intra-ring range is keyed by
@@ -233,6 +233,8 @@ type ShieldNode struct {
 type shieldEntry struct {
 	cp   document.Copy // the shield's copy, while held
 	held bool
+	// fetching counts the origin fetches of the URL in flight (refresh).
+	fetching int32
 	// purgeGen is the origin purge generation applied; Reconcile drops a
 	// held copy whose generation is stale (a global purge the shield missed).
 	purgeGen int64
@@ -259,6 +261,32 @@ func (sn *ShieldNode) store(e *shieldEntry, cp document.Copy) {
 	if sn.durable != nil {
 		_ = sn.durable.Put(cp)
 	}
+}
+
+// refresh fetches url from the origin into its entry e and returns the copy
+// e holds afterwards: the fetched one, or a newer one an update stored while
+// the fetch was in flight. Meanwhile e counts the fetch, so that such an
+// update is kept rather than declined (handleUpdate). Caller holds sn.mu,
+// which is released for the fetch; a failed fetch removes an entry that
+// holds nothing else.
+func (sn *ShieldNode) refresh(ctx context.Context, url string, e *shieldEntry) (document.Copy, error) {
+	e.fetching++
+	sn.mu.Unlock()
+	fr, err := originFetchJSON(ctx, sn.tp, sn.cfg.OriginAddr, url)
+	sn.mu.Lock()
+	e.fetching--
+	if err != nil {
+		if !e.held && e.fetching == 0 && e.purgeGen == 0 && len(e.subs) == 0 {
+			delete(sn.table, url)
+		}
+		return document.Copy{}, err
+	}
+	sn.originFetches.Inc()
+	if !e.held || fr.Doc.Version >= e.cp.Doc.Version {
+		sn.store(e, document.Copy{Doc: fr.Doc, FetchedAt: sn.now()})
+	}
+	e.purgeGen = fr.PurgeGen
+	return e.cp, nil
 }
 
 // intern returns a copy of a cloud ID that the table may keep without
@@ -407,16 +435,14 @@ func (sn *ShieldNode) handleFetch(w http.ResponseWriter, r *http.Request) {
 	sn.fetches.Inc()
 
 	sn.mu.Lock()
-	e := sn.table[url]
-	hit := e != nil && e.held && e.cp.Doc.Version >= hint
-	var cp document.Copy
+	e := sn.entry(url)
+	cp, hit := e.cp, e.held && e.cp.Doc.Version >= hint
 	if hit {
-		cp = e.cp
-	}
-	sn.mu.Unlock()
-	if !hit {
-		fr, err := originFetchJSON(ctx, sn.tp, sn.cfg.OriginAddr, url)
-		if err != nil {
+		sn.shieldHits.Inc()
+	} else {
+		var err error
+		if cp, err = sn.refresh(ctx, url, e); err != nil {
+			sn.mu.Unlock()
 			status := http.StatusBadGateway
 			if errors.Is(err, ErrNotFound) {
 				// The origin answered: a 502 here would have the cloud's
@@ -426,20 +452,6 @@ func (sn *ShieldNode) handleFetch(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, status, err)
 			return
 		}
-		sn.originFetches.Inc()
-		cp = document.Copy{Doc: fr.Doc, FetchedAt: sn.now()}
-		sn.mu.Lock()
-		e = sn.entry(url)
-		// Keep the newer copy if an update overtook this fetch.
-		if !e.held || cp.Doc.Version >= e.cp.Doc.Version {
-			sn.store(e, cp)
-		} else {
-			cp = e.cp
-		}
-		e.purgeGen = fr.PurgeGen
-	} else {
-		sn.shieldHits.Inc()
-		sn.mu.Lock() // e is still url's entry: the table never drops one
 	}
 	if i, subscribed := slices.BinarySearch(e.subs, cloudID); !subscribed {
 		e.subs = slices.Insert(e.subs, i, sn.intern(cloudID))
@@ -461,9 +473,13 @@ func (sn *ShieldNode) cloudBeacon(url, cloudID string) (string, bool) {
 }
 
 // handleUpdate receives the origin's versioned update push. A held copy is
-// refreshed and fanned out (fanOut). A shield that does not hold the
-// document acknowledges without fanning (nothing downstream can be
-// subscribed).
+// refreshed and fanned out (fanOut). So is an origin fetch in flight: the
+// update is stored now, and refresh keeps it over the older copy the fetch
+// may bring. A shield with neither answers Held: false without fanning
+// (nothing downstream can be subscribed), and the origin sends it no more
+// updates of the document until one of its fetches is served. That is why
+// the answer is decided under sn.mu, where a copy arrives in memory and on
+// disk and leaves both (purgeGlobal), and a fetch begins.
 func (sn *ShieldNode) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	var req UpdateRequest
 	if err := readJSON(r, &req); err != nil {
@@ -475,8 +491,8 @@ func (sn *ShieldNode) handleUpdate(w http.ResponseWriter, r *http.Request) {
 
 	sn.mu.Lock()
 	e := sn.table[url]
-	held := e != nil && e.held
-	if held && req.Doc.Version > e.cp.Doc.Version {
+	held := e != nil && (e.held || e.fetching > 0)
+	if held && (!e.held || req.Doc.Version > e.cp.Doc.Version) {
 		sn.store(e, document.Copy{Doc: req.Doc, FetchedAt: sn.now()})
 	}
 	clouds := sn.sortedSubs(url)
@@ -521,17 +537,19 @@ func (sn *ShieldNode) fanOut(ctx context.Context, doc document.Document, clouds 
 }
 
 // purgeGlobal drops the shield's copy of url (the durable log gets a
-// tombstone), records the generation, cancels the subscriptions and forwards
-// the purge into each cloud that had one; it returns the copies dropped there.
+// tombstone, under sn.mu as store's writes are: once an update has found no
+// copy, a warm restart must not bring one back), records the generation,
+// cancels the subscriptions and forwards the purge into each cloud that had
+// one; it returns the copies dropped there.
 func (sn *ShieldNode) purgeGlobal(ctx context.Context, url string, gen int64) (dropped int) {
 	sn.mu.Lock()
 	e := sn.entry(url)
 	held, clouds := e.held, e.subs
 	e.cp, e.held, e.purgeGen, e.subs = document.Copy{}, false, gen, nil
-	sn.mu.Unlock()
 	if held && sn.durable != nil {
 		_ = sn.durable.Delete(url)
 	}
+	sn.mu.Unlock()
 	for _, cid := range clouds {
 		dropped += sn.forwardPurge(ctx, url, cid)
 	}
@@ -680,11 +698,12 @@ func (sn *ShieldNode) Reconcile(ctx context.Context) (refreshed, purged int) {
 	for _, url := range urls {
 		sn.mu.Lock()
 		e := sn.table[url]
-		cp, held, seen := e.cp, e.held, e.purgeGen
-		sn.mu.Unlock()
-		if !held {
+		if e == nil || !e.held {
+			sn.mu.Unlock()
 			continue
 		}
+		cp, seen := e.cp, e.purgeGen
+		sn.mu.Unlock()
 		// Held keys may be tenant-scoped; the origin's version and purge
 		// tables are keyed by the plain URL.
 		_, plain := document.SplitTenantKey(url)
@@ -698,19 +717,15 @@ func (sn *ShieldNode) Reconcile(ctx context.Context) (refreshed, purged int) {
 		if !known || cp.Doc.Version >= ov {
 			continue
 		}
-		fr, err := originFetchJSON(ctx, sn.tp, sn.cfg.OriginAddr, url)
+		sn.mu.Lock()
+		fresh, err := sn.refresh(ctx, url, sn.entry(url))
+		clouds := sn.sortedSubs(url)
+		sn.mu.Unlock()
 		if err != nil {
 			continue
 		}
-		sn.originFetches.Inc()
-		fresh := document.Copy{Doc: fr.Doc, FetchedAt: sn.now()}
-		sn.mu.Lock()
-		sn.store(e, fresh)
-		e.purgeGen = fr.PurgeGen
-		clouds := sn.sortedSubs(url)
-		sn.mu.Unlock()
 		refreshed++
-		sn.fanOut(ctx, fr.Doc, clouds)
+		sn.fanOut(ctx, fresh.Doc, clouds)
 	}
 	return refreshed, purged
 }
@@ -748,7 +763,7 @@ func (sn *ShieldNode) Subscribers(url string) []string {
 }
 
 // UpdatesIn returns the count of origin update pushes this shield has
-// received — the exactly-once-per-publish delivery counter the simulation
+// received — the at-most-once-per-publish delivery counter the simulation
 // harness checks.
 func (sn *ShieldNode) UpdatesIn() int64 { return sn.updatesIn.Value() }
 

@@ -10,12 +10,13 @@ import (
 	"time"
 )
 
-// shieldCluster boots a two-shield cluster and returns it plus the shield
+// shieldCluster boots a two-shield cluster, its participants on the
+// transports mk makes (nil: their own), and returns it plus the shield
 // names in failover order for this cloud (owner first).
-func shieldCluster(t *testing.T, opts ClusterConfig) (*LocalCluster, []string) {
+func shieldCluster(t *testing.T, opts ClusterConfig, mk TransportFactory) (*LocalCluster, []string) {
 	t.Helper()
 	opts.Shields = []string{"s0", "s1"}
-	lc := startCluster(t, 4, 2, opts)
+	lc := startClusterWith(t, 4, 2, opts, mk)
 	router, err := NewShieldRouter(lc.Cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -31,12 +32,13 @@ func shieldCluster(t *testing.T, opts ClusterConfig) (*LocalCluster, []string) {
 
 // TestShieldTierEndToEnd drives the full two-tier protocol over live HTTP:
 // a cloud miss resolves cloud → shield → origin and subscribes the cloud,
-// a publish sends exactly one versioned update per shield which fans out
-// to the subscribed cloud, a global purge empties both tiers, and a
+// the first publish sends one versioned update to each shield (none has
+// declined one yet) which fans out to the subscribed cloud, a global purge
+// empties both tiers, and a
 // cloud-scoped purge drops only the edge copies — the next miss is a
 // shield hit.
 func TestShieldTierEndToEnd(t *testing.T) {
-	lc, order := shieldCluster(t, ClusterConfig{})
+	lc, order := shieldCluster(t, ClusterConfig{}, nil)
 	client := &http.Client{Timeout: 5 * time.Second}
 	url := "http://live/doc/7"
 	entry := lc.Cfg.Addrs["live-00"]
@@ -61,7 +63,7 @@ func TestShieldTierEndToEnd(t *testing.T) {
 		t.Fatalf("non-owner shield holds %v", held)
 	}
 
-	// Publish: exactly one update per shield, fanned to the cloud.
+	// Publish: one update per shield, fanned to the cloud.
 	var pr PublishResponse
 	if err := postJSON(client, lc.Cfg.OriginAddr+"/publish", PublishRequest{URL: url}, &pr); err != nil {
 		t.Fatal(err)
@@ -155,7 +157,7 @@ func TestShieldTierEndToEnd(t *testing.T) {
 // reconcile pass re-subscribes the orphaned copy so publishes reach it
 // again.
 func TestShieldFailoverAndDegraded(t *testing.T) {
-	lc, order := shieldCluster(t, ClusterConfig{StoreDir: t.TempDir()})
+	lc, order := shieldCluster(t, ClusterConfig{StoreDir: t.TempDir()}, nil)
 	client := &http.Client{Timeout: 5 * time.Second}
 	url := "http://live/doc/11"
 	entry := lc.Cfg.Addrs["live-01"]
@@ -236,7 +238,7 @@ func TestShieldFailoverAndDegraded(t *testing.T) {
 // stale held copies refresh from the origin and fan to subscribed clouds,
 // missed purge generations drop copies.
 func TestShieldResyncAfterMissedTraffic(t *testing.T) {
-	lc, order := shieldCluster(t, ClusterConfig{})
+	lc, order := shieldCluster(t, ClusterConfig{}, nil)
 	client := &http.Client{Timeout: 5 * time.Second}
 	urlA, urlB := "http://live/doc/20", "http://live/doc/21"
 	entry := lc.Cfg.Addrs["live-02"]
@@ -299,7 +301,7 @@ func TestShieldResyncAfterMissedTraffic(t *testing.T) {
 // live HTTP: /healthz identity, /stats accounting after a miss, Prometheus
 // exposition on /metrics, and the /subranges assignment push.
 func TestShieldObservability(t *testing.T) {
-	lc, order := shieldCluster(t, ClusterConfig{})
+	lc, order := shieldCluster(t, ClusterConfig{}, nil)
 	client := &http.Client{Timeout: 5 * time.Second}
 	url := "http://live/doc/30"
 	getDoc(t, client, lc.Cfg.Addrs["live-00"], url)

@@ -246,8 +246,8 @@ func Generate(seed int64, cfg GenConfig) []Event {
 			add(EvShieldHeal, shieldVictim, 0)
 			t += 50 * time.Millisecond
 			// Post-heal traffic and purges with the full tier live: these
-			// run under the strict cross-tier checks (exactly-once delivery
-			// per shield, scoped-purge completeness).
+			// run under the strict cross-tier checks (per-shield delivery,
+			// scoped-purge completeness).
 			add(EvPurgeScoped, "", 0)
 			t += 30 * time.Millisecond
 			if rng.Intn(2) == 0 {

@@ -9,8 +9,8 @@ import (
 // TestShieldSweep runs the two-tier sweep: generated schedules with a
 // shield-tier fault phase per round (shield crash, failover traffic,
 // publishes and scoped/global purges past the crashed shield, heal) and
-// the cross-tier invariants armed — exactly-once update delivery per
-// shield on a healthy tier, scoped-purge completeness, and shield-tier
+// the cross-tier invariants armed — per-shield update delivery on a
+// healthy tier, scoped-purge completeness, and shield-tier
 // freshness plus purge-generation catch-up at quiescent points. Short
 // mode trims the seed count; CI runs the full 200-seed sweep under -race.
 func TestShieldSweep(t *testing.T) {
@@ -57,8 +57,8 @@ func TestShieldWarmSweep(t *testing.T) {
 }
 
 // shieldSchedule is the explicit two-tier scenario: warm the cloud
-// through the shields, publish on a healthy tier (strict exactly-once
-// checks), crash a shield, fail traffic over, land a publish and a
+// through the shields, publish on a healthy tier (strict per-shield
+// delivery checks), crash a shield, fail traffic over, land a publish and a
 // global purge past the crashed shield, heal, reconcile (the shield
 // resyncs versions and purge generations from the origin), then run the
 // strict purges and the full quiescent check.
@@ -210,4 +210,44 @@ func TestShieldInjectedBugIsCaught(t *testing.T) {
 		t.Fatal("minimized shield schedule no longer fails")
 	}
 	t.Logf("minimized %d events to %d", len(failing.Schedule), len(min))
+}
+
+// TestSkippedHolderIsCaught verifies the per-shield delivery check has
+// teeth: with every /supdate reply saying the shield holds no copy, the
+// origin stops sending updates to a shield that holds one, and the check
+// that no skipped shield holds a copy must say so. ddmin then shrinks the
+// schedule to one that still trips that check.
+func TestSkippedHolderIsCaught(t *testing.T) {
+	const want = "was skipped holding"
+	trips := func(cfg Config) (Result, bool) {
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("seed %d: %v", cfg.Seed, err)
+		}
+		for _, f := range res.Failures {
+			if strings.Contains(f, want) {
+				return res, true
+			}
+		}
+		return res, false
+	}
+	for seed := int64(0); seed < 5; seed++ {
+		cfg := Config{Seed: seed, Shields: 2, Inject: "supdate-held-lost"}
+		res, caught := trips(cfg)
+		if !caught {
+			continue
+		}
+		min := Minimize(res.Schedule, func(cand []Event) bool {
+			c := cfg
+			c.Schedule = cand
+			_, ok := trips(c)
+			return ok
+		})
+		if len(min) >= len(res.Schedule) {
+			t.Fatalf("minimize did not shrink the schedule: %d of %d events", len(min), len(res.Schedule))
+		}
+		t.Logf("seed %d: minimized %d events to %d:\n%s", seed, len(res.Schedule), len(min), Encode(min))
+		return
+	}
+	t.Fatal("supdate-held-lost injection was not caught by any of seeds 0..4")
 }

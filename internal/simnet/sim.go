@@ -47,8 +47,10 @@ type Config struct {
 	// Inject enables a deliberate bug for harness self-tests. Supported:
 	// "heartbeat-undercount" (heartbeats under-report RecordsHeld by one,
 	// which the accounting invariant must catch), "supdate-stale" (the
-	// cross-tier fan-out invariant) and "deregister-lost" (batched drops
-	// arrive empty, which the no-phantom invariant must catch).
+	// cross-tier fan-out invariant), "supdate-held-lost" (a shield's reply
+	// to an update says it holds no copy, which the per-shield delivery
+	// invariant must catch) and "deregister-lost" (batched drops arrive
+	// empty, which the no-phantom invariant must catch).
 	Inject string
 	// Warm gives every node a durable store and switches the generated
 	// schedule's recovery phase to warm restarts (heal-warm + check-warm
@@ -58,9 +60,10 @@ type Config struct {
 	// cloud and the origin: cloud misses resolve cloud → shield → origin,
 	// publishes fan origin → shield → subscribed clouds, and purges carry a
 	// global/cloud scope. The generated schedule gains a shield-tier fault
-	// phase per round and the cross-tier invariants (exactly-once update
-	// delivery per shield, scoped-purge completeness, shield freshness at
-	// quiescent points) are armed. 0 (the default) is single-tier.
+	// phase per round and the cross-tier invariants (one update per shield
+	// that may hold the document and none to a shield skipped, scoped-purge
+	// completeness, shield freshness at quiescent points) are armed. 0 (the
+	// default) is single-tier.
 	Shields int
 	// Tenants, when positive, registers that many tenants (t0, t1, …)
 	// with deterministic weighted quotas, adds a tenant-storm phase to
@@ -394,64 +397,67 @@ func hasWarmEvents(evs []Event) bool {
 }
 
 // injectHook resolves a named deliberate bug to its wire-corruption hook.
-func injectHook(name string) (func(method, path string, body []byte) []byte, error) {
+func injectHook(name string) (wireHook, error) {
 	switch name {
 	case "heartbeat-undercount":
-		return func(method, path string, body []byte) []byte {
-			if method != "POST" || path != "/heartbeat" {
-				return nil
-			}
-			var hb node.HeartbeatRequest
-			if err := json.Unmarshal(body, &hb); err != nil || hb.RecordsHeld == 0 {
-				return nil
+		return wireHook{req: rewrite("/heartbeat", func(hb *node.HeartbeatRequest) bool {
+			if hb.RecordsHeld == 0 {
+				return false
 			}
 			hb.RecordsHeld--
-			mutated, err := json.Marshal(hb)
-			if err != nil {
-				return nil
-			}
-			return mutated
-		}, nil
+			return true
+		})}, nil
 	case "supdate-stale":
 		// Origin→shield update pushes carry a decremented version, so the
 		// shield tier silently serves stale documents — the cross-tier
 		// fan-out invariant must catch it.
-		return func(method, path string, body []byte) []byte {
-			if method != "POST" || path != "/supdate" {
-				return nil
-			}
-			var ur node.UpdateRequest
-			if err := json.Unmarshal(body, &ur); err != nil || ur.Doc.Version == 0 {
-				return nil
+		return wireHook{req: rewrite("/supdate", func(ur *node.UpdateRequest) bool {
+			if ur.Doc.Version == 0 {
+				return false
 			}
 			ur.Doc.Version--
-			mutated, err := json.Marshal(ur)
-			if err != nil {
-				return nil
+			return true
+		})}, nil
+	case "supdate-held-lost":
+		// A shield's answer to an update says it holds no copy when it does,
+		// so the origin skips that shield from then on although it has a
+		// copy — the per-shield delivery invariant must catch it.
+		return wireHook{reply: rewrite("/supdate", func(sur *node.ShieldUpdateResponse) bool {
+			if !sur.Held {
+				return false
 			}
-			return mutated
-		}, nil
+			sur.Held = false
+			return true
+		})}, nil
 	case "deregister-lost":
 		// Batched drops arrive empty, so a holder entry that only a flush
 		// could clear survives the settle pass — the no-phantom invariant
 		// must catch it.
-		return func(method, path string, body []byte) []byte {
-			if method != "POST" || path != "/deregister" {
-				return nil
-			}
-			var req node.DeregisterRequest
-			if err := json.Unmarshal(body, &req); err != nil {
-				return nil
-			}
+		return wireHook{req: rewrite("/deregister", func(req *node.DeregisterRequest) bool {
 			req.URLs = nil
-			mutated, err := json.Marshal(req)
-			if err != nil {
-				return nil
-			}
-			return mutated
-		}, nil
+			return true
+		})}, nil
 	default:
-		return nil, fmt.Errorf("simnet: unknown injection %q", name)
+		return wireHook{}, fmt.Errorf("simnet: unknown injection %q", name)
+	}
+}
+
+// rewrite is a corruption hook on the JSON bodies of POST route: mutate
+// changes the decoded body and reports whether the result is to be sent.
+func rewrite[T any](route string, mutate func(*T) bool) func(method, path string, body []byte) []byte {
+	return func(method, path string, body []byte) []byte {
+		if method != "POST" || path != route {
+			return nil
+		}
+		var v T
+		if json.Unmarshal(body, &v) != nil || !mutate(&v) {
+			return nil
+		}
+		mutated, err := json.Marshal(v)
+		if err != nil {
+			return nil
+		}
+		return mutated
 	}
 }
 
@@ -638,9 +644,10 @@ func (s *sim) execLoad(n int) {
 // network the fan-out invariant is checked per publish: every holder the
 // beacon still lists must store exactly the published version. With a
 // shield tier the publish resolves origin → shields → subscribed clouds,
-// and the healthy-tier checks add exactly-once delivery per shield (one
-// /supdate each, regardless of how many clouds subscribe) on top of the
-// cross-tier fan-out.
+// and the healthy-tier checks add delivery per shield on top of the
+// cross-tier fan-out: every shield is either notified or skipped, one
+// notified receives exactly one /supdate (regardless of how many clouds
+// subscribe), one skipped receives none and holds no copy.
 func (s *sim) execPublish(n int) {
 	for i := 0; i < n; i++ {
 		doc := s.docs[s.rng.Intn(len(s.docs))]
@@ -671,7 +678,8 @@ func (s *sim) execPublish(n int) {
 			continue
 		}
 		if shieldMode {
-			s.logf("publish url=%s version=%d notified=%d shields=%d", doc.URL, pr.Version, pr.Notified, pr.ShieldsNotified)
+			s.logf("publish url=%s version=%d notified=%d shields=%d skipped=%d",
+				doc.URL, pr.Version, pr.Notified, pr.ShieldsNotified, pr.ShieldsSkipped)
 		} else {
 			s.logf("publish url=%s version=%d notified=%d", doc.URL, pr.Version, pr.Notified)
 		}
@@ -682,14 +690,26 @@ func (s *sim) execPublish(n int) {
 		}
 		switch {
 		case strict:
-			if pr.ShieldsNotified != len(s.shieldNames) {
-				s.failf("publish %s: %d of %d shields notified on a healthy tier",
-					doc.URL, pr.ShieldsNotified, len(s.shieldNames))
+			if n := pr.ShieldsNotified + pr.ShieldsSkipped; n != len(s.shieldNames) {
+				s.failf("publish %s: %d shields notified + %d skipped, of %d on a healthy tier",
+					doc.URL, pr.ShieldsNotified, pr.ShieldsSkipped, len(s.shieldNames))
 			}
+			reached := 0
 			for _, name := range s.shieldNames {
-				if d := s.shields[name].UpdatesIn() - updates0[name]; d != 1 {
-					s.failf("publish %s: shield %s received %d updates, want exactly one", doc.URL, name, d)
+				switch d := s.shields[name].UpdatesIn() - updates0[name]; d {
+				case 1:
+					reached++
+				case 0:
+					if v, held := s.shields[name].HeldVersions()[doc.URL]; held {
+						s.failf("publish %s: shield %s was skipped holding version %d", doc.URL, name, v)
+					}
+				default:
+					s.failf("publish %s: shield %s received %d updates, want at most one", doc.URL, name, d)
 				}
+			}
+			if reached != pr.ShieldsNotified {
+				s.failf("publish %s: %d shields received the update, %d reported notified",
+					doc.URL, reached, pr.ShieldsNotified)
 			}
 			s.checkShieldFanout(doc.URL, pr.Version)
 		case !shieldMode && s.clean():

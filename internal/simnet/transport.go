@@ -24,10 +24,14 @@ import (
 type memNet struct {
 	mu       sync.Mutex
 	handlers map[string]http.Handler // URL host → handler
-	// corrupt, when non-nil, may rewrite a request body in flight
-	// (deliberate bug injection for harness self-tests). Returning nil
-	// keeps the original body.
-	corrupt func(method, path string, body []byte) []byte
+	corrupt  wireHook
+}
+
+// wireHook may rewrite bodies in flight (deliberate bug injection for
+// harness self-tests): req a request body, reply a 2xx reply's body. Either
+// may be nil, and a nil result keeps the original bytes.
+type wireHook struct {
+	req, reply func(method, path string, body []byte) []byte
 }
 
 func newMemNet() *memNet {
@@ -47,9 +51,9 @@ func (m *memNet) bindHandler(baseURL string, h http.Handler) {
 }
 
 // setCorrupt installs the body-rewriting hook.
-func (m *memNet) setCorrupt(f func(method, path string, body []byte) []byte) {
+func (m *memNet) setCorrupt(h wireHook) {
 	m.mu.Lock()
-	m.corrupt = f
+	m.corrupt = h
 	m.mu.Unlock()
 }
 
@@ -89,8 +93,8 @@ func (m *memNet) call(ctx context.Context, method, rawurl string, body []byte, o
 	if h == nil {
 		return fmt.Errorf("simnet: %s %s: no handler bound for host %q", method, rawurl, u.Host)
 	}
-	if corrupt != nil && body != nil {
-		if mutated := corrupt(method, u.Path, body); mutated != nil {
+	if corrupt.req != nil && body != nil {
+		if mutated := corrupt.req(method, u.Path, body); mutated != nil {
 			body = mutated
 		}
 	}
@@ -119,6 +123,11 @@ func (m *memNet) call(ctx context.Context, method, rawurl string, body []byte, o
 	}
 	if out == nil {
 		return nil
+	}
+	if corrupt.reply != nil {
+		if mutated := corrupt.reply(method, u.Path, rec.Body.Bytes()); mutated != nil {
+			return json.Unmarshal(mutated, out)
+		}
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }
