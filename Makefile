@@ -138,12 +138,16 @@ storm:
 	$(GO) test -race -count=2 -run 'TestChaos|TestStorm|TestRebalanceDoesNotUndo' ./internal/node
 	$(GO) test -race ./internal/admit/...
 
-# Durability gate: the restart-under-load chaos end-to-end and the durable
-# store's torn-write/crash-safety suites under the race detector, then a
-# simulation sweep whose generated schedules recover every crash with a
-# warm process restart (heal-warm) under the origin-fetch bound invariant.
+# Durability gate: the restart-under-load chaos end-to-end, both tiers'
+# writes through the durable queue (a shield serving while its store is
+# parked, declining no update while a tombstone is queued, Close writing
+# what is queued) and the durable store's torn-write/crash-safety and queue
+# suites under the race detector, the cache's mirroring onto that queue,
+# then a simulation sweep whose generated schedules recover every crash
+# with a warm process restart (heal-warm) under the origin-fetch bound
+# invariant.
 restart-chaos:
-	$(GO) test -race -count=2 -run 'TestChaosRestart|TestRestartCold' ./internal/node
+	$(GO) test -race -count=2 -run 'TestChaosRestart|TestRestartCold|TestShieldServesWhileDiskHeld|TestShieldHeldWhileTombstoneQueued|TestCloseWritesQueuedMutations' ./internal/node
 	$(GO) test -race -count=2 ./internal/durable/...
 	$(GO) test -race -run 'Durable' ./internal/cache
 	$(GO) run ./cmd/simnet -seeds $(SEEDS) -warm

@@ -38,7 +38,7 @@ const benchScale = 0.08
 // distribution under static vs dynamic hashing on the Zipf-0.9 dataset.
 func BenchmarkFig3LoadBalanceZipf(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure3(benchScale, 1)
+		r, err := experiments.NewRunner(0).Figure3(benchScale, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func BenchmarkFig3LoadBalanceZipf(b *testing.B) {
 // on the Sydney dataset.
 func BenchmarkFig4LoadBalanceSydney(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure4(benchScale, 1)
+		r, err := experiments.NewRunner(0).Figure4(benchScale, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func BenchmarkFig4LoadBalanceSydney(b *testing.B) {
 // ring sizes 2, 5 and 10.
 func BenchmarkFig5RingSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure5(benchScale, 1)
+		r, err := experiments.NewRunner(0).Figure5(benchScale, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func BenchmarkFig5RingSize(b *testing.B) {
 // BenchmarkFig6ZipfSweep regenerates Figure 6: CoV versus Zipf parameter.
 func BenchmarkFig6ZipfSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure6(benchScale, 1)
+		r, err := experiments.NewRunner(0).Figure6(benchScale, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func BenchmarkFig6ZipfSweep(b *testing.B) {
 // stored per cache versus update rate (unlimited disk, DsCC off).
 func BenchmarkFig7StoredPct(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure7and8(benchScale, 1)
+		r, err := experiments.NewRunner(0).Figure7and8(benchScale, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func BenchmarkFig7StoredPct(b *testing.B) {
 // update rate under the three placement schemes (unlimited disk).
 func BenchmarkFig8NetworkLoad(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure7and8(benchScale, 1)
+		r, err := experiments.NewRunner(0).Figure7and8(benchScale, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func BenchmarkFig8NetworkLoad(b *testing.B) {
 // the DsCC component turned on.
 func BenchmarkFig9NetworkLoadLimitedDisk(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure9(benchScale, 1)
+		r, err := experiments.NewRunner(0).Figure9(benchScale, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -716,7 +716,7 @@ func BenchmarkAblationTTLConsistency(b *testing.B) {
 // experiment (one origin update message per cloud).
 func BenchmarkEdgeNetworkScaleOut(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.ScaleOutExperiment(benchScale, 1)
+		r, err := experiments.NewRunner(0).ScaleOutExperiment(benchScale, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

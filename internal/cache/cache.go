@@ -9,29 +9,15 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"cachecloud/internal/document"
+	"cachecloud/internal/durable"
 	"cachecloud/internal/loadstats"
 )
 
 // ErrTooLarge is returned when a document exceeds the cache's total
 // capacity and can never be stored.
 var ErrTooLarge = errors.New("cache: document larger than cache capacity")
-
-// Durable is the disk tier the cache mirrors itself into when one is
-// attached: every admission/refresh is persisted and every removal —
-// including capacity evictions — is tombstoned, so a restart recovers
-// exactly the set that was resident (no resurrection of evicted entries).
-// Mutations are delivered in commit order by a drain loop that runs
-// outside the cache lock, so a slow store operation (segment seal, log
-// compaction) never stalls the serving path. Implemented by
-// *durable.Store; kept as an interface here so the cache package stays
-// free of filesystem concerns.
-type Durable interface {
-	Put(cp document.Copy) error
-	Delete(url string) error
-}
 
 // accessHalfLife is the half-life (in time units) every exponentially
 // weighted access/eviction monitor shares. One hour of trace time.
@@ -70,28 +56,10 @@ type Cache struct {
 	hits       int64
 	misses     int64
 
-	// The disk tier is mirrored through an ordered mutation queue rather
-	// than called under mu: mutating methods enqueue (cheap, under mu, so
-	// queue order equals commit order) and drain after releasing mu. An
-	// expensive store operation — a segment seal or a full log compaction
-	// triggered by one Put — therefore blocks only the goroutine draining
-	// the queue, never the serving path. qmu guards the queue, the
-	// flushing flag, and the durable handle; nil durable means
-	// memory-only. Persistence errors are counted, never surfaced: the
-	// in-memory cache keeps serving while durability degrades.
-	qmu         sync.Mutex
-	durable     Durable
-	durQueue    []durOp
-	flushing    bool
-	durableErrs atomic.Int64
-}
-
-// durOp is one queued disk-tier mutation: a tombstone when del is set,
-// otherwise a put/refresh of cp.
-type durOp struct {
-	url string
-	cp  document.Copy
-	del bool
+	// durable mirrors the stored copies onto disk when attached (nil:
+	// memory-only). Mutating methods queue under mu, so the disk sees the
+	// commit order, and drain after releasing it (unlock).
+	durable *durable.Queue
 }
 
 // New creates an edge cache with LRU replacement. capacity is the disk
@@ -123,74 +91,24 @@ func (c *Cache) Capacity() int64 { return c.capacity }
 // Replacement returns the replacement policy kind.
 func (c *Cache) Replacement() ReplacementKind { return c.kind }
 
-// SetDurable attaches the disk tier. Attach it after any warm-boot load
-// (and after compacting the log to the surviving set), so recovery itself
-// is not re-appended. Pass nil to detach; detaching discards mutations
-// queued but not yet drained.
-func (c *Cache) SetDurable(d Durable) {
-	c.qmu.Lock()
-	defer c.qmu.Unlock()
-	c.durable = d
-	if d == nil {
-		c.durQueue = nil
-	}
+// SetDurable attaches the disk tier: every admission and refresh is
+// persisted through q and every removal — capacity evictions included — is
+// tombstoned, so a restart recovers exactly the set that was resident.
+// Attach it after any warm-boot load (and after compacting the log to the
+// surviving set), so recovery itself is not re-appended. Pass nil to
+// detach; what q already holds stays queued for its owner to drain.
+func (c *Cache) SetDurable(q *durable.Queue) {
+	c.mu.Lock()
+	c.durable = q
+	c.mu.Unlock()
 }
 
-// DurableErrors returns how many disk-tier mutations failed. The cache
-// keeps serving through persistence failures; this counter is the signal
-// that durability has degraded.
-func (c *Cache) DurableErrors() int64 {
-	return c.durableErrs.Load()
-}
-
-// persist queues an admission/refresh for the disk tier. Caller holds mu.
-func (c *Cache) persist(cp document.Copy) {
-	c.enqueueDurable(durOp{url: cp.Doc.URL, cp: cp})
-}
-
-// tombstone queues a removal for the disk tier. Caller holds mu.
-func (c *Cache) tombstone(url string) {
-	c.enqueueDurable(durOp{url: url, del: true})
-}
-
-// enqueueDurable appends one mutation to the durable queue. Caller holds
-// mu, which is what makes the queue order match the in-memory commit
-// order; the mutating method drains with flushDurable after releasing mu.
-func (c *Cache) enqueueDurable(o durOp) {
-	c.qmu.Lock()
-	if c.durable != nil {
-		c.durQueue = append(c.durQueue, o)
-	}
-	c.qmu.Unlock()
-}
-
-// flushDurable drains queued disk-tier mutations in commit order. It runs
-// without mu, so a log rotation or compaction inside the store blocks
-// only this goroutine — concurrent reads and writes proceed, and their
-// queued mutations are picked up by whichever drainer is active (the
-// loop re-checks the queue after each batch, so nothing is stranded).
-func (c *Cache) flushDurable() {
-	c.qmu.Lock()
-	for !c.flushing && len(c.durQueue) > 0 {
-		c.flushing = true
-		batch, d := c.durQueue, c.durable
-		c.durQueue = nil
-		c.qmu.Unlock()
-		for _, o := range batch {
-			var err error
-			if o.del {
-				err = d.Delete(o.url)
-			} else {
-				err = d.Put(o.cp)
-			}
-			if err != nil {
-				c.durableErrs.Add(1)
-			}
-		}
-		c.qmu.Lock()
-		c.flushing = false
-	}
-	c.qmu.Unlock()
+// unlock releases mu and then writes what the critical section queued for
+// the disk tier.
+func (c *Cache) unlock() {
+	q := c.durable
+	c.mu.Unlock()
+	q.Drain()
 }
 
 // Used returns the bytes currently stored.
@@ -276,11 +194,10 @@ func (c *Cache) Put(cp document.Copy, now int64) ([]document.Document, error) {
 	c.used += grown
 	c.noteTenantBytes(tenant, grown)
 	c.policy.onStore(s, again)
-	c.persist(cp)
+	c.durable.Persist(cp)
 	evicted := c.makeTenantRoom(tenant, c.tenantQuotaOf(tenant), s, now)
 	evicted = c.makeRoom(evicted, s, now)
-	c.mu.Unlock()
-	c.flushDurable()
+	c.unlock()
 	return evicted, nil
 }
 
@@ -328,8 +245,7 @@ func (c *Cache) Remove(url string) bool {
 	if ok {
 		c.removeLocked(s)
 	}
-	c.mu.Unlock()
-	c.flushDurable()
+	c.unlock()
 	return ok
 }
 
@@ -345,7 +261,7 @@ func (c *Cache) removeLocked(s *slot) document.Document {
 	if s.monitor != (loadstats.EWRate{}) {
 		c.monitors[doc.URL] = s.monitor
 	}
-	c.tombstone(doc.URL)
+	c.durable.Tombstone(doc.URL)
 	*s = slot{}
 	c.spare = s
 	return doc
@@ -368,20 +284,18 @@ func (c *Cache) ApplyUpdate(doc document.Document, now int64) bool {
 		// copy can no longer be resident, so drop it and report not-held
 		// (the core then prunes this cache from the holder list).
 		c.removeLocked(s)
-		c.mu.Unlock()
-		c.flushDurable()
+		c.unlock()
 		return false
 	}
 	c.used += doc.Size - s.cp.Doc.Size
 	c.noteTenantBytes(tenant, doc.Size-s.cp.Doc.Size)
 	doc.URL = s.cp.Doc.URL // the string the map key already pins
 	s.cp = document.Copy{Doc: doc, FetchedAt: now}
-	c.persist(s.cp)
+	c.durable.Persist(s.cp)
 	// A grown update can overflow the tenant quota or the byte budget.
 	c.makeTenantRoom(tenant, c.tenantQuotaOf(tenant), s, now)
 	c.makeRoom(nil, s, now)
-	c.mu.Unlock()
-	c.flushDurable()
+	c.unlock()
 	return true
 }
 

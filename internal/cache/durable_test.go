@@ -39,7 +39,7 @@ func TestEvictionTombstonesDurable(t *testing.T) {
 				t.Fatal(err)
 			}
 			c := NewWithReplacement("c0", 300, kind)
-			c.SetDurable(st)
+			c.SetDurable(durable.NewQueue(st))
 			var evictedEver []string
 			for i := 0; i < 12; i++ {
 				url := fmt.Sprintf("/doc%d", i)
@@ -104,7 +104,7 @@ func TestRemoveAndUpdateMirrorDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := New("c0", 0)
-	c.SetDurable(st)
+	c.SetDurable(durable.NewQueue(st))
 	if _, err := c.Put(dcopy("/a", 1, 10), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestRemoveAndUpdateMirrorDurable(t *testing.T) {
 	}
 }
 
-// blockingDurable is a Durable whose first Put parks on a channel,
+// blockingDurable is a durable.Mutator whose first Put parks on a channel,
 // simulating a store mid-compaction, while recording every mutation it
 // eventually applies.
 type blockingDurable struct {
@@ -172,7 +172,8 @@ func (b *blockingDurable) snapshot() []string {
 func TestDurableMirrorDoesNotBlockServing(t *testing.T) {
 	bd := &blockingDurable{block: make(chan struct{}), entered: make(chan struct{})}
 	c := New("c0", 0)
-	c.SetDurable(bd)
+	q := durable.NewQueue(bd)
+	c.SetDurable(q)
 
 	slowDone := make(chan struct{})
 	go func() {
@@ -227,8 +228,8 @@ func TestDurableMirrorDoesNotBlockServing(t *testing.T) {
 			t.Fatalf("durable ops %v, want %v (order must match commit order)", got, want)
 		}
 	}
-	if c.DurableErrors() != 0 {
-		t.Fatalf("DurableErrors = %d, want 0", c.DurableErrors())
+	if q.Errors() != 0 {
+		t.Fatalf("Errors = %d, want 0", q.Errors())
 	}
 }
 
@@ -241,7 +242,8 @@ func TestDurableErrorsDegradeGracefully(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := New("c0", 0)
-	c.SetDurable(st)
+	q := durable.NewQueue(st)
+	c.SetDurable(q)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -251,14 +253,14 @@ func TestDurableErrorsDegradeGracefully(t *testing.T) {
 	if _, ok := c.Get("/a", 1); !ok {
 		t.Fatal("cache lost the entry on a durable failure")
 	}
-	if c.DurableErrors() == 0 {
+	if q.Errors() == 0 {
 		t.Fatal("durable failure not counted")
 	}
 	c.SetDurable(nil)
 	if _, err := c.Put(dcopy("/b", 1, 10), 0); err != nil {
 		t.Fatal(err)
 	}
-	if c.DurableErrors() != 1 {
-		t.Fatalf("DurableErrors = %d after detach, want 1", c.DurableErrors())
+	if q.Errors() != 1 {
+		t.Fatalf("Errors = %d after detach, want 1", q.Errors())
 	}
 }

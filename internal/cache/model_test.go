@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"cachecloud/internal/document"
+	"cachecloud/internal/durable"
 	"cachecloud/internal/loadstats"
 )
 
@@ -267,7 +268,7 @@ func TestCacheMatchesMapModel(t *testing.T) {
 					rng := rand.New(rand.NewSource(seed*131 + int64(kind)))
 					c := NewWithReplacement("got", capacity, kind)
 					log := &durableLog{}
-					c.SetDurable(log)
+					c.SetDurable(durable.NewQueue(log))
 					m := &modelCache{
 						kind: kind, capacity: capacity,
 						stored:   map[string]*modelDoc{},

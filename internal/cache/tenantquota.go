@@ -103,8 +103,7 @@ func (c *Cache) EnforceTenantQuotas(now int64) []document.Document {
 	for _, t := range tenants {
 		evicted = append(evicted, c.makeTenantRoom(t, c.tenantQuotaOf(t), nil, now)...)
 	}
-	c.mu.Unlock()
-	c.flushDurable()
+	c.unlock()
 	return evicted
 }
 

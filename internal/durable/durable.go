@@ -149,9 +149,6 @@ type Stats struct {
 	Compactions int64
 	// Recovered is the index size right after Open.
 	Recovered int
-	// AppendErrors counts appends that failed at the filesystem; the
-	// in-memory cache keeps serving, durability degrades.
-	AppendErrors int64
 }
 
 const (
@@ -221,7 +218,6 @@ type Store struct {
 	droppedSegments int64
 	compactions     int64
 	recovered       int
-	appendErrors    int64
 }
 
 // Open creates or recovers a store in dir, creating the directory as
@@ -574,12 +570,10 @@ func (s *Store) append(op byte, url string, x indexed) error {
 	}
 	frame := encodeFrame(op, url, x)
 	if _, err := s.active.Write(frame); err != nil {
-		s.appendErrors++
 		return fmt.Errorf("durable: append: %w", err)
 	}
 	if s.opts.Fsync == FsyncAlways {
 		if err := s.active.Sync(); err != nil {
-			s.appendErrors++
 			return fmt.Errorf("durable: sync: %w", err)
 		}
 	}
@@ -814,6 +808,5 @@ func (s *Store) Stats() Stats {
 		DroppedSegments: s.droppedSegments,
 		Compactions:     s.compactions,
 		Recovered:       s.recovered,
-		AppendErrors:    s.appendErrors,
 	}
 }

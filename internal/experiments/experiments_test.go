@@ -11,7 +11,7 @@ import (
 const testScale = 0.15
 
 func TestFigure3Shape(t *testing.T) {
-	r, err := Figure3(testScale, 1)
+	r, err := NewRunner(0).Figure3(testScale, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestFigure3Shape(t *testing.T) {
 }
 
 func TestFigure4Shape(t *testing.T) {
-	r, err := Figure4(testScale, 1)
+	r, err := NewRunner(0).Figure4(testScale, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestFigure4Shape(t *testing.T) {
 }
 
 func TestFigure5Shape(t *testing.T) {
-	r, err := Figure5(testScale, 1)
+	r, err := NewRunner(0).Figure5(testScale, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestFigure5Shape(t *testing.T) {
 }
 
 func TestFigure6Shape(t *testing.T) {
-	r, err := Figure6(testScale, 1)
+	r, err := NewRunner(0).Figure6(testScale, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestFigure6Shape(t *testing.T) {
 }
 
 func TestFigure7and8Shape(t *testing.T) {
-	r, err := Figure7and8(testScale, 1)
+	r, err := NewRunner(0).Figure7and8(testScale, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestFigure7and8Shape(t *testing.T) {
 }
 
 func TestFigure9Shape(t *testing.T) {
-	r, err := Figure9(testScale, 1)
+	r, err := NewRunner(0).Figure9(testScale, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestNames(t *testing.T) {
 }
 
 func TestLatencyExperimentShape(t *testing.T) {
-	r, err := LatencyExperiment(testScale, 1)
+	r, err := NewRunner(0).LatencyExperiment(testScale, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestLatencyExperimentShape(t *testing.T) {
 }
 
 func TestCapabilityExperimentShape(t *testing.T) {
-	r, err := CapabilityExperiment(testScale, 1)
+	r, err := NewRunner(0).CapabilityExperiment(testScale, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestCapabilityExperimentShape(t *testing.T) {
 }
 
 func TestScaleOutShape(t *testing.T) {
-	r, err := ScaleOutExperiment(testScale, 1)
+	r, err := NewRunner(0).ScaleOutExperiment(testScale, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestScaleOutShape(t *testing.T) {
 }
 
 func TestResilienceExperimentShape(t *testing.T) {
-	r, err := ResilienceExperiment(testScale, 1)
+	r, err := NewRunner(0).ResilienceExperiment(testScale, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestResilienceExperimentShape(t *testing.T) {
 }
 
 func TestCrashSweepExperimentShape(t *testing.T) {
-	r, err := CrashSweepExperiment(testScale, 1)
+	r, err := NewRunner(0).CrashSweepExperiment(testScale, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestEveryExperimentDispatches(t *testing.T) {
 // full-throttle limiter under the heaviest storm, and the result is
 // byte-identical across worker counts.
 func TestStormSweepShape(t *testing.T) {
-	r, err := StormSweepExperiment(testScale, 1)
+	r, err := NewRunner(0).StormSweepExperiment(testScale, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +429,7 @@ func TestStormSweepShape(t *testing.T) {
 // stream than its paired cold boot, and the result is byte-identical
 // across worker counts.
 func TestRestartSweepShape(t *testing.T) {
-	r, err := RestartSweepExperiment(testScale, 1)
+	r, err := NewRunner(0).RestartSweepExperiment(testScale, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

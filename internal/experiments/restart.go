@@ -165,8 +165,3 @@ func (r *Runner) RestartSweepExperiment(scale float64, seed int64) (*RestartSwee
 	}
 	return out, nil
 }
-
-// RestartSweepExperiment runs the restart sweep on a default-sized Runner.
-func RestartSweepExperiment(scale float64, seed int64) (*RestartSweep, error) {
-	return NewRunner(0).RestartSweepExperiment(scale, seed)
-}

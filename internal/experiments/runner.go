@@ -427,72 +427,6 @@ func (r *Runner) Run(name string, scale float64, seed int64, w io.Writer) error 
 	return nil
 }
 
-// The package-level experiment functions delegate to a fresh default-sized
-// Runner, so existing callers transparently get the parallel engine.
-
-// Figure3 reproduces Figure 3: load distribution for the Zipf-0.9 dataset
-// on a 10-cache cloud (dynamic: 5 rings × 2 beacon points).
-func Figure3(scale float64, seed int64) (*LoadBalance, error) {
-	return NewRunner(0).Figure3(scale, seed)
-}
-
-// Figure4 reproduces Figure 4: load distribution for the Sydney dataset.
-func Figure4(scale float64, seed int64) (*LoadBalance, error) {
-	return NewRunner(0).Figure4(scale, seed)
-}
-
-// Figure5 reproduces Figure 5: clouds of 10, 20 and 50 caches; dynamic
-// hashing with 2, 5 and 10 beacon points per ring versus static hashing.
-func Figure5(scale float64, seed int64) (*RingSize, error) {
-	return NewRunner(0).Figure5(scale, seed)
-}
-
-// Figure6 reproduces Figure 6: Zipf parameters 0.0 … 0.99 on a 10-cache
-// cloud.
-func Figure6(scale float64, seed int64) (*ZipfSweep, error) {
-	return NewRunner(0).Figure6(scale, seed)
-}
-
-// Figure7and8 reproduces Figures 7 and 8 in one sweep: unlimited disk
-// space, DsCC turned off, weights 1/3 each, threshold 0.5.
-func Figure7and8(scale float64, seed int64) (*PlacementSweep, error) {
-	return NewRunner(0).Figure7and8(scale, seed)
-}
-
-// Figure9 reproduces Figure 9: disk space limited to 30% of the corpus,
-// LRU replacement, DsCC turned on with weights 1/4 each.
-func Figure9(scale float64, seed int64) (*PlacementSweep, error) {
-	return NewRunner(0).Figure9(scale, seed)
-}
-
-// ScaleOutExperiment runs the scale-out sweep.
-func ScaleOutExperiment(scale float64, seed int64) (*ScaleOut, error) {
-	return NewRunner(0).ScaleOutExperiment(scale, seed)
-}
-
-// LatencyExperiment measures client latency under each architecture on the
-// Sydney workload.
-func LatencyExperiment(scale float64, seed int64) (*Latency, error) {
-	return NewRunner(0).LatencyExperiment(scale, seed)
-}
-
-// CapabilityExperiment runs the heterogeneous-capability measurement.
-func CapabilityExperiment(scale float64, seed int64) (*Capability, error) {
-	return NewRunner(0).CapabilityExperiment(scale, seed)
-}
-
-// ResilienceExperiment crashes three caches mid-run and compares record
-// loss and hit rate with and without lazy replication.
-func ResilienceExperiment(scale float64, seed int64) (*Resilience, error) {
-	return NewRunner(0).ResilienceExperiment(scale, seed)
-}
-
-// CrashSweepExperiment sweeps staggered crash counts over replication
-// on/off to profile degradation and recovery.
-func CrashSweepExperiment(scale float64, seed int64) (*CrashSweep, error) {
-	return NewRunner(0).CrashSweepExperiment(scale, seed)
-}
-
 // Run executes an experiment by figure name ("fig3" … "fig9") and writes
 // its formatted output to w, using a default-sized Runner.
 func Run(name string, scale float64, seed int64, w io.Writer) error {

@@ -205,9 +205,3 @@ func (r *Runner) ShieldSweepExperiment(scale float64, seed int64) (*ShieldSweep,
 	}
 	return out, nil
 }
-
-// ShieldSweepExperiment runs the two-tier shield sweep on a default-sized
-// Runner.
-func ShieldSweepExperiment(scale float64, seed int64) (*ShieldSweep, error) {
-	return NewRunner(0).ShieldSweepExperiment(scale, seed)
-}

@@ -15,7 +15,7 @@ import (
 // O(clouds) → O(shields) collapse — and the result is byte-identical
 // across worker counts.
 func TestShieldSweepShape(t *testing.T) {
-	r, err := ShieldSweepExperiment(testScale, 1)
+	r, err := NewRunner(0).ShieldSweepExperiment(testScale, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

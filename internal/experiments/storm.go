@@ -290,9 +290,3 @@ func (r *Runner) StormSweepExperiment(scale float64, seed int64) (*StormSweep, e
 	}
 	return out, nil
 }
-
-// StormSweepExperiment runs the overload storm sweep on a default-sized
-// Runner.
-func StormSweepExperiment(scale float64, seed int64) (*StormSweep, error) {
-	return NewRunner(0).StormSweepExperiment(scale, seed)
-}

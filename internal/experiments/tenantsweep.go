@@ -362,9 +362,3 @@ func (r *Runner) TenantSweepExperiment(scale float64, seed int64) (*TenantSweep,
 	}
 	return out, nil
 }
-
-// TenantSweepExperiment runs the multi-tenant noisy-neighbor sweep on a
-// default-sized Runner.
-func TenantSweepExperiment(scale float64, seed int64) (*TenantSweep, error) {
-	return NewRunner(0).TenantSweepExperiment(scale, seed)
-}

@@ -15,7 +15,7 @@ import (
 // aggressor is genuinely shed at its share while a weight-0 aggressor is
 // served nothing, and the result is byte-identical across worker counts.
 func TestTenantSweepShape(t *testing.T) {
-	r, err := TenantSweepExperiment(testScale, 1)
+	r, err := NewRunner(0).TenantSweepExperiment(testScale, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@ import (
 	"cachecloud/internal/admit"
 	"cachecloud/internal/cache"
 	"cachecloud/internal/document"
-	"cachecloud/internal/durable"
 	"cachecloud/internal/obs"
 	"cachecloud/internal/placement"
 	"cachecloud/internal/tenant"
@@ -108,10 +107,10 @@ type CacheNode struct {
 	shieldFailover *obs.Counter
 	shieldDegraded *obs.Counter
 
-	// Durable tier (see durable.go): nil for memory-only nodes. warmBoot
+	// Durable tier (see durable.go): empty for memory-only nodes. warmBoot
 	// and warmRecovered are set once at construction; the revalidation
 	// counters advance when WarmRevalidate runs.
-	durable         *durable.Store
+	disk            disk
 	warmBoot        bool
 	warmRecovered   int
 	warmRevalidated atomic.Int64
@@ -870,8 +869,8 @@ func (n *CacheNode) handleStats(w http.ResponseWriter, r *http.Request) {
 		st.ShieldFailover = n.shieldFailover.Value()
 		st.ShieldDegraded = n.shieldDegraded.Value()
 	}
-	if n.durable != nil {
-		ds := n.durable.Stats()
+	if n.disk.st != nil {
+		ds := n.disk.st.Stats()
 		st.WarmBoot = n.warmBoot
 		st.WarmRecovered = n.warmRecovered
 		st.WarmRevalidated = n.warmRevalidated.Load()
@@ -880,7 +879,7 @@ func (n *CacheNode) handleStats(w http.ResponseWriter, r *http.Request) {
 		st.StoreCompactions = ds.Compactions
 		st.StoreSegments = ds.Segments
 		st.StoreBytes = ds.TotalBytes
-		st.DurableErrors = n.store.DurableErrors()
+		st.DurableErrors = n.disk.q.Errors()
 	}
 	st.Tenants = n.TenantAdmission()
 	writeJSON(w, http.StatusOK, st)

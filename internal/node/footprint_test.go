@@ -153,8 +153,10 @@ func TestStoreFootprint(t *testing.T) {
 	}
 	perDocument := func(st *durable.Store) int64 {
 		c := cache.New("e0", 0)
+		var q *durable.Queue
 		if st != nil {
-			c.SetDurable(st)
+			q = durable.NewQueue(st)
+			c.SetDurable(q)
 		}
 		h0 := liveHeap()
 		for i, u := range urls {
@@ -165,8 +167,8 @@ func TestStoreFootprint(t *testing.T) {
 			}
 		}
 		h1 := liveHeap()
-		if c.Len() != n || c.DurableErrors() != 0 || (st != nil && st.Len() != n) {
-			t.Fatalf("%d stored, %d disk-tier errors", c.Len(), c.DurableErrors())
+		if c.Len() != n || q.Errors() != 0 || (st != nil && st.Len() != n) {
+			t.Fatalf("%d stored, %d disk-tier errors", c.Len(), q.Errors())
 		}
 		runtime.KeepAlive(c)
 		runtime.KeepAlive(st)

@@ -403,6 +403,9 @@ type ShieldStats struct {
 	ResyncDrops   int64  `json:"resyncDrops"`
 	WarmBoot      bool   `json:"warmBoot,omitempty"`
 	WarmRecovered int    `json:"warmRecovered,omitempty"`
+	// DurableErrors counts copies and tombstones the durable tier failed to
+	// write (the shield keeps serving; durability degrades).
+	DurableErrors int64 `json:"durableErrors,omitempty"`
 }
 
 // RebalanceResponse answers the origin's POST /rebalance.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"path/filepath"
 	"slices"
 	"sort"
 	"strconv"
@@ -15,7 +14,6 @@ import (
 	"time"
 
 	"cachecloud/internal/document"
-	"cachecloud/internal/durable"
 	"cachecloud/internal/obs"
 	"cachecloud/internal/ring"
 )
@@ -195,8 +193,8 @@ func (n *CacheNode) resubscribeDegraded(ctx context.Context) {
 // form their own ring (internal/ring) whose intra-ring range is keyed by
 // cloud IDs — see ShieldRouter on the cache-node side. Shield-side
 // anti-entropy (Reconcile against the origin's GET /versions) plays the
-// role /reconcile plays inside a cloud, and the same internal/durable hook
-// cache nodes use persists the shield's copies across restarts.
+// role /reconcile plays inside a cloud, and the same durable tier cache
+// nodes use (disk) persists the shield's copies across restarts.
 type ShieldNode struct {
 	name  string
 	cfg   ClusterConfig
@@ -214,7 +212,7 @@ type ShieldNode struct {
 	// reads the layout without a lock, once per message.
 	view atomic.Pointer[routeView]
 
-	durable       *durable.Store
+	disk          disk
 	warmBoot      bool
 	warmRecovered int
 
@@ -254,13 +252,19 @@ func (sn *ShieldNode) entry(url string) *shieldEntry {
 	return e
 }
 
-// store makes cp the held copy of e's URL, in memory and (best-effort: a
-// degraded disk tier does not stop the shield) on disk. Caller holds sn.mu.
+// store makes cp the held copy of e's URL in memory and queues it for the
+// disk, which unlock writes. Caller holds sn.mu.
 func (sn *ShieldNode) store(e *shieldEntry, cp document.Copy) {
 	e.cp, e.held = cp, true
-	if sn.durable != nil {
-		_ = sn.durable.Put(cp)
-	}
+	sn.disk.q.Persist(cp)
+}
+
+// unlock releases sn.mu and then writes what the critical section queued for
+// the disk: a seal or compaction in the store stalls only this goroutine.
+func (sn *ShieldNode) unlock() {
+	q := sn.disk.q
+	sn.mu.Unlock()
+	q.Drain()
 }
 
 // refresh fetches url from the origin into its entry e and returns the copy
@@ -359,24 +363,15 @@ func (sn *ShieldNode) initMetrics() {
 	})
 }
 
-// initDurable opens the shield's durable tier under the same store-root
-// convention cache nodes use (StoreDir/<name>) and replays the recovered
-// index so a restarted shield resumes holding its copies — possibly stale,
-// which Reconcile and fetch staleness hints repair — instead of funnelling
-// a cold-miss storm at the origin.
+// initDurable opens the shield's durable tier as cache nodes open theirs
+// (disk.open) and replays the recovered index so a restarted shield resumes
+// holding its copies — possibly stale, which Reconcile and fetch staleness
+// hints repair — instead of funnelling a cold-miss storm at the origin.
 func (sn *ShieldNode) initDurable() error {
-	if sn.cfg.StoreDir == "" {
-		return nil
-	}
-	st, err := durable.Open(filepath.Join(sn.cfg.StoreDir, sn.name), durable.Options{
-		Fsync:  durable.ParseFsync(sn.cfg.Fsync),
-		Tracer: sn.cfg.Tracer,
-	})
-	if err != nil {
+	if err := sn.disk.open(sn.cfg, sn.name, sn.reg); err != nil || sn.disk.st == nil {
 		return err
 	}
-	sn.durable = st
-	for _, e := range st.Entries() {
+	for _, e := range sn.disk.st.Entries() {
 		sn.table[e.Doc.URL] = &shieldEntry{cp: document.Copy{Doc: e.Doc, FetchedAt: e.FetchedAt}, held: true}
 	}
 	sn.warmRecovered = len(sn.table)
@@ -385,15 +380,12 @@ func (sn *ShieldNode) initDurable() error {
 }
 
 // Close closes the connections the shield serves and the idle ones it
-// holds to the cluster's addresses, and seals the durable tier (nothing to
-// seal on memory-only shields).
+// holds to the cluster's addresses, then writes what the durable tier has
+// queued and seals it (nothing to seal on memory-only shields).
 func (sn *ShieldNode) Close() error {
 	sn.served.close(nil)
 	closeIdlePeerConns(sn.cfg)
-	if sn.durable == nil {
-		return nil
-	}
-	return sn.durable.Close()
+	return sn.disk.close()
 }
 
 // Handler returns the shield's HTTP handler.
@@ -442,7 +434,7 @@ func (sn *ShieldNode) handleFetch(w http.ResponseWriter, r *http.Request) {
 	} else {
 		var err error
 		if cp, err = sn.refresh(ctx, url, e); err != nil {
-			sn.mu.Unlock()
+			sn.unlock()
 			status := http.StatusBadGateway
 			if errors.Is(err, ErrNotFound) {
 				// The origin answered: a 502 here would have the cloud's
@@ -456,7 +448,7 @@ func (sn *ShieldNode) handleFetch(w http.ResponseWriter, r *http.Request) {
 	if i, subscribed := slices.BinarySearch(e.subs, cloudID); !subscribed {
 		e.subs = slices.Insert(e.subs, i, sn.intern(cloudID))
 	}
-	sn.mu.Unlock()
+	sn.unlock()
 	writeJSON(w, http.StatusOK, ShieldFetchResponse{Doc: cp.Doc, ShieldHit: hit})
 }
 
@@ -478,8 +470,10 @@ func (sn *ShieldNode) cloudBeacon(url, cloudID string) (string, bool) {
 // may bring. A shield with neither answers Held: false without fanning
 // (nothing downstream can be subscribed), and the origin sends it no more
 // updates of the document until one of its fetches is served. That is why
-// the answer is decided under sn.mu, where a copy arrives in memory and on
-// disk and leaves both (purgeGlobal), and a fetch begins.
+// the answer is decided under sn.mu, where a copy arrives and leaves
+// (purgeGlobal) and a fetch begins, and only once the disk agrees: while a
+// write is queued — a purge's tombstone, say — a warm restart could still
+// bring back a copy, so the shield answers held and costs one /supdate.
 func (sn *ShieldNode) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	var req UpdateRequest
 	if err := readJSON(r, &req); err != nil {
@@ -495,8 +489,9 @@ func (sn *ShieldNode) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if held && (!e.held || req.Doc.Version > e.cp.Doc.Version) {
 		sn.store(e, document.Copy{Doc: req.Doc, FetchedAt: sn.now()})
 	}
+	held = held || sn.disk.q.Pending()
 	clouds := sn.sortedSubs(url)
-	sn.mu.Unlock()
+	sn.unlock()
 
 	if !held {
 		writeJSON(w, http.StatusOK, ShieldUpdateResponse{Held: false})
@@ -537,19 +532,20 @@ func (sn *ShieldNode) fanOut(ctx context.Context, doc document.Document, clouds 
 }
 
 // purgeGlobal drops the shield's copy of url (the durable log gets a
-// tombstone, under sn.mu as store's writes are: once an update has found no
-// copy, a warm restart must not bring one back), records the generation,
-// cancels the subscriptions and forwards the purge into each cloud that had
-// one; it returns the copies dropped there.
+// tombstone, queued under sn.mu as store's writes are, and handleUpdate
+// declines no update until it is written: once an update has found no copy,
+// a warm restart must not bring one back), records the generation, cancels
+// the subscriptions and forwards the purge into each cloud that had one; it
+// returns the copies dropped there.
 func (sn *ShieldNode) purgeGlobal(ctx context.Context, url string, gen int64) (dropped int) {
 	sn.mu.Lock()
 	e := sn.entry(url)
 	held, clouds := e.held, e.subs
 	e.cp, e.held, e.purgeGen, e.subs = document.Copy{}, false, gen, nil
-	if held && sn.durable != nil {
-		_ = sn.durable.Delete(url)
+	if held {
+		sn.disk.q.Tombstone(url)
 	}
-	sn.mu.Unlock()
+	sn.unlock()
 	for _, cid := range clouds {
 		dropped += sn.forwardPurge(ctx, url, cid)
 	}
@@ -670,6 +666,7 @@ func (sn *ShieldNode) Stats() ShieldStats {
 		ResyncDrops:   sn.resyncDrops.Value(),
 		WarmBoot:      sn.warmBoot,
 		WarmRecovered: sn.warmRecovered,
+		DurableErrors: sn.disk.q.Errors(),
 	}
 }
 
@@ -720,7 +717,7 @@ func (sn *ShieldNode) Reconcile(ctx context.Context) (refreshed, purged int) {
 		sn.mu.Lock()
 		fresh, err := sn.refresh(ctx, url, sn.entry(url))
 		clouds := sn.sortedSubs(url)
-		sn.mu.Unlock()
+		sn.unlock()
 		if err != nil {
 			continue
 		}
