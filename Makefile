@@ -87,7 +87,9 @@ golden:
 	$(GO) run ./cmd/cloudsim -all -json -scale 0.02 -seed 1 > cmd/cloudsim/testdata/golden_all.json
 
 # Short randomized fuzzing of the trace parser, the node wire protocol, the
-# peer exchange's reply parser and the served loop's request parser (the
+# handlers' query reader (against url.ParseQuery), the /doc reply writer
+# (against json.Encoder, byte for byte), the peer exchange's reply parser
+# and the served loop's request parser (the
 # committed seed corpora run on every plain `go test`; FuzzWireRequest's
 # include what the loop hands back to net/http: chunked after a GET, Expect
 # with and without its body, Transfer-Encoding beside Content-Length). Its
@@ -96,6 +98,8 @@ golden:
 fuzz:
 	$(GO) test -fuzz=FuzzTraceParse -fuzztime=30s ./internal/trace
 	$(GO) test -fuzz=FuzzProtocolDecode -fuzztime=30s ./internal/node
+	$(GO) test -fuzz=FuzzQueryArg -fuzztime=30s ./internal/node
+	$(GO) test -fuzz=FuzzDocReply -fuzztime=30s ./internal/node
 	$(GO) test -fuzz=FuzzWireReply -fuzztime=30s ./internal/node
 	$(GO) test -fuzz=FuzzWireRequest -fuzztime=30s -fuzzminimizetime=2s ./internal/node
 	$(GO) test -fuzz=FuzzScheduleDecode -fuzztime=30s ./internal/simnet

@@ -313,7 +313,7 @@ func (n *CacheNode) isDown(peer string) bool { return n.dir.route().down[peer] }
 // serving. Each request increments docRequests and then exactly one of
 // docServed, docShed, or docFailed (the conservation invariant).
 func (n *CacheNode) handleDoc(w http.ResponseWriter, r *http.Request) {
-	url := r.URL.Query().Get("url")
+	url, _, _ := queryArg(r.URL.RawQuery, "url")
 	if url == "" {
 		writeErr(w, http.StatusBadRequest, errors.New("missing url"))
 		return
@@ -354,7 +354,7 @@ func (n *CacheNode) handleDoc(w http.ResponseWriter, r *http.Request) {
 		n.localHits.Inc()
 		n.docServed.Inc()
 		n.tenantCounts.served(tid)
-		writeJSON(w, http.StatusOK, DocResponse{Doc: cp.Doc, Source: "local", Stored: true})
+		writeDoc(w, DocResponse{Doc: cp.Doc, Source: "local", Stored: true})
 		return
 	}
 
@@ -419,7 +419,7 @@ func (n *CacheNode) handleDoc(w http.ResponseWriter, r *http.Request) {
 		doc, stored = n.place(doc, "", LookupResponse{}, now)
 		n.docServed.Inc()
 		n.tenantCounts.served(tid)
-		writeJSON(w, http.StatusOK, DocResponse{Doc: doc, Source: "origin", Stored: stored, Degraded: true})
+		writeDoc(w, DocResponse{Doc: doc, Source: "origin", Stored: stored, Degraded: true})
 		return
 	}
 	if failedOver {
@@ -445,7 +445,7 @@ func (n *CacheNode) handleDoc(w http.ResponseWriter, r *http.Request) {
 	doc, stored = n.place(doc, beaconName, lr, now)
 	n.docServed.Inc()
 	n.tenantCounts.served(tid)
-	writeJSON(w, http.StatusOK, DocResponse{Doc: doc, Source: source, Stored: stored, FailedOver: failedOver})
+	writeDoc(w, DocResponse{Doc: doc, Source: source, Stored: stored, FailedOver: failedOver})
 }
 
 // peerRetrieve tries to fetch the document from a sibling holder, unless
@@ -523,13 +523,17 @@ func (n *CacheNode) place(doc document.Document, beaconName string, lr LookupRes
 // plain lookup only reads. With holder, the requester's pending drops are
 // applied and then the requester is listed for U, all numbered seq.
 func (n *CacheNode) handleLookup(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	url := q.Get("url")
+	q := r.URL.RawQuery
+	url, _, _ := queryArg(q, "url")
 	if url == "" {
 		writeErr(w, http.StatusBadRequest, errors.New("missing url"))
 		return
 	}
-	holder, drops := q.Get("holder"), q["drop"]
+	holder, _, _ := queryArg(q, "holder")
+	var drops []string
+	for d, rest, ok := queryArg(q, "drop"); ok; d, rest, ok = queryArg(rest, "drop") {
+		drops = append(drops, d)
+	}
 	var seq uint64
 	if holder != "" {
 		name, ok := n.dir.holderName(holder)
@@ -538,8 +542,9 @@ func (n *CacheNode) handleLookup(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		holder = name
+		s, _, _ := queryArg(q, "seq")
 		var err error
-		if seq, err = strconv.ParseUint(q.Get("seq"), 10, 64); err != nil {
+		if seq, err = strconv.ParseUint(s, 10, 64); err != nil {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad seq: %w", err))
 			return
 		}
@@ -588,7 +593,7 @@ func (n *CacheNode) deregister(req DeregisterRequest) (struct{}, error) {
 // is hit-class work: cheap, and prioritised over miss-class admissions
 // so an overloaded holder still relieves its peers.
 func (n *CacheNode) handleFetch(w http.ResponseWriter, r *http.Request) {
-	url := r.URL.Query().Get("url")
+	url, _, _ := queryArg(r.URL.RawQuery, "url")
 	url, terr := foldTenantParam(r, url)
 	if terr != nil {
 		writeErr(w, http.StatusBadRequest, terr)
@@ -665,10 +670,11 @@ type applyResponse struct {
 	Held bool `json:"held"`
 }
 
-// applyLocal refreshes a held copy with the pushed version, then
-// re-evaluates the placement decision using the beacon's piggybacked
-// monitoring: a copy whose consistency-maintenance cost has overtaken its
-// benefit is dropped rather than refreshed again next time.
+// applyLocal refreshes a held copy with the pushed version, then, under
+// utility placement, re-evaluates the placement decision using the beacon's
+// piggybacked monitoring: a copy whose consistency-maintenance cost has
+// overtaken its benefit is dropped rather than refreshed again next time. Ad
+// hoc placement keeps every copy, so it builds no context.
 //
 // A node with a miss in flight on the document is listed (its lookup did
 // that) but holds nothing yet: the pushed version is kept for place, which
@@ -682,6 +688,9 @@ func (n *CacheNode) applyLocal(req UpdateRequest) bool {
 			return false
 		}
 		n.store.ApplyUpdate(req.Doc, now)
+		return true
+	}
+	if _, isAdHoc := n.policy.(placement.AdHoc); isAdHoc {
 		return true
 	}
 	others := req.Replicas - 1
@@ -699,7 +708,7 @@ func (n *CacheNode) applyLocal(req UpdateRequest) bool {
 		ReplicaCount:    others,
 		Residence:       placement.ExpectedResidence(n.store.Capacity(), n.store.EvictionByteRate(now)),
 	}
-	if _, isAdHoc := n.policy.(placement.AdHoc); !isAdHoc && !n.policy.ShouldStore(ctx).Store {
+	if !n.policy.ShouldStore(ctx).Store {
 		n.store.Remove(req.Doc.URL)
 		return false
 	}

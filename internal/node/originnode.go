@@ -223,7 +223,7 @@ func (o *OriginNode) handleFetch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusGatewayTimeout, err)
 		return
 	}
-	u := r.URL.Query().Get("url")
+	u, _, _ := queryArg(r.URL.RawQuery, "url")
 	o.mu.Lock()
 	d, ok := o.docs[u]
 	if ok {

@@ -48,6 +48,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 
 	"cachecloud/internal/document"
 	"cachecloud/internal/obs"
@@ -570,6 +571,77 @@ type SubrangesResponse struct {
 // document's URL in a variable named url, which hides the package.
 func queryEscape(s string) string { return url.QueryEscape(s) }
 
+// queryArg reads a raw query the way url.ParseQuery does, one key at a time
+// and without building its map: val is the first value ParseQuery would list
+// under key, and rest is the query after that pair, where the next value is
+// looked for. A pair holding ';' or a bad escape is skipped, as ParseQuery
+// skips it. A value with nothing to unescape is a substring of raw, as
+// ParseQuery's is, so reading it allocates nothing.
+func queryArg(raw, key string) (val, rest string, ok bool) {
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != key {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v, raw, true
+		}
+	}
+	return "", "", false
+}
+
+// writeDoc writes a /doc reply. The bytes are json.NewEncoder's for the same
+// DocResponse, appended without reflection (appendDocReply).
+func writeDoc(w http.ResponseWriter, resp DocResponse) {
+	buf := getBuf()
+	defer putBuf(buf)
+	buf.Write(appendDocReply(buf.AvailableBuffer(), resp))
+	writeBody(w, http.StatusOK, buf.Bytes())
+}
+
+// appendDocReply appends resp as json.Encoder.Encode writes it: the fields in
+// declaration order, HTML escaping on, FailedOver and Degraded omitted when
+// false, a newline at the end.
+func appendDocReply(b []byte, resp DocResponse) []byte {
+	b = append(b, `{"doc":{"url":`...)
+	b = appendJSONString(b, resp.Doc.URL)
+	b = append(b, `,"size":`...)
+	b = strconv.AppendInt(b, resp.Doc.Size, 10)
+	b = append(b, `,"version":`...)
+	b = strconv.AppendUint(b, uint64(resp.Doc.Version), 10)
+	b = append(b, `},"source":`...)
+	b = appendJSONString(b, resp.Source)
+	b = append(b, `,"stored":`...)
+	b = strconv.AppendBool(b, resp.Stored)
+	if resp.FailedOver {
+		b = append(b, `,"failedOver":true`...)
+	}
+	if resp.Degraded {
+		b = append(b, `,"degraded":true`...)
+	}
+	return append(b, "}\n"...)
+}
+
+// appendJSONString appends s quoted. A string of printable ASCII that HTML
+// escaping leaves alone is copied as it is; any other is json.Marshal's to
+// render, so escaping has one implementation.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always encodes
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
 // writeJSON encodes v before it writes anything, so the reply carries its
 // Content-Length and goes out in one Write.
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -581,11 +653,18 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		buf.Reset()
 		_ = enc.Encode(map[string]string{"error": err.Error()})
 	}
+	writeBody(w, status, buf.Bytes())
+}
+
+// writeBody sends a JSON reply in one Write. Its two headers are set under
+// their canonical keys, as Header().Set would store them, and share one
+// allocation.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	vals := []string{"application/json", strconv.Itoa(len(body))}
 	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(buf.Len()))
+	h["Content-Type"], h["Content-Length"] = vals[:1:1], vals[1:]
 	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
+	_, _ = w.Write(body)
 }
 
 func writeErr(w http.ResponseWriter, status int, err error) {

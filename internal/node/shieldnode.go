@@ -409,15 +409,15 @@ func (sn *ShieldNode) now() int64 { return int64(sn.clock.Since(sn.start) / time
 // never moves a cloud's served version backwards. The serving fetch
 // subscribes the cloud for this URL's update pushes.
 func (sn *ShieldNode) handleFetch(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	url := q.Get("url")
-	cloudID := q.Get("cloud")
+	q := r.URL.RawQuery
+	url, _, _ := queryArg(q, "url")
+	cloudID, _, _ := queryArg(q, "cloud")
 	if url == "" || cloudID == "" {
 		writeErr(w, http.StatusBadRequest, errors.New("missing url or cloud"))
 		return
 	}
 	var hint document.Version
-	if v := q.Get("v"); v != "" {
+	if v, _, _ := queryArg(q, "v"); v != "" {
 		if hv, err := strconv.ParseUint(v, 10, 64); err == nil {
 			hint = document.Version(hv)
 		}

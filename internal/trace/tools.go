@@ -53,7 +53,13 @@ func (t *Trace) Slice(from, to int64) (*Trace, error) {
 // FilterKind returns a copy keeping only events of the given kind (the
 // catalog is shared).
 func (t *Trace) FilterKind(kind EventKind) *Trace {
-	out := &Trace{Docs: t.Docs, Duration: t.Duration}
+	n := 0
+	for _, ev := range t.Events {
+		if ev.Kind == kind {
+			n++
+		}
+	}
+	out := &Trace{Docs: t.Docs, Events: make([]Event, 0, n), Duration: t.Duration}
 	for _, ev := range t.Events {
 		if ev.Kind == kind {
 			out.Events = append(out.Events, ev)

@@ -252,7 +252,7 @@ func GenerateZipf(cfg ZipfConfig) *Trace {
 	}
 
 	hashes := catalogHashes(docs)
-	events := make([]Event, 0, cfg.Duration*int64(cfg.Caches*cfg.ReqPerCache+cfg.UpdatesPerUnit))
+	events := make([]Event, 0, cfg.Duration*int64(len(caches)*cfg.ReqPerCache+cfg.UpdatesPerUnit))
 	for tu := int64(0); tu < cfg.Duration; tu++ {
 		for u := 0; u < cfg.UpdatesPerUnit; u++ {
 			idx := updZipf.Sample()
@@ -336,15 +336,15 @@ func GenerateSydney(cfg SydneyConfig) *Trace {
 	}
 
 	hashes := catalogHashes(docs)
-	var events []Event
+	total := 0
+	for tu := int64(0); tu < cfg.Duration; tu++ {
+		total += cfg.UpdatesPerUnit + len(caches)*cfg.unitRequests(tu)
+	}
+	events := make([]Event, 0, total)
 	for tu := int64(0); tu < cfg.Duration; tu++ {
 		phase := tu / cfg.HotDriftPeriod
 		drift := int(phase) * 997 // co-prime step so hot ranks rotate widely
-		intensity := diurnal(tu, cfg.Duration)
-		reqs := int(math.Round(float64(cfg.PeakReqPerCache) * intensity))
-		if reqs < 1 {
-			reqs = 1
-		}
+		reqs := cfg.unitRequests(tu)
 		for u := 0; u < cfg.UpdatesPerUnit; u++ {
 			idx := (updZipf.Sample() + drift) % cfg.NumDocs
 			events = append(events, Event{Time: tu, Kind: Update, URL: docs[idx].URL, Hash: hashes[idx]})
@@ -357,6 +357,12 @@ func GenerateSydney(cfg SydneyConfig) *Trace {
 		}
 	}
 	return &Trace{Docs: docs, Events: events, Duration: cfg.Duration}
+}
+
+// unitRequests is how many requests each cache receives in time unit tu:
+// the peak rate scaled by the day curve, at least one.
+func (c SydneyConfig) unitRequests(tu int64) int {
+	return max(1, int(math.Round(float64(c.PeakReqPerCache)*diurnal(tu, c.Duration))))
 }
 
 // diurnal returns the request-intensity multiplier in [0.3, 1.0] for a time

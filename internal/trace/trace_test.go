@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -203,6 +204,31 @@ func TestGenerateSydneyHotSetDrifts(t *testing.T) {
 	}
 	if a, b := top(0, 120), top(120, 240); a == b {
 		t.Fatalf("hot document did not drift across phases: %s", a)
+	}
+}
+
+// TestEventsSizedExactly requires each generator, and FilterKind, to
+// allocate its events once at the final count, whether CacheIDs names fewer
+// caches than the Caches default or many more.
+func TestEventsSizedExactly(t *testing.T) {
+	for _, n := range []int{6, 160} {
+		ids := make([]string, n)
+		for i := range ids {
+			ids[i] = fmt.Sprintf("edge-%d", i)
+		}
+		zipf := GenerateZipf(ZipfConfig{Seed: 1, NumDocs: 500, CacheIDs: ids, Duration: 5, ReqPerCache: 3, UpdatesPerUnit: 7})
+		sydney := GenerateSydney(SydneyConfig{Seed: 1, NumDocs: 500, CacheIDs: ids, Duration: 50, PeakReqPerCache: 9, UpdatesPerUnit: 7})
+		for name, tr := range map[string]*Trace{
+			"zipf": zipf, "sydney": sydney,
+			"sydney updates": sydney.FilterKind(Update), "sydney requests": sydney.FilterKind(Request),
+		} {
+			if len(tr.Events) == 0 || cap(tr.Events) != len(tr.Events) {
+				t.Errorf("%d caches, %s: %d events in a slice of capacity %d", n, name, len(tr.Events), cap(tr.Events))
+			}
+		}
+		if got, want := len(zipf.Events), 5*(n*3+7); got != want {
+			t.Errorf("%d caches: zipf has %d events, want %d", n, got, want)
+		}
 	}
 }
 
