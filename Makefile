@@ -119,13 +119,14 @@ simsweep:
 	$(GO) run ./cmd/simnet -seeds $(SEEDS)
 	$(GO) test -race ./internal/simnet
 
-# Two-tier gate: the shield node end-to-ends and the cross-tier model
-# tests under the race detector, then a simulation sweep whose generated
-# schedules add a shield-tier fault phase to every round (shield crash,
-# failover, publishes and scoped/global purges past the crashed shield)
-# with the cross-tier invariants armed, the same sweep over durable stores
-# and warm restarts, and the first sweep in-process under the race detector
-# (TestShieldSweep).
+# Two-tier gate: the shield node end-to-ends, the counting model's tests and
+# the shieldsweep experiment's under the race detector, then a simulation
+# sweep whose generated schedules add a shield-tier fault phase to every
+# round (shield crash, failover, publishes and scoped/global purges past
+# the crashed shield) with the cross-tier invariants armed — among them the
+# staleness sandwich on every /sfetch reply — the same sweep over durable
+# stores and warm restarts, and the first sweep in-process under the race
+# detector (TestShieldSweep).
 shield-sweep:
 	$(GO) test -race -run 'TestShield' ./internal/node ./internal/shield ./internal/experiments
 	$(GO) run ./cmd/simnet -seeds $(SEEDS) -shields 2

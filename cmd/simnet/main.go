@@ -21,7 +21,8 @@
 // the origin, adds a shield-tier fault phase to every round, and arms
 // the cross-tier invariants (one update per shield that may hold the
 // document and none to a shield skipped, scoped-purge completeness, shield
-// freshness at quiescent points).
+// freshness at quiescent points, and the staleness sandwich on every
+// /sfetch reply).
 package main
 
 import (
@@ -48,7 +49,7 @@ func run(args []string) error {
 		ringSize = fs.Int("ringsize", 2, "beacon points per ring")
 		docs     = fs.Int("docs", 40, "catalog size")
 		rounds   = fs.Int("rounds", 3, "crash/recover rounds per seed")
-		inject   = fs.String("inject", "", "deliberate bug to plant (heartbeat-undercount, supdate-stale, supdate-held-lost, deregister-lost)")
+		inject   = fs.String("inject", "", "deliberate bug to plant (heartbeat-undercount, supdate-stale, sfetch-stale, supdate-held-lost, deregister-lost)")
 		schedule = fs.String("schedule", "", "replay an encoded schedule file instead of generating")
 		warm     = fs.Bool("warm", false, "durable stores + warm process restarts instead of plain heals")
 		shields  = fs.Int("shields", 0, "shield-tier caches between the cloud and the origin (0 = single tier)")

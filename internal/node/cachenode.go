@@ -488,16 +488,7 @@ func (n *CacheNode) peerRetrieve(ctx context.Context, url string, lr LookupRespo
 // a push that lands in between is not lost.
 func (n *CacheNode) place(doc document.Document, beaconName string, lr LookupResponse, now int64) (document.Document, bool) {
 	doc = n.newerPushed(doc)
-	pctx := placement.Context{
-		Now: now, CacheID: n.name, DocURL: doc.URL, DocSize: doc.Size,
-		IsBeacon:        beaconName == n.name,
-		LocalAccessRate: n.store.AccessRate(doc.URL, now),
-		MeanLocalRate:   n.store.MeanAccessRate(now),
-		CloudLookupRate: lr.LookupRate,
-		CloudUpdateRate: lr.UpdateRate,
-		ReplicaCount:    len(lr.Holders),
-		Residence:       placement.ExpectedResidence(n.store.Capacity(), n.store.EvictionByteRate(now)),
-	}
+	pctx := n.placementContext(doc, beaconName == n.name, lr.LookupRate, lr.UpdateRate, len(lr.Holders), now)
 	if !n.policy.ShouldStore(pctx).Store {
 		return doc, false
 	}
@@ -515,6 +506,22 @@ func (n *CacheNode) place(doc document.Document, beaconName string, lr LookupRes
 		doc = pushed
 	}
 	return doc, true
+}
+
+// placementContext is what the placement policy weighs for doc at this node:
+// the local rates and residence read from the store, the cloud-wide rates
+// and replica count the beacon reported.
+func (n *CacheNode) placementContext(doc document.Document, isBeacon bool, lookupRate, updateRate float64, replicas int, now int64) placement.Context {
+	return placement.Context{
+		Now: now, CacheID: n.name, DocURL: doc.URL, DocSize: doc.Size,
+		IsBeacon:        isBeacon,
+		LocalAccessRate: n.store.AccessRate(doc.URL, now),
+		MeanLocalRate:   n.store.MeanAccessRate(now),
+		CloudLookupRate: lookupRate,
+		CloudUpdateRate: updateRate,
+		ReplicaCount:    replicas,
+		Residence:       placement.ExpectedResidence(n.store.Capacity(), n.store.EvictionByteRate(now)),
+	}
 }
 
 // --- beacon duties ---
@@ -698,16 +705,7 @@ func (n *CacheNode) applyLocal(req UpdateRequest) bool {
 		others = 0
 	}
 	owner, ownerErr := n.dir.route().beacon(document.HashURL(req.Doc.URL))
-	ctx := placement.Context{
-		Now: now, CacheID: n.name, DocURL: req.Doc.URL, DocSize: req.Doc.Size,
-		IsBeacon:        ownerErr == nil && owner == n.name,
-		LocalAccessRate: n.store.AccessRate(req.Doc.URL, now),
-		MeanLocalRate:   n.store.MeanAccessRate(now),
-		CloudLookupRate: req.LookupRate,
-		CloudUpdateRate: req.UpdateRate,
-		ReplicaCount:    others,
-		Residence:       placement.ExpectedResidence(n.store.Capacity(), n.store.EvictionByteRate(now)),
-	}
+	ctx := n.placementContext(req.Doc, ownerErr == nil && owner == n.name, req.LookupRate, req.UpdateRate, others, now)
 	if !n.policy.ShouldStore(ctx).Store {
 		n.store.Remove(req.Doc.URL)
 		return false

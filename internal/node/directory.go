@@ -213,7 +213,8 @@ func (d *directory) counts() (owned, replicas int) {
 // holderName is the one gate a name passes before it may enter a holder
 // list: it must be a node of the cluster. The cluster's own copy of it is
 // returned, so that no record keeps a request's bytes alive. The shield's
-// table follows the same rule for the cloud IDs it keeps (ShieldNode.intern).
+// table follows the same rule for the cloud IDs it keeps: it subscribes
+// only liveCloud, and stores the constant (ShieldNode.handleFetch).
 func (d *directory) holderName(name string) (string, bool) {
 	if i, ok := slices.BinarySearch(d.names, name); ok {
 		return d.names[i], true

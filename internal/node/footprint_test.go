@@ -103,18 +103,7 @@ func TestShieldFootprint(t *testing.T) {
 		n      = 10000
 		budget = 205 // bytes a held document: 164 now, 552 with three maps and a set per URL
 	)
-	cfg := ClusterConfig{
-		IntraGen:    16,
-		Rings:       [][]string{{"a", "b"}},
-		Addrs:       map[string]string{"a": "http://a", "b": "http://b"},
-		OriginAddr:  "http://origin",
-		Shields:     []string{"s0"},
-		ShieldAddrs: map[string]string{"s0": "http://s0"},
-	}
-	sn, err := NewShieldNodeWithTransport("s0", cfg, originStub{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sn := stubShield(t, originStub{})
 	handler := sn.Handler()
 	h0 := liveHeap()
 	for i := 0; i < n; i++ {

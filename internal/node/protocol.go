@@ -44,7 +44,6 @@ package node
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -671,16 +670,18 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// readJSON decodes a request body of at most maxRequestBody (16 MB).
+// readJSON decodes a request body of at most maxRequestBody (16 MB); a longer
+// one is refused, and at most maxDrainBytes of what is left of it is read.
 func readJSON(r *http.Request, v any) error {
-	defer func() {
-		_, _ = io.Copy(io.Discard, r.Body)
-		_ = r.Body.Close()
-	}()
+	defer drainClose(r.Body)
 	buf := getBuf()
 	defer putBuf(buf)
-	if _, err := readInto(buf, r.Body, maxRequestBody); err != nil {
+	eof, err := readInto(buf, r.Body, maxRequestBody+1)
+	if err != nil {
 		return err
+	}
+	if !eof || buf.Len() > maxRequestBody {
+		return fmt.Errorf("request body over %d bytes", maxRequestBody)
 	}
 	return json.Unmarshal(buf.Bytes(), v)
 }

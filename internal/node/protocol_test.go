@@ -3,10 +3,12 @@ package node
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"slices"
+	"strings"
 	"testing"
 
 	"cachecloud/internal/document"
@@ -91,5 +93,53 @@ func TestHitPathHelpersDoNotAllocate(t *testing.T) {
 		buf = appendDocReply(buf[:0], resp)
 	}); n != 0 {
 		t.Errorf("appendDocReply allocates %v times per call, want 0", n)
+	}
+}
+
+// spaces is a body of n spaces that counts how much of it was read.
+type spaces struct{ n, read int64 }
+
+func (s *spaces) Read(p []byte) (int, error) {
+	if s.read == s.n {
+		return 0, io.EOF
+	}
+	k := min(int64(len(p)), s.n-s.read)
+	for i := range p[:k] {
+		p[i] = ' '
+	}
+	s.read += k
+	return int(k), nil
+}
+
+// TestReadJSONEnforcesItsLimit streams chunked POST /apply bodies at a node,
+// with no length announced. A valid body followed by 20 MB of spaces parses
+// in its first 16 MB but does not end there, so it is refused; a 64 MB body
+// is read no further than the limit plus one drain.
+func TestReadJSONEnforcesItsLimit(t *testing.T) {
+	n, err := NewCacheNodeWithTransport("n0", trioConfig(), scriptedNet{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := n.Handler()
+	apply := func(body io.Reader) int {
+		req := httptest.NewRequest(http.MethodPost, "/apply", body)
+		req.ContentLength, req.TransferEncoding = -1, []string{"chunked"}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec.Code
+	}
+	const valid = `{"doc":{"url":"http://live/doc/1","size":1000,"version":2}}`
+	if code := apply(strings.NewReader(valid)); code != http.StatusOK {
+		t.Fatalf("a valid body: status %d", code)
+	}
+	if code := apply(io.MultiReader(strings.NewReader(valid), &spaces{n: 20 << 20})); code != http.StatusBadRequest {
+		t.Fatalf("a valid body padded past the limit: status %d, want 400", code)
+	}
+	stream := &spaces{n: 64 << 20}
+	if code := apply(stream); code != http.StatusBadRequest {
+		t.Fatalf("a 64 MB body: status %d, want 400", code)
+	}
+	if most := int64(maxRequestBody + 1 + maxDrainBytes); stream.read > most {
+		t.Fatalf("a 64 MB body was read to %d bytes, want at most %d", stream.read, most)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -237,8 +236,8 @@ type shieldEntry struct {
 	// held copy whose generation is stale (a global purge the shield missed).
 	purgeGen int64
 	// subs is the cloud IDs subscribed for update pushes, sorted (the
-	// fan-out order) and interned: the fetch that serves a cloud adds it,
-	// purges and a fan-out that finds no holders left remove it.
+	// fan-out order): the fetch that serves a cloud adds it, purges and a
+	// fan-out that finds no holders left remove it.
 	subs []string
 }
 
@@ -291,16 +290,6 @@ func (sn *ShieldNode) refresh(ctx context.Context, url string, e *shieldEntry) (
 	}
 	e.purgeGen = fr.PurgeGen
 	return e.cp, nil
-}
-
-// intern returns a copy of a cloud ID that the table may keep without
-// keeping the request line it was cut from alive: liveCloud (the only ID
-// the live layer routes), a clone of any other.
-func (sn *ShieldNode) intern(cloudID string) string {
-	if cloudID == liveCloud {
-		return liveCloud
-	}
-	return strings.Clone(cloudID)
 }
 
 // NewShieldNode constructs a live shield node. Its name must appear in the
@@ -416,6 +405,11 @@ func (sn *ShieldNode) handleFetch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, errors.New("missing url or cloud"))
 		return
 	}
+	if cloudID != liveCloud {
+		// No route reaches the cloud: a subscription could never be fanned to.
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("unknown cloud %q", cloudID))
+		return
+	}
 	var hint document.Version
 	if v, _, _ := queryArg(q, "v"); v != "" {
 		if hv, err := strconv.ParseUint(v, 10, 64); err == nil {
@@ -446,20 +440,16 @@ func (sn *ShieldNode) handleFetch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if i, subscribed := slices.BinarySearch(e.subs, cloudID); !subscribed {
-		e.subs = slices.Insert(e.subs, i, sn.intern(cloudID))
+		e.subs = slices.Insert(e.subs, i, liveCloud) // not cloudID, which pins the request line
 	}
 	sn.unlock()
 	writeJSON(w, http.StatusOK, ShieldFetchResponse{Doc: cp.Doc, ShieldHit: hit})
 }
 
-// cloudBeacon resolves the beacon base URL a fan-out for url goes to
-// inside the named cloud. The live layer runs one cloud (liveCloud) per
-// cluster config; subscriptions from other cloud IDs have no route and
-// are pruned.
-func (sn *ShieldNode) cloudBeacon(url, cloudID string) (string, bool) {
-	if cloudID != liveCloud {
-		return "", false
-	}
+// cloudBeacon resolves the beacon base URL a fan-out for url goes to inside
+// the cloud. The live layer runs one cloud (liveCloud) per cluster config,
+// and handleFetch subscribes no other.
+func (sn *ShieldNode) cloudBeacon(url string) (string, bool) {
 	_, base, err := sn.view.Load().beaconAddr(sn.cfg.Addrs, url)
 	return base, err == nil
 }
@@ -509,7 +499,7 @@ func (sn *ShieldNode) handleUpdate(w http.ResponseWriter, r *http.Request) {
 func (sn *ShieldNode) fanOut(ctx context.Context, doc document.Document, clouds []string) (notified int) {
 	body := sharedBody(UpdateRequest{Doc: doc})
 	for _, cid := range clouds {
-		base, ok := sn.cloudBeacon(doc.URL, cid)
+		base, ok := sn.cloudBeacon(doc.URL)
 		if !ok {
 			sn.dropSub(doc.URL, cid)
 			continue
@@ -555,7 +545,7 @@ func (sn *ShieldNode) purgeGlobal(ctx context.Context, url string, gen int64) (d
 // forwardPurge sends a cloud-scoped purge of url into one subscribed cloud
 // and returns how many copies it dropped there.
 func (sn *ShieldNode) forwardPurge(ctx context.Context, url, cid string) int {
-	base, ok := sn.cloudBeacon(url, cid)
+	base, ok := sn.cloudBeacon(url)
 	if !ok {
 		return 0
 	}

@@ -3,11 +3,15 @@ package node
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"cachecloud/internal/document"
 )
 
 // shieldCluster boots a two-shield cluster, its participants on the
@@ -389,5 +393,98 @@ func TestShieldObservability(t *testing.T) {
 	_ = bad.Body.Close()
 	if bad.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed subranges push: %d", bad.StatusCode)
+	}
+}
+
+// stubShield builds a lone shield, s0 of a two-node cloud, whose outbound
+// calls go to tp.
+func stubShield(t *testing.T, tp Transport) *ShieldNode {
+	t.Helper()
+	cfg := ClusterConfig{
+		IntraGen:    16,
+		Rings:       [][]string{{"a", "b"}},
+		Addrs:       map[string]string{"a": "http://a", "b": "http://b"},
+		OriginAddr:  "http://origin",
+		Shields:     []string{"s0"},
+		ShieldAddrs: map[string]string{"s0": "http://s0"},
+	}
+	sn, err := NewShieldNodeWithTransport("s0", cfg, tp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sn
+}
+
+// sfetch sends one /sfetch query to a shield's handler and returns the
+// status and the decoded reply.
+func sfetch(t *testing.T, h http.Handler, query string) (int, ShieldFetchResponse) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/sfetch?"+query, nil))
+	var sfr ShieldFetchResponse
+	if rec.Code == http.StatusOK {
+		if err := json.Unmarshal(rec.Body.Bytes(), &sfr); err != nil {
+			t.Fatalf("sfetch?%s: %v", query, err)
+		}
+	}
+	return rec.Code, sfr
+}
+
+// TestSfetchRefusesUnknownCloud: the shield routes one cloud, so a fetch
+// naming any other is refused before it moves a counter or a table entry —
+// it could only leave a subscription no fan-out can reach.
+func TestSfetchRefusesUnknownCloud(t *testing.T) {
+	sn := stubShield(t, originStub{})
+	h := sn.Handler()
+	if code, _ := sfetch(t, h, "url="+queryEscape("http://shield/doc/0")+"&cloud="+liveCloud); code != http.StatusOK {
+		t.Fatalf("fetch for %s: status %d", liveCloud, code)
+	}
+	for i := 0; i < 10000; i++ {
+		q := fmt.Sprintf("url=%s&cloud=invented-%d", queryEscape(fmt.Sprintf("http://shield/doc/%d", i)), i)
+		if code, _ := sfetch(t, h, q); code != http.StatusBadRequest {
+			t.Fatalf("fetch %d for an invented cloud: status %d, want 400", i, code)
+		}
+	}
+	if st := sn.Stats(); st.Subscriptions != 1 || st.HeldDocs != 1 || st.Fetches != 1 || st.OriginFetches != 1 {
+		t.Fatalf("after 10,000 fetches for invented clouds: %+v", st)
+	}
+}
+
+// versionedOrigin answers every origin fetch with the document at version v.
+type versionedOrigin struct {
+	fuzzTransport
+	v *document.Version
+}
+
+func (o versionedOrigin) GetJSON(ctx context.Context, url string, out any) error {
+	fr, ok := out.(*FetchResponse)
+	if !ok {
+		return fmt.Errorf("origin stub: unexpected call %s", url)
+	}
+	fr.Doc = document.Document{URL: "http://shield/doc/hint", Size: 1000, Version: *o.v}
+	return nil
+}
+
+// TestShieldHintForcesRefresh: a shield holding version 1 of a document the
+// origin has at version 2 — it missed the publish — serves its copy to a
+// fetch whose hint it satisfies, and refreshes from the origin for a cloud
+// that already has version 2, so the cloud never moves backwards.
+func TestShieldHintForcesRefresh(t *testing.T) {
+	v := document.Version(1)
+	sn := stubShield(t, versionedOrigin{v: &v})
+	h := sn.Handler()
+	q := "url=" + queryEscape("http://shield/doc/hint") + "&cloud=" + liveCloud + "&v="
+	if _, sfr := sfetch(t, h, q+"0"); sfr.Doc.Version != 1 || sfr.ShieldHit {
+		t.Fatalf("first fetch: %+v, want an origin fetch of version 1", sfr)
+	}
+	v = 2
+	if _, sfr := sfetch(t, h, q+"1"); sfr.Doc.Version != 1 || !sfr.ShieldHit {
+		t.Fatalf("fetch with hint 1: %+v, want the held version 1 as a hit", sfr)
+	}
+	if _, sfr := sfetch(t, h, q+"2"); sfr.Doc.Version != 2 || sfr.ShieldHit {
+		t.Fatalf("fetch with hint 2: %+v, want version 2 from the origin", sfr)
+	}
+	if held := sn.HeldVersions()["http://shield/doc/hint"]; held != 2 {
+		t.Fatalf("shield holds version %d after the refresh, want 2", held)
 	}
 }

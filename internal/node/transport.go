@@ -543,6 +543,6 @@ func putBuf(buf *bytes.Buffer) {
 // connections are reusable. The drain is capped: a huge unread body is
 // cheaper to close than to read.
 func drainClose(rc io.ReadCloser) {
-	_, _ = io.Copy(io.Discard, io.LimitReader(rc, 1<<20))
+	_, _ = io.Copy(io.Discard, io.LimitReader(rc, maxDrainBytes))
 	_ = rc.Close()
 }

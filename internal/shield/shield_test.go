@@ -21,10 +21,8 @@ func mustTier(t *testing.T, shields int) *Tier {
 
 func TestShieldRouting(t *testing.T) {
 	tier := mustTier(t, 3)
-	if got := tier.ShieldIDs(); len(got) != 3 {
-		t.Fatalf("ShieldIDs = %v, want 3 shields", got)
-	}
 	// Ownership is deterministic and total: every cloud maps to a shield.
+	owners := map[string]bool{}
 	for i := 0; i < 50; i++ {
 		owner, err := tier.ShieldFor(cloudN(i))
 		if err != nil {
@@ -34,80 +32,45 @@ func TestShieldRouting(t *testing.T) {
 		if owner != again {
 			t.Fatalf("ShieldFor(%s) unstable: %s then %s", cloudN(i), owner, again)
 		}
+		owners[owner] = true
 	}
-	// Failover: crash the owner of c0 and the route moves to a live shield;
-	// heal and it moves back.
-	owner, _ := tier.ShieldFor("c0")
-	if err := tier.Crash(owner); err != nil {
-		t.Fatal(err)
+	if len(owners) != 3 {
+		t.Fatalf("50 clouds map onto %d of 3 shields", len(owners))
 	}
-	if live := tier.LiveShields(); live != 2 {
-		t.Fatalf("LiveShields = %d after one crash, want 2", live)
-	}
-	res := tier.Fetch(urlN(0), "c0")
-	if res.Degraded || res.Shield == owner || res.Shield == "" {
-		t.Fatalf("fetch with crashed owner %s routed to %+v", owner, res)
-	}
-	if v := tier.OriginVersion(urlN(0)); v != 1 {
-		t.Fatalf("OriginVersion(%s) = %d, want 1", urlN(0), v)
-	}
-	if err := tier.Heal(owner); err != nil {
-		t.Fatal(err)
-	}
-	if live := tier.LiveShields(); live != 3 {
-		t.Fatalf("LiveShields = %d after heal, want 3", live)
-	}
-	res = tier.Fetch(urlN(1), "c0")
-	if res.Shield != owner {
-		t.Fatalf("fetch after heal routed to %s, want owner %s", res.Shield, owner)
-	}
-	if err := tier.CheckStalenessBound(); err != nil {
-		t.Fatal(err)
+	if _, err := mustTier(t, 0).ShieldFor("c0"); err == nil {
+		t.Fatal("a single-tier fabric named an owning shield")
 	}
 }
 
-func TestFetchMissHitAndDegraded(t *testing.T) {
+func TestFetchMissAndHit(t *testing.T) {
 	tier := mustTier(t, 2)
-	r1 := tier.Fetch(urlN(0), "c0")
-	if r1.ShieldHit || r1.Version != 1 {
-		t.Fatalf("first fetch = %+v, want miss at version 1", r1)
+	if tier.Fetch(urlN(0), "c0") {
+		t.Fatal("first fetch hit an empty shield")
 	}
 	// A second cloud mapping to the same shield hits the shield copy with
 	// no extra origin fetch.
 	before := tier.Counters.OriginFetches
+	owner, _ := tier.ShieldFor("c0")
 	var sameShield string
 	for i := 1; ; i++ {
-		owner, _ := tier.ShieldFor(cloudN(i))
-		if owner == r1.Shield {
+		if o, _ := tier.ShieldFor(cloudN(i)); o == owner {
 			sameShield = cloudN(i)
 			break
 		}
 	}
-	r2 := tier.Fetch(urlN(0), sameShield)
-	if !r2.ShieldHit || r2.Version != 1 {
-		t.Fatalf("second fetch = %+v, want shield hit at version 1", r2)
+	if !tier.Fetch(urlN(0), sameShield) {
+		t.Fatal("second fetch through the same shield missed")
 	}
-	if tier.Counters.OriginFetches != before {
-		t.Fatalf("shield hit cost an origin fetch")
+	if tier.Counters.OriginFetches != before || tier.Counters.ShieldHits != 1 {
+		t.Fatalf("shield hit cost an origin fetch: %+v", tier.Counters)
 	}
-	// All shields down: fetches degrade to the origin and set no
-	// subscription, but the staleness bound still holds.
-	for _, id := range tier.ShieldIDs() {
-		if err := tier.Crash(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r3 := tier.Fetch(urlN(5), "c0")
-	if !r3.Degraded || r3.Shield != "" {
-		t.Fatalf("all-down fetch = %+v, want degraded", r3)
-	}
-	if err := tier.CheckStalenessBound(); err != nil {
+	if err := tier.CheckSubscribed(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestFanOutAccounting is the table-driven cross-tier fan-out accounting
-// test: one origin update per live holding shield, one shield update per
+// test: one origin update per holding shield, one shield update per
 // subscription, and exact message conservation
 // (ShieldMessages == CloudsRefreshed + SubsPruned) in every scenario.
 func TestFanOutAccounting(t *testing.T) {
@@ -146,23 +109,6 @@ func TestFanOutAccounting(t *testing.T) {
 				tr.Fetch(urlN(0), "c0")
 				return urlN(7)
 			},
-		},
-		{
-			name: "down shield is skipped",
-			setup: func(tr *Tier) string {
-				for i := 0; i < 12; i++ {
-					tr.Fetch(urlN(0), cloudN(i))
-				}
-				owner, _ := tr.ShieldFor("c0")
-				if err := tr.Crash(owner); err != nil {
-					t.Fatal(err)
-				}
-				return urlN(0)
-			},
-			// One of the three holding shields is down: its 5 subscribers
-			// miss the push (they stay on the staleness bound's lower
-			// edge), the other two deliver exactly once per subscription.
-			originMsgs: 2, shieldMsgs: 7, refreshed: 7,
 		},
 		{
 			name: "scoped purge prunes one cloud's subscription",
@@ -215,13 +161,7 @@ func TestFanOutAccounting(t *testing.T) {
 			if got := tier.Counters.ShieldUpdates - beforeShield; got != rep.ShieldMessages {
 				t.Errorf("counter ShieldUpdates moved %d, report says %d", got, rep.ShieldMessages)
 			}
-			// Exactly-once per shield.
-			for sid, n := range rep.PerShield {
-				if n != 1 {
-					t.Errorf("shield %s received %d updates for one publish", sid, n)
-				}
-			}
-			if err := tier.CheckStalenessBound(); err != nil {
+			if err := tier.CheckSubscribed(); err != nil {
 				t.Error(err)
 			}
 		})
@@ -236,18 +176,17 @@ func TestScopedPurgeKeepsShieldServing(t *testing.T) {
 	if rep.Clouds != 1 {
 		t.Fatalf("scoped purge evicted %d cloud copies, want 1", rep.Clouds)
 	}
-	if _, held := tier.CloudVersion(urlN(0), "c0"); held {
+	if tier.CloudHolds(urlN(0), "c0") {
 		t.Fatal("purged cloud still holds the copy")
 	}
-	if _, held := tier.CloudVersion(urlN(0), "c1"); !held {
+	if !tier.CloudHolds(urlN(0), "c1") {
 		t.Fatal("scoped purge evicted the wrong cloud")
 	}
 	// The shield keeps its copy: c0's next fetch is a shield hit.
 	before := tier.Counters.OriginFetches
-	res := tier.Fetch(urlN(0), "c0")
-	if !res.ShieldHit || tier.Counters.OriginFetches != before {
-		t.Fatalf("re-fetch after scoped purge = %+v (origin fetches %d -> %d), want shield hit",
-			res, before, tier.Counters.OriginFetches)
+	if !tier.Fetch(urlN(0), "c0") || tier.Counters.OriginFetches != before {
+		t.Fatalf("re-fetch after scoped purge missed (origin fetches %d -> %d), want shield hit",
+			before, tier.Counters.OriginFetches)
 	}
 }
 
@@ -257,134 +196,32 @@ func TestGlobalPurgeCompleteness(t *testing.T) {
 		tier.Fetch(urlN(0), cloudN(i))
 	}
 	rep := tier.PurgeGlobal(urlN(0))
-	if rep.Clouds != 10 {
-		t.Fatalf("global purge evicted %d cloud copies, want 10", rep.Clouds)
+	if rep.Clouds != 10 || rep.Shields != 3 {
+		t.Fatalf("global purge evicted %d cloud and %d shield copies, want 10 and 3", rep.Clouds, rep.Shields)
 	}
 	for i := 0; i < 10; i++ {
-		if _, held := tier.CloudVersion(urlN(0), cloudN(i)); held {
+		if tier.CloudHolds(urlN(0), cloudN(i)) {
 			t.Fatalf("cloud %s still holds the copy after a global purge", cloudN(i))
 		}
 	}
-	for _, sid := range tier.ShieldIDs() {
-		if _, held := tier.ShieldVersion(urlN(0), sid); held {
-			t.Fatalf("shield %s still holds the copy after a global purge", sid)
-		}
-	}
-	if err := tier.CheckQuiescent(); err != nil {
+	if err := tier.CheckSubscribed(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestGlobalPurgeReconcilesThroughDownShield(t *testing.T) {
-	tier := mustTier(t, 2)
-	tier.Fetch(urlN(0), "c0")
-	serving, _ := tier.ShieldFor("c0")
-	if err := tier.Crash(serving); err != nil {
-		t.Fatal(err)
-	}
-	// The purge lands while the serving shield is down: the cloud's copy
-	// is unreachable through live shields, so it survives the purge...
-	tier.PurgeGlobal(urlN(0))
-	if _, held := tier.CloudVersion(urlN(0), "c0"); !held {
-		t.Fatal("purge reached a copy behind a down shield")
-	}
-	// ...until the shield heals and resyncs, which applies the missed
-	// purge generation and completes the eviction.
-	if err := tier.Heal(serving); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := tier.Resync(serving)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Purged != 1 {
-		t.Fatalf("resync purged %d copies, want 1", rep.Purged)
-	}
-	if _, held := tier.CloudVersion(urlN(0), "c0"); held {
-		t.Fatal("resync did not complete the global purge")
-	}
-	if err := tier.CheckQuiescent(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestResyncRefreshesStaleShield(t *testing.T) {
-	tier := mustTier(t, 2)
-	tier.Fetch(urlN(0), "c0")
-	serving, _ := tier.ShieldFor("c0")
-	if err := tier.Crash(serving); err != nil {
-		t.Fatal(err)
-	}
-	// Publishes while the shield is down leave it (and its subscriber)
-	// stale but inside the bound.
-	tier.Publish(urlN(0))
-	tier.Publish(urlN(0))
-	if err := tier.Heal(serving); err != nil {
-		t.Fatal(err)
-	}
-	if err := tier.CheckStalenessBound(); err != nil {
-		t.Fatal(err)
-	}
-	v, _ := tier.CloudVersion(urlN(0), "c0")
-	if v != 1 {
-		t.Fatalf("cloud moved to %d without a delivery", v)
-	}
-	rep, err := tier.Resync(serving)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Refreshed != 1 || rep.Fanned != 1 {
-		t.Fatalf("resync = %+v, want 1 refresh fanned to 1 cloud", rep)
-	}
-	if v, _ := tier.CloudVersion(urlN(0), "c0"); v != 3 {
-		t.Fatalf("cloud at %d after resync, want 3", v)
-	}
-	if err := tier.CheckQuiescent(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestStaleHealedShieldNeverMovesACloudBackwards(t *testing.T) {
-	tier := mustTier(t, 2)
-	tier.Fetch(urlN(0), "c0")
-	owner, _ := tier.ShieldFor("c0")
-	if err := tier.Crash(owner); err != nil {
-		t.Fatal(err)
-	}
-	// The cloud re-fetches through the failover shield and rides a publish
-	// to version 2 while the owner is down at version 1.
-	tier.Fetch(urlN(0), "c0")
-	tier.Publish(urlN(0))
-	if v, _ := tier.CloudVersion(urlN(0), "c0"); v != 2 {
-		t.Fatalf("cloud at %d, want 2", v)
-	}
-	if err := tier.Heal(owner); err != nil {
-		t.Fatal(err)
-	}
-	// Back on the healed (stale) owner: the staleness hint forces the
-	// shield through the origin rather than serving version 1.
-	res := tier.Fetch(urlN(0), "c0")
-	if res.Version != 2 || res.Shield != owner || res.ShieldHit {
-		t.Fatalf("fetch from stale healed shield = %+v, want origin refresh to 2", res)
-	}
-	if sv, _ := tier.ShieldVersion(urlN(0), owner); sv != 2 {
-		t.Fatalf("healed shield still at %d", sv)
-	}
-	if err := tier.CheckStalenessBound(); err != nil {
-		t.Fatal(err)
+	// No shield kept a copy: the next fetch goes to the origin.
+	if tier.Fetch(urlN(0), "c0") {
+		t.Fatal("a shield served a globally purged document")
 	}
 }
 
 func TestSingleTierBaseline(t *testing.T) {
 	tier := mustTier(t, 0)
-	if !tier.SingleTier() {
-		t.Fatal("0 shields should build the single-tier baseline")
-	}
 	for i := 0; i < 8; i++ {
-		res := tier.Fetch(urlN(0), cloudN(i))
-		if !res.Degraded {
-			t.Fatalf("single-tier fetch = %+v, want direct origin", res)
+		if tier.Fetch(urlN(0), cloudN(i)) {
+			t.Fatal("single-tier fetch was a shield hit")
 		}
+	}
+	if tier.Counters.OriginFetches != 8 {
+		t.Fatalf("single tier: %d origin fetches for 8 misses", tier.Counters.OriginFetches)
 	}
 	rep := tier.Publish(urlN(0))
 	// One origin message per holding cloud: the O(clouds) cost the shield
@@ -392,18 +229,34 @@ func TestSingleTierBaseline(t *testing.T) {
 	if rep.OriginMessages != 8 || rep.ShieldMessages != 0 {
 		t.Fatalf("single-tier publish = %+v, want 8 origin messages", rep)
 	}
-	if err := tier.CheckStalenessBound(); err != nil {
+	if err := tier.CheckSubscribed(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestStalenessBoundProperty is the monotonic-staleness property test:
-// for any schedule of fetches, publishes, purges, crashes, heals and
-// resyncs, a version served by any cloud is never newer than its shield's
-// version and never older than the shield's version at the last update
-// delivery. The bound is checked after every single operation, and
-// exactly-once per-shield delivery is checked at every publish.
-func TestStalenessBoundProperty(t *testing.T) {
+// TestCheckSubscribedCatches plants each half of a broken structure — a
+// cloud copy whose shield dropped the document, and one whose subscription
+// is gone — and requires the check to name it.
+func TestCheckSubscribedCatches(t *testing.T) {
+	for _, plant := range []func(s *shieldState){
+		func(s *shieldState) { delete(s.docs, urlN(0)) },
+		func(s *shieldState) { delete(s.subs, urlN(0)) },
+	} {
+		tier := mustTier(t, 2)
+		tier.Fetch(urlN(0), "c0")
+		plant(tier.owner("c0"))
+		if err := tier.CheckSubscribed(); err == nil {
+			t.Fatal("a cloud copy outside its shield's books passed the check")
+		}
+	}
+}
+
+// TestSubscribedProperty drives random schedules of fetches, publishes and
+// scoped and global purges and requires, after every operation, that every
+// copy a cloud holds is subscribed at its owning shield, which holds it —
+// the structure that lets every publish reach every copy — and that every
+// publish's fan-out books balance.
+func TestSubscribedProperty(t *testing.T) {
 	const (
 		seeds  = 60
 		ops    = 300
@@ -411,70 +264,26 @@ func TestStalenessBoundProperty(t *testing.T) {
 		clouds = 9
 	)
 	for seed := int64(0); seed < seeds; seed++ {
-		tier, err := New(Config{Shields: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
+		tier := mustTier(t, 3)
 		rng := rand.New(rand.NewSource(seed))
 		for op := 0; op < ops; op++ {
 			url := urlN(rng.Intn(docs))
 			cloud := cloudN(rng.Intn(clouds))
-			shield := tier.ShieldIDs()[rng.Intn(3)]
 			switch k := rng.Intn(10); {
-			case k < 4:
+			case k < 5:
 				tier.Fetch(url, cloud)
-			case k < 6:
-				rep := tier.Publish(url)
-				for sid, n := range rep.PerShield {
-					if n != 1 {
-						t.Fatalf("seed %d op %d: shield %s got %d updates for one publish", seed, op, sid, n)
-					}
-				}
-				if rep.ShieldMessages != rep.CloudsRefreshed+rep.SubsPruned {
+			case k < 8:
+				if rep := tier.Publish(url); rep.ShieldMessages != rep.CloudsRefreshed+rep.SubsPruned {
 					t.Fatalf("seed %d op %d: fan-out books don't balance: %+v", seed, op, rep)
 				}
-			case k < 7:
+			case k < 9:
 				tier.PurgeCloud(url, cloud)
-			case k == 7:
-				tier.PurgeGlobal(url)
-			case k == 8:
-				// Flip liveness; resync half the heals so stale-heal
-				// states are exercised too.
-				if s := tier.shields[shield]; s.down {
-					if err := tier.Heal(shield); err != nil {
-						t.Fatal(err)
-					}
-					if rng.Intn(2) == 0 {
-						if _, err := tier.Resync(shield); err != nil {
-							t.Fatal(err)
-						}
-					}
-				} else if err := tier.Crash(shield); err != nil {
-					t.Fatal(err)
-				}
 			default:
-				if !tier.shields[shield].down {
-					if _, err := tier.Resync(shield); err != nil {
-						t.Fatal(err)
-					}
-				}
+				tier.PurgeGlobal(url)
 			}
-			if err := tier.CheckStalenessBound(); err != nil {
+			if err := tier.CheckSubscribed(); err != nil {
 				t.Fatalf("seed %d op %d: %v", seed, op, err)
 			}
-		}
-		// Quiesce: heal and resync everything on the now-clean tier; the
-		// shield tier must be exactly origin-fresh.
-		for _, sid := range tier.ShieldIDs() {
-			if err := tier.Heal(sid); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := tier.Resync(sid); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := tier.CheckQuiescent(); err != nil {
-			t.Fatalf("seed %d quiescent: %v", seed, err)
 		}
 	}
 }

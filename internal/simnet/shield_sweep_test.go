@@ -251,3 +251,43 @@ func TestSkippedHolderIsCaught(t *testing.T) {
 	}
 	t.Fatal("supdate-held-lost injection was not caught by any of seeds 0..4")
 }
+
+// TestStaleSfetchIsCaught verifies the per-exchange staleness sandwich has
+// teeth: with every /sfetch reply a version short, a cloud that already has
+// the published version is served the one before it, and the check on that
+// exchange must say so. ddmin then shrinks the schedule to one that still
+// trips that check.
+func TestStaleSfetchIsCaught(t *testing.T) {
+	const want = "outside [hint"
+	trips := func(cfg Config) (Result, bool) {
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("seed %d: %v", cfg.Seed, err)
+		}
+		for _, f := range res.Failures {
+			if strings.Contains(f, want) {
+				return res, true
+			}
+		}
+		return res, false
+	}
+	for seed := int64(0); seed < 10; seed++ {
+		cfg := Config{Seed: seed, Shields: 2, Inject: "sfetch-stale"}
+		res, caught := trips(cfg)
+		if !caught {
+			continue
+		}
+		min := Minimize(res.Schedule, func(cand []Event) bool {
+			c := cfg
+			c.Schedule = cand
+			_, ok := trips(c)
+			return ok
+		})
+		if len(min) >= len(res.Schedule) {
+			t.Fatalf("minimize did not shrink the schedule: %d of %d events", len(min), len(res.Schedule))
+		}
+		t.Logf("seed %d: minimized %d events to %d:\n%s", seed, len(res.Schedule), len(min), Encode(min))
+		return
+	}
+	t.Fatal("sfetch-stale injection was not caught by the per-exchange check in any of seeds 0..9")
+}

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"net/url"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -47,7 +49,9 @@ type Config struct {
 	// Inject enables a deliberate bug for harness self-tests. Supported:
 	// "heartbeat-undercount" (heartbeats under-report RecordsHeld by one,
 	// which the accounting invariant must catch), "supdate-stale" (the
-	// cross-tier fan-out invariant), "supdate-held-lost" (a shield's reply
+	// cross-tier fan-out invariant), "sfetch-stale" (a shield's reply to a
+	// fetch carries a decremented version, which the per-/sfetch staleness
+	// sandwich must catch), "supdate-held-lost" (a shield's reply
 	// to an update says it holds no copy, which the per-shield delivery
 	// invariant must catch) and "deregister-lost" (batched drops arrive
 	// empty, which the no-phantom invariant must catch).
@@ -62,8 +66,9 @@ type Config struct {
 	// global/cloud scope. The generated schedule gains a shield-tier fault
 	// phase per round and the cross-tier invariants (one update per shield
 	// that may hold the document and none to a shield skipped, scoped-purge
-	// completeness, shield freshness at quiescent points) are armed. 0 (the
-	// default) is single-tier.
+	// completeness, shield freshness at quiescent points, the staleness
+	// sandwich on every /sfetch reply) are armed. 0 (the default) is
+	// single-tier.
 	Shields int
 	// Tenants, when positive, registers that many tenants (t0, t1, …)
 	// with deterministic weighted quotas, adds a tenant-storm phase to
@@ -353,6 +358,7 @@ func (s *sim) build() error {
 		return err
 	}
 	s.origin = on
+	s.mem.check = s.checkSfetch
 	s.mem.bindHandler(clcfg.OriginAddr, on.Handler())
 	s.net.Bind("origin", clcfg.OriginAddr)
 	s.client = s.net.Transport("client", s.mem.transport())
@@ -400,7 +406,7 @@ func hasWarmEvents(evs []Event) bool {
 func injectHook(name string) (wireHook, error) {
 	switch name {
 	case "heartbeat-undercount":
-		return wireHook{req: rewrite("/heartbeat", func(hb *node.HeartbeatRequest) bool {
+		return wireHook{req: rewrite("POST /heartbeat", func(hb *node.HeartbeatRequest) bool {
 			if hb.RecordsHeld == 0 {
 				return false
 			}
@@ -411,18 +417,29 @@ func injectHook(name string) (wireHook, error) {
 		// Origin→shield update pushes carry a decremented version, so the
 		// shield tier silently serves stale documents — the cross-tier
 		// fan-out invariant must catch it.
-		return wireHook{req: rewrite("/supdate", func(ur *node.UpdateRequest) bool {
+		return wireHook{req: rewrite("POST /supdate", func(ur *node.UpdateRequest) bool {
 			if ur.Doc.Version == 0 {
 				return false
 			}
 			ur.Doc.Version--
 			return true
 		})}, nil
+	case "sfetch-stale":
+		// A shield's answer to a cloud's fetch carries a decremented version,
+		// which can fall below the version the cloud already has — the
+		// per-exchange staleness sandwich must catch it.
+		return wireHook{reply: rewrite("GET /sfetch", func(sr *node.ShieldFetchResponse) bool {
+			if sr.Doc.Version == 0 {
+				return false
+			}
+			sr.Doc.Version--
+			return true
+		})}, nil
 	case "supdate-held-lost":
 		// A shield's answer to an update says it holds no copy when it does,
 		// so the origin skips that shield from then on although it has a
 		// copy — the per-shield delivery invariant must catch it.
-		return wireHook{reply: rewrite("/supdate", func(sur *node.ShieldUpdateResponse) bool {
+		return wireHook{reply: rewrite("POST /supdate", func(sur *node.ShieldUpdateResponse) bool {
 			if !sur.Held {
 				return false
 			}
@@ -433,7 +450,7 @@ func injectHook(name string) (wireHook, error) {
 		// Batched drops arrive empty, so a holder entry that only a flush
 		// could clear survives the settle pass — the no-phantom invariant
 		// must catch it.
-		return wireHook{req: rewrite("/deregister", func(req *node.DeregisterRequest) bool {
+		return wireHook{req: rewrite("POST /deregister", func(req *node.DeregisterRequest) bool {
 			req.URLs = nil
 			return true
 		})}, nil
@@ -442,11 +459,12 @@ func injectHook(name string) (wireHook, error) {
 	}
 }
 
-// rewrite is a corruption hook on the JSON bodies of POST route: mutate
-// changes the decoded body and reports whether the result is to be sent.
+// rewrite is a corruption hook on the JSON bodies of route, a method and a
+// path ("POST /heartbeat"): mutate changes the decoded body and reports
+// whether the result is to be sent.
 func rewrite[T any](route string, mutate func(*T) bool) func(method, path string, body []byte) []byte {
 	return func(method, path string, body []byte) []byte {
-		if method != "POST" || path != route {
+		if method+" "+path != route {
 			return nil
 		}
 		var v T
@@ -1383,6 +1401,29 @@ func (s *sim) checkQuiescent() {
 		}
 	}
 	s.logf("check live=%d copies=%d stale=%d failures=%d", len(live), checked, stale, len(s.failures))
+}
+
+// checkSfetch is the staleness sandwich, checked on every /sfetch reply a
+// cache node decodes, fault windows included: the version served is no older
+// than the hint the cloud sent (v=, the version it already has) and no newer
+// than the origin's version of the URL.
+func (s *sim) checkSfetch(method string, u *url.URL, reply []byte) {
+	if method != http.MethodGet || u.Path != "/sfetch" {
+		return
+	}
+	defer s.traceInvariant("sfetch", len(s.failures))
+	q := u.Query()
+	key := q.Get("url")
+	var sr node.ShieldFetchResponse
+	if err := json.Unmarshal(reply, &sr); err != nil {
+		s.failf("sfetch %q: undecodable reply: %v", key, err)
+		return
+	}
+	hint, _ := strconv.ParseUint(q.Get("v"), 10, 64)
+	_, plain := document.SplitTenantKey(key)
+	if v, origin := sr.Doc.Version, s.origin.DocVersions()[plain]; uint64(v) < hint || v > origin {
+		s.failf("sfetch %q: served version %d outside [hint %d, origin %d]", key, v, hint, origin)
+	}
 }
 
 // findRecord looks a URL up in a sorted Records() snapshot.

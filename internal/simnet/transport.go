@@ -25,6 +25,9 @@ type memNet struct {
 	mu       sync.Mutex
 	handlers map[string]http.Handler // URL host → handler
 	corrupt  wireHook
+	// check, when set, sees every 2xx reply body as the caller decodes it
+	// (corruption applied): the harness's per-exchange invariants.
+	check func(method string, u *url.URL, reply []byte)
 }
 
 // wireHook may rewrite bodies in flight (deliberate bug injection for
@@ -88,7 +91,7 @@ func (m *memNet) call(ctx context.Context, method, rawurl string, body []byte, o
 	}
 	m.mu.Lock()
 	h := m.handlers[u.Host]
-	corrupt := m.corrupt
+	corrupt, check := m.corrupt, m.check
 	m.mu.Unlock()
 	if h == nil {
 		return fmt.Errorf("simnet: %s %s: no handler bound for host %q", method, rawurl, u.Host)
@@ -121,13 +124,17 @@ func (m *memNet) call(ctx context.Context, method, rawurl string, body []byte, o
 		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return fmt.Errorf("simnet: %s %s: status %d: %s", method, rawurl, resp.StatusCode, string(b))
 	}
+	reply := rec.Body.Bytes()
+	if corrupt.reply != nil {
+		if mutated := corrupt.reply(method, u.Path, reply); mutated != nil {
+			reply = mutated
+		}
+	}
+	if check != nil {
+		check(method, u, reply)
+	}
 	if out == nil {
 		return nil
 	}
-	if corrupt.reply != nil {
-		if mutated := corrupt.reply(method, u.Path, rec.Body.Bytes()); mutated != nil {
-			return json.Unmarshal(mutated, out)
-		}
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return json.Unmarshal(reply, out)
 }
