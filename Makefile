@@ -162,13 +162,16 @@ restart-chaos:
 # quota-law unit suites, the tenantsweep experiment's shape checks, then
 # a simulation sweep whose generated schedules land a multi-tenant storm
 # each round with the per-tenant byte-quota invariant armed between
-# events and per-tenant conservation at quiescence, and the same sweep
-# in-process under the race detector (TestTenantSweep).
+# events and per-tenant conservation at quiescence, the same sweep with
+# warm restarts behind two shields (the only gate that runs the three
+# together; the warm bound counts every tenant's keys), and the tenant
+# sweep in-process under the race detector (TestTenantSweep).
 tenant-sweep:
 	$(GO) test -race -count=2 -run 'TestTenantIsolationProperty|TestChaosNoisyNeighborTenantStorm|TestTenantHeaderValidation|TestTenantQuotaEvictionsMetric' ./internal/node
 	$(GO) test -race ./internal/tenant/...
 	$(GO) test -race -run 'TestTenant' ./internal/cache ./internal/experiments
 	$(GO) run ./cmd/simnet -seeds $(SEEDS) -tenants 3
+	$(GO) run ./cmd/simnet -seeds $(SEEDS) -warm -shields 2 -tenants 3
 	$(GO) test -race -run 'TestTenantSweep' ./internal/simnet
 
 # The two sizes a simplicity PR quotes in CHANGES.md: non-test Go lines

@@ -295,9 +295,10 @@ func NewEdgeCacheWithReplacement(id string, capacity int64, kind ReplacementKind
 }
 
 // BuildEdgeNetwork assembles a multi-cloud edge network from explicit
-// cloud memberships.
-func BuildEdgeNetwork(memberships [][]string, docs []Document, cfg EdgeNetworkConfig) (*EdgeNetwork, error) {
-	return edgenet.Build(memberships, docs, cfg)
+// cloud memberships. The origin's catalog comes with the trace given to
+// Run.
+func BuildEdgeNetwork(memberships [][]string, cfg EdgeNetworkConfig) (*EdgeNetwork, error) {
+	return edgenet.Build(memberships, cfg)
 }
 
 // BuildEdgeNetworkFromTopology clusters caches into clouds with the

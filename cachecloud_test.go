@@ -126,7 +126,7 @@ func TestFacadeLiveClusterAndReplay(t *testing.T) {
 }
 
 func TestFacadeEdgeNetwork(t *testing.T) {
-	n, err := cachecloud.BuildEdgeNetwork([][]string{{"e0", "e1"}, {"e2", "e3"}}, nil,
+	n, err := cachecloud.BuildEdgeNetwork([][]string{{"e0", "e1"}, {"e2", "e3"}},
 		cachecloud.EdgeNetworkConfig{})
 	if err != nil {
 		t.Fatal(err)

@@ -30,7 +30,7 @@ func run() error {
 	network, clusters, err := cachecloud.BuildEdgeNetworkFromTopology(nodes, landmark.Config{
 		Landmarks: landmark.DefaultLandmarks(),
 		BinWidth:  140,
-	}, cachecloud.EdgeNetworkConfig{CycleLength: 30, Seed: 7})
+	}, cachecloud.EdgeNetworkConfig{CycleLength: 30})
 	if err != nil {
 		return err
 	}

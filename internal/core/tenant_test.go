@@ -8,11 +8,11 @@ import (
 	"cachecloud/internal/document"
 )
 
-// TestTenantRecordDisjointness drives random tenant-scoped holder
-// registrations and updates through the core and checks that lookups
-// never leak across tenants: each tenant's holder lists and versions
-// match an independent per-tenant model map, and the default tenant's
-// view equals the unscoped API's view.
+// TestTenantRecordDisjointness drives random holder registrations and
+// updates over tenant-scoped keys (document.TenantKey) through the core
+// and checks that lookups never leak across tenants: each tenant's holder
+// lists and versions match an independent per-tenant model map, and the
+// default tenant's view equals the unscoped API's view.
 func TestTenantRecordDisjointness(t *testing.T) {
 	ids := []string{"c0", "c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8", "c9"}
 	c, err := New(Config{NumRings: 5, IntraGen: 1000}, ids, nil)
@@ -32,18 +32,18 @@ func TestTenantRecordDisjointness(t *testing.T) {
 	for step := 0; step < 4000; step++ {
 		tid := tenants[rng.Intn(len(tenants))]
 		url := fmt.Sprintf("http://cloud/doc/%03d", rng.Intn(60))
+		key := document.TenantKey(tid, url)
 		m := models[tid]
 		switch rng.Intn(3) {
 		case 0:
 			holder := ids[rng.Intn(len(ids))]
 			// A registered holder must really hold the copy — the update
 			// fan-out prunes holders whose caches lack it.
-			key := document.TenantKey(tid, url)
 			cp := document.Copy{Doc: document.Document{URL: key, Size: 100, Version: m.version[url]}, FetchedAt: int64(step)}
 			if _, err := c.Cache(holder).Put(cp, int64(step)); err != nil {
 				t.Fatal(err)
 			}
-			if err := c.RegisterHolderTenant(tid, url, holder); err != nil {
+			if err := c.RegisterHolder(key, holder); err != nil {
 				t.Fatal(err)
 			}
 			if m.holders[url] == nil {
@@ -52,7 +52,7 @@ func TestTenantRecordDisjointness(t *testing.T) {
 			m.holders[url][holder] = true
 		case 1:
 			v := m.version[url] + 1
-			res, err := c.UpdateTenant(tid, document.Document{URL: url, Size: 100, Version: v}, int64(step))
+			res, err := c.Update(document.Document{URL: key, Size: 100, Version: v}, int64(step))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,7 +63,7 @@ func TestTenantRecordDisjointness(t *testing.T) {
 			}
 			m.version[url] = v
 		case 2:
-			res, err := c.LookupTenant(tid, url, int64(step))
+			res, err := c.Lookup(key, int64(step))
 			if err != nil {
 				t.Fatal(err)
 			}

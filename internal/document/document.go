@@ -82,14 +82,6 @@ func SplitTenantKey(key string) (tenant, url string) {
 	return "", key
 }
 
-// HashURLTenant computes the document hash of the tenant-scoped key —
-// the tenant ID is folded into the MD5 input, so two tenants can never
-// collide on a record even for the same URL. The empty tenant hashes
-// identically to HashURL(url).
-func HashURLTenant(tenant, url string) Hash {
-	return HashURL(TenantKey(tenant, url))
-}
-
 // RingIndex maps the hash onto one of numRings beacon rings using the
 // static random hash of the paper's two-step beacon discovery process.
 func (h Hash) RingIndex(numRings int) int {

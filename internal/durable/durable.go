@@ -239,9 +239,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // recover loads the manifest (or scans the directory when absent), replays
 // every segment into the index, truncates the first torn frame, and drops
 // any segments past a corruption point.

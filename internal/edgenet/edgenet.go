@@ -8,19 +8,20 @@
 // The network-level benefit the paper motivates is directly measurable
 // here: with C clouds the origin sends C update messages per update
 // instead of one per holding cache.
+//
+// Clouds interact only through the origin, which publishes every update
+// to each of them, so a run simulates each cloud on its own with
+// internal/sim — its members' requests plus every update — and sums the
+// results.
 package edgenet
 
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 
-	"cachecloud/internal/core"
-	"cachecloud/internal/document"
 	"cachecloud/internal/landmark"
-	"cachecloud/internal/origin"
-	"cachecloud/internal/placement"
+	"cachecloud/internal/sim"
 	"cachecloud/internal/trace"
 )
 
@@ -32,31 +33,16 @@ type Config struct {
 	// RingSize is the beacon points per ring inside each cloud
 	// (default 2, the paper's recommendation).
 	RingSize int
-	// IntraGen is the intra-ring hash generator (default 1000).
-	IntraGen int
 	// CycleLength is the per-cloud rebalance period (default 60).
 	CycleLength int64
-	// CacheCapacity is each cache's byte budget (0 = unlimited).
-	CacheCapacity int64
-	// Policy is the placement policy shared by all caches (ad hoc when
-	// nil).
-	Policy placement.Policy
-	// Seed drives holder selection during runs.
-	Seed int64
 }
 
 func (c Config) withDefaults() Config {
 	if c.RingSize < 1 {
 		c.RingSize = 2
 	}
-	if c.IntraGen == 0 {
-		c.IntraGen = 1000
-	}
 	if c.CycleLength == 0 {
 		c.CycleLength = 60
-	}
-	if c.Policy == nil {
-		c.Policy = placement.AdHoc{}
 	}
 	return c
 }
@@ -64,36 +50,21 @@ func (c Config) withDefaults() Config {
 // Network is an edge cache network: several cache clouds and one origin.
 type Network struct {
 	cfg     Config
-	clouds  []*core.Cloud
-	origin  *origin.Server
+	clouds  [][]string
 	cloudOf map[string]int
 }
 
 // Build constructs a network from explicit cloud memberships.
-func Build(memberships [][]string, docs []document.Document, cfg Config) (*Network, error) {
+func Build(memberships [][]string, cfg Config) (*Network, error) {
 	cfg = cfg.withDefaults()
 	if len(memberships) == 0 {
 		return nil, fmt.Errorf("%w: no clouds", ErrBadNetwork)
 	}
-	n := &Network{
-		cfg:     cfg,
-		origin:  origin.New(docs),
-		cloudOf: make(map[string]int),
-	}
+	n := &Network{cfg: cfg, cloudOf: make(map[string]int)}
 	for i, members := range memberships {
 		if len(members) < cfg.RingSize {
 			return nil, fmt.Errorf("%w: cloud %d has %d caches for rings of %d",
 				ErrBadNetwork, i, len(members), cfg.RingSize)
-		}
-		numRings := len(members) / cfg.RingSize
-		cloud, err := core.New(core.Config{
-			NumRings:        numRings,
-			IntraGen:        cfg.IntraGen,
-			FineGrained:     true,
-			DefaultCapacity: cfg.CacheCapacity,
-		}, members, nil)
-		if err != nil {
-			return nil, fmt.Errorf("edgenet: build cloud %d: %w", i, err)
 		}
 		for _, m := range members {
 			if _, dup := n.cloudOf[m]; dup {
@@ -101,8 +72,7 @@ func Build(memberships [][]string, docs []document.Document, cfg Config) (*Netwo
 			}
 			n.cloudOf[m] = i
 		}
-		n.clouds = append(n.clouds, cloud)
-		n.origin.AttachCloud(cloud)
+		n.clouds = append(n.clouds, append([]string(nil), members...))
 	}
 	return n, nil
 }
@@ -122,7 +92,7 @@ func BuildFromTopology(nodes []landmark.Node, lmCfg landmark.Config, cfg Config)
 	for i, c := range clusters {
 		memberships[i] = c.Members
 	}
-	n, err := Build(memberships, nil, cfg)
+	n, err := Build(memberships, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -131,12 +101,6 @@ func BuildFromTopology(nodes []landmark.Node, lmCfg landmark.Config, cfg Config)
 
 // NumClouds returns the cloud count.
 func (n *Network) NumClouds() int { return len(n.clouds) }
-
-// Cloud returns the i-th cloud.
-func (n *Network) Cloud(i int) *core.Cloud { return n.clouds[i] }
-
-// Origin returns the shared origin server.
-func (n *Network) Origin() *origin.Server { return n.origin }
 
 // CacheIDs returns every cache in the network, sorted.
 func (n *Network) CacheIDs() []string {
@@ -154,16 +118,6 @@ func (n *Network) CloudOf(cacheID string) int {
 		return i
 	}
 	return -1
-}
-
-// SetCatalog replaces the origin catalog (used when the network was built
-// from a topology before the workload existed).
-func (n *Network) SetCatalog(docs []document.Document) {
-	srv := origin.New(docs)
-	for _, c := range n.clouds {
-		srv.AttachCloud(c)
-	}
-	n.origin = srv
 }
 
 // Result carries the metrics of one network run.
@@ -207,133 +161,49 @@ func (n *Network) Run(tr *trace.Trace) (*Result, error) {
 	if tr == nil || len(tr.Docs) == 0 {
 		return nil, fmt.Errorf("%w: empty trace", ErrBadNetwork)
 	}
-	n.SetCatalog(tr.Docs)
-	rng := rand.New(rand.NewSource(n.cfg.Seed))
-	res := &Result{}
-	cloudReq := make([]int64, len(n.clouds))
-	cloudHit := make([]int64, len(n.clouds))
-	nextCycle := n.cfg.CycleLength
-
+	parts := make([]trace.Trace, len(n.clouds))
+	for i := range parts {
+		parts[i] = trace.Trace{Docs: tr.Docs, Duration: tr.Duration}
+	}
 	for _, ev := range tr.Events {
-		for ev.Time >= nextCycle {
-			for _, c := range n.clouds {
-				c.Rebalance()
+		if ev.Kind != trace.Request {
+			for i := range parts {
+				parts[i].Events = append(parts[i].Events, ev)
 			}
-			nextCycle += n.cfg.CycleLength
+			continue
 		}
-		switch ev.Kind {
-		case trace.Request:
-			ci, ok := n.cloudOf[ev.Cache]
-			if !ok {
-				return nil, fmt.Errorf("%w: request for unknown cache %q", ErrBadNetwork, ev.Cache)
-			}
-			res.Requests++
-			cloudReq[ci]++
-			hit, err := n.handleRequest(n.clouds[ci], ev, rng, res)
-			if err != nil {
-				return nil, err
-			}
-			if hit {
-				cloudHit[ci]++
-			}
-		case trace.Update:
-			res.Updates++
-			out, err := n.origin.PublishUpdateHash(ev.URL, evHash(ev), ev.Time)
-			if err != nil {
-				return nil, fmt.Errorf("edgenet: publish: %w", err)
-			}
-			res.UpdateMessages += int64(len(n.clouds))
-			res.HolderRefreshes += int64(out.HoldersNotified)
-			res.ServerBytes += out.ServerBytes
-			res.IntraCloudBytes += out.FanoutBytes
+		ci, ok := n.cloudOf[ev.Cache]
+		if !ok {
+			return nil, fmt.Errorf("%w: request for unknown cache %q", ErrBadNetwork, ev.Cache)
 		}
+		parts[ci].Events = append(parts[ci].Events, ev)
 	}
 
-	for i, c := range n.clouds {
-		hr := 0.0
-		if cloudReq[i] > 0 {
-			hr = float64(cloudHit[i]) / float64(cloudReq[i])
+	res := &Result{}
+	for i, members := range n.clouds {
+		r, err := sim.Run(sim.Config{
+			Caches:      members,
+			NumRings:    len(members) / n.cfg.RingSize,
+			CycleLength: n.cfg.CycleLength,
+		}, &parts[i])
+		if err != nil {
+			return nil, fmt.Errorf("edgenet: cloud %d: %w", i, err)
 		}
+		res.Requests += r.Requests
+		res.LocalHits += r.LocalHits
+		res.CloudHits += r.CloudHits
+		res.GroupMisses += r.GroupMisses
+		res.Updates = r.Updates // every cloud sees every update
+		res.UpdateMessages += r.Updates
+		res.HolderRefreshes += r.HoldersNotified
+		res.ServerBytes += r.ServerBytes
+		res.IntraCloudBytes += r.IntraCloudBytes
 		res.PerCloud = append(res.PerCloud, CloudSummary{
-			Caches:    len(c.CacheIDs()),
-			Requests:  cloudReq[i],
-			HitRate:   hr,
-			BeaconCoV: c.LoadDistribution().CoV(),
+			Caches:    len(members),
+			Requests:  r.Requests,
+			HitRate:   r.CloudHitRate(),
+			BeaconCoV: r.BeaconLoads.CoV(),
 		})
 	}
 	return res, nil
-}
-
-// evHash returns the event's interned document hash, computing it on the
-// fly for hand-built traces that never went through EnsureHashes.
-func evHash(ev trace.Event) document.Hash {
-	if ev.Hash != 0 {
-		return ev.Hash
-	}
-	return document.HashURL(ev.URL)
-}
-
-// handleRequest serves one request inside a cloud; reports whether it was
-// served in-network (locally or from a peer).
-func (n *Network) handleRequest(c *core.Cloud, ev trace.Event, rng *rand.Rand, res *Result) (bool, error) {
-	ch := c.Cache(ev.Cache)
-	if _, hit := ch.Get(ev.URL, ev.Time); hit {
-		res.LocalHits++
-		return true, nil
-	}
-	h := evHash(ev)
-	lr, err := c.LookupHash(ev.URL, h, ev.Time)
-	if err != nil {
-		return false, err
-	}
-	holders := make([]string, 0, len(lr.Holders))
-	for _, hd := range lr.Holders {
-		if hd != ev.Cache {
-			holders = append(holders, hd)
-		}
-	}
-	var doc document.Document
-	served := false
-	if len(holders) > 0 {
-		src := holders[rng.Intn(len(holders))]
-		if cp, ok := c.Cache(src).Peek(ev.URL); ok {
-			doc = cp.Doc
-			res.CloudHits++
-			res.IntraCloudBytes += doc.Size
-			served = true
-		}
-	}
-	if !served {
-		doc, err = n.origin.Fetch(ev.URL)
-		if err != nil {
-			return false, fmt.Errorf("edgenet: fetch: %w", err)
-		}
-		res.GroupMisses++
-		res.ServerBytes += doc.Size
-	}
-
-	lookupRate, updateRate := c.DocumentRatesHash(ev.URL, h, ev.Time)
-	ctx := placement.Context{
-		Now: ev.Time, CacheID: ev.Cache, DocURL: ev.URL, DocSize: doc.Size,
-		IsBeacon:        lr.Beacon == ev.Cache,
-		LocalAccessRate: ch.AccessRate(ev.URL, ev.Time),
-		MeanLocalRate:   ch.MeanAccessRate(ev.Time),
-		CloudLookupRate: lookupRate,
-		CloudUpdateRate: updateRate,
-		ReplicaCount:    len(holders),
-		Residence:       placement.ExpectedResidence(ch.Capacity(), ch.EvictionByteRate(ev.Time)),
-	}
-	if n.cfg.Policy.ShouldStore(ctx).Store {
-		if evicted, err := ch.Put(document.Copy{Doc: doc, FetchedAt: ev.Time}, ev.Time); err == nil {
-			if err := c.RegisterHolderHash(ev.URL, h, ev.Cache); err != nil {
-				return served, err
-			}
-			for _, dead := range evicted {
-				if err := c.DeregisterHolder(dead.URL, ev.Cache); err != nil {
-					return served, err
-				}
-			}
-		}
-	}
-	return served, nil
 }

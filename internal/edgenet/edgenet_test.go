@@ -3,9 +3,11 @@ package edgenet
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
+	"cachecloud/internal/document"
 	"cachecloud/internal/landmark"
 	"cachecloud/internal/trace"
 )
@@ -28,19 +30,19 @@ func explicitMemberships(clouds, size int) [][]string {
 }
 
 func TestBuildValidation(t *testing.T) {
-	if _, err := Build(nil, nil, Config{}); !errors.Is(err, ErrBadNetwork) {
+	if _, err := Build(nil, Config{}); !errors.Is(err, ErrBadNetwork) {
 		t.Fatalf("err = %v, want ErrBadNetwork", err)
 	}
-	if _, err := Build([][]string{{"a"}}, nil, Config{RingSize: 2}); !errors.Is(err, ErrBadNetwork) {
+	if _, err := Build([][]string{{"a"}}, Config{RingSize: 2}); !errors.Is(err, ErrBadNetwork) {
 		t.Fatalf("undersized cloud err = %v", err)
 	}
-	if _, err := Build([][]string{{"a", "b"}, {"b", "c"}}, nil, Config{}); !errors.Is(err, ErrBadNetwork) {
+	if _, err := Build([][]string{{"a", "b"}, {"b", "c"}}, Config{}); !errors.Is(err, ErrBadNetwork) {
 		t.Fatalf("duplicate member err = %v", err)
 	}
 }
 
 func TestBuildTopologyAndRouting(t *testing.T) {
-	n, err := Build(explicitMemberships(3, 4), nil, Config{})
+	n, err := Build(explicitMemberships(3, 4), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,14 +58,11 @@ func TestBuildTopologyAndRouting(t *testing.T) {
 	if n.CloudOf("ghost") != -1 {
 		t.Fatal("unknown cache resolved")
 	}
-	if n.Origin() == nil || n.Cloud(0) == nil {
-		t.Fatal("accessors broken")
-	}
 }
 
 func TestRunEndToEnd(t *testing.T) {
 	members := explicitMemberships(3, 4)
-	n, err := Build(members, nil, Config{CycleLength: 15, Seed: 1})
+	n, err := Build(members, Config{CycleLength: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +99,7 @@ func TestRunEndToEnd(t *testing.T) {
 // document.
 func TestUpdateMessagesPerCloud(t *testing.T) {
 	members := explicitMemberships(4, 3)
-	n, err := Build(members, nil, Config{RingSize: 3, Seed: 2})
+	n, err := Build(members, Config{RingSize: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +124,39 @@ func TestUpdateMessagesPerCloud(t *testing.T) {
 	}
 }
 
+// A member that sends no request is still one of its cloud's beacon points:
+// the summary counts it, and the beacon-load CoV is taken over every member.
+// With one document all beacon load sits on one of the n points, so the CoV
+// is sqrt(n-1).
+func TestSilentMemberIsBeaconPoint(t *testing.T) {
+	n, err := Build([][]string{{"a", "b", "c", "d"}, {"e", "f"}}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &trace.Trace{Docs: []document.Document{{URL: "u", Size: 100}}, Duration: 2}
+	for _, c := range []string{"a", "b", "c", "e", "f"} {
+		tr.Events = append(tr.Events, trace.Event{Time: 0, Kind: trace.Request, Cache: c, URL: "u"})
+	}
+	tr.Events = append(tr.Events, trace.Event{Time: 1, Kind: trace.Update, URL: "u"})
+	res, err := n.Run(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := res.PerCloud[0]
+	if pc.Caches != 4 || pc.Requests != 3 {
+		t.Fatalf("cloud 0 summary %+v, want 4 caches and 3 requests", pc)
+	}
+	if want := math.Sqrt(3); math.Abs(pc.BeaconCoV-want) > 1e-12 {
+		t.Fatalf("cloud 0 beacon CoV = %v, want %v (load over 4 points)", pc.BeaconCoV, want)
+	}
+	if res.UpdateMessages != 2 || res.HolderRefreshes != 5 {
+		t.Fatalf("update messages %d, holder refreshes %d; want 2 and 5",
+			res.UpdateMessages, res.HolderRefreshes)
+	}
+}
+
 func TestRunRejectsUnknownCache(t *testing.T) {
-	n, err := Build(explicitMemberships(1, 4), nil, Config{})
+	n, err := Build(explicitMemberships(1, 4), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +167,7 @@ func TestRunRejectsUnknownCache(t *testing.T) {
 }
 
 func TestRunEmptyTrace(t *testing.T) {
-	n, err := Build(explicitMemberships(1, 4), nil, Config{})
+	n, err := Build(explicitMemberships(1, 4), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

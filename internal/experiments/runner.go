@@ -346,7 +346,7 @@ func (r *Runner) ScaleOutExperiment(scale float64, seed int64) (*ScaleOut, error
 				allIDs = append(allIDs, id)
 			}
 		}
-		net, err := edgenet.Build(memberships, nil, edgenet.Config{Seed: seed})
+		net, err := edgenet.Build(memberships, edgenet.Config{})
 		if err != nil {
 			return fmt.Errorf("experiments: scaleout build %d: %w", clouds, err)
 		}

@@ -3,13 +3,15 @@ package hashing
 import (
 	"fmt"
 	"testing"
+
+	"cachecloud/internal/document"
 )
 
-// TestBeaconForTenant checks that tenant folding threads through both
-// assigner baselines: the default tenant resolves identically to the
-// unscoped call, and distinct tenants spread the same URL independently
-// (over many URLs at least one assignment must differ — the fold really
-// changes the hashed identity).
+// TestBeaconForTenant checks that tenant folding (document.TenantKey)
+// threads through both assigner baselines: the default tenant resolves
+// identically to the unscoped call, and distinct tenants spread the same
+// URL independently (over many URLs at least one assignment must differ —
+// the fold really changes the hashed identity).
 func TestBeaconForTenant(t *testing.T) {
 	nodes := []string{"n0", "n1", "n2", "n3", "n4"}
 	for name, a := range map[string]Assigner{
@@ -24,14 +26,14 @@ func TestBeaconForTenant(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				def, err := BeaconForTenant(a, "", url)
+				def, err := a.BeaconFor(document.TenantKey("", url))
 				if err != nil {
 					t.Fatal(err)
 				}
 				if def != plain {
 					t.Fatalf("default tenant diverged for %q: %s vs %s", url, def, plain)
 				}
-				scoped, err := BeaconForTenant(a, "acme", url)
+				scoped, err := a.BeaconFor(document.TenantKey("acme", url))
 				if err != nil {
 					t.Fatal(err)
 				}

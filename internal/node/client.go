@@ -68,13 +68,6 @@ func (c *Client) Get(url string) (DocResponse, string, error) {
 	return c.GetContext(context.Background(), url)
 }
 
-// GetTenant is GetContext on behalf of a tenant: the transport stamps
-// the tenant header on every hop, so the request is admitted against
-// the tenant's fair share and served from its scoped key space.
-func (c *Client) GetTenant(ctx context.Context, tenantID, url string) (DocResponse, string, error) {
-	return c.GetContext(WithTenant(ctx, tenantID), url)
-}
-
 // GetContext requests a document through the cluster: the preferred node
 // first, then the remaining nodes in stable order. The context bounds the
 // whole request including failovers; when it carries no deadline the

@@ -131,15 +131,6 @@ func (n *CacheNode) WarmBootInfo() (warm bool, recovered int) {
 	return n.warmBoot, n.warmRecovered
 }
 
-// DurableStats returns the durable tier's accounting snapshot; ok is
-// false for memory-only nodes.
-func (n *CacheNode) DurableStats() (durable.Stats, bool) {
-	if n.disk.st == nil {
-		return durable.Stats{}, false
-	}
-	return n.disk.st.Stats(), true
-}
-
 // Close waits out the background drop flush, if one is running, closes the
 // connections the node serves and the idle ones it holds to the
 // cluster's addresses, then writes what the durable tier has queued and

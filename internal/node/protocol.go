@@ -33,9 +33,26 @@
 //
 //	origin node
 //	  GET  /fetch?url=U        group-miss fetch
+//	  GET  /versions           catalog versions and purge generations
 //	  POST /publish            apply an update and push it to beacons
+//	                           (or to the shields holding a copy)
+//	  POST /purge              global or cloud-scoped invalidation
 //	  POST /rebalance          run one sub-range determination cycle
+//	  POST /replicate          ask every beacon to replicate its records
+//	  POST /repair             probe nodes, drop the dead from the layout
+//	  POST /heartbeat          a cache node's liveness beat
 //	  GET  /stats              origin statistics
+//	  GET  /metrics            metrics registry, Prometheus text format
+//
+//	shield node
+//	  GET  /sfetch?url=U       a cloud's miss: serve a copy at least as
+//	       &cloud=C&v=V        fresh as V, subscribing cloud C
+//	  POST /supdate            origin update: refresh, fan out to clouds
+//	  POST /spurge             global or cloud-scoped purge, forwarded
+//	  POST /subranges          install the cloud's beacon assignment
+//	  GET  /healthz            liveness probe
+//	  GET  /stats              shield statistics
+//	  GET  /metrics            metrics registry, Prometheus text format
 //
 // DESIGN.md, "Holder-list maintenance", has the message sequence of a
 // cooperative miss and the rules that keep holder lists safe.

@@ -102,12 +102,6 @@ func (n *CacheNode) initTenancy() error {
 	return nil
 }
 
-// TenantRegistry returns the live quota registry (nil when tenancy is
-// off). Quota changes through it take effect on the next admission or
-// Put; shrinking a byte quota below residency needs an
-// EnforceTenantQuotas sweep on the store to reclaim.
-func (n *CacheNode) TenantRegistry() *tenant.Registry { return n.tenants }
-
 // tenantFromRequest extracts and validates the tenant ID a client
 // stamped on the request ("" = default tenant).
 func tenantFromRequest(r *http.Request) (string, error) {

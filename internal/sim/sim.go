@@ -102,6 +102,9 @@ func replacementOrLRU(k cache.ReplacementKind) cache.ReplacementKind {
 type Config struct {
 	// Arch selects the cooperation architecture (default DynamicHashing).
 	Arch Architecture
+	// Caches is the cloud's caches; default: every cache the trace's
+	// requests name.
+	Caches []string
 	// NumRings is the beacon ring count for DynamicHashing (default:
 	// half the cache count, giving the paper's rings of 2).
 	NumRings int
@@ -358,7 +361,10 @@ func Run(cfg Config, tr *trace.Trace) (*Result, error) {
 		}
 	}
 
-	cacheIDs := tracedCaches(tr)
+	cacheIDs := cfg.Caches
+	if len(cacheIDs) == 0 {
+		cacheIDs = tracedCaches(tr)
+	}
 	if len(cacheIDs) == 0 {
 		return nil, fmt.Errorf("%w: trace has no request events", ErrBadConfig)
 	}

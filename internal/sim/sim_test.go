@@ -34,6 +34,27 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// With Caches set, a trace whose requests name no cache still runs: the
+// cloud is built from the listed caches and processes the updates.
+func TestCachesWithoutRequests(t *testing.T) {
+	tr := trace.GenerateZipf(trace.ZipfConfig{Seed: 1, NumDocs: 10, Caches: 1, Duration: 1, ReqPerCache: 1, UpdatesPerUnit: 3})
+	var updates []trace.Event
+	for _, ev := range tr.Events {
+		if ev.Kind == trace.Update {
+			updates = append(updates, ev)
+		}
+	}
+	tr.Events = updates
+	res, err := Run(Config{Caches: []string{"x", "y"}}, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Requests != 0 || res.Updates != int64(len(updates)) || len(res.BeaconLoads.Loads) != 2 {
+		t.Fatalf("requests %d, updates %d (want %d), beacon points %d (want 2)",
+			res.Requests, res.Updates, len(updates), len(res.BeaconLoads.Loads))
+	}
+}
+
 func TestArchitectureString(t *testing.T) {
 	if NoCooperation.String() != "no-cooperation" ||
 		StaticHashing.String() != "static-hashing" ||

@@ -94,14 +94,6 @@ func (c *VirtualClock) RunUntil(t time.Time) {
 	}
 }
 
-// PendingTimers reports how many timers are scheduled (stopped timers may
-// still be counted until they pop).
-func (c *VirtualClock) PendingTimers() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.queue)
-}
-
 // vtimer is one scheduled callback.
 type vtimer struct {
 	when    time.Time

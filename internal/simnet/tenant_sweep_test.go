@@ -30,6 +30,23 @@ func TestTenantSweep(t *testing.T) {
 	}
 }
 
+// TestWarmBoundCountsTenantKeys replays the seed whose warm restart
+// revalidated more copies than the catalog holds: with tenants a node keeps
+// one copy per tenant-scoped key, so the origin-fetch bound after a warm
+// restart runs over catalog × (1 + tenants) keys.
+func TestWarmBoundCountsTenantKeys(t *testing.T) {
+	res, err := Run(Config{Seed: 30, Warm: true, Shields: 2, Tenants: 3, StoreDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failed() {
+		t.Fatalf("seed 30 failed:\n%s", strings.Join(res.Failures, "\n"))
+	}
+	if !strings.Contains(res.Log, "check-warm node=") {
+		t.Fatalf("seed 30 ran no warm check:\n%s", res.Log)
+	}
+}
+
 // TestTenantRunDeterminism pins that multi-tenant runs stay
 // reproducible: the same seed yields a byte-identical event log.
 func TestTenantRunDeterminism(t *testing.T) {

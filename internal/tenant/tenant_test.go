@@ -9,15 +9,15 @@ import (
 )
 
 // TestTenantKeyDisjointness is the cross-tenant key-space property test:
-// for random tenants and URLs, the folded key (and therefore the folded
-// hash) of one tenant can never equal another tenant's key, and Split is
-// the exact inverse of Key. This is the invariant that makes cross-tenant
-// cache poisoning structurally impossible — no two tenants can collide on
-// a record.
+// for random tenants and URLs, the folded key of one tenant, and its hash,
+// can never equal another tenant's, and Split is the exact inverse of Key.
+// This is the invariant that makes cross-tenant cache poisoning
+// structurally impossible — no two tenants can collide on a record.
 func TestTenantKeyDisjointness(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	tenants := []string{Default, "acme", "globex", "initech", "t-99", "ACME"}
 	seen := make(map[string]struct{ tenant, url string })
+	hashed := make(map[document.Hash]string)
 	for i := 0; i < 20000; i++ {
 		tid := tenants[rng.Intn(len(tenants))]
 		url := fmt.Sprintf("http://cloud/doc/%03d", rng.Intn(400))
@@ -26,9 +26,11 @@ func TestTenantKeyDisjointness(t *testing.T) {
 		if gt != tid || gu != url {
 			t.Fatalf("Split(Key(%q,%q)) = (%q,%q)", tid, url, gt, gu)
 		}
-		if document.HashURLTenant(tid, url) != document.HashURL(key) {
-			t.Fatalf("HashURLTenant disagrees with HashURL of the folded key for (%q,%q)", tid, url)
+		h := document.HashURL(key)
+		if prev, dup := hashed[h]; dup && prev != key {
+			t.Fatalf("hash collision: keys %q and %q", prev, key)
 		}
+		hashed[h] = key
 		if prev, dup := seen[key]; dup && (prev.tenant != tid || prev.url != url) {
 			t.Fatalf("key collision: (%q,%q) and (%q,%q) share key %q", prev.tenant, prev.url, tid, url, key)
 		}
@@ -39,7 +41,7 @@ func TestTenantKeyDisjointness(t *testing.T) {
 	if Key(Default, "http://cloud/doc/001") != "http://cloud/doc/001" {
 		t.Fatal("default tenant key must be the unscoped URL")
 	}
-	if document.HashURLTenant(Default, "u") != document.HashURL("u") {
+	if document.HashURL(Key(Default, "u")) != document.HashURL("u") {
 		t.Fatal("default tenant hash must equal the unscoped hash")
 	}
 }
