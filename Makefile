@@ -65,12 +65,13 @@ bench-compare:
 # (internal/node: a 20k-record directory each) and the two exchanges' ladder
 # rows, one call on each server path (BenchmarkPeerExchange: net/http's and
 # the node's own loop, /fetch and /apply; BenchmarkClientDoc: a client's warm
-# /doc hit), and the store tier's four ladder rows (a hit, a store that
-# evicts, an update in place, a durable append).
+# /doc hit), and the store tier's five ladder rows (a hit, a store that
+# evicts, an update in place, a durable append, and one compaction of a
+# 10,000-entry log: its replay, sort and buffered rewrite).
 bench-smoke:
 	$(GO) test -race -run NoTestsJustBench -bench 'BenchmarkCloudLookupParallel|BenchmarkCloudContention|BenchmarkPutTenantQuotaEvict' -benchtime 1x -benchmem .
 	$(GO) test -race -run NoTestsJustBench -bench 'BenchmarkDirectory(Lookup|Update|Install)|BenchmarkPeerExchange|BenchmarkClientDoc' -benchtime 1x -benchmem ./internal/node
-	$(GO) test -race -run NoTestsJustBench -bench 'BenchmarkCache(Get|PutEvict|ApplyUpdate)|BenchmarkDurablePut' -benchtime 1x -benchmem ./internal/cache ./internal/durable
+	$(GO) test -race -run NoTestsJustBench -bench 'BenchmarkCache(Get|PutEvict|ApplyUpdate)|BenchmarkDurable(Put|Compact)' -benchtime 1x -benchmem ./internal/cache ./internal/durable
 
 # Reproduce every paper figure at full scale (several minutes).
 figures:
@@ -147,10 +148,14 @@ storm:
 # writes through the durable queue (a shield serving while its store is
 # parked, declining no update while a tombstone is queued, Close writing
 # what is queued) and the durable store's torn-write/crash-safety and queue
-# suites under the race detector, the cache's mirroring onto that queue,
-# then a simulation sweep whose generated schedules recover every crash
-# with a warm process restart (heal-warm) under the origin-fetch bound
-# invariant.
+# suites under the race detector (among them TestHeldFlagsKeepCountsExact:
+# a tier's held flags keep the counts exact with no index;
+# TestFailedRotationRecovers: a rotation that could not open a segment does
+# not disable the store; TestShortWriteLosesNoAcknowledgedPut: a short
+# append is cut back to its last whole record), the cache's mirroring onto
+# that queue, then a simulation sweep whose generated schedules recover
+# every crash with a warm process restart (heal-warm) under the
+# origin-fetch bound invariant.
 restart-chaos:
 	$(GO) test -race -count=2 -run 'TestChaosRestart|TestRestartCold|TestShieldServesWhileDiskHeld|TestShieldHeldWhileTombstoneQueued|TestCloseWritesQueuedMutations' ./internal/node
 	$(GO) test -race -count=2 ./internal/durable/...

@@ -194,7 +194,7 @@ func (c *Cache) Put(cp document.Copy, now int64) ([]document.Document, error) {
 	c.used += grown
 	c.noteTenantBytes(tenant, grown)
 	c.policy.onStore(s, again)
-	c.durable.Persist(cp)
+	c.durable.Persist(cp, again)
 	evicted := c.makeTenantRoom(tenant, c.tenantQuotaOf(tenant), s, now)
 	evicted = c.makeRoom(evicted, s, now)
 	c.unlock()
@@ -291,7 +291,7 @@ func (c *Cache) ApplyUpdate(doc document.Document, now int64) bool {
 	c.noteTenantBytes(tenant, doc.Size-s.cp.Doc.Size)
 	doc.URL = s.cp.Doc.URL // the string the map key already pins
 	s.cp = document.Copy{Doc: doc, FetchedAt: now}
-	c.durable.Persist(s.cp)
+	c.durable.Persist(s.cp, true)
 	// A grown update can overflow the tenant quota or the byte budget.
 	c.makeTenantRoom(tenant, c.tenantQuotaOf(tenant), s, now)
 	c.makeRoom(nil, s, now)

@@ -131,7 +131,7 @@ func TestRemoveAndUpdateMirrorDurable(t *testing.T) {
 	}
 }
 
-// blockingDurable is a durable.Mutator whose first Put parks on a channel,
+// blockingDurable is a durable.Mutator whose first put parks on a channel,
 // simulating a store mid-compaction, while recording every mutation it
 // eventually applies.
 type blockingDurable struct {
@@ -142,18 +142,15 @@ type blockingDurable struct {
 	once    sync.Once
 }
 
-func (b *blockingDurable) Put(cp document.Copy) error {
-	b.once.Do(func() { close(b.entered) })
-	<-b.block
+func (b *blockingDurable) Apply(op durable.Op) error {
+	kind := "del:"
+	if !op.Delete {
+		kind = "put:"
+		b.once.Do(func() { close(b.entered) })
+		<-b.block
+	}
 	b.mu.Lock()
-	b.ops = append(b.ops, "put:"+cp.Doc.URL)
-	b.mu.Unlock()
-	return nil
-}
-
-func (b *blockingDurable) Delete(url string) error {
-	b.mu.Lock()
-	b.ops = append(b.ops, "del:"+url)
+	b.ops = append(b.ops, kind+op.Copy.Doc.URL)
 	b.mu.Unlock()
 	return nil
 }

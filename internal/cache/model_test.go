@@ -47,8 +47,8 @@ func modelTenant(key string) string {
 	return tenant
 }
 
-func durablePut(cp document.Copy) string {
-	return fmt.Sprintf("put %s v%d %dB @%d", cp.Doc.URL, cp.Doc.Version, cp.Doc.Size, cp.FetchedAt)
+func durablePut(cp document.Copy, held bool) string {
+	return fmt.Sprintf("put %s v%d %dB @%d held=%v", cp.Doc.URL, cp.Doc.Version, cp.Doc.Size, cp.FetchedAt, held)
 }
 
 // coldFirst returns the stored documents, next victim first.
@@ -178,7 +178,8 @@ func (m *modelCache) put(cp document.Copy) ([]document.Document, error) {
 	if quota := m.quotaOf(tenant); quota > 0 && size > quota {
 		return nil, ErrTenantQuota
 	}
-	if d, ok := m.stored[url]; ok {
+	d, held := m.stored[url]
+	if held {
 		m.addBytes(tenant, size-d.cp.Doc.Size)
 		d.cp = cp
 		m.touch(d, true)
@@ -194,7 +195,7 @@ func (m *modelCache) put(cp document.Copy) ([]document.Document, error) {
 		}
 		m.stored[url] = d
 	}
-	m.durable = append(m.durable, durablePut(cp))
+	m.durable = append(m.durable, durablePut(cp, held))
 	return m.makeRoom(tenant, url), nil
 }
 
@@ -210,7 +211,7 @@ func (m *modelCache) applyUpdate(doc document.Document, now int64) bool {
 	}
 	m.addBytes(tenant, doc.Size-d.cp.Doc.Size)
 	d.cp = document.Copy{Doc: doc, FetchedAt: now}
-	m.durable = append(m.durable, durablePut(d.cp))
+	m.durable = append(m.durable, durablePut(d.cp, true))
 	m.makeRoom(tenant, doc.URL)
 	return true
 }
@@ -238,13 +239,12 @@ func (m *modelCache) accessRate(url string, now int64) float64 {
 // durableLog records the disk-tier calls a cache makes.
 type durableLog struct{ calls []string }
 
-func (l *durableLog) Put(cp document.Copy) error {
-	l.calls = append(l.calls, durablePut(cp))
-	return nil
-}
-
-func (l *durableLog) Delete(url string) error {
-	l.calls = append(l.calls, "delete "+url)
+func (l *durableLog) Apply(op durable.Op) error {
+	call := "delete " + op.Copy.Doc.URL
+	if !op.Delete {
+		call = durablePut(op.Copy, op.Held)
+	}
+	l.calls = append(l.calls, call)
 	return nil
 }
 

@@ -17,7 +17,7 @@ func TestFrameLenMatchesEncoding(t *testing.T) {
 	for _, n := range []int{0, 1, 26, 27, 40, 255, 256, 4096, maxURLBytes} {
 		url := strings.Repeat("u", n)
 		for _, op := range []byte{opPut, opTombstone} {
-			frame := encodeFrame(op, url, indexed{version: 7, size: 1 << 40, fetchedAt: -3})
+			frame := appendFrame(nil, op, url, indexed{version: 7, size: 1 << 40, fetchedAt: -3})
 			if int64(len(frame)) != frameLen(url) {
 				t.Fatalf("op %d, %d-byte URL: frame is %d bytes, frameLen says %d", op, n, len(frame), frameLen(url))
 			}
@@ -140,6 +140,69 @@ func BenchmarkDurablePut(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := s.Put(mkCopy(urls[(i*7919)%len(urls)], uint64(i+1), 1000)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestHeldFlagsKeepCountsExact: a tier's writes, each saying whether the
+// tier held the URL (Apply), keep LiveEntries, LiveBytes, DeadBytes and
+// TotalBytes equal to a recount from the segment files after every write —
+// rotations and compactions included — without the counts ever going stale.
+func TestHeldFlagsKeepCountsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	s, err := Open(t.TempDir(), Options{Fsync: FsyncNever, MaxSegmentBytes: 700})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s.Close() }()
+	urls := make([]string, 40)
+	for i := range urls {
+		urls[i] = fmt.Sprintf("/d%d/%s", i, strings.Repeat("x", rng.Intn(90)))
+	}
+	held := map[string]bool{}
+	for step := 0; step < 3000; step++ {
+		url := urls[rng.Intn(len(urls))]
+		op := Op{Copy: mkCopy(url, uint64(step+1), 10), Delete: rng.Intn(3) == 0, Held: held[url]}
+		if err := s.Apply(op); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if op.Delete {
+			delete(held, url)
+		} else {
+			held[url] = true
+		}
+		s.mu.Lock()
+		st, stale := s.st, s.stale
+		s.mu.Unlock()
+		live, dead, total := recount(t, s)
+		if stale || st.LiveEntries != len(held) || st.LiveBytes != live || st.DeadBytes != dead || st.TotalBytes != total {
+			t.Fatalf("step %d: stale %v, %d entries, live %d dead %d total %d; the tier holds %d, the segment files say %d %d %d",
+				step, stale, st.LiveEntries, st.LiveBytes, st.DeadBytes, st.TotalBytes, len(held), live, dead, total)
+		}
+	}
+	if s.st.Compactions == 0 {
+		t.Fatal("no compaction: the workload does not cover one")
+	}
+}
+
+// BenchmarkDurableCompact is one compaction of a log holding 10,000 live
+// entries.
+func BenchmarkDurableCompact(b *testing.B) {
+	s, err := Open(b.TempDir(), Options{Fsync: FsyncNever})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() { _ = s.Close() }()
+	for i := 0; i < 10000; i++ {
+		if err := s.Put(mkCopy(fmt.Sprintf("http://bench/doc/%05d", i), 1, 1000)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Compact(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,14 +14,20 @@
 // (document URL, version, size, fetch time) or a tombstone (URL only).
 // Recovery replays segments in manifest order and stops at the first frame
 // whose length or checksum does not verify: the torn tail is truncated in
-// place and any later segments are dropped, so the recovered index is
+// place and any later segments are dropped, so the recovered live set is
 // always a prefix-consistent subset of the pre-crash write sequence —
 // never a panic, never garbage served as a document. A segment whose
 // header itself does not verify (a crash before the header reached disk)
 // is dropped entirely, so it cannot linger in the manifest as a permanent
 // corruption point that would poison every later recovery.
 //
-// Compaction rewrites the live index into a fresh segment and atomically
+// The log is the store's only per-document record: the tier in front of it
+// holds every live document in memory already. Each mutation a tier queues
+// says whether the tier held the URL (Op.Held), which keeps the byte counts
+// exact without an index; compaction, Entries and Get replay the segments
+// through recovery's own reader into a table that lives as long as the call.
+//
+// Compaction rewrites the live set into a fresh segment and atomically
 // swaps the manifest, bounding log growth from overwrites and tombstones.
 // The fsync policy is configurable: every append, on rotation/compaction
 // only, or never (tests and deterministic simulation).
@@ -37,6 +43,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -107,19 +114,18 @@ func (o *Options) defaults() {
 	}
 }
 
-// Entry is one live document of the store.
-type Entry struct {
-	Doc       document.Document
-	FetchedAt int64
-}
+// Entry is one live document of the store: the copy its newest put wrote.
+type Entry = document.Copy
 
-// indexed is what the index keeps for a live document under its URL: the
-// fields of the newest put record that the URL itself does not give.
+// indexed is what a put record holds for its URL: the fields the URL
+// itself does not give.
 type indexed struct {
 	version   document.Version
 	size      int64
 	fetchedAt int64
 }
+
+func fieldsOf(cp document.Copy) indexed { return indexed{cp.Doc.Version, cp.Doc.Size, cp.FetchedAt} }
 
 func (x indexed) entry(url string) Entry {
 	return Entry{Doc: document.Document{URL: url, Size: x.size, Version: x.version}, FetchedAt: x.fetchedAt}
@@ -130,7 +136,7 @@ type Stats struct {
 	// Segments is the number of live log segments (including the active
 	// one).
 	Segments int
-	// LiveEntries is the size of the in-memory index.
+	// LiveEntries is how many documents the log holds live.
 	LiveEntries int
 	// LiveBytes approximates the bytes a full compaction would retain.
 	LiveBytes int64
@@ -147,7 +153,7 @@ type Stats struct {
 	DroppedSegments int64
 	// Compactions counts log rewrites.
 	Compactions int64
-	// Recovered is the index size right after Open.
+	// Recovered is the live set's size right after Open.
 	Recovered int
 }
 
@@ -171,7 +177,7 @@ const (
 
 // frameLen is the framed length of url's record, put or tombstone alike. A
 // record's length is a function of its URL, so the byte accounting needs no
-// table of lengths beside the index.
+// table of lengths.
 func frameLen(url string) int64 { return frameBytes + fixedPayload + int64(len(url)) }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -191,6 +197,41 @@ type manifest struct {
 	Next     uint64   `json:"next"`
 }
 
+// add counts one record of n bytes into LiveEntries, LiveBytes and DeadBytes;
+// held says whether its URL had a live record, which this one makes garbage.
+func (st *Stats) add(op byte, n int64, held bool) {
+	if held {
+		st.LiveEntries, st.LiveBytes, st.DeadBytes = st.LiveEntries-1, st.LiveBytes-n, st.DeadBytes+n
+	}
+	if op == opPut {
+		st.LiveEntries, st.LiveBytes = st.LiveEntries+1, st.LiveBytes+n
+	} else {
+		st.DeadBytes += n // a tombstone is garbage the moment it is the newest record
+	}
+}
+
+// table is what one replay of the log rebuilds: the newest put of every URL
+// not tombstoned since, its counts, and where the replay stopped.
+type table struct {
+	live    map[string]indexed
+	counts  Stats // LiveEntries, LiveBytes, DeadBytes
+	total   int64 // verified bytes read
+	bad     int   // s.segs position of the first segment not ending cleanly (len(s.segs): none)
+	good    int64 // that segment's verified length
+	r       *bufio.Reader
+	payload []byte
+}
+
+func (t *table) apply(op byte, url string, x indexed) {
+	_, held := t.live[url]
+	t.counts.add(op, frameLen(url), held)
+	if op == opPut {
+		t.live[url] = x
+	} else {
+		delete(t.live, url)
+	}
+}
+
 // Store is the durable tier of one cache node. All methods are safe for
 // concurrent use.
 type Store struct {
@@ -199,25 +240,19 @@ type Store struct {
 	opts   Options
 	closed bool
 
-	index map[string]indexed
-	segs  []uint64 // sealed + active segment IDs, replay order
-	next  uint64   // next segment ID to allocate
+	segs []uint64 // sealed + active segment IDs, replay order
+	next uint64   // next segment ID to allocate
 
-	active      *os.File
+	active      *os.File // nil after a failed rotation: the next append opens one
 	activeID    uint64
 	activeBytes int64
+	frame       []byte // the record being appended
 
-	totalBytes int64
-	deadBytes  int64
-	// liveBytes tracks the encoded size of the current index: frameLen of
-	// every indexed URL.
-	liveBytes int64
-
-	truncations     int64
-	truncatedBytes  int64
-	droppedSegments int64
-	compactions     int64
-	recovered       int
+	// st holds what Stats reports, bar Segments. stale: its live and dead
+	// counts wait for a replay (Put leaves them so). drifted: a write failed
+	// since the last Reset, so a tier's held flags no longer match the log.
+	st             Stats
+	stale, drifted bool
 }
 
 // Open creates or recovers a store in dir, creating the directory as
@@ -228,11 +263,10 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durable: create dir: %w", err)
 	}
-	s := &Store{dir: dir, opts: opts, index: make(map[string]indexed)}
+	s := &Store{dir: dir, opts: opts}
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
-	s.recovered = len(s.index)
 	if err := s.openActive(); err != nil {
 		return nil, err
 	}
@@ -240,50 +274,43 @@ func Open(dir string, opts Options) (*Store, error) {
 }
 
 // recover loads the manifest (or scans the directory when absent), replays
-// every segment into the index, truncates the first torn frame, and drops
-// any segments past a corruption point.
+// every segment once to count the live set, truncates the first torn frame,
+// and drops any segments past a corruption point.
 func (s *Store) recover() error {
 	m, err := s.readManifest()
 	if err != nil {
 		return err
 	}
-	s.segs = m.Segments
-	s.next = m.Next
-	for i := 0; i < len(s.segs); i++ {
-		id := s.segs[i]
-		clean, size, err := s.replaySegment(id)
-		if err != nil {
-			return err
-		}
-		s.totalBytes += size
-		if !clean {
-			// Prefix recovery: everything after the first bad frame is
-			// unverifiable, including later segments.
-			drop := i + 1
-			if size == 0 {
-				// The segment has no verifiable header (a crash between
-				// segment create and header persist, or a garbage file).
-				// Keeping it would leave a permanently zero-length entry
-				// in the manifest that re-triggers prefix recovery on
-				// every future Open — silently dropping segments written
-				// after this one — so the segment itself is dropped.
-				drop = i
-			}
-			for _, d := range s.segs[drop:] {
-				_ = os.Remove(s.segPath(d))
-				s.droppedSegments++
-			}
-			s.segs = s.segs[:drop]
-			break
-		}
+	s.segs, s.next = m.Segments, m.Next
+	t, err := s.replay()
+	if err != nil {
+		return err
 	}
+	if t.bad < len(s.segs) {
+		// Prefix recovery: everything after the first bad frame is
+		// unverifiable, including later segments.
+		s.truncateAt(s.segs[t.bad], t.good)
+		drop := t.bad + 1
+		if t.good == 0 {
+			// The segment has no verifiable header (a crash between
+			// segment create and header persist, or a garbage file).
+			// Keeping it would leave a permanently zero-length entry
+			// in the manifest that re-triggers prefix recovery on
+			// every future Open — silently dropping segments written
+			// after this one — so the segment itself is dropped.
+			drop = t.bad
+		}
+		for _, d := range s.segs[drop:] {
+			_ = os.Remove(s.segPath(d))
+			s.st.DroppedSegments++
+		}
+		s.segs = s.segs[:drop]
+	}
+	s.st.TotalBytes, s.st.Recovered = t.total, t.counts.LiveEntries
 	// Orphan segments (left by a crash between manifest swap and delete)
 	// are removed so they can never resurrect entries.
 	s.removeOrphans()
-	if err := s.writeManifest(); err != nil {
-		return err
-	}
-	return nil
+	return s.writeManifest()
 }
 
 // readManifest loads MANIFEST, falling back to a directory scan when it is
@@ -304,14 +331,9 @@ func (s *Store) readManifest() (manifest, error) {
 	if err != nil {
 		return m, err
 	}
-	m.Segments = ids
-	for _, id := range ids {
-		if id >= m.Next {
-			m.Next = id + 1
-		}
-	}
-	if m.Next == 0 {
-		m.Next = 1
+	m.Segments, m.Next = ids, 1
+	if len(ids) > 0 {
+		m.Next = ids[len(ids)-1] + 1
 	}
 	return m, nil
 }
@@ -345,22 +367,18 @@ func (s *Store) scanSegments() ([]uint64, error) {
 			ids = append(ids, id)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids, nil
 }
 
 // removeOrphans deletes segment files not named by the manifest.
 func (s *Store) removeOrphans() {
-	live := make(map[uint64]bool, len(s.segs))
-	for _, id := range s.segs {
-		live[id] = true
-	}
 	ids, err := s.scanSegments()
 	if err != nil {
 		return
 	}
 	for _, id := range ids {
-		if !live[id] {
+		if !slices.Contains(s.segs, id) {
 			_ = os.Remove(s.segPath(id))
 		}
 	}
@@ -370,127 +388,95 @@ func (s *Store) segPath(id uint64) string {
 	return filepath.Join(s.dir, fmt.Sprintf("seg-%08d.log", id))
 }
 
-// replaySegment applies one segment's records to the index. clean=false
-// means the segment ended in a torn or corrupt frame and was truncated in
-// place at the last verifiable record; size is the verified byte length.
-func (s *Store) replaySegment(id uint64) (clean bool, size int64, err error) {
-	path := s.segPath(id)
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+// replay rebuilds the live set from the segment files — the one reader
+// recovery, compaction, Entries, Get and recounts share — up to the first
+// segment not ending cleanly, and makes its counts the store's (on an I/O
+// error it returns what it read and leaves them).
+func (s *Store) replay() (*table, error) {
+	t := &table{live: make(map[string]indexed, max(s.st.LiveEntries, 0)), bad: len(s.segs), r: bufio.NewReader(nil)}
+	for i, id := range s.segs {
+		good, clean, err := t.scan(s.segPath(id))
+		if err != nil {
+			return t, err
+		}
+		t.total += good
+		if !clean {
+			t.bad, t.good = i, good
+			break
+		}
+	}
+	s.st.LiveEntries, s.st.LiveBytes, s.st.DeadBytes, s.stale = t.counts.LiveEntries, t.counts.LiveBytes, t.counts.DeadBytes, false
+	return t, nil
+}
+
+// scan applies one segment's records up to the first frame that does not
+// verify. good is the verified length; clean is false when bytes follow it
+// or the header does not verify (good 0). A segment the manifest names but
+// that never reached disk (a crash between manifest write and first append
+// after compaction) reads as empty and clean, so later segments replay.
+func (t *table) scan(path string) (good int64, clean bool, err error) {
+	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		// Manifest names a segment that never hit disk (crash between
-		// manifest write and first append after compaction): treat as a
-		// zero-length clean segment so later segments still replay.
-		return true, 0, nil
+		return 0, true, nil
 	}
 	if err != nil {
-		return false, 0, fmt.Errorf("durable: open segment: %w", err)
+		return 0, false, fmt.Errorf("durable: open segment: %w", err)
 	}
 	defer func() { _ = f.Close() }()
-
-	// Records are read through a buffer (two reads a record otherwise, each
-	// a system call); truncation goes by the offsets counted in good, not by
-	// the file's position.
-	r := bufio.NewReader(f)
-	header := make([]byte, len(segMagic))
-	n, rerr := io.ReadFull(r, header)
-	if rerr != nil || string(header) != segMagic {
-		// No verifiable header: the whole file is garbage.
-		s.truncateAt(f, path, 0, int64(n))
-		return false, 0, nil
-	}
-	good := int64(len(segMagic))
+	t.r.Reset(f)
 	var frame [frameBytes]byte
+	if _, err := io.ReadFull(t.r, frame[:]); err != nil || string(frame[:]) != segMagic {
+		return 0, false, nil
+	}
+	good = int64(len(segMagic))
 	for {
-		if _, rerr := io.ReadFull(r, frame[:]); rerr != nil {
-			if rerr == io.EOF {
-				return true, good, nil // exact end of segment
-			}
-			s.truncateAt(f, path, good, partialLen(f, good))
-			return false, good, nil
+		if _, err := io.ReadFull(t.r, frame[:]); err != nil {
+			return good, err == io.EOF, nil // EOF: the exact end of the segment
 		}
 		plen := binary.LittleEndian.Uint32(frame[0:4])
-		sum := binary.LittleEndian.Uint32(frame[4:8])
 		if plen == 0 || plen > maxRecordPayload {
-			s.truncateAt(f, path, good, partialLen(f, good))
-			return false, good, nil
+			return good, false, nil
 		}
-		payload := make([]byte, plen)
-		if _, rerr := io.ReadFull(r, payload); rerr != nil {
-			s.truncateAt(f, path, good, partialLen(f, good))
-			return false, good, nil
+		t.payload = slices.Grow(t.payload[:0], int(plen))[:plen]
+		if _, err := io.ReadFull(t.r, t.payload); err != nil || crc32.Checksum(t.payload, crcTable) != binary.LittleEndian.Uint32(frame[4:8]) {
+			return good, false, nil
 		}
-		if crc32.Checksum(payload, crcTable) != sum {
-			s.truncateAt(f, path, good, partialLen(f, good))
-			return false, good, nil
-		}
-		url, x, op, ok := decodePayload(payload)
+		url, x, op, ok := decodePayload(t.payload)
 		if !ok {
-			s.truncateAt(f, path, good, partialLen(f, good))
-			return false, good, nil
+			return good, false, nil
 		}
-		s.applyRecord(op, url, x)
+		t.apply(op, url, x)
 		good += frameLen(url)
 	}
 }
 
-// partialLen reports how many bytes sit past offset good in f (the size of
-// the region a truncation discards).
-func partialLen(f *os.File, good int64) int64 {
-	fi, err := f.Stat()
-	if err != nil {
-		return 0
+// truncateAt cuts segment id back to its verified length and records the
+// event.
+func (s *Store) truncateAt(id uint64, good int64) {
+	path := s.segPath(id)
+	var lost int64
+	if fi, err := os.Stat(path); err == nil {
+		lost = fi.Size() - good
 	}
-	if fi.Size() <= good {
-		return 0
-	}
-	return fi.Size() - good
+	_ = os.Truncate(path, good)
+	s.st.Truncations++
+	s.st.TruncatedBytes += lost
+	s.opts.Tracer.Emit(obs.Event{Kind: obs.EvStoreTruncated, URL: path, Count: lost})
 }
 
-// truncateAt cuts the file back to the last verifiable offset and records
-// the event.
-func (s *Store) truncateAt(f *os.File, path string, good, lost int64) {
-	_ = f.Truncate(good)
-	s.truncations++
-	s.truncatedBytes += lost
-	if s.opts.Tracer != nil {
-		s.opts.Tracer.Emit(obs.Event{Kind: obs.EvStoreTruncated, URL: path, Count: lost})
-	}
-}
-
-// applyRecord folds one replayed or appended record into the index and the
-// live/dead byte accounting.
-func (s *Store) applyRecord(op byte, url string, x indexed) {
-	recLen := frameLen(url)
-	if _, live := s.index[url]; live {
-		// The previous record for this URL, as long as this one, is now
-		// garbage.
-		s.deadBytes += recLen
-		s.liveBytes -= recLen
-	}
-	switch op {
-	case opPut:
-		s.index[url] = x
-		s.liveBytes += recLen
-	case opTombstone:
-		// The tombstone record itself is garbage the moment it is the
-		// newest state for the URL.
-		delete(s.index, url)
-		s.deadBytes += recLen
-	}
-}
-
-// encodeFrame renders one framed record.
-func encodeFrame(op byte, url string, x indexed) []byte {
-	b := make([]byte, frameBytes+fixedPayload, frameLen(url))
-	p := b[frameBytes:]
-	p[0] = op
-	binary.LittleEndian.PutUint64(p[1:9], uint64(x.version))
-	binary.LittleEndian.PutUint64(p[9:17], uint64(x.size))
-	binary.LittleEndian.PutUint64(p[17:25], uint64(x.fetchedAt))
-	binary.LittleEndian.PutUint16(p[25:27], uint16(len(url)))
+// appendFrame renders one framed record onto b.
+func appendFrame(b []byte, op byte, url string, x indexed) []byte {
+	start := len(b)
+	b = append(b, make([]byte, frameBytes)...)
+	b = append(b, op)
+	b = binary.LittleEndian.AppendUint64(b, uint64(x.version))
+	b = binary.LittleEndian.AppendUint64(b, uint64(x.size))
+	b = binary.LittleEndian.AppendUint64(b, uint64(x.fetchedAt))
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(url)))
 	b = append(b, url...)
-	binary.LittleEndian.PutUint32(b[0:4], uint32(len(b)-frameBytes))
-	binary.LittleEndian.PutUint32(b[4:8], crc32.Checksum(b[frameBytes:], crcTable))
+	p := b[start+frameBytes:]
+	binary.LittleEndian.PutUint32(b[start:], uint32(len(p)))
+	binary.LittleEndian.PutUint32(b[start+4:], crc32.Checksum(p, crcTable))
 	return b
 }
 
@@ -524,10 +510,8 @@ func (s *Store) openActive() error {
 		_ = f.Close()
 		return fmt.Errorf("durable: write segment header: %w", err)
 	}
-	s.active = f
-	s.activeID = id
-	s.activeBytes = int64(len(segMagic))
-	s.totalBytes += int64(len(segMagic))
+	s.active, s.activeID, s.activeBytes = f, id, int64(len(segMagic))
+	s.st.TotalBytes += int64(len(segMagic))
 	s.segs = append(s.segs, id)
 	return s.writeManifest()
 }
@@ -557,27 +541,39 @@ func (s *Store) writeManifest() error {
 }
 
 // append writes one framed record to the active segment, rotating and
-// compacting as configured. Caller holds s.mu.
-func (s *Store) append(op byte, url string, x indexed) error {
+// compacting as configured; held says whether the URL had a live record.
+// Caller holds s.mu.
+func (s *Store) append(op byte, url string, x indexed, held bool) error {
 	if s.closed {
 		return ErrClosed
 	}
 	if len(url) > maxURLBytes {
 		return fmt.Errorf("%w: %d bytes (max %d)", ErrURLTooLong, len(url), maxURLBytes)
 	}
-	frame := encodeFrame(op, url, x)
-	if _, err := s.active.Write(frame); err != nil {
+	if s.active == nil {
+		// A rotation failed to open one: retry rather than refuse every write.
+		if err := s.openActive(); err != nil {
+			s.stale, s.drifted = true, true
+			return err
+		}
+	}
+	s.frame = appendFrame(s.frame[:0], op, url, x)
+	if _, err := s.active.Write(s.frame); err != nil {
+		// Cut a short write back (best effort) so no record follows a torn one.
+		_ = s.active.Truncate(s.activeBytes)
+		_, _ = s.active.Seek(s.activeBytes, io.SeekStart)
+		s.stale, s.drifted = true, true
 		return fmt.Errorf("durable: append: %w", err)
 	}
+	n := int64(len(s.frame))
+	s.activeBytes, s.st.TotalBytes = s.activeBytes+n, s.st.TotalBytes+n
+	s.st.add(op, n, held)
+	s.stale = s.stale || s.drifted
 	if s.opts.Fsync == FsyncAlways {
 		if err := s.active.Sync(); err != nil {
 			return fmt.Errorf("durable: sync: %w", err)
 		}
 	}
-	recLen := int64(len(frame))
-	s.activeBytes += recLen
-	s.totalBytes += recLen
-	s.applyRecord(op, url, x)
 	if s.activeBytes >= s.opts.MaxSegmentBytes {
 		return s.rotate()
 	}
@@ -587,148 +583,182 @@ func (s *Store) append(op byte, url string, x indexed) error {
 // rotate seals the active segment and either compacts (when the garbage
 // ratio crossed the threshold) or opens a fresh active segment.
 func (s *Store) rotate() error {
+	if err := s.seal(); err != nil {
+		return err
+	}
+	live := s.fresh()
+	if s.st.TotalBytes == 0 || float64(s.st.DeadBytes) < s.opts.CompactFraction*float64(s.st.TotalBytes) {
+		return s.openActive()
+	}
+	return s.compact(live)
+}
+
+// seal syncs (unless the policy is never) and closes the active segment;
+// on a closed store it returns ErrClosed.
+func (s *Store) seal() error {
+	if s.closed {
+		return ErrClosed
+	}
+	f := s.active
+	if f == nil {
+		return nil
+	}
+	s.active = nil
 	if s.opts.Fsync != FsyncNever {
-		if err := s.active.Sync(); err != nil {
+		if err := f.Sync(); err != nil {
+			_ = f.Close()
 			return fmt.Errorf("durable: seal sync: %w", err)
 		}
 	}
-	if err := s.active.Close(); err != nil {
-		return fmt.Errorf("durable: seal close: %w", err)
-	}
-	s.active = nil
-	if s.totalBytes > 0 && float64(s.deadBytes) >= s.opts.CompactFraction*float64(s.totalBytes) {
-		return s.compactLocked()
-	}
-	return s.openActive()
+	return f.Close()
 }
 
-// Put records a document admission (or refresh).
+// fresh recounts stale counts and returns the live set it replayed, if any.
+func (s *Store) fresh() (live map[string]indexed) {
+	if s.stale {
+		if t, err := s.replay(); err == nil {
+			live = t.live
+		}
+	}
+	return live
+}
+
+// Put records an admission or refresh for a caller without a tier to say
+// whether the log holds the URL: the next Stats, Len or rotation recounts.
 func (s *Store) Put(cp document.Copy) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.append(opPut, cp.Doc.URL, indexed{cp.Doc.Version, cp.Doc.Size, cp.FetchedAt})
+	s.stale = true
+	return s.append(opPut, cp.Doc.URL, fieldsOf(cp), false)
 }
 
 // Delete records an eviction or explicit removal, so the entry cannot
-// resurrect on restart. Deleting an absent URL is a no-op (no tombstone
-// garbage for entries the log never held).
+// resurrect on restart. Deleting a URL the log does not hold — which the
+// store replays the log to find out — writes nothing.
 func (s *Store) Delete(url string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	if _, ok := s.index[url]; !ok {
+	t, err := s.replay()
+	if err != nil {
+		return err
+	}
+	if _, ok := t.live[url]; !ok {
 		return nil
 	}
-	return s.append(opTombstone, url, indexed{})
+	return s.append(opTombstone, url, indexed{}, true)
 }
 
-// Entries returns the live index sorted by URL (the warm-boot load set).
+// Apply writes one mutation a tier queued; its Held flag keeps the counts
+// exact. A tombstone of a URL the tier did not hold is a no-op.
+func (s *Store) Apply(op Op) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch url := op.Copy.Doc.URL; {
+	case !op.Delete:
+		return s.append(opPut, url, fieldsOf(op.Copy), op.Held)
+	case op.Held:
+		return s.append(opTombstone, url, indexed{}, true)
+	}
+	return nil
+}
+
+// Entries returns the readable live set sorted by URL (the warm-boot load set).
 func (s *Store) Entries() []Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Entry, 0, len(s.index))
-	for url, x := range s.index {
+	t, _ := s.replay()
+	out := make([]Entry, 0, len(t.live))
+	for url, x := range t.live {
 		out = append(out, x.entry(url))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Doc.URL < out[j].Doc.URL })
 	return out
 }
 
-// Get returns the live entry for a URL.
+// Get returns the live entry for a URL, read from the log as Entries does.
 func (s *Store) Get(url string) (Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	x, ok := s.index[url]
+	t, _ := s.replay()
+	x, ok := t.live[url]
 	return x.entry(url), ok
 }
 
-// Len returns the live index size.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.index)
-}
+// Len returns the size of the live set.
+func (s *Store) Len() int { return s.Stats().LiveEntries }
 
-// Compact rewrites the live index into a single fresh segment and drops
-// the old log.
+// Compact rewrites the live set into a single fresh segment and drops the
+// old log.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
+	if err := s.seal(); err != nil {
+		return err
 	}
-	if s.active != nil {
-		if s.opts.Fsync != FsyncNever {
-			if err := s.active.Sync(); err != nil {
-				return err
-			}
-		}
-		if err := s.active.Close(); err != nil {
-			return err
-		}
-		s.active = nil
-	}
-	return s.compactLocked()
+	return s.compact(nil)
 }
 
 // Reset replaces the log's contents with exactly the given entries (the
 // warm-boot path: the in-memory cache may have admitted only a subset of
-// the recovered index, and the log must agree so nothing resurrects).
+// the recovered set, and the log must agree so nothing resurrects).
 func (s *Store) Reset(entries []Entry) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
+	if err := s.seal(); err != nil {
+		return err
 	}
-	if s.active != nil {
-		if err := s.active.Close(); err != nil {
-			return err
-		}
-		s.active = nil
-	}
-	s.index = make(map[string]indexed, len(entries))
-	s.liveBytes, s.deadBytes, s.totalBytes = 0, 0, 0
+	live := make(map[string]indexed, len(entries))
 	for _, e := range entries {
 		if len(e.Doc.URL) > maxURLBytes {
 			// The record encoding cannot hold it; dropping it here beats
 			// writing a segment recovery would read as corruption.
 			continue
 		}
-		s.index[e.Doc.URL] = indexed{e.Doc.Version, e.Doc.Size, e.FetchedAt}
+		live[e.Doc.URL] = fieldsOf(e)
 	}
-	return s.compactLocked()
+	err := s.compact(live)
+	s.drifted = s.drifted && err != nil // on success the log holds exactly what the tier will
+	return err
 }
 
-// compactLocked writes the index into one fresh segment, swaps the
-// manifest to name only that segment, and removes the old files. Caller
-// holds s.mu with the active segment closed.
-func (s *Store) compactLocked() error {
-	old := append([]uint64(nil), s.segs...)
+// compact writes live (nil: a replay of the log) into one fresh segment,
+// sorted by URL, swaps the manifest to name only that segment, and removes
+// the old files. live never comes from the tier: the tier already holds
+// mutations still queued for the log, which a rewrite from it would put
+// ahead of writes queued before them. Caller holds s.mu, active closed.
+func (s *Store) compact(live map[string]indexed) error {
+	if live == nil {
+		t, err := s.replay()
+		if err != nil {
+			return err
+		}
+		live = t.live
+	}
+	old := s.segs
 	id := s.next
 	s.next++
 	f, err := os.OpenFile(s.segPath(id), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("durable: compact create: %w", err)
 	}
-	written := int64(len(segMagic))
-	if _, err := f.Write([]byte(segMagic)); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("durable: compact header: %w", err)
-	}
-	urls := make([]string, 0, len(s.index))
-	for url := range s.index {
+	urls := make([]string, 0, len(live))
+	for url := range live {
 		urls = append(urls, url)
 	}
 	sort.Strings(urls)
+	w := bufio.NewWriter(f)
+	_, _ = w.WriteString(segMagic) // a write error sticks until Flush reports it
+	written := int64(len(segMagic))
 	for _, url := range urls {
-		frame := encodeFrame(opPut, url, s.index[url])
-		if _, err := f.Write(frame); err != nil {
-			_ = f.Close()
-			return fmt.Errorf("durable: compact write: %w", err)
-		}
-		written += int64(len(frame))
+		_, _ = w.Write(appendFrame(w.AvailableBuffer(), opPut, url, live[url]))
+		written += frameLen(url)
+	}
+	if err := w.Flush(); err != nil {
+		_ = f.Close()
+		return fmt.Errorf("durable: compact write: %w", err)
 	}
 	if s.opts.Fsync != FsyncNever {
 		if err := f.Sync(); err != nil {
@@ -738,34 +768,18 @@ func (s *Store) compactLocked() error {
 	}
 	// The compacted segment becomes the new active segment: further
 	// appends continue into it.
-	s.active = f
-	s.activeID = id
-	s.activeBytes = written
-	s.segs = []uint64{id}
-	s.liveBytes = written - int64(len(segMagic))
-	s.deadBytes = 0
-	s.totalBytes = written
+	s.active, s.activeID, s.activeBytes, s.segs = f, id, written, []uint64{id}
+	s.st.LiveEntries, s.st.LiveBytes, s.st.DeadBytes, s.st.TotalBytes = len(urls), written-int64(len(segMagic)), 0, written
+	s.stale = false
 	if err := s.writeManifest(); err != nil {
 		return err
 	}
 	for _, oldID := range old {
 		_ = os.Remove(s.segPath(oldID))
 	}
-	s.compactions++
-	if s.opts.Tracer != nil {
-		s.opts.Tracer.Emit(obs.Event{Kind: obs.EvStoreCompact, Count: int64(len(urls))})
-	}
+	s.st.Compactions++
+	s.opts.Tracer.Emit(obs.Event{Kind: obs.EvStoreCompact, Count: int64(len(urls))})
 	return nil
-}
-
-// Sync flushes the active segment to stable storage regardless of policy.
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed || s.active == nil {
-		return nil
-	}
-	return s.active.Sync()
 }
 
 // Close seals the store. Further mutations return ErrClosed.
@@ -775,18 +789,8 @@ func (s *Store) Close() error {
 	if s.closed {
 		return nil
 	}
+	err := s.seal()
 	s.closed = true
-	if s.active == nil {
-		return nil
-	}
-	if s.opts.Fsync != FsyncNever {
-		if err := s.active.Sync(); err != nil {
-			_ = s.active.Close()
-			return err
-		}
-	}
-	err := s.active.Close()
-	s.active = nil
 	return err
 }
 
@@ -794,16 +798,8 @@ func (s *Store) Close() error {
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return Stats{
-		Segments:        len(s.segs),
-		LiveEntries:     len(s.index),
-		LiveBytes:       s.liveBytes,
-		TotalBytes:      s.totalBytes,
-		DeadBytes:       s.deadBytes,
-		Truncations:     s.truncations,
-		TruncatedBytes:  s.truncatedBytes,
-		DroppedSegments: s.droppedSegments,
-		Compactions:     s.compactions,
-		Recovered:       s.recovered,
-	}
+	s.fresh()
+	st := s.st
+	st.Segments = len(s.segs)
+	return st
 }

@@ -9,8 +9,16 @@ import (
 
 // Mutator is the write half of a Store: what a Queue writes into.
 type Mutator interface {
-	Put(cp document.Copy) error
-	Delete(url string) error
+	Apply(op Op) error
+}
+
+// Op is one mutation on its way to the log: a tombstone of Copy.Doc.URL
+// when Delete is set, otherwise a put of Copy. Held says whether the tier
+// held the URL before it, so whether the log has a live record to supersede.
+type Op struct {
+	Copy   document.Copy
+	Delete bool
+	Held   bool
 }
 
 // Queue is the ordered, off-lock writer a tier mirrors its copies through.
@@ -26,17 +34,10 @@ type Queue struct {
 
 	mu       sync.Mutex
 	idle     sync.Cond // broadcast when a drain ends
-	ops      []queued
+	ops      []Op
 	draining bool
 	closed   bool
 	errs     atomic.Int64
-}
-
-// queued is one mutation waiting for the disk: a tombstone of cp.Doc.URL
-// when del is set, otherwise a put of cp.
-type queued struct {
-	cp  document.Copy
-	del bool
 }
 
 // NewQueue returns an empty queue in front of dst.
@@ -46,15 +47,15 @@ func NewQueue(dst Mutator) *Queue {
 	return q
 }
 
-// Persist queues an admission or refresh of cp.
-func (q *Queue) Persist(cp document.Copy) { q.push(queued{cp: cp}) }
+// Persist queues an admission (held false) or a refresh (held true) of cp.
+func (q *Queue) Persist(cp document.Copy, held bool) { q.push(Op{Copy: cp, Held: held}) }
 
-// Tombstone queues the removal of url.
+// Tombstone queues the removal of url, which the tier held.
 func (q *Queue) Tombstone(url string) {
-	q.push(queued{cp: document.Copy{Doc: document.Document{URL: url}}, del: true})
+	q.push(Op{Copy: document.Copy{Doc: document.Document{URL: url}}, Delete: true, Held: true})
 }
 
-func (q *Queue) push(o queued) {
+func (q *Queue) push(o Op) {
 	if q == nil {
 		return
 	}
@@ -85,13 +86,7 @@ func (q *Queue) drainLocked() {
 		q.ops = nil
 		q.mu.Unlock()
 		for _, o := range batch {
-			var err error
-			if o.del {
-				err = q.dst.Delete(o.cp.Doc.URL)
-			} else {
-				err = q.dst.Put(o.cp)
-			}
-			if err != nil {
+			if q.dst.Apply(o) != nil {
 				q.errs.Add(1)
 			}
 		}

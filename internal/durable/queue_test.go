@@ -41,8 +41,12 @@ func (r *recorder) write(op string) error {
 	return r.fail
 }
 
-func (r *recorder) Put(cp document.Copy) error { return r.write("put:" + cp.Doc.URL) }
-func (r *recorder) Delete(url string) error    { return r.write("del:" + url) }
+func (r *recorder) Apply(op Op) error {
+	if op.Delete {
+		return r.write("del:" + op.Copy.Doc.URL)
+	}
+	return r.write("put:" + op.Copy.Doc.URL)
+}
 
 func (r *recorder) written() []string {
 	r.mu.Lock()
@@ -60,7 +64,7 @@ func qcopy(url string) document.Copy {
 func TestQueueWritesInQueueOrder(t *testing.T) {
 	r := newRecorder(true)
 	q := NewQueue(r)
-	q.Persist(qcopy("/a"))
+	q.Persist(qcopy("/a"), false)
 	done := make(chan struct{})
 	go func() {
 		q.Drain()
@@ -68,7 +72,7 @@ func TestQueueWritesInQueueOrder(t *testing.T) {
 	}()
 	<-r.entered
 	q.Tombstone("/a")
-	q.Persist(qcopy("/b"))
+	q.Persist(qcopy("/b"), false)
 	q.Drain() // returns at once: the parked drain owns the queue
 	if !q.Pending() {
 		t.Fatal("Pending is false while a write is parked in the store")
@@ -90,10 +94,10 @@ func TestQueueWritesInQueueOrder(t *testing.T) {
 func TestQueueCloseWaitsForDrain(t *testing.T) {
 	r := newRecorder(true)
 	q := NewQueue(r)
-	q.Persist(qcopy("/held"))
+	q.Persist(qcopy("/held"), false)
 	go q.Drain()
 	<-r.entered
-	q.Persist(qcopy("/queued"))
+	q.Persist(qcopy("/queued"), false)
 	closed := make(chan struct{})
 	go func() {
 		q.Close()
@@ -109,7 +113,7 @@ func TestQueueCloseWaitsForDrain(t *testing.T) {
 	if got, want := r.written(), []string{"put:/held", "put:/queued"}; !slices.Equal(got, want) {
 		t.Fatalf("written %v, want %v", got, want)
 	}
-	q.Persist(qcopy("/late"))
+	q.Persist(qcopy("/late"), false)
 	q.Drain()
 	if got := r.written(); len(got) != 2 || q.Pending() {
 		t.Fatalf("a closed queue wrote %v (pending %v)", got, q.Pending())
@@ -122,14 +126,14 @@ func TestQueueCountsErrors(t *testing.T) {
 	r := newRecorder(false)
 	r.fail = errors.New("disk full")
 	q := NewQueue(r)
-	q.Persist(qcopy("/a"))
+	q.Persist(qcopy("/a"), false)
 	q.Tombstone("/a")
 	q.Drain()
 	if q.Errors() != 2 {
 		t.Fatalf("Errors = %d, want 2", q.Errors())
 	}
 	var none *Queue
-	none.Persist(qcopy("/a"))
+	none.Persist(qcopy("/a"), false)
 	none.Tombstone("/a")
 	none.Drain()
 	none.Close()

@@ -124,8 +124,15 @@ func (r *record) drop(h string, seq uint64) (stale bool) {
 	if seq != 0 && seq < r.holders[i].seq {
 		return true
 	}
-	r.holders = slices.Delete(r.holders, i, i+1)
+	r.unlistAt(i)
 	return false
+}
+
+// unlistAt removes the i-th listing. A record nobody holds keeps no array.
+func (r *record) unlistAt(i int) {
+	if r.holders = slices.Delete(r.holders, i, i+1); len(r.holders) == 0 {
+		r.holders = nil
+	}
 }
 
 // wire renders the record for a hand-off, a replica push or a snapshot:
@@ -358,7 +365,7 @@ func (d *directory) unlist(url string, stale []listing) {
 	}
 	for _, l := range stale {
 		if i, listed := rec.find(l.holder); listed && rec.holders[i].seq == l.seq {
-			rec.holders = slices.Delete(rec.holders, i, i+1)
+			rec.unlistAt(i)
 		}
 	}
 }
@@ -530,7 +537,9 @@ func (d *directory) setDown(names []string) {
 	isDown := func(l listing) bool { return down[l.holder] }
 	for _, table := range []map[string]*record{d.owned, d.replicas} {
 		for _, rec := range table {
-			rec.holders = slices.DeleteFunc(rec.holders, isDown)
+			if rec.holders = slices.DeleteFunc(rec.holders, isDown); len(rec.holders) == 0 {
+				rec.holders = nil
+			}
 		}
 	}
 }

@@ -28,8 +28,7 @@ func (h *heldWrites) hold() {
 	})
 }
 
-func (h *heldWrites) Put(cp document.Copy) error { h.hold(); return h.Mutator.Put(cp) }
-func (h *heldWrites) Delete(url string) error    { h.hold(); return h.Mutator.Delete(url) }
+func (h *heldWrites) Apply(op durable.Op) error { h.hold(); return h.Mutator.Apply(op) }
 
 // holdWrites gives d a fresh queue in front of a heldWrites over its store.
 // The caller holds the lock its tier queues under, or nothing is running.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"path/filepath"
 
-	"cachecloud/internal/document"
 	"cachecloud/internal/durable"
 	"cachecloud/internal/obs"
 )
@@ -70,12 +69,12 @@ func (n *CacheNode) initDurable() error {
 		// Oversized-for-this-budget entries are skipped; capacity
 		// evictions during the load are fine — the log is compacted to
 		// the survivors below.
-		_, _ = n.store.Put(document.Copy{Doc: e.Doc, FetchedAt: e.FetchedAt}, now)
+		_, _ = n.store.Put(e, now)
 	}
 	var kept []durable.Entry
 	for _, url := range n.store.Documents() {
 		if cp, ok := n.store.Peek(url); ok {
-			kept = append(kept, durable.Entry{Doc: cp.Doc, FetchedAt: cp.FetchedAt})
+			kept = append(kept, cp)
 			if n.shieldRouter != nil {
 				// Which recovered copies still have a shield subscription
 				// died with the old process (degraded marks live in memory,

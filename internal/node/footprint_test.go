@@ -42,16 +42,20 @@ func wireRecords(urls []string, holders ...string) []WireRecord {
 }
 
 // TestDirectoryFootprint: 10,000 owned records, each looked up by its two
-// holders, then 10,000 replicas a sibling pushed and nobody ever looked up.
-// The URLs and the push are built before the first measurement and stay
-// alive, so the difference is the tables' and the records' own.
+// holders, then 10,000 replicas a sibling pushed and nobody ever looked up,
+// then 10,000 more owned records whose two holders registered and dropped
+// them again — most of a large directory, whose caches hold a few percent
+// of it. The URLs and the push are built before the first measurement and
+// stay alive, so the difference is the tables' and the records' own.
 func TestDirectoryFootprint(t *testing.T) {
 	const (
 		n             = 10000
 		ownedBudget   = 254 // bytes a record: 203 now, 427 with a holder map and two monitor pointers
 		replicaBudget = 214 // 171 now, 363 then
+		emptiedBudget = 185 // 155 now, 203 with the emptied holder array kept
 	)
-	own := urlsOf(t, testLayout(), "a", n)
+	urls := urlsOf(t, testLayout(), "a", 2*n)
+	own, emptied := urls[:n], urls[n:]
 	push := wireRecords(urlsOf(t, testLayout(), "b", n), "c", "d")
 	d := newTestDirectory("a")
 	h0 := liveHeap()
@@ -67,15 +71,26 @@ func TestDirectoryFootprint(t *testing.T) {
 	if owned, replicas := d.counts(); owned != n || replicas != n {
 		t.Fatalf("%d owned and %d replica records, want %d of each", owned, replicas, n)
 	}
-	perOwned, perReplica := (h1-h0)/n, (h2-h1)/n
-	t.Logf("owned record with 2 holders, looked up: %d B; never-observed replica with 2 holders: %d B", perOwned, perReplica)
+	for i, u := range emptied {
+		d.lookup(0, u, "c", uint64(2*i+1), nil)
+		d.lookup(0, u, "b", uint64(2*i+2), nil)
+	}
+	d.deregister("c", 0, emptied)
+	d.deregister("b", 0, emptied)
+	h3 := liveHeap()
+	perOwned, perReplica, perEmptied := (h1-h0)/n, (h2-h1)/n, (h3-h2)/n
+	t.Logf("owned record with 2 holders, looked up: %d B; never-observed replica with 2 holders: %d B; owned record both holders dropped: %d B",
+		perOwned, perReplica, perEmptied)
 	if perOwned > ownedBudget {
 		t.Errorf("an owned record costs %d B, budget %d", perOwned, ownedBudget)
 	}
 	if perReplica > replicaBudget {
 		t.Errorf("a never-observed replica costs %d B, budget %d", perReplica, replicaBudget)
 	}
-	runtime.KeepAlive(own)
+	if perEmptied > emptiedBudget {
+		t.Errorf("an owned record nobody holds costs %d B, budget %d", perEmptied, emptiedBudget)
+	}
+	runtime.KeepAlive(urls)
 	runtime.KeepAlive(push)
 	runtime.KeepAlive(d)
 }
@@ -95,46 +110,55 @@ func (originStub) GetJSON(ctx context.Context, url string, out any) error {
 
 // TestShieldFootprint: a shield that fetched 10,000 documents for one
 // cloud, through its own /sfetch handler, holds 10,000 copies with one
-// subscriber each. The cloud ID arrives unescaped, as CacheNode.shieldFetch
-// sends it: a table that keys on the parsed value pins the request's query
-// string per document.
+// subscriber each, memory-only and with a durable store attached. The cloud
+// ID arrives unescaped, as CacheNode.shieldFetch sends it: a table that keys
+// on the parsed value pins the request's query string per document.
 func TestShieldFootprint(t *testing.T) {
 	const (
 		n      = 10000
-		budget = 205 // bytes a held document: 164 now, 552 with three maps and a set per URL
+		budget = 205 // bytes a held document, with a store or without: 164 now, 242 with the store's index, 552 with three maps and a set per URL
 	)
-	sn := stubShield(t, originStub{})
-	handler := sn.Handler()
-	h0 := liveHeap()
-	for i := 0; i < n; i++ {
-		target := "/sfetch?url=" + queryEscape(fmt.Sprintf("http://shield/doc/%05d", i)) + "&cloud=cloud0&v=0"
-		rec := httptest.NewRecorder()
-		handler.ServeHTTP(rec, httptest.NewRequest("GET", target, nil))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("sfetch %d: status %d: %s", i, rec.Code, rec.Body)
+	for _, mirrored := range []bool{false, true} {
+		storeDir := ""
+		if mirrored {
+			storeDir = t.TempDir()
+		}
+		sn := stubShield(t, originStub{}, storeDir)
+		handler := sn.Handler()
+		h0 := liveHeap()
+		for i := 0; i < n; i++ {
+			target := "/sfetch?url=" + queryEscape(fmt.Sprintf("http://shield/doc/%05d", i)) + "&cloud=cloud0&v=0"
+			rec := httptest.NewRecorder()
+			handler.ServeHTTP(rec, httptest.NewRequest("GET", target, nil))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("sfetch %d: status %d: %s", i, rec.Code, rec.Body)
+			}
+		}
+		h1 := liveHeap()
+		if st := sn.Stats(); st.HeldDocs != n || st.Subscriptions != n || st.DurableErrors != 0 {
+			t.Fatalf("shield holds %d documents and %d subscriptions, want %d of each; %d disk-tier errors", st.HeldDocs, st.Subscriptions, n, st.DurableErrors)
+		}
+		per := (h1 - h0) / n
+		t.Logf("held document with 1 subscriber, store attached %v: %d B", mirrored, per)
+		if per > budget {
+			t.Errorf("a held document costs the shield %d B (store attached %v), budget %d", per, mirrored, budget)
+		}
+		runtime.KeepAlive(sn)
+		if err := sn.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	h1 := liveHeap()
-	if st := sn.Stats(); st.HeldDocs != n || st.Subscriptions != n {
-		t.Fatalf("shield holds %d documents and %d subscriptions, want %d of each", st.HeldDocs, st.Subscriptions, n)
-	}
-	per := (h1 - h0) / n
-	t.Logf("held document with 1 subscriber: %d B", per)
-	if per > budget {
-		t.Errorf("a held document costs the shield %d B, budget %d", per, budget)
-	}
-	runtime.KeepAlive(sn)
 }
 
 // TestStoreFootprint: a node's store after 10,000 documents were each asked
 // for, missed and then stored, memory-only and mirrored into a durable
-// store. The URL strings are built first and stay alive (the cache and the
-// durable index share them), so the difference is the slots' and the tables'.
+// store. The URL strings are built first and stay alive, so the difference
+// is the slots' and the tables'. The durable store keeps no table of its
+// own, so both are held to one budget.
 func TestStoreFootprint(t *testing.T) {
 	const (
-		n             = 10000
-		memoryBudget  = 165 // bytes a stored document: 155 now, 278 with six URL-keyed tables
-		durableBudget = 255 // 234 now, 426 then
+		n      = 10000
+		budget = 165 // bytes a stored document, mirrored or not: 155 now; 234 mirrored with the store's index, 278 memory-only with six URL-keyed tables
 	)
 	urls := make([]string, n)
 	for i := range urls {
@@ -170,11 +194,11 @@ func TestStoreFootprint(t *testing.T) {
 	defer func() { _ = st.Close() }()
 	memory, mirrored := perDocument(nil), perDocument(st)
 	t.Logf("stored document: %d B memory-only, %d B with the durable tier", memory, mirrored)
-	if memory > memoryBudget {
-		t.Errorf("a stored document costs %d B, budget %d", memory, memoryBudget)
+	if memory > budget {
+		t.Errorf("a stored document costs %d B, budget %d", memory, budget)
 	}
-	if mirrored > durableBudget {
-		t.Errorf("a stored document with the durable tier costs %d B, budget %d", mirrored, durableBudget)
+	if mirrored > budget {
+		t.Errorf("a stored document with the durable tier costs %d B, budget %d", mirrored, budget)
 	}
 	runtime.KeepAlive(urls)
 }

@@ -254,8 +254,8 @@ func (sn *ShieldNode) entry(url string) *shieldEntry {
 // store makes cp the held copy of e's URL in memory and queues it for the
 // disk, which unlock writes. Caller holds sn.mu.
 func (sn *ShieldNode) store(e *shieldEntry, cp document.Copy) {
+	sn.disk.q.Persist(cp, e.held)
 	e.cp, e.held = cp, true
-	sn.disk.q.Persist(cp)
 }
 
 // unlock releases sn.mu and then writes what the critical section queued for
@@ -361,7 +361,7 @@ func (sn *ShieldNode) initDurable() error {
 		return err
 	}
 	for _, e := range sn.disk.st.Entries() {
-		sn.table[e.Doc.URL] = &shieldEntry{cp: document.Copy{Doc: e.Doc, FetchedAt: e.FetchedAt}, held: true}
+		sn.table[e.Doc.URL] = &shieldEntry{cp: e, held: true}
 	}
 	sn.warmRecovered = len(sn.table)
 	sn.warmBoot = sn.warmRecovered > 0

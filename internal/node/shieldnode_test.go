@@ -398,9 +398,11 @@ func TestShieldObservability(t *testing.T) {
 
 // stubShield builds a lone shield, s0 of a two-node cloud, whose outbound
 // calls go to tp.
-func stubShield(t *testing.T, tp Transport) *ShieldNode {
+func stubShield(t *testing.T, tp Transport, storeDir string) *ShieldNode {
 	t.Helper()
 	cfg := ClusterConfig{
+		StoreDir:    storeDir,
+		Fsync:       "never",
 		IntraGen:    16,
 		Rings:       [][]string{{"a", "b"}},
 		Addrs:       map[string]string{"a": "http://a", "b": "http://b"},
@@ -434,7 +436,7 @@ func sfetch(t *testing.T, h http.Handler, query string) (int, ShieldFetchRespons
 // naming any other is refused before it moves a counter or a table entry —
 // it could only leave a subscription no fan-out can reach.
 func TestSfetchRefusesUnknownCloud(t *testing.T) {
-	sn := stubShield(t, originStub{})
+	sn := stubShield(t, originStub{}, "")
 	h := sn.Handler()
 	if code, _ := sfetch(t, h, "url="+queryEscape("http://shield/doc/0")+"&cloud="+liveCloud); code != http.StatusOK {
 		t.Fatalf("fetch for %s: status %d", liveCloud, code)
@@ -471,7 +473,7 @@ func (o versionedOrigin) GetJSON(ctx context.Context, url string, out any) error
 // that already has version 2, so the cloud never moves backwards.
 func TestShieldHintForcesRefresh(t *testing.T) {
 	v := document.Version(1)
-	sn := stubShield(t, versionedOrigin{v: &v})
+	sn := stubShield(t, versionedOrigin{v: &v}, "")
 	h := sn.Handler()
 	q := "url=" + queryEscape("http://shield/doc/hint") + "&cloud=" + liveCloud + "&v="
 	if _, sfr := sfetch(t, h, q+"0"); sfr.Doc.Version != 1 || sfr.ShieldHit {
