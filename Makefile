@@ -65,7 +65,9 @@ bench-compare:
 # (internal/node: a 20k-record directory each) and the two exchanges' ladder
 # rows, one call on each server path (BenchmarkPeerExchange: net/http's and
 # the node's own loop, /fetch and /apply; BenchmarkClientDoc: a client's warm
-# /doc hit), and the store tier's five ladder rows (a hit, a store that
+# /doc hit; both sides take a connection's reader and writer from pools for
+# each exchange, which must leave these rows' allocs/op and B/op unmoved),
+# and the store tier's five ladder rows (a hit, a store that
 # evicts, an update in place, a durable append, and one compaction of a
 # 10,000-entry log: its replay, sort and buffered rewrite).
 bench-smoke:

@@ -33,6 +33,9 @@ type OriginNode struct {
 	// every multi-shield pass (publish fan-out, purge forwarding, installs)
 	// is deterministic.
 	shieldBases []string
+	// shieldBits is each addressable shield's bit in originDoc.declined, by
+	// name (0 past the 32nd).
+	shieldBits map[string]uint32
 
 	// The master topology: one beacon ring per configured ring, kept for
 	// the origin's whole life. topoMu serialises its writers — Rebalance,
@@ -81,8 +84,9 @@ type originDoc struct {
 	document.Document
 	// declined has bit i set while shield i (in shieldBases order) is known
 	// to hold no copy: it answered an /supdate Held: false and no /fetch of
-	// the URL has been served since. A publish skips those shields. Shields
-	// past the 32nd have no bit (the shift yields 0) and are always sent it.
+	// the URL that names it, or names no shield, has been served since. A
+	// publish skips those shields. Shields past the 32nd have no bit (the
+	// shift yields 0) and are always sent it.
 	declined uint32
 	// fetches counts the /fetches of the URL served. A Held: false reply
 	// sets its shield's bit only if the count has not moved since the
@@ -127,8 +131,10 @@ func NewOriginNodeWithTransport(cfg ClusterConfig, docs []document.Document, tp 
 	o.view.Store(newRouteView(cfg.IntraGen, layoutOf(rings)))
 	shields := append([]string(nil), cfg.Shields...)
 	sort.Strings(shields)
+	o.shieldBits = make(map[string]uint32, len(shields))
 	for _, name := range shields {
 		if base, ok := cfg.ShieldAddrs[name]; ok {
+			o.shieldBits[name] = uint32(1) << len(o.shieldBases)
 			o.shieldBases = append(o.shieldBases, base)
 		}
 	}
@@ -224,13 +230,19 @@ func (o *OriginNode) handleFetch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	u, _, _ := queryArg(r.URL.RawQuery, "url")
+	by, _, _ := queryArg(r.URL.RawQuery, "shield")
+	bit, named := o.shieldBits[by]
+	if !named {
+		bit = ^uint32(0)
+	}
 	o.mu.Lock()
 	d, ok := o.docs[u]
 	if ok {
-		// The fetch carries no shield identity: any shield may hold a copy
-		// from here on. (Keyed by d.URL: assigning under u would make the
-		// map keep the request's copy of the string.)
-		d.declined = 0
+		// The shield the fetch names may hold a copy from here on; a fetch
+		// that names none the origin knows may be any shield's. (Keyed by
+		// d.URL: assigning under u would make the map keep the request's
+		// copy of the string.)
+		d.declined &^= bit
 		d.fetches++
 		o.docs[d.URL] = d
 	}

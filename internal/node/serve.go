@@ -125,7 +125,7 @@ func (s *servedConns) handler(next http.Handler) http.Handler {
 			next.ServeHTTP(w, r)
 			return
 		}
-		sc := newServedConn(s, srv, c, rw.Reader, rw.Writer, r.RemoteAddr)
+		sc := newServedConn(s, srv, c, rw.Reader, r.RemoteAddr) // rw.Writer is never used
 		sc.body.Reset(buf.Bytes())
 		r.Body = &sc.body
 		sc.last = time.Now()
@@ -146,29 +146,37 @@ type servedConn struct {
 	set *servedConns
 	srv *http.Server
 	c   net.Conn
-	br  *bufio.Reader
-	bw  *bufio.Writer
+	// br is what requests are read through: net/http's reader until what it
+	// buffered is used up, then one of readerPool's, taken at a request's
+	// first byte and given back when the loop goes idle with nothing
+	// buffered; nil while idle. Where the connection cannot be waited on
+	// without a buffer (wait is nil) net/http's reader stays for good.
+	br   *bufio.Reader
+	wait func() error // the wait for a readable byte that holds no buffer
 	// last is when the newest request's first byte was seen; readBy and
 	// writeBy are the connection's read and write deadlines, as last set.
 	last, readBy, writeBy time.Time
-	// base is what every request of the connection starts from; ctx is the
-	// parent of every request's context, with the values net/http gives a
-	// request's. It is never cancelled: a request's own context ends when
-	// its handler returns, not when the caller hangs up.
-	base http.Request
-	ctx  context.Context
+	// ctx is the parent of every request's context, with the values net/http
+	// gives a request's. It is never cancelled: a request's own context ends
+	// when its handler returns, not when the caller hangs up.
+	ctx        context.Context
+	remoteAddr string
 	// Per request, reused: a handler keeps neither past its return.
 	body  bodyReader
 	reply replyWriter
 }
 
-// newServedConn is the state for serving c, taken from srv.
-func newServedConn(set *servedConns, srv *http.Server, c net.Conn, br *bufio.Reader, bw *bufio.Writer, remoteAddr string) *servedConn {
+// headerPool holds the replies' header maps: a connection between requests
+// holds none.
+var headerPool = sync.Pool{New: func() any { return make(http.Header, 4) }}
+
+// newServedConn is the state for serving c, taken from srv with br, the
+// reader net/http read the first request through.
+func newServedConn(set *servedConns, srv *http.Server, c net.Conn, br *bufio.Reader, remoteAddr string) *servedConn {
 	ctx := context.WithValue(context.Background(), http.ServerContextKey, srv)
-	return &servedConn{set: set, srv: srv, c: c, br: br, bw: bw,
-		base:  http.Request{Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1, RemoteAddr: remoteAddr},
-		ctx:   context.WithValue(ctx, http.LocalAddrContextKey, c.LocalAddr()),
-		reply: replyWriter{header: make(http.Header, 4)},
+	return &servedConn{set: set, srv: srv, c: c, br: br, wait: bareWait(c),
+		ctx:        context.WithValue(ctx, http.LocalAddrContextKey, c.LocalAddr()),
+		remoteAddr: remoteAddr,
 	}
 }
 
@@ -239,7 +247,7 @@ func (sc *servedConn) arm(now time.Time) {
 // wakes its goroutine once and a busy one sets no timer.
 func (sc *servedConn) await() bool {
 	for {
-		_, err := sc.br.Peek(1)
+		err := sc.firstByte()
 		if err == nil {
 			sc.last = time.Now()
 			sc.arm(sc.last)
@@ -252,6 +260,31 @@ func (sc *servedConn) await() bool {
 			continue
 		}
 		return false
+	}
+}
+
+// firstByte waits for a request's first byte. Where the connection can be
+// waited on without a buffer and its reader holds no pipelined bytes, the
+// reader goes before the wait and one comes from the pool after it.
+func (sc *servedConn) firstByte() error {
+	if sc.wait != nil && (sc.br == nil || sc.br.Buffered() == 0) {
+		sc.dropReader()
+		if err := sc.wait(); err != nil {
+			return err
+		}
+		sc.br = getReader(sc.c)
+	}
+	_, err := sc.br.Peek(1)
+	return err
+}
+
+// dropReader gives the connection's reader to the pool, net/http's too:
+// after the hijack nothing of net/http's reads it, and once it is reset
+// nothing of net/http's stays reachable from it.
+func (sc *servedConn) dropReader() {
+	if sc.br != nil {
+		putReader(sc.br)
+		sc.br = nil
 	}
 }
 
@@ -277,6 +310,7 @@ func (sc *servedConn) run() {
 // serve answers requests until the connection is over (nil) or the next one
 // is not the loop's: then it returns the connection as net/http is to have it.
 func (sc *servedConn) serve() (back net.Conn) {
+	defer sc.dropReader()
 	for sc.await() {
 		keep, back := sc.serveNext()
 		if !keep {
@@ -407,7 +441,8 @@ func (sc *servedConn) readRequest(ctx context.Context, buf *bytes.Buffer) (*http
 	if err != nil {
 		return nil, errNotSpoken
 	}
-	r := sc.base.WithContext(ctx) // a copy
+	base := http.Request{Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1, RemoteAddr: sc.remoteAddr}
+	r := base.WithContext(ctx) // base stays on the stack: r is its copy
 	r.Method, r.URL, r.RequestURI, r.Header = method, u, target, make(http.Header, 8)
 	if proto != "HTTP/1.1" {
 		r.ProtoMajor = 0 // whatever it is, loopReads says no
@@ -509,17 +544,18 @@ func dateHeader(now time.Time) string {
 }
 
 // answer runs the handler and writes its reply — status line, Date, the
-// handler's headers, Content-Length, body — in one flush. keep reports
-// whether the connection can carry another request. A panic costs the
-// connection and nothing else, as in net/http; so does a reply that cannot
-// be written.
+// handler's headers, Content-Length, body — in one flush, through a writer
+// taken from the pool for it. keep reports whether the connection can carry
+// another request. A panic costs the connection and nothing else, as in
+// net/http; so does a reply that cannot be written.
 func (sc *servedConn) answer(h http.Handler, r *http.Request) (keep bool) {
 	w := &sc.reply
-	clear(w.header)
-	w.status, w.body = 0, getBuf()
+	w.header, w.status, w.body = headerPool.Get().(http.Header), 0, getBuf()
 	defer func() {
+		clear(w.header)
+		headerPool.Put(w.header)
 		putBuf(w.body)
-		w.body = nil
+		w.header, w.body = nil, nil
 		sc.body.Reset(nil) // or an idle connection pins its last request's buffer
 		if p := recover(); p != nil {
 			keep = false
@@ -539,7 +575,7 @@ func (sc *servedConn) answer(h http.Handler, r *http.Request) (keep bool) {
 		sc.writeBy = time.Now().Add(2 * servedTimeout)
 		_ = sc.c.SetWriteDeadline(sc.writeBy)
 	}
-	bw := sc.bw
+	bw := getWriter(sc.c)
 	bw.WriteString("HTTP/1.1 ")
 	bw.Write(strconv.AppendInt(bw.AvailableBuffer(), int64(status), 10))
 	bw.WriteByte(' ')
@@ -573,5 +609,7 @@ func (sc *servedConn) answer(h http.Handler, r *http.Request) (keep bool) {
 		bw.WriteString("\r\n\r\n")
 		bw.Write(w.body.Bytes())
 	}
-	return bw.Flush() == nil && !closing
+	sent := bw.Flush() == nil
+	putWriter(bw)
+	return sent && !closing
 }

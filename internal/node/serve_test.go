@@ -888,7 +888,7 @@ func FuzzWireRequest(f *testing.F) {
 			_, _ = w.Write(d.body)
 		})}
 		conn := &scriptConn{in: bytes.NewReader(data)}
-		sc := newServedConn(&servedConns{}, srv, conn, bufio.NewReader(conn), bufio.NewWriter(conn), "127.0.0.1:2")
+		sc := newServedConn(&servedConns{}, srv, conn, bufio.NewReader(conn), "127.0.0.1:2")
 		back := sc.serve() // on this goroutine: it is back when the bytes are used up
 
 		if conn.closed {
@@ -936,15 +936,200 @@ func FuzzWireRequest(f *testing.F) {
 	})
 }
 
+// splitLoop is the served loop on one connection, with a handler that
+// echoes each request and records what it was given and the reader it was
+// read through.
+type splitLoop struct {
+	sc      *servedConn
+	got     []dispatched
+	readers []*bufio.Reader
+}
+
+func newSplitLoop(t *testing.T, c net.Conn, idle time.Duration) *splitLoop {
+	l := &splitLoop{}
+	srv := &http.Server{IdleTimeout: idle, Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		d, err := dispatchedOf(r)
+		if err != nil {
+			t.Errorf("reading a dispatched body: %v", err)
+		}
+		l.got = append(l.got, d)
+		l.readers = append(l.readers, l.sc.br)
+		w.Header()["Date"] = []string{"Thu, 01 Jan 1970 00:00:00 GMT"} // so that two runs' replies compare
+		_, _ = io.WriteString(w, d.method+" "+d.target+" "+string(d.body))
+	})}
+	// As the hijack leaves it: net/http's reader, its first request read.
+	l.sc = newServedConn(&servedConns{}, srv, c, bufio.NewReader(c), "127.0.0.1:2")
+	l.sc.last = time.Now()
+	l.sc.arm(l.sc.last)
+	return l
+}
+
+// loopbackPair is a real TCP connection's two ends: the server's has a
+// descriptor, so the loop waits on it holding no buffer.
+func loopbackPair(t *testing.T) (client, server net.Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	if client, err = net.Dial("tcp", ln.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	if server, err = ln.Accept(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = client.Close(); _ = server.Close() })
+	return client, server
+}
+
+// serveInBackground runs the loop and returns what it ended with.
+func serveInBackground(l *splitLoop) <-chan net.Conn {
+	done := make(chan net.Conn, 1)
+	go func() { done <- l.sc.serve() }()
+	return done
+}
+
+// ended waits for the loop to end of itself.
+func ended(t *testing.T, done <-chan net.Conn) {
+	t.Helper()
+	select {
+	case back := <-done:
+		if back != nil {
+			t.Fatal("the loop gave the connection back to net/http")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the loop did not end")
+	}
+}
+
+// TestServedIdleWaitSplits sends requests to the served loop over a real
+// loopback connection, where its wait for a request's first byte holds no
+// buffer, in two writes: the second after the loop has parked again, in the
+// wait or in a read. Whatever the cut — after the first byte, inside a
+// head, inside a body, between two requests — the loop dispatches what
+// http.ReadRequest reads of the same bytes, and writes byte for byte the
+// replies it writes for the bytes in one piece on a connection without a
+// descriptor (scriptConn, whose wait is a read). Requests that arrive in
+// one write are read through one reader: the loop gives it back only when
+// it has nothing buffered. A peer that hangs up, or an idle timeout that
+// runs out, while the loop waits ends the loop.
+func TestServedIdleWaitSplits(t *testing.T) {
+	const host = "Host: n0\r\n"
+	get := func(target string) string { return "GET " + target + " HTTP/1.1\r\n" + host + "\r\n" }
+	post := func(target, body string) string {
+		return fmt.Sprintf("POST %s HTTP/1.1\r\n%sContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", target, host, len(body), body)
+	}
+	lookup := get("/lookup?url=http%3A%2F%2Flive%2Fdoc%2F1&holder=n1&seq=7")
+	body := `{"doc":{"url":"http://live/doc/1","size":1000,"version":7}}`
+	apply := post("/apply", body)
+	head := len(apply) - len(body)
+	// The corpus: each script with the points its second write begins at
+	// (0: one write).
+	corpus := []struct {
+		name   string
+		script string
+		cuts   []int
+	}{
+		{"first-byte", lookup + get("/healthz"), []int{1, len(lookup), len(lookup) + 1}},
+		{"head", lookup, []int{4, 5, len("GET /lookup?url="), strings.Index(lookup, "\r\n") + 1, len(lookup) - 2, len(lookup) - 1}},
+		{"body", apply, []int{head - 1, head, head + 1, head + len(body)/2, len(apply) - 1}},
+		{"pipelined", lookup + apply + get("/healthz"), []int{0, len(lookup) + head/2}},
+	}
+	for _, tc := range corpus {
+		for _, cut := range tc.cuts {
+			t.Run(fmt.Sprintf("%s/%d", tc.name, cut), func(t *testing.T) {
+				ref := &scriptConn{in: bytes.NewReader([]byte(tc.script))}
+				want := newSplitLoop(t, ref, 0)
+				if want.sc.serve() != nil {
+					t.Fatal("the reference run gave the connection back")
+				}
+
+				client, server := loopbackPair(t)
+				l := newSplitLoop(t, server, 0)
+				done := serveInBackground(l)
+				if _, err := io.WriteString(client, tc.script[:cut]); err != nil {
+					t.Fatal(err)
+				}
+				time.Sleep(10 * time.Millisecond) // the loop parks
+				if _, err := io.WriteString(client, tc.script[cut:]); err != nil {
+					t.Fatal(err)
+				}
+				_ = client.SetReadDeadline(time.Now().Add(5 * time.Second))
+				out := make([]byte, ref.out.Len())
+				if _, err := io.ReadFull(client, out); err != nil {
+					t.Fatalf("reading %d reply bytes: %v", len(out), err)
+				}
+				_ = client.Close()
+				ended(t, done)
+
+				if !bytes.Equal(out, ref.out.Bytes()) {
+					t.Fatalf("replies\n  split %q\n  whole %q", out, ref.out.Bytes())
+				}
+				rd := bufio.NewReader(strings.NewReader(tc.script))
+				for i, d := range l.got {
+					r, err := http.ReadRequest(rd)
+					if err != nil {
+						t.Fatalf("request %d: the loop dispatched %+v, ReadRequest says %v", i, d, err)
+					}
+					if w, err := dispatchedOf(r); err != nil || !reflect.DeepEqual(d, w) {
+						t.Fatalf("request %d:\n  loop        %+v\n  ReadRequest %+v (%v)", i, d, w, err)
+					}
+				}
+				if _, err := http.ReadRequest(rd); err != io.EOF || len(l.got) != len(want.got) {
+					t.Fatalf("%d dispatches of %d requests (then %v)", len(l.got), len(want.got), err)
+				}
+				for i, br := range l.readers {
+					if br == nil || cut == 0 && br != l.readers[0] {
+						t.Fatalf("request %d of one write read through another reader (%p, the first %p)", i, br, l.readers[0])
+					}
+				}
+			})
+		}
+	}
+
+	// One exchange, then nothing: the peer hangs up, or the idle time runs out.
+	idle := func(t *testing.T, idleTimeout time.Duration) (client net.Conn, done <-chan net.Conn) {
+		client, server := loopbackPair(t)
+		l := newSplitLoop(t, server, idleTimeout)
+		done = serveInBackground(l)
+		if _, err := io.WriteString(client, get("/healthz")); err != nil {
+			t.Fatal(err)
+		}
+		_ = client.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if resp, err := http.ReadResponse(bufio.NewReader(client), nil); err != nil || resp.StatusCode != 200 {
+			t.Fatalf("the reply: %v", err)
+		}
+		return client, done
+	}
+	t.Run("hang-up", func(t *testing.T) {
+		client, done := idle(t, 0)
+		time.Sleep(10 * time.Millisecond) // the loop parks
+		_ = client.Close()
+		ended(t, done)
+	})
+	t.Run("idle-timeout", func(t *testing.T) {
+		const idleTimeout = 50 * time.Millisecond
+		start := time.Now()
+		_, done := idle(t, idleTimeout)
+		ended(t, done)
+		if waited := time.Since(start); waited < idleTimeout {
+			t.Fatalf("the loop ended %v after its request, before the idle timeout of %v", waited, idleTimeout)
+		}
+	})
+}
+
 // TestIdleServedConnectionFootprint prices a connection the loop holds
-// between requests, beside one net/http holds: the two 4 KB buffers that
-// came with the hijack, the net/http state they keep reachable and the
-// loop's own — no request or reply buffer, however large the last request
-// was.
+// between requests, beside one net/http holds: the loop's own state and the
+// connection's, and no buffer — no reader, no writer, no header map, no
+// request or reply buffer, however large the last request was. The buffers
+// an exchange takes come from pools, which liveHeap's two collections empty
+// before each reading; the large body stays alive across both readings, so
+// that only the connections differ.
 func TestIdleServedConnectionFootprint(t *testing.T) {
 	const (
-		conns  = 64
-		budget = 17 << 10 // bytes a connection: 13.4 KB now; a pinned request buffer adds the 512 KB the body below grows one to
+		conns  = 256
+		budget = 3 << 10 // bytes a connection, the test's end included: 1.7-2.3 KB now, 17.3 KB while it kept the hijack's reader and writer
 	)
 	big := `{"records":[{"url":"` + strings.Repeat("u", 256<<10) // read whole, then refused: the node keeps none of it
 	cost := func(served bool) int64 {
@@ -976,6 +1161,7 @@ func TestIdleServedConnectionFootprint(t *testing.T) {
 		}
 		per := (liveHeap() - h0) / conns
 		runtime.KeepAlive(peers)
+		runtime.KeepAlive(big)
 		return per
 	}
 	plain, served := cost(false), cost(true)

@@ -118,13 +118,13 @@ func (n *CacheNode) shieldFetch(ctx context.Context, url string, version documen
 // reconcile pass re-attaches it (see resubscribeDegraded).
 func (n *CacheNode) fetchUpstream(ctx context.Context, url string, version document.Version) (FetchResponse, error) {
 	if n.shieldRouter == nil {
-		return originFetchJSON(ctx, n.tp, n.cfg.OriginAddr, url)
+		return originFetchJSON(ctx, n.tp, n.cfg.OriginAddr, url, "")
 	}
 	fr, err := n.shieldFetch(ctx, url, version)
 	if err == nil || errors.Is(err, ErrNotFound) {
 		return fr, err
 	}
-	fr, err = originFetchJSON(ctx, n.tp, n.cfg.OriginAddr, url)
+	fr, err = originFetchJSON(ctx, n.tp, n.cfg.OriginAddr, url, "")
 	if err != nil {
 		return FetchResponse{}, err
 	}
@@ -275,7 +275,7 @@ func (sn *ShieldNode) unlock() {
 func (sn *ShieldNode) refresh(ctx context.Context, url string, e *shieldEntry) (document.Copy, error) {
 	e.fetching++
 	sn.mu.Unlock()
-	fr, err := originFetchJSON(ctx, sn.tp, sn.cfg.OriginAddr, url)
+	fr, err := originFetchJSON(ctx, sn.tp, sn.cfg.OriginAddr, url, sn.name)
 	sn.mu.Lock()
 	e.fetching--
 	if err != nil {

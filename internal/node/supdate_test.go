@@ -231,6 +231,49 @@ func TestOriginSkipsShieldWithoutCopy(t *testing.T) {
 	}
 }
 
+// TestFetchNamesItsShield: a shield's origin fetch says which shield it is,
+// and clears that shield's decline only. Shield B declines the document and
+// shield A then fetches it: the next publish still skips B. A fetch that
+// names no shield, or one the origin does not know (a cloud's degraded
+// direct fetch is the first), may be anyone's and clears every decline.
+func TestFetchNamesItsShield(t *testing.T) {
+	lc, order := shieldCluster(t, ClusterConfig{}, nil)
+	client := &http.Client{Timeout: 5 * time.Second}
+	url := "http://live/doc/44"
+	owner, other := lc.Shields[order[0]], lc.Shields[order[1]]
+	getDoc(t, client, lc.Cfg.Addrs["live-00"], url)
+	if pr := publish(t, client, lc, url); pr.ShieldsNotified != 2 || pr.ShieldsSkipped != 0 {
+		t.Fatalf("first publish: %+v", pr)
+	}
+
+	// The owner fetches the document again: a cloud asks for a version
+	// above the one it holds.
+	var sfr ShieldFetchResponse
+	q := fmt.Sprintf("/sfetch?cloud=%s&v=3&url=%s", liveCloud, queryEscape(url))
+	if err := getJSON(client, lc.Cfg.ShieldAddrs[order[0]]+q, &sfr); err != nil || sfr.Doc.Version != 2 || sfr.ShieldHit {
+		t.Fatalf("the owner's refresh: %+v, %v", sfr, err)
+	}
+	if pr := publish(t, client, lc, url); pr.ShieldsNotified != 1 || pr.ShieldsSkipped != 1 {
+		t.Fatalf("the publish after the owner's fetch: %+v, want %s skipped", pr, order[1])
+	}
+	if owner.UpdatesIn() != 2 || other.UpdatesIn() != 1 {
+		t.Fatalf("updates in: owner %d, other %d; want 2 and 1", owner.UpdatesIn(), other.UpdatesIn())
+	}
+
+	for _, fetch := range []string{"", "&shield=nobody"} {
+		var fr FetchResponse
+		if err := getJSON(client, lc.Cfg.OriginAddr+"/fetch?url="+queryEscape(url)+fetch, &fr); err != nil {
+			t.Fatal(err)
+		}
+		if pr := publish(t, client, lc, url); pr.ShieldsNotified != 2 || pr.ShieldsSkipped != 0 {
+			t.Fatalf("the publish after a fetch %q: %+v, want no shield skipped", fetch, pr)
+		}
+		if pr := publish(t, client, lc, url); pr.ShieldsNotified != 1 || pr.ShieldsSkipped != 1 {
+			t.Fatalf("the publish after that: %+v, want %s skipped again", pr, order[1])
+		}
+	}
+}
+
 // TestBeaconAnswersWithItsCopy has a node miss on a document its beacon
 // holds: the registering lookup's answer carries the beacon's copy and the
 // miss is served as a peer hit with no /fetch at any node. A plain lookup,

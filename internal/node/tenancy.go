@@ -131,10 +131,16 @@ func foldTenantParam(r *http.Request, url string) (string, error) {
 // plain URLs, so the key is unscoped on the wire and the returned
 // document is re-keyed to the scoped key — the caller stores it inside
 // the tenant's key space without the origin ever learning about tenants.
-func originFetchJSON(ctx context.Context, tp Transport, originAddr, key string) (FetchResponse, error) {
+// A shield names itself (shield), so that the origin clears only its own
+// declined updates (originDoc.declined); a cache node names no shield.
+func originFetchJSON(ctx context.Context, tp Transport, originAddr, key, shield string) (FetchResponse, error) {
 	_, plain := document.SplitTenantKey(key)
+	target := originAddr + "/fetch?url=" + queryEscape(plain)
+	if shield != "" {
+		target += "&shield=" + queryEscape(shield)
+	}
 	var fr FetchResponse
-	if err := tp.GetJSON(ctx, originAddr+"/fetch?url="+queryEscape(plain), &fr); err != nil {
+	if err := tp.GetJSON(ctx, target, &fr); err != nil {
 		return FetchResponse{}, err
 	}
 	fr.Doc.URL = key

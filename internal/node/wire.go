@@ -43,13 +43,57 @@ const (
 var errMalformedReply = errors.New("malformed HTTP reply")
 
 // peerConn is one persistent connection to one peer, used by one call at a
-// time.
+// time. Its reader and writer are the pools', taken for one attempt: a
+// connection in connPool holds neither.
 type peerConn struct {
 	c      net.Conn
 	br     *bufio.Reader
 	bw     *bufio.Writer
 	lim    io.LimitedReader // the body of a reply with a Content-Length
 	idleAt time.Time        // when it went back to the pool
+}
+
+// connBufSize is the size of a connection's reader and of its writer, on
+// either side of an exchange.
+const connBufSize = 4 << 10
+
+// The readers and writers of the exchanges under way, both sides': a
+// connection between exchanges, pooled or served, holds neither.
+var (
+	readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, connBufSize) }}
+	writerPool = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, connBufSize) }}
+)
+
+func getReader(c net.Conn) *bufio.Reader {
+	br := readerPool.Get().(*bufio.Reader)
+	br.Reset(c)
+	return br
+}
+
+// putReader gives a reader back, whatever it has buffered discarded.
+func putReader(br *bufio.Reader) {
+	br.Reset(nil)
+	readerPool.Put(br)
+}
+
+func getWriter(c net.Conn) *bufio.Writer {
+	bw := writerPool.Get().(*bufio.Writer)
+	bw.Reset(c)
+	return bw
+}
+
+// putWriter gives a writer back, whatever it has not flushed discarded.
+func putWriter(bw *bufio.Writer) {
+	bw.Reset(nil)
+	writerPool.Put(bw)
+}
+
+// release gives the attempt's reader and writer back; nothing of theirs
+// stays reachable from the connection.
+func (pc *peerConn) release() {
+	putReader(pc.br)
+	putWriter(pc.bw)
+	pc.br, pc.bw, pc.lim = nil, nil, io.LimitedReader{}
 }
 
 // connPool holds the idle peer connections of the whole process, as
@@ -261,7 +305,9 @@ func (t *HTTPTransport) exchange(ctx context.Context, c peerCall, body []byte, o
 			}
 		}
 		buf.Reset()
+		pc.br, pc.bw = getReader(pc.c), getWriter(pc.c)
 		rep, started, err := pc.roundTrip(ctx, deadline, c, tenant, body, buf, out != nil)
+		pc.release()
 		if err == nil {
 			if rep.reusable {
 				peerConns.put(addr, pc)
@@ -285,7 +331,7 @@ func dialPeer(ctx context.Context, addr string, deadline time.Time) (*peerConn, 
 	if err != nil {
 		return nil, err
 	}
-	return &peerConn{c: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}, nil
+	return &peerConn{c: conn}, nil
 }
 
 func isTimeout(err error) bool {

@@ -457,6 +457,94 @@ func TestPoolKeepsFourPerHostAndDropsTheOld(t *testing.T) {
 	}
 }
 
+// TestIdlePeerConnectionFootprint prices a connection in the peer pool after
+// an exchange: the peerConn, its socket and the test's end of it, and no
+// buffer — the reader and writer each attempt takes go back to their pools,
+// which liveHeap's two collections empty before each reading.
+func TestIdlePeerConnectionFootprint(t *testing.T) {
+	const (
+		hosts  = 16
+		conns  = hosts * maxIdlePerHost
+		budget = 2 << 10 // bytes a connection, the test's end included: 1.1 KB now, 9.5 KB while each kept a 4 KB reader and writer
+	)
+	var open atomic.Int64 // the peers' ends
+	addrs, urls := make([]string, hosts), make([]string, hosts)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = ln.Close() })
+		addrs[i], urls[i] = ln.Addr().String(), "http://"+ln.Addr().String()+"/healthz"
+		go func() {
+			for {
+				c, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				open.Add(1)
+				go answerEmpty(c, &open)
+			}
+		}()
+	}
+	t.Cleanup(func() { peerConns.closeIdle(addrs) })
+	tp := fastTransport(TransportOptions{MaxRetries: -1, BreakerThreshold: -1})
+	// fill leaves maxIdlePerHost connections to every host in the pool, each
+	// after an exchange: the one a call put back is taken out, so the next
+	// call dials.
+	fill := func() {
+		for i, addr := range addrs {
+			held := make([]*peerConn, 0, maxIdlePerHost)
+			for range maxIdlePerHost {
+				if err := tp.GetJSON(context.Background(), urls[i], nil); err != nil {
+					t.Fatal(err)
+				}
+				pc := peerConns.get(addr)
+				if pc == nil {
+					t.Fatal("the exchange left no connection in the pool")
+				}
+				held = append(held, pc)
+			}
+			for _, pc := range held {
+				peerConns.put(addr, pc)
+			}
+		}
+	}
+	fill() // the transport's and the pool's state for each host, built once
+	peerConns.closeIdle(addrs)
+	for deadline := time.Now().Add(5 * time.Second); open.Load() > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d peer ends still open", open.Load())
+		}
+	}
+	h0 := liveHeap()
+	fill()
+	per := (liveHeap() - h0) / conns
+	if n := peerConns.idleCount(addrs[0]); n != maxIdlePerHost {
+		t.Fatalf("%d idle connections to a host, want %d", n, maxIdlePerHost)
+	}
+	t.Logf("a pooled peer connection, the test's end of it included: %d B of heap", per)
+	if per > budget {
+		t.Errorf("a pooled peer connection costs %d B, budget %d", per, budget)
+	}
+}
+
+// answerEmpty answers every request on c with an empty JSON object, through
+// the smallest reader there is.
+func answerEmpty(c net.Conn, open *atomic.Int64) {
+	defer open.Add(-1)
+	defer c.Close()
+	br := bufio.NewReaderSize(c, 16)
+	for {
+		if _, err := http.ReadRequest(br); err != nil {
+			return
+		}
+		if _, err := io.WriteString(c, "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 2\r\n\r\n{}"); err != nil {
+			return
+		}
+	}
+}
+
 // idleCount reports the idle connections held to addr.
 func (p *connPool) idleCount(addr string) int {
 	p.mu.Lock()
