@@ -83,11 +83,13 @@ figures:
 figures-fast:
 	$(GO) run ./cmd/cloudsim -all -scale 0.2
 
-# Regenerate the byte-identical determinism golden for the figure suite
-# (TestGoldenAllJSON). Run after an intentional result change and commit
-# the new file.
+# Regenerate the byte-identical determinism goldens: the figure suite's
+# report (TestGoldenAllJSON) and the deterministic simulator's event logs
+# for five fixed configurations (TestLogGolden). Run after an intentional
+# result change and commit the new files.
 golden:
 	$(GO) run ./cmd/cloudsim -all -json -scale 0.02 -seed 1 > cmd/cloudsim/testdata/golden_all.json
+	$(GO) test ./internal/simnet -run TestLogGolden -count=1 -update
 
 # Short randomized fuzzing of the trace parser, the node wire protocol, the
 # handlers' query reader (against url.ParseQuery), the /doc reply writer

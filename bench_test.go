@@ -190,12 +190,12 @@ func BenchmarkAblationCycleLength(b *testing.B) {
 }
 
 // BenchmarkAblationConsistentHashing measures the baseline the paper
-// critiques: consistent hashing's beacon-discovery cost (up to O(log N)
-// probes) versus the O(1) static and two-step dynamic resolutions.
+// critiques: consistent hashing's beacon-discovery cost, up to O(log N)
+// probes, where the dynamic scheme resolves in two steps
+// (BenchmarkCloudLookup).
 func BenchmarkAblationConsistentHashing(b *testing.B) {
 	nodes := trace.CacheNames(50)
 	ch := hashing.NewConsistent(nodes, 100)
-	st := hashing.NewStatic(nodes)
 	urls := make([]string, 4096)
 	for i := range urls {
 		urls[i] = fmt.Sprintf("http://site/doc/%d", i)
@@ -210,23 +210,6 @@ func BenchmarkAblationConsistentHashing(b *testing.B) {
 			steps += ch.DiscoverySteps(u)
 		}
 		b.ReportMetric(float64(steps)/float64(b.N), "discovery-steps")
-	})
-	b.Run("static", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := st.BeaconFor(urls[i%len(urls)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(1, "discovery-steps")
-	})
-	rz := hashing.NewRendezvous(nodes)
-	b.Run("rendezvous", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := rz.BeaconFor(urls[i%len(urls)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(nodes)), "score-evals")
 	})
 }
 

@@ -77,16 +77,19 @@ func (p FsyncPolicy) String() string {
 	}
 }
 
-// ParseFsync maps a flag/config string to a policy; unknown strings (and
-// "") select the default FsyncOnRotate.
-func ParseFsync(s string) FsyncPolicy {
+// ParseFsync maps a flag/config string to a policy; "" selects the
+// default FsyncOnRotate, and any string but "rotate", "always" and "never"
+// is an error.
+func ParseFsync(s string) (FsyncPolicy, error) {
 	switch s {
+	case "", "rotate":
+		return FsyncOnRotate, nil
 	case "always":
-		return FsyncAlways
+		return FsyncAlways, nil
 	case "never":
-		return FsyncNever
+		return FsyncNever, nil
 	default:
-		return FsyncOnRotate
+		return FsyncOnRotate, fmt.Errorf("durable: unknown fsync policy %q (want rotate, always or never)", s)
 	}
 }
 

@@ -724,14 +724,19 @@ func TestCorruptManifest(t *testing.T) {
 
 func TestParseFsync(t *testing.T) {
 	cases := map[string]FsyncPolicy{
-		"always": FsyncAlways, "never": FsyncNever, "rotate": FsyncOnRotate, "": FsyncOnRotate, "bogus": FsyncOnRotate,
+		"always": FsyncAlways, "never": FsyncNever, "rotate": FsyncOnRotate, "": FsyncOnRotate,
 	}
 	for in, want := range cases {
-		if got := ParseFsync(in); got != want {
-			t.Fatalf("ParseFsync(%q) = %v, want %v", in, got, want)
+		if got, err := ParseFsync(in); err != nil || got != want {
+			t.Fatalf("ParseFsync(%q) = %v, %v, want %v", in, got, err, want)
 		}
-		if ParseFsync(want.String()) != want {
+		if got, err := ParseFsync(want.String()); err != nil || got != want {
 			t.Fatalf("round trip failed for %v", want)
+		}
+	}
+	for _, in := range []string{"bogus", "alwyas", "Always", " never"} {
+		if _, err := ParseFsync(in); err == nil {
+			t.Fatalf("ParseFsync(%q) accepted an unknown policy", in)
 		}
 	}
 }

@@ -1,9 +1,9 @@
-// Package hashing provides the beacon-point assignment baselines the paper
-// compares against: the static random hashing scheme and Karger-style
-// consistent hashing. The paper's own dynamic hashing scheme lives in
-// internal/ring (intra-ring hash) and internal/core (two-step resolution);
-// the baselines here share the Assigner interface so the simulator can swap
-// architectures freely.
+// Package hashing provides the consistent-hashing baseline the paper
+// compares dynamic hashing against: Karger-style consistent hashing on a
+// unit circle (the paper's reference [5]), with the beacon-discovery cost
+// the paper attributes to it. The paper's own dynamic hashing scheme lives
+// in internal/ring (intra-ring hash) and internal/core (two-step
+// resolution); its other baseline, static hashing, is sim.StaticHashing.
 package hashing
 
 import (
@@ -12,65 +12,16 @@ import (
 	"errors"
 	"sort"
 	"strconv"
-
-	"cachecloud/internal/document"
 )
 
-// ErrNoNodes is returned when an assigner holds no nodes.
+// ErrNoNodes is returned when the circle holds no nodes.
 var ErrNoNodes = errors.New("hashing: no nodes registered")
 
-// Assigner maps a document URL to the identifier of the cache acting as its
-// beacon point.
-type Assigner interface {
-	// BeaconFor returns the node responsible for the document, or
-	// ErrNoNodes when the assigner is empty.
-	BeaconFor(url string) (string, error)
-	// Nodes returns the registered node identifiers in a stable order.
-	Nodes() []string
-}
-
-// Static implements the paper's static hashing scheme: a random hash
-// function maps the document URL uniquely onto one of the nodes. It cannot
-// adapt to skewed or shifting load, which is exactly the weakness the
-// dynamic scheme addresses.
-type Static struct {
-	nodes []string // sorted for stable assignment
-}
-
-var _ Assigner = (*Static)(nil)
-
-// NewStatic builds a static assigner over the given node identifiers.
-func NewStatic(nodes []string) *Static {
-	s := &Static{nodes: make([]string, len(nodes))}
-	copy(s.nodes, nodes)
-	sort.Strings(s.nodes)
-	return s
-}
-
-// BeaconFor implements Assigner.
-func (s *Static) BeaconFor(url string) (string, error) {
-	if len(s.nodes) == 0 {
-		return "", ErrNoNodes
-	}
-	h := document.HashURL(url)
-	return s.nodes[int(h%document.Hash(len(s.nodes)))], nil
-}
-
-// Nodes implements Assigner.
-func (s *Static) Nodes() []string {
-	out := make([]string, len(s.nodes))
-	copy(out, s.nodes)
-	return out
-}
-
 // Consistent implements consistent hashing on a unit circle with virtual
-// nodes (Karger et al., the paper's reference [5]). Documents and node
-// replicas are mapped to points on the circle; a document is assigned to the
-// first node clockwise from its point.
+// nodes. Documents and node replicas are mapped to points on the circle; a
+// document is assigned to the first node clockwise from its point.
 type Consistent struct {
-	replicas int
-	ring     []circlePoint // sorted by position
-	nodes    map[string]struct{}
+	ring []circlePoint // sorted by position
 }
 
 type circlePoint struct {
@@ -78,58 +29,30 @@ type circlePoint struct {
 	node string
 }
 
-var _ Assigner = (*Consistent)(nil)
-
-// NewConsistent builds a consistent-hash assigner with the given number of
+// NewConsistent builds a consistent-hash circle with the given number of
 // virtual replicas per node (>=1; values around 50-200 give good spread).
+// A node named twice is placed once.
 func NewConsistent(nodes []string, replicas int) *Consistent {
 	if replicas < 1 {
 		replicas = 1
 	}
-	c := &Consistent{replicas: replicas, nodes: make(map[string]struct{}, len(nodes))}
+	c := &Consistent{}
+	seen := make(map[string]bool, len(nodes))
 	for _, n := range nodes {
-		c.add(n)
+		if seen[n] {
+			continue
+		}
+		seen[n] = true
+		for r := 0; r < replicas; r++ {
+			c.ring = append(c.ring, circlePoint{pos: circleHash(n + "#" + strconv.Itoa(r)), node: n})
+		}
 	}
 	sort.Slice(c.ring, func(i, j int) bool { return c.ring[i].pos < c.ring[j].pos })
 	return c
 }
 
-func (c *Consistent) add(node string) {
-	if _, ok := c.nodes[node]; ok {
-		return
-	}
-	c.nodes[node] = struct{}{}
-	for r := 0; r < c.replicas; r++ {
-		c.ring = append(c.ring, circlePoint{pos: circleHash(node + "#" + strconv.Itoa(r)), node: node})
-	}
-}
-
-// Add inserts a node (with all its virtual replicas) into the circle.
-func (c *Consistent) Add(node string) {
-	if _, ok := c.nodes[node]; ok {
-		return
-	}
-	c.add(node)
-	sort.Slice(c.ring, func(i, j int) bool { return c.ring[i].pos < c.ring[j].pos })
-}
-
-// Remove deletes a node and its replicas; documents previously owned by it
-// fall to their clockwise successors.
-func (c *Consistent) Remove(node string) {
-	if _, ok := c.nodes[node]; !ok {
-		return
-	}
-	delete(c.nodes, node)
-	kept := c.ring[:0]
-	for _, p := range c.ring {
-		if p.node != node {
-			kept = append(kept, p)
-		}
-	}
-	c.ring = kept
-}
-
-// BeaconFor implements Assigner.
+// BeaconFor returns the node responsible for the document, or ErrNoNodes
+// when the circle is empty.
 func (c *Consistent) BeaconFor(url string) (string, error) {
 	if len(c.ring) == 0 {
 		return "", ErrNoNodes
@@ -167,16 +90,6 @@ func (c *Consistent) DiscoverySteps(url string) int {
 		steps = 1
 	}
 	return steps
-}
-
-// Nodes implements Assigner.
-func (c *Consistent) Nodes() []string {
-	out := make([]string, 0, len(c.nodes))
-	for n := range c.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // circleHash maps a key onto the unit circle represented as uint64 space.

@@ -2,7 +2,6 @@ package hashing
 
 import (
 	"fmt"
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -13,67 +12,6 @@ func nodeNames(n int) []string {
 		out[i] = fmt.Sprintf("cache-%02d", i)
 	}
 	return out
-}
-
-func TestStaticEmpty(t *testing.T) {
-	s := NewStatic(nil)
-	if _, err := s.BeaconFor("u"); err != ErrNoNodes {
-		t.Fatalf("err = %v, want ErrNoNodes", err)
-	}
-}
-
-func TestStaticDeterministicAndOrderIndependent(t *testing.T) {
-	a := NewStatic([]string{"b", "a", "c"})
-	b := NewStatic([]string{"c", "b", "a"})
-	for i := 0; i < 100; i++ {
-		url := fmt.Sprintf("http://x/%d", i)
-		ga, err := a.BeaconFor(url)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gb, err := b.BeaconFor(url)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ga != gb {
-			t.Fatalf("assignment depends on input order: %q vs %q", ga, gb)
-		}
-	}
-}
-
-func TestStaticSpread(t *testing.T) {
-	s := NewStatic(nodeNames(10))
-	counts := map[string]int{}
-	const docs = 50000
-	for i := 0; i < docs; i++ {
-		n, err := s.BeaconFor(fmt.Sprintf("http://x/%d", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[n]++
-	}
-	if len(counts) != 10 {
-		t.Fatalf("only %d nodes received documents", len(counts))
-	}
-	for n, c := range counts {
-		if math.Abs(float64(c)-docs/10) > docs/10*0.15 {
-			t.Fatalf("node %s has %d docs, expected ~%d", n, c, docs/10)
-		}
-	}
-}
-
-func TestStaticNodesCopied(t *testing.T) {
-	in := []string{"a", "b"}
-	s := NewStatic(in)
-	in[0] = "zz"
-	got := s.Nodes()
-	if got[0] != "a" {
-		t.Fatal("NewStatic did not copy input slice")
-	}
-	got[1] = "yy"
-	if s.Nodes()[1] != "b" {
-		t.Fatal("Nodes() exposes internal slice")
-	}
 }
 
 func TestConsistentEmpty(t *testing.T) {
@@ -128,7 +66,7 @@ func TestConsistentMinimalDisruption(t *testing.T) {
 		n, _ := c.BeaconFor(u)
 		before[u] = n
 	}
-	c.Remove("cache-03")
+	c = NewConsistent(append(nodes[:3:3], nodes[4:]...), 64) // without cache-03
 	for u, prev := range before {
 		now, err := c.BeaconFor(u)
 		if err != nil {
@@ -143,24 +81,11 @@ func TestConsistentMinimalDisruption(t *testing.T) {
 	}
 }
 
+// A node named twice is placed on the circle once.
 func TestConsistentAddIsIdempotent(t *testing.T) {
-	c := NewConsistent([]string{"a"}, 16)
-	c.Add("a")
-	c.Add("b")
-	c.Add("b")
-	if got := len(c.Nodes()); got != 2 {
-		t.Fatalf("Nodes() has %d entries, want 2", got)
-	}
+	c := NewConsistent([]string{"a", "a", "b", "b"}, 16)
 	if got := len(c.ring); got != 32 {
 		t.Fatalf("ring has %d points, want 32", got)
-	}
-}
-
-func TestConsistentRemoveUnknown(t *testing.T) {
-	c := NewConsistent([]string{"a"}, 4)
-	c.Remove("nope")
-	if got, _ := c.BeaconFor("x"); got != "a" {
-		t.Fatalf("BeaconFor = %q, want a", got)
 	}
 }
 
@@ -199,13 +124,8 @@ func TestAssignersAlwaysReturnMember(t *testing.T) {
 	for _, n := range nodes {
 		member[n] = true
 	}
-	s := NewStatic(nodes)
 	c := NewConsistent(nodes, 32)
 	f := func(url string) bool {
-		a, err := s.BeaconFor(url)
-		if err != nil || !member[a] {
-			return false
-		}
 		b, err := c.BeaconFor(url)
 		return err == nil && member[b]
 	}

@@ -198,3 +198,26 @@ func copyFiles(t *testing.T, src, dst string) {
 		}
 	}
 }
+
+// TestUnknownFsyncIsRefused: a misspelt flush policy must not open a store
+// with a weaker one than was asked for; both tiers refuse to start.
+func TestUnknownFsyncIsRefused(t *testing.T) {
+	cfg := ClusterConfig{
+		StoreDir:    t.TempDir(),
+		Fsync:       "alwyas",
+		IntraGen:    16,
+		Rings:       [][]string{{"a", "b"}},
+		Addrs:       map[string]string{"a": "http://a", "b": "http://b"},
+		OriginAddr:  "http://origin",
+		Shields:     []string{"s0"},
+		ShieldAddrs: map[string]string{"s0": "http://s0"},
+	}
+	if n, err := NewCacheNode("a", cfg); err == nil {
+		_ = n.Close()
+		t.Fatal("a cache node opened a store with fsync \"alwyas\"")
+	}
+	if sn, err := NewShieldNode("s0", cfg); err == nil {
+		_ = sn.Close()
+		t.Fatal("a shield node opened a store with fsync \"alwyas\"")
+	}
+}

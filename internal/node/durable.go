@@ -23,8 +23,12 @@ func (d *disk) open(cfg ClusterConfig, name string, reg *obs.Registry) error {
 	if cfg.StoreDir == "" {
 		return nil
 	}
+	fsync, err := durable.ParseFsync(cfg.Fsync)
+	if err != nil {
+		return err
+	}
 	st, err := durable.Open(filepath.Join(cfg.StoreDir, name), durable.Options{
-		Fsync:  durable.ParseFsync(cfg.Fsync),
+		Fsync:  fsync,
 		Tracer: cfg.Tracer,
 	})
 	if err != nil {

@@ -127,7 +127,8 @@ type ClusterConfig struct {
 	// keeps nodes memory-only.
 	StoreDir string `json:"storeDir,omitempty"`
 	// Fsync selects the durable tier's flush policy: "rotate" (default),
-	// "always", or "never". Ignored when StoreDir is empty.
+	// "always", or "never"; a node refuses any other value. Ignored when
+	// StoreDir is empty.
 	Fsync string `json:"fsync,omitempty"`
 	// Shields lists the shield-tier cache names, in no particular order
 	// (routing sorts them). Empty runs the classic single-tier layout:

@@ -90,20 +90,6 @@ func TestCooperationReducesLatency(t *testing.T) {
 	}
 }
 
-func TestCustomLatencyModel(t *testing.T) {
-	tr := smallZipfTrace(10)
-	res, err := Run(Config{
-		Arch:    NoCooperation,
-		Latency: LatencyModel{LocalMs: 1, OriginFetchMs: 1000, LookupMs: 1, PeerFetchMs: 1, RevalidateMs: 1},
-	}, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Latency.Quantile(0.99) < 500 {
-		t.Fatalf("custom origin cost not reflected: p99 = %v", res.Latency.Quantile(0.99))
-	}
-}
-
 // Failure injection: crashing a cache mid-run loses its lookup records
 // without replication and recovers them with the lazy replication
 // extension — and the run completes either way.

@@ -69,22 +69,20 @@ var ErrBadConfig = errors.New("sim: invalid configuration")
 // request/reply, fetch request, update notification header).
 const msgOverhead = 512
 
-// LatencyModel assigns a client-perceived cost in milliseconds to each
-// step of a request. The defaults approximate an edge deployment: serving
-// from local memory/disk is fast, a nearby cache adds an intra-PoP round
-// trip, and the origin sits across the WAN.
-type LatencyModel struct {
-	LocalMs       float64 // serve from the local cache
-	LookupMs      float64 // beacon lookup round trip
-	PeerFetchMs   float64 // transfer from a nearby cache
-	OriginFetchMs float64 // transfer from the origin server
-	RevalidateMs  float64 // conditional check against the origin
-}
+// intraGen is the intra-ring hash generator (the paper's 1000).
+const intraGen = 1000
 
-// DefaultLatencyModel returns the standard cost assignment.
-func DefaultLatencyModel() LatencyModel {
-	return LatencyModel{LocalMs: 5, LookupMs: 10, PeerFetchMs: 30, OriginFetchMs: 150, RevalidateMs: 140}
-}
+// The latency model: a client-perceived cost in milliseconds for each step
+// of a request. The costs approximate an edge deployment: serving from
+// local memory/disk is fast, a nearby cache adds an intra-PoP round trip,
+// and the origin sits across the WAN.
+const (
+	localMs       float64 = 5   // serve from the local cache
+	lookupMs      float64 = 10  // beacon lookup round trip
+	peerFetchMs   float64 = 30  // transfer from a nearby cache
+	originFetchMs float64 = 150 // transfer from the origin server
+	revalidateMs  float64 = 140 // conditional check against the origin
+)
 
 // latencyBounds are Result.Latency's bucket bounds: 1 ms .. 2 s in roughly
 // geometric steps, the span of the latency model's costs.
@@ -108,8 +106,6 @@ type Config struct {
 	// NumRings is the beacon ring count for DynamicHashing (default:
 	// half the cache count, giving the paper's rings of 2).
 	NumRings int
-	// IntraGen is the intra-ring hash generator (default 1000).
-	IntraGen int
 	// FineGrained selects per-IrH-value load information for sub-range
 	// determination (default true; set CoarseLoadInfo to disable).
 	CoarseLoadInfo bool
@@ -118,11 +114,10 @@ type Config struct {
 	CycleLength int64
 	// Policy is the document placement scheme (default ad hoc).
 	Policy placement.Policy
-	// CacheCapacity is the per-cache byte budget; 0 means unlimited.
-	CacheCapacity int64
-	// CapacityFraction, when > 0, overrides CacheCapacity with
+	// CapacityFraction, when > 0, gives each cache a byte budget of
 	// fraction × (total corpus bytes) — the paper's limited-disk setup
-	// gives each cache 30% of the sum of all document sizes.
+	// gives each cache 30% of the sum of all document sizes. 0 means
+	// unlimited.
 	CapacityFraction float64
 	// ReplicateRecords enables lazy lookup-record replication.
 	ReplicateRecords bool
@@ -152,18 +147,12 @@ type Config struct {
 	// CollectSeries enables per-time-unit series collection
 	// (Result.Series); off by default to keep long runs lean.
 	CollectSeries bool
-	// Latency overrides the latency model (zero value = defaults).
-	Latency LatencyModel
 	// FailAt injects cache crashes: at each time unit in the map, the
 	// named caches fail (non-gracefully). Requires a cooperative
 	// architecture; combine with ReplicateRecords to exercise the paper's
 	// failure-resilience extension. Requests addressed to failed caches
 	// are dropped from the trace accounting.
 	FailAt map[int64][]string
-	// AdaptPeriod is the feedback period (in units) for an
-	// *placement.AdaptiveUtility policy; 0 defaults to CycleLength.
-	// Ignored for non-adaptive policies.
-	AdaptPeriod int64
 	// Seed drives holder selection.
 	Seed int64
 	// Tracer, when non-nil, receives the run's protocol events
@@ -336,17 +325,11 @@ func Run(cfg Config, tr *trace.Trace) (*Result, error) {
 	if cfg.Policy == nil {
 		cfg.Policy = placement.AdHoc{}
 	}
-	if cfg.IntraGen == 0 {
-		cfg.IntraGen = 1000
-	}
 	if cfg.CycleLength == 0 {
 		cfg.CycleLength = 60
 	}
 	if cfg.TTL > 0 && cfg.LeaseDuration > 0 {
 		return nil, fmt.Errorf("%w: TTL and LeaseDuration are mutually exclusive", ErrBadConfig)
-	}
-	if cfg.Latency == (LatencyModel{}) {
-		cfg.Latency = DefaultLatencyModel()
 	}
 	if len(cfg.FailAt) > 0 {
 		// Copy: injection consumes entries and must not mutate the
@@ -369,7 +352,7 @@ func Run(cfg Config, tr *trace.Trace) (*Result, error) {
 		return nil, fmt.Errorf("%w: trace has no request events", ErrBadConfig)
 	}
 
-	capacity := cfg.CacheCapacity
+	var capacity int64
 	if cfg.CapacityFraction > 0 {
 		var corpus int64
 		for _, d := range tr.Docs {
@@ -412,7 +395,7 @@ func Run(cfg Config, tr *trace.Trace) (*Result, error) {
 		}
 		cloud, err := core.New(core.Config{
 			NumRings:         numRings,
-			IntraGen:         cfg.IntraGen,
+			IntraGen:         intraGen,
 			FineGrained:      !cfg.CoarseLoadInfo,
 			ReplicateRecords: cfg.ReplicateRecords,
 			DefaultCapacity:  capacity,
@@ -480,11 +463,7 @@ func (s *state) cacheByID(id string) *cache.Cache {
 func (s *state) run(tr *trace.Trace) error {
 	nextCycle := s.cfg.CycleLength
 	s.adaptive, _ = s.cfg.Policy.(*placement.AdaptiveUtility)
-	adaptPeriod := s.cfg.AdaptPeriod
-	if adaptPeriod <= 0 {
-		adaptPeriod = s.cfg.CycleLength
-	}
-	nextAdapt := adaptPeriod
+	nextAdapt := s.cfg.CycleLength
 	if s.cfg.CollectSeries {
 		s.res.Series = &Series{}
 	}
@@ -500,8 +479,8 @@ func (s *state) run(tr *trace.Trace) error {
 			}
 		}
 		for s.adaptive != nil && ev.Time >= nextAdapt {
-			s.feedAdaptive(nextAdapt, adaptPeriod)
-			nextAdapt += adaptPeriod
+			s.feedAdaptive(nextAdapt)
+			nextAdapt += s.cfg.CycleLength
 		}
 		if s.cloud != nil && !s.warmupDone && s.cfg.WarmupUnits > 0 && ev.Time >= s.cfg.WarmupUnits {
 			s.baselineLoads = s.cloud.BeaconLoads()
@@ -577,7 +556,6 @@ func (s *state) handleRequest(ev trace.Event) error {
 // within-TTL copy may serve stale; under leases an expired lease forces a
 // revalidation that also renews the lease, so no stale copy is served.
 func (s *state) serveHit(ev trace.Event, ch *cache.Cache, cp document.Copy) error {
-	lat := s.cfg.Latency
 	switch {
 	case s.cfg.TTL > 0:
 		current, err := s.srv.Document(ev.URL)
@@ -589,9 +567,9 @@ func (s *state) serveHit(ev trace.Event, ch *cache.Cache, cp document.Copy) erro
 			if err != nil {
 				return err
 			}
-			ms := lat.LocalMs + lat.RevalidateMs
+			ms := localMs + revalidateMs
 			if refetched {
-				ms += lat.OriginFetchMs
+				ms += originFetchMs
 			}
 			s.res.Latency.Observe(ms)
 			return nil
@@ -599,12 +577,12 @@ func (s *state) serveHit(ev trace.Event, ch *cache.Cache, cp document.Copy) erro
 		if cp.Doc.Version < current.Version {
 			s.res.StaleServes++
 		}
-		s.res.Latency.Observe(lat.LocalMs)
+		s.res.Latency.Observe(localMs)
 		return nil
 	case s.cfg.LeaseDuration > 0:
 		if s.leases[ev.URL] > ev.Time {
 			// Active lease: pushes keep the copy fresh.
-			s.res.Latency.Observe(lat.LocalMs)
+			s.res.Latency.Observe(localMs)
 			return nil
 		}
 		current, err := s.srv.Document(ev.URL)
@@ -617,14 +595,14 @@ func (s *state) serveHit(ev trace.Event, ch *cache.Cache, cp document.Copy) erro
 		}
 		s.leases[ev.URL] = ev.Time + s.cfg.LeaseDuration
 		s.res.LeaseRenewals++
-		ms := lat.LocalMs + lat.RevalidateMs
+		ms := localMs + revalidateMs
 		if refetched {
-			ms += lat.OriginFetchMs
+			ms += originFetchMs
 		}
 		s.res.Latency.Observe(ms)
 		return nil
 	default:
-		s.res.Latency.Observe(lat.LocalMs)
+		s.res.Latency.Observe(localMs)
 		return nil
 	}
 }
@@ -658,7 +636,7 @@ func (s *state) handleMissNoCoop(ev trace.Event, ch *cache.Cache) error {
 	s.res.GroupMisses++
 	s.res.ServerBytes += doc.Size
 	s.res.ControlBytes += msgOverhead
-	s.res.Latency.Observe(s.cfg.Latency.LocalMs + s.cfg.Latency.OriginFetchMs)
+	s.res.Latency.Observe(localMs + originFetchMs)
 	ctx := placement.Context{
 		Now: ev.Time, CacheID: ev.Cache, DocURL: ev.URL, DocSize: doc.Size,
 		LocalAccessRate: ch.AccessRate(ev.URL, ev.Time),
@@ -730,7 +708,7 @@ func (s *state) handleMissCloud(ev trace.Event, h document.Hash, ch *cache.Cache
 			s.res.CloudHits++
 			s.res.IntraCloudBytes += doc.Size
 			s.res.ControlBytes += msgOverhead // fetch request
-			s.res.Latency.Observe(s.cfg.Latency.LocalMs + s.cfg.Latency.LookupMs + s.cfg.Latency.PeerFetchMs)
+			s.res.Latency.Observe(localMs + lookupMs + peerFetchMs)
 			if s.cfg.Tracer != nil {
 				s.cfg.Tracer.Emit(obs.Event{Time: ev.Time, Kind: obs.EvPeerHit, Node: src, URL: ev.URL})
 			}
@@ -750,7 +728,7 @@ func (s *state) handleMissCloud(ev trace.Event, h document.Hash, ch *cache.Cache
 		s.res.GroupMisses++
 		s.res.ServerBytes += doc.Size
 		s.res.ControlBytes += msgOverhead
-		s.res.Latency.Observe(s.cfg.Latency.LocalMs + s.cfg.Latency.LookupMs + s.cfg.Latency.OriginFetchMs)
+		s.res.Latency.Observe(localMs + lookupMs + originFetchMs)
 		if s.leases != nil {
 			// An origin fetch grants the cloud a lease on the document.
 			s.leases[ev.URL] = ev.Time + s.cfg.LeaseDuration
@@ -967,14 +945,14 @@ func (s *state) flushSeriesUnit() {
 }
 
 // feedAdaptive sends one period's observation to the adaptive policy.
-func (s *state) feedAdaptive(now, period int64) {
+func (s *state) feedAdaptive(now int64) {
 	cur := *s.res
 	bytesDelta := (cur.IntraCloudBytes + cur.ServerBytes + cur.ControlBytes) -
 		(s.adaptPrev.IntraCloudBytes + s.adaptPrev.ServerBytes + s.adaptPrev.ControlBytes)
 	reqDelta := cur.Requests - s.adaptPrev.Requests
 	hitDelta := (cur.LocalHits + cur.CloudHits) - (s.adaptPrev.LocalHits + s.adaptPrev.CloudHits)
 	obs := placement.Observation{
-		NetworkMBPerUnit: float64(bytesDelta) / float64(period) / (1 << 20),
+		NetworkMBPerUnit: float64(bytesDelta) / float64(s.cfg.CycleLength) / (1 << 20),
 	}
 	if reqDelta > 0 {
 		obs.HitRate = float64(hitDelta) / float64(reqDelta)

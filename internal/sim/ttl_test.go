@@ -107,7 +107,7 @@ func TestAdaptiveUtilityFeedbackLoop(t *testing.T) {
 	}
 	start := a.Weights()
 	res, err := Run(Config{
-		Arch: DynamicHashing, Policy: a, CycleLength: 10, AdaptPeriod: 10,
+		Arch: DynamicHashing, Policy: a, CycleLength: 10,
 		CapacityFraction: 0.1,
 	}, smallZipfTrace(200))
 	if err != nil {

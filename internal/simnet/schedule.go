@@ -102,10 +102,8 @@ const (
 
 // GenConfig tunes the schedule generator.
 type GenConfig struct {
-	Nodes     int           // cluster size
-	Rounds    int           // crash/recover rounds
-	Heartbeat time.Duration // node heartbeat interval
-	MissK     int           // missed beats before a node is declared dead
+	Nodes  int // cluster size
+	Rounds int // crash/recover rounds
 	// Warm switches every round's recovery to the warm-restart shape:
 	// heal-warm instead of heal, post-heal load traffic, and a
 	// check-warm of the origin-fetch bound. Warm=false generation is
@@ -131,7 +129,7 @@ type GenConfig struct {
 // the victim's last beat reports its final record count, a replication
 // pass so the sibling replica matches, then the crash, the detection
 // window, the accounting check, the heal, and a reconcile+settle before
-// the full quiescent check. Drop windows are kept shorter than MissK-1
+// the full quiescent check. Drop windows are kept shorter than missK-1
 // heartbeats so degradation alone can never trip the failure detector.
 func Generate(seed int64, cfg GenConfig) []Event {
 	if cfg.Nodes <= 0 {
@@ -140,14 +138,8 @@ func Generate(seed int64, cfg GenConfig) []Event {
 	if cfg.Rounds <= 0 {
 		cfg.Rounds = 3
 	}
-	if cfg.Heartbeat <= 0 {
-		cfg.Heartbeat = 500 * time.Millisecond
-	}
-	if cfg.MissK <= 0 {
-		cfg.MissK = 3
-	}
 	rng := rand.New(rand.NewSource(seed))
-	hb := cfg.Heartbeat
+	const hb = heartbeat
 	var evs []Event
 	t := 50 * time.Millisecond
 	add := func(kind EventKind, nodeName string, n int) {
@@ -164,7 +156,7 @@ func Generate(seed int64, cfg GenConfig) []Event {
 			add(EvDrop, "", 100+rng.Intn(150)) // 10–25% drops
 			t += 20 * time.Millisecond
 			add(EvLoad, "", 10+rng.Intn(15))
-			t += hb // shorter than (MissK-1) heartbeats
+			t += hb // shorter than (missK-1) heartbeats
 			add(EvDrop, "", 0)
 			t += 20 * time.Millisecond
 		}
@@ -202,7 +194,7 @@ func Generate(seed int64, cfg GenConfig) []Event {
 		victim := fmt.Sprintf("n%d", rng.Intn(cfg.Nodes))
 		t += 50 * time.Millisecond
 		add(EvCrash, victim, 0)
-		t += time.Duration(cfg.MissK+2) * hb
+		t += (missK + 2) * hb
 		add(EvCheckAccounting, victim, 0)
 
 		// Recover: heal, let it heartbeat back in, reconcile, settle. In

@@ -20,6 +20,15 @@ import (
 	"cachecloud/internal/tenant"
 )
 
+// The cluster's fixed settings: the intra-ring hash generator, the node
+// heartbeat interval in virtual time, and how many missed beats declare a
+// node dead.
+const (
+	intraGen  = 64
+	heartbeat = 500 * time.Millisecond
+	missK     = 3
+)
+
 // Config parameterises one simulation run. The zero value of every field
 // selects the default noted on it.
 type Config struct {
@@ -33,13 +42,6 @@ type Config struct {
 	RingSize int
 	// Docs is the catalog size (default 40).
 	Docs int
-	// IntraGen is the intra-ring hash generator (default 64).
-	IntraGen int
-	// Heartbeat is the node heartbeat interval in virtual time (default
-	// 500ms).
-	Heartbeat time.Duration
-	// MissK is how many missed beats declare a node dead (default 3).
-	MissK int
 	// Rounds is the number of crash/recover rounds the generator emits
 	// (default 3).
 	Rounds int
@@ -97,15 +99,6 @@ func (c *Config) defaults() {
 	}
 	if c.Docs <= 0 {
 		c.Docs = 40
-	}
-	if c.IntraGen <= 0 {
-		c.IntraGen = 64
-	}
-	if c.Heartbeat <= 0 {
-		c.Heartbeat = 500 * time.Millisecond
-	}
-	if c.MissK <= 0 {
-		c.MissK = 3
 	}
 	if c.Rounds <= 0 {
 		c.Rounds = 3
@@ -210,7 +203,6 @@ func Run(cfg Config) (Result, error) {
 	if schedule == nil {
 		schedule = Generate(cfg.Seed, GenConfig{
 			Nodes: cfg.Nodes, Rounds: cfg.Rounds,
-			Heartbeat: cfg.Heartbeat, MissK: cfg.MissK,
 			Warm: cfg.Warm, Shields: cfg.Shields, Tenants: cfg.Tenants,
 		})
 	}
@@ -274,7 +266,7 @@ func (s *sim) build() error {
 	}
 
 	clcfg := node.ClusterConfig{
-		IntraGen: cfg.IntraGen,
+		IntraGen: intraGen,
 		Addrs:    make(map[string]string, cfg.Nodes),
 		Clock:    s.clock,
 		// Warm runs give every node a durable tier. Fsync is off: the
@@ -370,9 +362,9 @@ func (s *sim) build() error {
 	// by name so a warm heal can stop the old node's loop and install the
 	// replacement's.
 	for _, name := range s.names {
-		s.hbStops[name] = s.caches[name].StartHeartbeat(s.cfg.Heartbeat)
+		s.hbStops[name] = s.caches[name].StartHeartbeat(heartbeat)
 	}
-	s.stops = append(s.stops, s.origin.StartFailureDetector(s.cfg.Heartbeat, s.cfg.MissK))
+	s.stops = append(s.stops, s.origin.StartFailureDetector(heartbeat, missK))
 	return nil
 }
 
@@ -749,7 +741,7 @@ func (s *sim) checkShieldFanout(docURL string, version document.Version) {
 			s.failf("shieldfanout %s: shield %s serves version %d, published %d", docURL, name, v, version)
 		}
 	}
-	owner, err := s.origin.Assignments().Owner(docURL, s.cfg.IntraGen)
+	owner, err := s.origin.Assignments().Owner(docURL, intraGen)
 	if err != nil {
 		s.failf("shieldfanout %s: no owner: %v", docURL, err)
 		return
@@ -1089,7 +1081,7 @@ func (s *sim) execHealWarm(victim string) {
 	// before revalidation reports to the beacons.
 	delete(s.partitioned, victim)
 	s.net.Heal(victim)
-	s.hbStops[victim] = cn.StartHeartbeat(s.cfg.Heartbeat)
+	s.hbStops[victim] = cn.StartHeartbeat(heartbeat)
 	kept, dropped := cn.WarmRevalidate(context.Background())
 	if f := cn.Admission().OriginFetches; f != 0 {
 		s.failf("heal-warm: revalidation of %s issued %d origin fetches, want 0", victim, f)
@@ -1188,8 +1180,8 @@ func (s *sim) checkPartitionInvariant(where string) {
 					where, r, sorted[i-1].Lo, sorted[i-1].Hi, sorted[i].Lo, sorted[i].Hi)
 			}
 		}
-		if last := sorted[len(sorted)-1]; last.Hi != s.cfg.IntraGen-1 {
-			s.failf("partition[%s]: ring %d ends at %d, want %d", where, r, last.Hi, s.cfg.IntraGen-1)
+		if last := sorted[len(sorted)-1]; last.Hi != intraGen-1 {
+			s.failf("partition[%s]: ring %d ends at %d, want %d", where, r, last.Hi, intraGen-1)
 		}
 		for _, sub := range subs {
 			if down[sub.Node] {
@@ -1205,7 +1197,7 @@ func (s *sim) checkPartitionInvariant(where string) {
 // holder that failed the push must have been pruned, one that dropped the
 // copy must be deregistered).
 func (s *sim) checkFanout(docURL string, version document.Version) {
-	owner, err := s.origin.Assignments().Owner(docURL, s.cfg.IntraGen)
+	owner, err := s.origin.Assignments().Owner(docURL, intraGen)
 	if err != nil {
 		s.failf("fanout %s: no owner: %v", docURL, err)
 		return
@@ -1302,7 +1294,7 @@ func (s *sim) checkQuiescent() {
 	for _, name := range live {
 		for docURL, v := range s.caches[name].StoredVersions() {
 			checked++
-			owner, err := originAssign.Owner(docURL, s.cfg.IntraGen)
+			owner, err := originAssign.Owner(docURL, intraGen)
 			if err != nil {
 				s.failf("reachability: no owner for %s: %v", docURL, err)
 				continue

@@ -82,6 +82,24 @@ func (t *Trace) NumRequests() int {
 // NumUpdates counts update events.
 func (t *Trace) NumUpdates() int { return len(t.Events) - t.NumRequests() }
 
+// FilterKind returns a copy keeping only events of the given kind (the
+// catalog is shared).
+func (t *Trace) FilterKind(kind EventKind) *Trace {
+	n := 0
+	for _, ev := range t.Events {
+		if ev.Kind == kind {
+			n++
+		}
+	}
+	out := &Trace{Docs: t.Docs, Events: make([]Event, 0, n), Duration: t.Duration}
+	for _, ev := range t.Events {
+		if ev.Kind == kind {
+			out.Events = append(out.Events, ev)
+		}
+	}
+	return out
+}
+
 // EnsureHashes fills Event.Hash for every event, hashing each distinct URL
 // once. Traces produced by the generators or by Read are already hashed;
 // call this after assembling a Trace by hand so simulators take the

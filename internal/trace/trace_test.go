@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"cachecloud/internal/document"
 )
 
 func TestZipfSamplerRange(t *testing.T) {
@@ -257,5 +259,30 @@ func TestEventKindString(t *testing.T) {
 	}
 	if EventKind(99).String() != "unknown(99)" {
 		t.Fatal("unknown kind string wrong")
+	}
+}
+
+func TestFilterKind(t *testing.T) {
+	tr := &Trace{Duration: 4}
+	for i := 0; i < 3; i++ {
+		tr.Docs = append(tr.Docs, document.Document{URL: "f-" + string(rune('a'+i)), Size: 10})
+	}
+	for tu := int64(0); tu < tr.Duration; tu++ {
+		tr.Events = append(tr.Events,
+			Event{Time: tu, Kind: Request, Cache: "c0", URL: tr.Docs[0].URL},
+			Event{Time: tu, Kind: Update, URL: tr.Docs[1].URL},
+		)
+	}
+	reqs := tr.FilterKind(Request)
+	if len(reqs.Events) != 4 {
+		t.Fatalf("requests = %d", len(reqs.Events))
+	}
+	for _, ev := range reqs.Events {
+		if ev.Kind != Request {
+			t.Fatal("non-request survived filter")
+		}
+	}
+	if got := tr.FilterKind(Update).NumUpdates(); got != 4 {
+		t.Fatalf("updates = %d", got)
 	}
 }
