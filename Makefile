@@ -69,11 +69,13 @@ bench-compare:
 # each exchange, which must leave these rows' allocs/op and B/op unmoved),
 # and the store tier's five ladder rows (a hit, a store that
 # evicts, an update in place, a durable append, and one compaction of a
-# 10,000-entry log: its replay, sort and buffered rewrite).
+# 10,000-entry log: its replay, sort and buffered rewrite) and a miss
+# among 10,000 monitored URLs, which finds a not-stored URL's monitor by
+# its hash.
 bench-smoke:
 	$(GO) test -race -run NoTestsJustBench -bench 'BenchmarkCloudLookupParallel|BenchmarkCloudContention|BenchmarkPutTenantQuotaEvict' -benchtime 1x -benchmem .
 	$(GO) test -race -run NoTestsJustBench -bench 'BenchmarkDirectory(Lookup|Update|Install)|BenchmarkPeerExchange|BenchmarkClientDoc' -benchtime 1x -benchmem ./internal/node
-	$(GO) test -race -run NoTestsJustBench -bench 'BenchmarkCache(Get|PutEvict|ApplyUpdate)|BenchmarkDurable(Put|Compact)' -benchtime 1x -benchmem ./internal/cache ./internal/durable
+	$(GO) test -race -run NoTestsJustBench -bench 'BenchmarkCache(Get|PutEvict|ApplyUpdate|Miss)|BenchmarkDurable(Put|Compact)' -benchtime 1x -benchmem ./internal/cache ./internal/durable
 
 # Reproduce every paper figure at full scale (several minutes).
 figures:

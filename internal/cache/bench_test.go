@@ -10,6 +10,7 @@ import (
 // The store's ladder rows as micro-benchmarks (benchmark/ladder.go times the
 // same three calls as cache.get_ns, cache.put_evict_ns and
 // cache.apply_update_ns): a hit, a store that evicts, an update in place.
+// BenchmarkCacheMiss, a miss among monitored URLs, has no ladder row.
 
 var benchSink int64
 
@@ -38,6 +39,25 @@ func BenchmarkCacheGet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cp, _ := c.Get(copies[(i*7919)%len(copies)].Doc.URL, int64(i>>16))
 		benchSink += cp.Doc.Size
+	}
+}
+
+// BenchmarkCacheMiss is a miss among 10k URLs that have each been asked for
+// once and never stored: the miss finds its URL's monitor and observes the
+// access.
+func BenchmarkCacheMiss(b *testing.B) {
+	c := New("bench", 0)
+	urls := make([]string, 10000)
+	for i := range urls {
+		urls[i] = document.TenantKey("acme", fmt.Sprintf("http://bench/doc/%05d", i))
+		c.Get(urls[i], 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := c.Get(urls[(i*7919)%len(urls)], int64(i>>16)); ok {
+			b.Fatal("a URL never stored was found")
+		}
 	}
 }
 

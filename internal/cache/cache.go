@@ -8,6 +8,7 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"sync"
 
 	"cachecloud/internal/document"
@@ -22,6 +23,14 @@ var ErrTooLarge = errors.New("cache: document larger than cache capacity")
 // accessHalfLife is the half-life (in time units) every exponentially
 // weighted access/eviction monitor shares. One hour of trace time.
 var accessHalfLife = loadstats.NewHalfLife(60)
+
+// monitorSeed keys every cache's monitors of documents not stored. It is
+// drawn once per process and never leaves it, so no client can choose two
+// URLs that share a key.
+var monitorSeed = maphash.MakeSeed()
+
+// monitorKey is url's key in monitors.
+func monitorKey(url string) uint64 { return maphash.String(monitorSeed, url) }
 
 // Cache is one edge cache. All methods are safe for concurrent use.
 type Cache struct {
@@ -46,11 +55,13 @@ type Cache struct {
 	quotaEvictions map[string]int64 // documents evicted per tenant by its byte quota
 
 	// monitors tracks access rates of the documents that have been asked
-	// for and are not currently stored, by value (a URL only ever seen costs
-	// a map slot) — the paper's placement scheme decides using patterns
-	// "collected through continued monitoring". A stored document's monitor
-	// is in its slot: a URL is here or there, never both.
-	monitors   map[string]loadstats.EWRate
+	// for and are not currently stored, by value and under monitorKey of the
+	// URL (a URL only ever seen costs a map slot and keeps no string) — the
+	// paper's placement scheme decides using patterns "collected through
+	// continued monitoring". A stored document's monitor is in its slot: a
+	// URL is here or there, never both. Two URLs sharing a key share one
+	// rate estimate and nothing else; a copy is only ever found by its URL.
+	monitors   map[uint64]loadstats.EWRate
 	totalRate  loadstats.EWRate // all accesses at this cache
 	evictBytes loadstats.EWRate // bytes evicted per unit (disk contention)
 	hits       int64
@@ -78,7 +89,7 @@ func NewWithReplacement(id string, capacity int64, kind ReplacementKind) *Cache 
 		policy:         newReplacementPolicy(kind),
 		kind:           kind,
 		quotaEvictions: make(map[string]int64),
-		monitors:       make(map[string]loadstats.EWRate),
+		monitors:       make(map[uint64]loadstats.EWRate),
 	}
 }
 
@@ -135,9 +146,10 @@ func (c *Cache) Get(url string, now int64) (document.Copy, bool) {
 	c.totalRate.Observe(accessHalfLife, now, 1)
 	s, ok := c.entries[url]
 	if !ok {
-		m := c.monitors[url]
+		k := monitorKey(url)
+		m := c.monitors[k]
 		m.Observe(accessHalfLife, now, 1)
-		c.monitors[url] = m
+		c.monitors[k] = m
 		c.misses++
 		return document.Copy{}, false
 	}
@@ -210,9 +222,10 @@ func (c *Cache) newSlot(cp document.Copy) *slot {
 	}
 	c.spare = nil
 	s.cp = cp
-	if m, seen := c.monitors[cp.Doc.URL]; seen {
+	k := monitorKey(cp.Doc.URL)
+	if m, seen := c.monitors[k]; seen {
 		s.monitor = m
-		delete(c.monitors, cp.Doc.URL)
+		delete(c.monitors, k)
 	}
 	return s
 }
@@ -259,7 +272,7 @@ func (c *Cache) removeLocked(s *slot) document.Document {
 	c.noteTenantBytes(tenantOf(doc.URL), -doc.Size)
 	delete(c.entries, doc.URL)
 	if s.monitor != (loadstats.EWRate{}) {
-		c.monitors[doc.URL] = s.monitor
+		c.monitors[monitorKey(doc.URL)] = s.monitor
 	}
 	c.durable.Tombstone(doc.URL)
 	*s = slot{}
@@ -317,12 +330,13 @@ func (c *Cache) AccessRate(url string, now int64) float64 {
 		}
 		return s.monitor.Rate(accessHalfLife, now)
 	}
-	m, ok := c.monitors[url]
+	k := monitorKey(url)
+	m, ok := c.monitors[k]
 	if !ok {
 		return 0
 	}
 	rate := m.Rate(accessHalfLife, now)
-	c.monitors[url] = m // Rate decayed it to now
+	c.monitors[k] = m // Rate decayed it to now
 	return rate
 }
 
@@ -330,8 +344,9 @@ func (c *Cache) AccessRate(url string, now int64) float64 {
 // caller has learned that the URL names nothing, so no placement decision
 // is left for its monitor to inform.
 func (c *Cache) Forget(url string) {
+	k := monitorKey(url)
 	c.mu.Lock()
-	delete(c.monitors, url)
+	delete(c.monitors, k)
 	c.mu.Unlock()
 }
 

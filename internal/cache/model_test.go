@@ -16,7 +16,7 @@ import (
 
 // modelCache is the cache written down as plainly as it can be: a map of
 // stored copies, each with the (key, seq) pair its replacement policy orders
-// it by, a map of monitors for every URL ever asked for, and a scan of the
+// it by, a URL-keyed map of monitors for every URL asked for, and a scan of the
 // whole store for every victim. It uses only what the package exports (and
 // loadstats for the rate arithmetic), so the test below runs unchanged
 // against any layout of Cache.
@@ -236,6 +236,14 @@ func (m *modelCache) accessRate(url string, now int64) float64 {
 	return 0
 }
 
+// forget drops the monitor of a document that is not stored; a stored
+// document keeps its own.
+func (m *modelCache) forget(url string) {
+	if _, ok := m.stored[url]; !ok {
+		delete(m.monitors, url)
+	}
+}
+
 // durableLog records the disk-tier calls a cache makes.
 type durableLog struct{ calls []string }
 
@@ -253,7 +261,8 @@ func (l *durableLog) Apply(op durable.Op) error {
 // same evictions in the same order, the same stored set in the same
 // Documents() order, the same byte counts, the same access rate to the bit
 // and the same disk-tier calls — for every replacement kind, with and
-// without tenant quotas.
+// without tenant quotas. The model keys every monitor by URL, so a Forget
+// or a later access rate that reaches the wrong monitor shows.
 func TestCacheMatchesMapModel(t *testing.T) {
 	const (
 		seeds    = 20
@@ -338,12 +347,16 @@ func TestCacheMatchesMapModel(t *testing.T) {
 							if g := c.Remove(k); g != present {
 								fail("remove %q: present %v, model %v", k, g, present)
 							}
-						case r < 90:
+						case r < 88:
 							k := key()
 							g, w := c.AccessRate(k, now), m.accessRate(k, now)
 							if math.Float64bits(g) != math.Float64bits(w) {
 								fail("access rate of %q: %v, model %v", k, g, w)
 							}
+						case r < 90:
+							k := key()
+							c.Forget(k)
+							m.forget(k)
 						case r < 96 && withQuotas:
 							tenant := tenants[rng.Intn(len(tenants))]
 							switch q := quotas[tenant]; {

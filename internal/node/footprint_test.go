@@ -203,6 +203,38 @@ func TestStoreFootprint(t *testing.T) {
 	runtime.KeepAlive(urls)
 }
 
+// TestUnstoredURLFootprint: a node's store after 10,000 URLs were each asked
+// for once and never stored, bare and folded with a tenant. Each URL is
+// built fresh for its one Get and dropped after it, as /doc's parameter is
+// (queryArg unescapes into a new string), so the difference is all the
+// store keeps for a URL it does not hold: its access monitor.
+func TestUnstoredURLFootprint(t *testing.T) {
+	const (
+		n      = 10000
+		budget = 54 // bytes a URL, bare or tenant-folded: 43 now, 97 bare and 113 tenant-folded with the URL string as the key
+	)
+	for _, tenant := range []string{"", "acme"} {
+		c := cache.New("e0", 0)
+		h0 := liveHeap()
+		for i := 0; i < n; i++ {
+			u := document.TenantKey(tenant, fmt.Sprintf("http://origin.example/doc/%06d", i))
+			if _, ok := c.Get(u, int64(i>>8)); ok {
+				t.Fatalf("%q is stored", u)
+			}
+		}
+		h1 := liveHeap()
+		if hits, misses := c.HitsMisses(); hits != 0 || misses != n {
+			t.Fatalf("%d hits and %d misses, want 0 and %d", hits, misses, n)
+		}
+		per := (h1 - h0) / n
+		t.Logf("URL asked for and not stored, tenant %q: %d B", tenant, per)
+		if per > budget {
+			t.Errorf("a URL asked for and not stored (tenant %q) costs %d B, budget %d", tenant, per, budget)
+		}
+		runtime.KeepAlive(c)
+	}
+}
+
 // benchDirectory returns a's directory in a cluster of six, with n owned
 // records listing the given holders, and the records' URLs.
 func benchDirectory(n int, holders ...string) (*directory, []string) {
