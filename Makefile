@@ -62,7 +62,8 @@ bench-compare:
 # The tenant quota-eviction benchmark rides along so its 100k-resident
 # set-up (three replacement kinds) is built and evicted from once per push,
 # and so do the live directory's lookup, update and install benchmarks
-# (internal/node: a 20k-record directory each) and the two exchanges' ladder
+# (internal/node: a 20k-record directory each), the origin's /fetch handler
+# over a 20k-document catalog (BenchmarkOriginFetch) and the two exchanges' ladder
 # rows, one call on each server path (BenchmarkPeerExchange: net/http's and
 # the node's own loop, /fetch and /apply; BenchmarkClientDoc: a client's warm
 # /doc hit; both sides take a connection's reader and writer from pools for
@@ -74,7 +75,7 @@ bench-compare:
 # its hash.
 bench-smoke:
 	$(GO) test -race -run NoTestsJustBench -bench 'BenchmarkCloudLookupParallel|BenchmarkCloudContention|BenchmarkPutTenantQuotaEvict' -benchtime 1x -benchmem .
-	$(GO) test -race -run NoTestsJustBench -bench 'BenchmarkDirectory(Lookup|Update|Install)|BenchmarkPeerExchange|BenchmarkClientDoc' -benchtime 1x -benchmem ./internal/node
+	$(GO) test -race -run NoTestsJustBench -bench 'BenchmarkDirectory(Lookup|Update|Install)|BenchmarkOriginFetch|BenchmarkPeerExchange|BenchmarkClientDoc' -benchtime 1x -benchmem ./internal/node
 	$(GO) test -race -run NoTestsJustBench -bench 'BenchmarkCache(Get|PutEvict|ApplyUpdate|Miss)|BenchmarkDurable(Put|Compact)' -benchtime 1x -benchmem ./internal/cache ./internal/durable
 
 # Reproduce every paper figure at full scale (several minutes).

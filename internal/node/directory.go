@@ -13,10 +13,10 @@ import (
 	"cachecloud/internal/obs"
 )
 
-// record is one lookup record a live node keeps as a beacon point: an
-// owned entry (this node is the document's beacon) or the lazy replica of
-// a ring sibling's entry. Both are the same type, so the sequence rule
-// holds on both.
+// record is what a lookup record holds in either of its roles at a live
+// node: an owned entry (this node is the document's beacon) or the lazy
+// replica of a ring sibling's entry. Both roles embed it, so the sequence
+// rule holds on both.
 type record struct {
 	// holders lists each holder with the sequence number of its newest
 	// registration (0: unnumbered — it crossed the wire in a WireRecord),
@@ -24,13 +24,30 @@ type record struct {
 	holders []listing
 	version document.Version
 	hash    document.Hash // of the record's URL, so that no table walk hashes
-	rates   *rates        // nil until the first lookup or update
-	// Replica entries only: the sibling that pushed the entry, or the
-	// beacon a failover registration is kept for (that node's next full
-	// push supersedes it), and the number of the push that last wrote it.
-	from string
-	push uint64
 }
+
+// ownedRecord is a record this node is the beacon of, with its monitors of
+// cloud-wide lookups and updates (monitorHalfLife): 72 B, one allocation.
+type ownedRecord struct {
+	record
+	lookups, updates loadstats.EWRate
+}
+
+// replicaRecord is the lazy replica of a ring sibling's record. Nothing
+// observes it; an install that promotes it starts the owned record's
+// monitors afresh. 48 B, one allocation.
+type replicaRecord struct {
+	record
+	push uint32 // the number of the push that last wrote it
+	// from is the d.names index of the sibling that pushed it, or of the beacon
+	// a failover registration is kept for (its next full push supersedes it).
+	from int32
+}
+
+const noNode = -1 // a replica's from when it names no node of the cluster
+
+// base lets entry set the hash of a role it has just allocated.
+func (r *record) base() *record { return r }
 
 // listing is one holder of a record and the number it is listed under.
 type listing struct {
@@ -38,28 +55,43 @@ type listing struct {
 	seq    uint64
 }
 
-// rates is a record's pair of monitors, cloud-wide lookups and updates;
-// monitorHalfLife is the half-life they all share, one hour of trace time.
-type rates struct{ lookups, updates loadstats.EWRate }
-
+// monitorHalfLife is the half-life of every owned record's monitors, one
+// hour of trace time.
 var monitorHalfLife = loadstats.NewHalfLife(60)
 
 // entry is the get-or-create of url's record in one of the directory's two
-// tables; hash is url's. The holder list and the rate monitors come with
-// their first use: the replica of a document nobody holds is one allocation.
-func entry(table map[string]*record, url string, hash document.Hash) *record {
+// tables; hash is url's. The holder list comes with its first listing: a
+// record nobody holds is its one allocation.
+func entry[R any, P interface {
+	*R
+	base() *record
+}](table map[string]P, url string, hash document.Hash) P {
 	rec, ok := table[url]
 	if !ok {
-		rec = &record{hash: hash}
+		rec = new(R)
+		rec.base().hash = hash
 		table[url] = rec
 	}
 	return rec
 }
 
+// recordOf returns url's owned record or its replica, nil when that table
+// has none. Caller holds mu.
+func (d *directory) recordOf(url string, owned bool) *record {
+	if owned {
+		if rec := d.owned[url]; rec != nil {
+			return &rec.record
+		}
+	} else if rep := d.replicas[url]; rep != nil {
+		return &rep.record
+	}
+	return nil
+}
+
 // hashOf returns url's hash, without running MD5 when either table has a
 // record of url. Caller holds mu.
 func (d *directory) hashOf(url string) document.Hash {
-	if rec := cmp.Or(d.owned[url], d.replicas[url]); rec != nil {
+	if rec := cmp.Or(d.recordOf(url, true), d.recordOf(url, false)); rec != nil {
 		return rec.hash
 	}
 	return document.HashURL(url)
@@ -68,16 +100,13 @@ func (d *directory) hashOf(url string) document.Hash {
 // observe counts one lookup (or update) and returns the document's
 // monitored rates. Rate decays its monitor in place, so the rates are read
 // in the same critical section as the count.
-func (r *record) observe(now int64, lookup bool) (lookupRate, updateRate float64) {
-	if r.rates == nil {
-		r.rates = new(rates)
-	}
+func (r *ownedRecord) observe(now int64, lookup bool) (lookupRate, updateRate float64) {
 	if lookup {
-		r.rates.lookups.Observe(monitorHalfLife, now, 1)
+		r.lookups.Observe(monitorHalfLife, now, 1)
 	} else {
-		r.rates.updates.Observe(monitorHalfLife, now, 1)
+		r.updates.Observe(monitorHalfLife, now, 1)
 	}
-	return r.rates.lookups.Rate(monitorHalfLife, now), r.rates.updates.Rate(monitorHalfLife, now)
+	return r.lookups.Rate(monitorHalfLife, now), r.updates.Rate(monitorHalfLife, now)
 }
 
 // find returns h's place in the name-ordered list and whether it is there.
@@ -173,9 +202,9 @@ type directory struct {
 	view atomic.Pointer[routeView]
 
 	mu       sync.Mutex
-	owned    map[string]*record
-	replicas map[string]*record
-	pushes   uint64 // replica pushes accepted so far
+	owned    map[string]*ownedRecord
+	replicas map[string]*replicaRecord
+	pushes   uint32 // replica pushes accepted so far
 	// loads[ring] is a dense per-IrH-value load counter for the ranges this
 	// node owns in that ring (it only ever has entries for its own ring,
 	// but indexing by ring keeps the wire format uniform).
@@ -191,8 +220,8 @@ func newDirectory(self string, intraGen int, names []string, assign Assignments,
 	d := &directory{
 		self:       self,
 		names:      names,
-		owned:      make(map[string]*record),
-		replicas:   make(map[string]*record),
+		owned:      make(map[string]*ownedRecord),
+		replicas:   make(map[string]*replicaRecord),
 		loads:      make(map[int][]int64),
 		beaconOps:  reg.Counter("beacon_ops_total"),
 		registered: reg.Counter("lookup_registered_total"),
@@ -223,10 +252,18 @@ func (d *directory) counts() (owned, replicas int) {
 // table follows the same rule for the cloud IDs it keeps: it subscribes
 // only liveCloud, and stores the constant (ShieldNode.handleFetch).
 func (d *directory) holderName(name string) (string, bool) {
-	if i, ok := slices.BinarySearch(d.names, name); ok {
+	if i := d.nodeIndex(name); i != noNode {
 		return d.names[i], true
 	}
 	return "", false
+}
+
+// nodeIndex returns name's index in d.names, or noNode.
+func (d *directory) nodeIndex(name string) int32 {
+	if i, ok := slices.BinarySearch(d.names, name); ok {
+		return int32(i)
+	}
+	return noNode
 }
 
 // admit puts every holder name of a batch of wire records through
@@ -285,26 +322,28 @@ func (d *directory) lookup(now int64, url, holder string, seq uint64, drops []st
 	v := d.route()
 	d.deregisterLocked(v, holder, seq, drops)
 	owner := d.ownerOf(v, hash)
-	rec := d.owned[url]
+	own := d.owned[url]
 	if owner == d.self {
-		rec = entry(d.owned, url, hash)
+		own = entry(d.owned, url, hash)
 	}
 	var out LookupResponse
-	if rec != nil {
+	if own != nil {
 		d.charge(v, hash)
-		out.Version = rec.version
-		out.LookupRate, out.UpdateRate = rec.observe(now, true)
-		out.Holders = rec.listed(holder, nil)
+		out.Version = own.version
+		out.LookupRate, out.UpdateRate = own.observe(now, true)
+		out.Holders = own.listed(holder, nil)
 	} else if rep := d.replicas[url]; rep != nil {
 		out.Version = rep.version
 		out.Holders = rep.listed(holder, v.down)
 	}
 	if holder != "" {
-		if owner != d.self {
-			rec = entry(d.replicas, url, hash)
-			rec.from = owner
+		if owner == d.self {
+			own.list(holder, seq)
+		} else {
+			rep := entry(d.replicas, url, hash)
+			rep.from = d.nodeIndex(owner)
+			rep.list(holder, seq)
 		}
-		rec.list(holder, seq)
 		d.registered.Inc()
 	}
 	return out
@@ -321,11 +360,8 @@ func (d *directory) deregister(holder string, seq uint64, urls []string) {
 
 func (d *directory) deregisterLocked(v *routeView, holder string, seq uint64, urls []string) {
 	for _, url := range urls {
-		table := d.replicas
-		if d.ownerOf(v, d.hashOf(url)) == d.self {
-			table = d.owned
-		}
-		if rec, ok := table[url]; ok && rec.drop(holder, seq) {
+		owned := d.ownerOf(v, d.hashOf(url)) == d.self
+		if rec := d.recordOf(url, owned); rec != nil && rec.drop(holder, seq) {
 			d.staleDrops.Inc()
 		}
 	}
@@ -465,7 +501,14 @@ func (d *directory) importRecords(recs []WireRecord) error {
 // push is a full snapshot of the sender's records: what it pushed before
 // and not again (every other replica, when it does not name itself) is
 // dropped, so that it cannot be promoted later; other siblings' are kept.
-func (d *directory) acceptReplicas(from string, reset bool, recs []WireRecord) error {
+// A push from a sender outside the cluster is refused whole, like a stranger.
+func (d *directory) acceptReplicas(sender string, reset bool, recs []WireRecord) error {
+	from := int32(noNode)
+	if sender != "" {
+		if from = d.nodeIndex(sender); from == noNode {
+			return fmt.Errorf("unknown sender %q", sender)
+		}
+	}
 	if err := d.admit(recs); err != nil {
 		return err
 	}
@@ -480,7 +523,7 @@ func (d *directory) acceptReplicas(from string, reset bool, recs []WireRecord) e
 	}
 	if reset {
 		for url, rep := range d.replicas {
-			if rep.push != d.pushes && (from == "" || rep.from == from) {
+			if rep.push != d.pushes && (from == noNode || rep.from == from) {
 				delete(d.replicas, url)
 			}
 		}
@@ -491,16 +534,23 @@ func (d *directory) acceptReplicas(from string, reset bool, recs []WireRecord) e
 // snapshot returns the owned records, or the replicas, sorted by URL.
 func (d *directory) snapshot(replicas bool) []WireRecord {
 	d.mu.Lock()
-	table := d.owned
+	var out []WireRecord
 	if replicas {
-		table = d.replicas
+		out = wireAll(d.replicas)
+	} else {
+		out = wireAll(d.owned)
 	}
+	d.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].URL < out[j].URL })
+	return out
+}
+
+// wireAll renders every record of a table. Caller holds mu.
+func wireAll[R interface{ wire(string) WireRecord }](table map[string]R) []WireRecord {
 	out := make([]WireRecord, 0, len(table))
 	for url, rec := range table {
 		out = append(out, rec.wire(url))
 	}
-	d.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].URL < out[j].URL })
 	return out
 }
 
@@ -535,12 +585,16 @@ func (d *directory) setDown(names []string) {
 		return
 	}
 	isDown := func(l listing) bool { return down[l.holder] }
-	for _, table := range []map[string]*record{d.owned, d.replicas} {
-		for _, rec := range table {
-			if rec.holders = slices.DeleteFunc(rec.holders, isDown); len(rec.holders) == 0 {
-				rec.holders = nil
-			}
+	prune := func(rec *record) {
+		if rec.holders = slices.DeleteFunc(rec.holders, isDown); len(rec.holders) == 0 {
+			rec.holders = nil
 		}
+	}
+	for _, rec := range d.owned {
+		prune(&rec.record)
+	}
+	for _, rep := range d.replicas {
+		prune(&rep.record)
 	}
 }
 

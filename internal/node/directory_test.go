@@ -2,8 +2,10 @@ package node
 
 import (
 	"fmt"
+	"net/http/httptest"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"cachecloud/internal/document"
@@ -47,12 +49,8 @@ func urlsOf(t *testing.T, a Assignments, owner string, n int) []string {
 func holdersOf(d *directory, replicas bool, url string) map[string]uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	table := d.owned
-	if replicas {
-		table = d.replicas
-	}
-	rec, ok := table[url]
-	if !ok {
+	rec := d.recordOf(url, !replicas)
+	if rec == nil {
 		return nil
 	}
 	out := make(map[string]uint64, len(rec.holders))
@@ -448,5 +446,42 @@ func TestUnknownHolderRefused(t *testing.T) {
 	}
 	if owned, replicas := d.counts(); owned != 0 || replicas != 0 {
 		t.Fatalf("refused messages left %d owned and %d replica records", owned, replicas)
+	}
+}
+
+// TestReplicaPushFromStrangerRefused: a replica push whose From names no
+// node of the cluster is refused whole, over HTTP with a 400, and a reset
+// push from a stranger drops nothing. An empty From names no sender and is
+// accepted. On the parent commit the stranger's name was kept on every
+// replica it pushed.
+func TestReplicaPushFromStrangerRefused(t *testing.T) {
+	d := newTestDirectory("a")
+	ub := urlsOf(t, testLayout(), "b", 2)
+	if err := d.acceptReplicas("b", true, []WireRecord{{URL: ub[0], Holders: []string{"c"}, Version: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.acceptReplicas("stranger", true, []WireRecord{{URL: ub[1], Holders: []string{"d"}, Version: 1}}); err == nil {
+		t.Fatal("a push from a stranger was accepted")
+	}
+	if got := d.snapshot(true); len(got) != 1 || got[0].URL != ub[0] {
+		t.Fatalf("replicas after the stranger's push: %+v, want only b's", got)
+	}
+	if err := d.acceptReplicas("", false, []WireRecord{{URL: ub[1], Holders: []string{"d"}, Version: 1}}); err != nil {
+		t.Fatalf("a push naming no sender: %v", err)
+	}
+
+	cfg := trioConfig()
+	cn, err := NewCacheNodeWithTransport("n0", cfg, fuzzTransport{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cn.Close()
+	for from, want := range map[string]int{"stranger": 400, "n1": 200, "": 200} {
+		body := `{"records":[{"url":"http://live/doc/1","holders":["n1"],"version":1}],"from":"` + from + `"}`
+		rec := httptest.NewRecorder()
+		cn.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/records/replica", strings.NewReader(body)))
+		if rec.Code != want {
+			t.Fatalf("/records/replica from %q: %d %s, want %d", from, rec.Code, rec.Body, want)
+		}
 	}
 }

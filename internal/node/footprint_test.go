@@ -15,13 +15,12 @@ import (
 	"cachecloud/internal/tenant"
 )
 
-// Footprint tests and the directory micro-benchmarks: what one document
-// costs a beacon point and a shield, in bytes and in time under d.mu. The
-// byte budgets sit ~25% above what the tables cost now and below what they
-// cost when a record kept a holder map and two separately allocated
-// monitors and the shield three URL-keyed maps (CHANGES.md, PR 19, has both
-// sets of figures): a revert fails them. TestStoreFootprint does the same
-// for the store tier (CHANGES.md, PR 23).
+// Footprint tests and the directory and origin micro-benchmarks: what one
+// document costs a beacon point, a shield, a store and the origin, in bytes
+// and in time under the node's lock. Each byte budget sits 10-25% above
+// what its table costs now and below what it cost before the table last
+// shrank (each budget's comment has both figures, CHANGES.md the history):
+// a revert fails it.
 
 // liveHeap returns the bytes the heap holds after a collection.
 func liveHeap() int64 {
@@ -50,9 +49,9 @@ func wireRecords(urls []string, holders ...string) []WireRecord {
 func TestDirectoryFootprint(t *testing.T) {
 	const (
 		n             = 10000
-		ownedBudget   = 254 // bytes a record: 203 now, 427 with a holder map and two monitor pointers
-		replicaBudget = 214 // 171 now, 363 then
-		emptiedBudget = 185 // 155 now, 203 with the emptied holder array kept
+		ownedBudget   = 190 // bytes a record: 171 now; 203 with the monitors allocated apart, 427 with a holder map and two monitor pointers
+		replicaBudget = 155 // 139 now; 171 with a replica's record the owned one's size, 363 with a holder map
+		emptiedBudget = 140 // 123 now; 155 with the monitors allocated apart, 203 with the emptied holder array kept
 	)
 	urls := urlsOf(t, testLayout(), "a", 2*n)
 	own, emptied := urls[:n], urls[n:]
@@ -93,6 +92,70 @@ func TestDirectoryFootprint(t *testing.T) {
 	runtime.KeepAlive(urls)
 	runtime.KeepAlive(push)
 	runtime.KeepAlive(d)
+}
+
+// TestOriginCatalogFootprint: an origin built over a catalog of 20,000
+// documents. The catalog is built before the first measurement and stays
+// alive, so the difference is the origin's own table, not the URL strings
+// its entries share with the caller's.
+func TestOriginCatalogFootprint(t *testing.T) {
+	const (
+		n      = 20000
+		budget = 50 // bytes a document: 40 now, 95 keyed by URL in a map
+	)
+	docs := testCatalog(n)
+	h0 := liveHeap()
+	o, err := NewOriginNodeWithTransport(trioConfig(), docs, fuzzTransport{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h1 := liveHeap()
+	if got := o.Stats().Documents; got != n {
+		t.Fatalf("%d documents, want %d", got, n)
+	}
+	per := (h1 - h0) / n
+	t.Logf("catalog document: %d B", per)
+	if per > budget {
+		t.Errorf("a catalog document costs the origin %d B, budget %d", per, budget)
+	}
+	runtime.KeepAlive(o)
+	runtime.KeepAlive(docs)
+}
+
+// discardReply is a ResponseWriter that keeps nothing of a reply but its
+// status.
+type discardReply struct {
+	header http.Header
+	code   int
+}
+
+func (w *discardReply) Header() http.Header         { return w.header }
+func (w *discardReply) Write(p []byte) (int, error) { return len(p), nil }
+func (w *discardReply) WriteHeader(code int)        { w.code = code }
+
+// BenchmarkOriginFetch is the origin's side of a miss no cache can serve:
+// its /fetch handler over a 20k-document catalog, one request value per
+// document reused across iterations.
+func BenchmarkOriginFetch(b *testing.B) {
+	const n = 20000
+	o, err := NewOriginNodeWithTransport(trioConfig(), testCatalog(n), fuzzTransport{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := o.Handler()
+	reqs := make([]*http.Request, n)
+	for i := range reqs {
+		reqs[i] = httptest.NewRequest("GET", "/fetch?url="+queryEscape(fmt.Sprintf("http://live/doc/%d", i)), nil)
+	}
+	w := &discardReply{header: make(http.Header)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.ServeHTTP(w, reqs[i%n])
+		if w.code != http.StatusOK {
+			b.Fatalf("fetch %d: status %d", i%n, w.code)
+		}
+	}
 }
 
 // originStub answers every origin fetch with a version-1 document and

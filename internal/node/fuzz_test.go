@@ -55,6 +55,11 @@ var fuzzEndpoints = []struct {
 	{"POST", "/heartbeat", true},
 	{"GET", "/stats", true},
 	{"GET", "/metrics", true},
+	{"GET", "/versions", true},
+	{"POST", "/purge", true},
+	{"POST", "/purge", false},
+	{"POST", "/drop", false},
+	{"GET", "/healthz", false},
 }
 
 // FuzzProtocolDecode sends arbitrary bodies and query strings at every
@@ -87,6 +92,18 @@ func FuzzProtocolDecode(f *testing.F) {
 	// A publish of the document the shield declined: the origin skips it
 	// (PublishResponse.ShieldsSkipped).
 	f.Add(uint8(17), "", []byte(`{"url":"http://live/doc/0"}`))
+	// The catalog lookups: a fetch naming the shield, the catalog listing,
+	// global and cloud purges of a known and of an unknown document.
+	f.Add(uint8(16), "url=http://live/doc/0&shield=s0", []byte(""))
+	f.Add(uint8(24), "", []byte(""))
+	f.Add(uint8(25), "", []byte(`{"url":"http://live/doc/0","scope":"global"}`))
+	f.Add(uint8(25), "", []byte(`{"url":"http://live/doc/1","scope":"cloud","cloud":"c0"}`))
+	f.Add(uint8(25), "", []byte(`{"url":"http://live/doc/9","scope":"global"}`))
+	// A beacon's purge and a peer's drop: both end in directory.forget.
+	f.Add(uint8(26), "", []byte(`{"url":"http://live/doc/0","scope":"global","gen":1}`))
+	f.Add(uint8(26), "", []byte(`{"scope":"cloud"}`))
+	f.Add(uint8(27), "", []byte(`{"url":"http://live/doc/0"}`))
+	f.Add(uint8(28), "", []byte(""))
 	f.Fuzz(func(t *testing.T, endpoint uint8, query string, body []byte) {
 		// Every input runs against the single-tier cloud, then against one
 		// behind a shield in which n0 holds doc 0 and the shield has
@@ -119,12 +136,11 @@ func fuzzOne(t *testing.T, shielded bool, endpoint uint8, query string, body []b
 		t.Fatal(err)
 	}
 	if shielded {
-		d := origin.docs["http://live/doc/0"]
+		d := origin.doc("http://live/doc/0")
 		if _, err := cache.store.Put(document.Copy{Doc: d.Document}, 0); err != nil {
 			t.Fatal(err)
 		}
 		d.declined = 1
-		origin.docs[d.URL] = d
 	}
 
 	ep := fuzzEndpoints[int(endpoint)%len(fuzzEndpoints)]

@@ -1,11 +1,13 @@
 package node
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"maps"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -50,8 +52,8 @@ type OriginNode struct {
 	// /heartbeat and the accessors read it without a lock.
 	view atomic.Pointer[routeView]
 
-	mu          sync.Mutex // guards the fields below, never held across a call
-	docs        map[string]originDoc
+	mu          sync.Mutex           // guards the fields below, never held across a call
+	docs        []originDoc          // sorted by URL, never grown: its length needs no lock, an entry's address stays valid
 	purgeGen    map[string]int64     // per-URL global purge generation (monotonic)
 	lastSeen    map[string]time.Time // last heartbeat arrival per node
 	recordsHeld map[string]int       // records reported in each node's last beat
@@ -122,7 +124,7 @@ func NewOriginNodeWithTransport(cfg ClusterConfig, docs []document.Document, tp 
 		tp:          tp,
 		clock:       clock,
 		rings:       rings,
-		docs:        make(map[string]originDoc, len(docs)),
+		docs:        newCatalog(docs),
 		purgeGen:    make(map[string]int64),
 		lastSeen:    make(map[string]time.Time),
 		recordsHeld: make(map[string]int),
@@ -139,13 +141,28 @@ func NewOriginNodeWithTransport(cfg ClusterConfig, docs []document.Document, tp 
 		}
 	}
 	o.initMetrics()
-	for _, d := range docs {
-		if d.Version == 0 {
-			d.Version = 1
-		}
-		o.docs[d.URL] = originDoc{Document: d}
-	}
 	return o, nil
+}
+
+// newCatalog sorts docs by URL into the origin's catalog, each at version 1
+// or above. Of a URL listed twice the later entry is kept.
+func newCatalog(docs []document.Document) []originDoc {
+	cat := make([]originDoc, len(docs))
+	for i, d := range docs {
+		d.Version = max(d.Version, 1)
+		cat[len(docs)-1-i] = originDoc{Document: d} // the later entry first
+	}
+	slices.SortStableFunc(cat, func(a, b originDoc) int { return cmp.Compare(a.URL, b.URL) })
+	return slices.CompactFunc(cat, func(a, b originDoc) bool { return a.URL == b.URL })
+}
+
+// doc returns url's catalog entry, or nil. Caller holds mu.
+func (o *OriginNode) doc(url string) *originDoc {
+	i, ok := slices.BinarySearchFunc(o.docs, url, func(d originDoc, url string) int { return cmp.Compare(d.URL, url) })
+	if !ok {
+		return nil
+	}
+	return &o.docs[i]
 }
 
 // initMetrics builds the origin's metrics registry: counters for served
@@ -167,11 +184,7 @@ func (o *OriginNode) initMetrics() {
 	bounds := obs.DefaultLatencyBounds()
 	o.rebalanceMs = reg.Histogram("rebalance_ms", bounds)
 	o.publishMs = reg.Histogram("publish_ms", bounds)
-	reg.GaugeFunc("documents", func() float64 {
-		o.mu.Lock()
-		defer o.mu.Unlock()
-		return float64(len(o.docs))
-	})
+	reg.GaugeFunc("documents", func() float64 { return float64(len(o.docs)) })
 	reg.GaugeFunc("nodes_down", func() float64 { return float64(len(o.view.Load().down)) })
 	reg.GaugeFunc("nodes_configured", func() float64 { return float64(len(o.cfg.Addrs)) })
 	reg.GaugeFunc("ring_count", func() float64 { return float64(len(o.rings)) })
@@ -236,25 +249,21 @@ func (o *OriginNode) handleFetch(w http.ResponseWriter, r *http.Request) {
 		bit = ^uint32(0)
 	}
 	o.mu.Lock()
-	d, ok := o.docs[u]
-	if ok {
-		// The shield the fetch names may hold a copy from here on; a fetch
-		// that names none the origin knows may be any shield's. (Keyed by
-		// d.URL: assigning under u would make the map keep the request's
-		// copy of the string.)
-		d.declined &^= bit
-		d.fetches++
-		o.docs[d.URL] = d
-	}
-	gen := o.purgeGen[u]
-	o.mu.Unlock()
-	if !ok {
+	d := o.doc(u)
+	if d == nil {
+		o.mu.Unlock()
 		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown document %q", u))
 		return
 	}
+	// The shield the fetch names may hold a copy from here on; a fetch that
+	// names none the origin knows may be any shield's.
+	d.declined &^= bit
+	d.fetches++
+	doc, gen := d.Document, o.purgeGen[u]
+	o.mu.Unlock()
 	o.fetches.Inc()
-	o.bytesOut.Add(d.Size)
-	writeJSON(w, http.StatusOK, FetchResponse{Doc: d.Document, PurgeGen: gen})
+	o.bytesOut.Add(doc.Size)
+	writeJSON(w, http.StatusOK, FetchResponse{Doc: doc, PurgeGen: gen})
 }
 
 // handleVersions serves the full catalog's version and purge-generation
@@ -265,8 +274,8 @@ func (o *OriginNode) handleVersions(w http.ResponseWriter, r *http.Request) {
 		Versions: make(map[string]document.Version, len(o.docs)),
 		PurgeGen: make(map[string]int64, len(o.purgeGen)),
 	}
-	for url, d := range o.docs {
-		vr.Versions[url] = d.Version
+	for _, d := range o.docs {
+		vr.Versions[d.URL] = d.Version
 	}
 	for url, g := range o.purgeGen {
 		vr.PurgeGen[url] = g
@@ -284,14 +293,14 @@ func (o *OriginNode) handlePublish(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	o.mu.Lock()
-	d, ok := o.docs[req.URL]
-	if !ok {
+	cur := o.doc(req.URL)
+	if cur == nil {
 		o.mu.Unlock()
 		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown document %q", req.URL))
 		return
 	}
-	d.Version++
-	o.docs[d.URL] = d
+	cur.Version++
+	d := *cur
 	o.mu.Unlock()
 	o.updates.Inc()
 	o.bytesOut.Add(d.Size)
@@ -328,9 +337,8 @@ func (o *OriginNode) handlePublish(w http.ResponseWriter, r *http.Request) {
 	o.skipped.Add(int64(resp.ShieldsSkipped))
 	if declined != 0 {
 		o.mu.Lock()
-		if cur, ok := o.docs[req.URL]; ok && cur.fetches == d.fetches {
+		if cur.fetches == d.fetches {
 			cur.declined |= declined
-			o.docs[cur.URL] = cur
 		}
 		o.mu.Unlock()
 	}
@@ -377,7 +385,7 @@ func (o *OriginNode) handlePurge(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	o.mu.Lock()
-	if _, ok := o.docs[req.URL]; !ok {
+	if o.doc(req.URL) == nil {
 		o.mu.Unlock()
 		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown document %q", req.URL))
 		return
@@ -750,11 +758,8 @@ func (o *OriginNode) handleStats(w http.ResponseWriter, r *http.Request) {
 // Stats returns a snapshot of the origin's counters (test and tooling
 // convenience mirroring GET /stats).
 func (o *OriginNode) Stats() OriginStats {
-	o.mu.Lock()
-	docs := len(o.docs)
-	o.mu.Unlock()
 	return OriginStats{
-		Documents:        docs,
+		Documents:        len(o.docs),
 		Fetches:          o.fetches.Value(),
 		Updates:          o.updates.Value(),
 		BytesServed:      o.bytesOut.Value(),
@@ -785,8 +790,8 @@ func (o *OriginNode) DocVersions() map[string]document.Version {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	out := make(map[string]document.Version, len(o.docs))
-	for url, d := range o.docs {
-		out[url] = d.Version
+	for _, d := range o.docs {
+		out[d.URL] = d.Version
 	}
 	return out
 }
