@@ -28,9 +28,10 @@
 // pass and seals the durable tier.
 //
 // Overload resilience is tuned with -max-inflight (admission gate
-// capacity) and -miss-queue (bounded miss-class queue); each overrides the
-// matching cluster-config field when set. The cluster file is decoded
-// strictly: a field the node does not know is refused at start.
+// capacity, refused below a miss's weight) and -miss-queue (bounded
+// miss-class queue); each overrides the matching cluster-config field when
+// set. The cluster file is decoded strictly: a field the node does not
+// know is refused at start.
 package main
 
 import (

@@ -6,11 +6,13 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"cachecloud/internal/admit"
 	"cachecloud/internal/node"
 )
 
@@ -84,6 +86,35 @@ func TestLoadConfigErrors(t *testing.T) {
 func TestRunRequiresFlags(t *testing.T) {
 	if err := run([]string{}); err == nil {
 		t.Fatal("missing flags accepted")
+	}
+}
+
+// A capacity below a miss's weight, from the flag or from the cluster file,
+// stops the command before it serves, with the minimum named.
+func TestRunRefusesMaxInflightBelowMissWeight(t *testing.T) {
+	minimum := admit.Miss.Weight()
+	small := strconv.Itoa(minimum - 1)
+	dir := t.TempDir()
+	for name, file := range map[string]string{"flag": "", "file": `"maxInflight": ` + small + `, `} {
+		path := filepath.Join(dir, name+".json")
+		body := `{` + file + `"intraGen": 1000, "rings": [["n0"]], "addrs": {"n0": "http://127.0.0.1:8100"}}`
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		args := []string{"-name", "n0", "-listen", "127.0.0.1:0", "-config", path, "-heartbeat", "0"}
+		if file == "" {
+			args = append(args, "-max-inflight", small)
+		}
+		done := make(chan error, 1)
+		go func() { done <- run(args) }()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "at least "+strconv.Itoa(minimum)) {
+				t.Errorf("%s: err = %v, want a refusal naming the minimum %d", name, err, minimum)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: maxInflight %s accepted: the node is serving", name, small)
+		}
 	}
 }
 

@@ -14,6 +14,11 @@
 // Every refusal is a *ShedError (matched by errors.Is against ErrShed),
 // never a bare timeout: shedding is a deliberate, typed decision the
 // wire layer translates into HTTP 429 with a Retry-After hint.
+//
+// The primitives keep state, not books: what is in flight or queued, the
+// limiter's limit and baseline, the active flights. Admissions, sheds and
+// coalesced calls are counted by the caller that sees them (the node's
+// metrics registry), once.
 package admit
 
 import (

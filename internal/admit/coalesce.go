@@ -25,10 +25,8 @@ type flight[V any] struct {
 // completes for everyone else. Results are not cached — once the leader
 // finishes, the next call starts a fresh flight.
 type Coalescer[K comparable, V any] struct {
-	mu       sync.Mutex
-	flights  map[K]*flight[V]
-	launched int64 // leader executions
-	joined   int64 // calls coalesced onto an existing flight
+	mu      sync.Mutex
+	flights map[K]*flight[V]
 }
 
 // NewCoalescer builds an empty coalescer.
@@ -43,7 +41,6 @@ func NewCoalescer[K comparable, V any]() *Coalescer[K, V] {
 func (c *Coalescer[K, V]) Do(ctx context.Context, key K, fn func() (V, error)) (v V, shared bool, err error) {
 	c.mu.Lock()
 	if f, ok := c.flights[key]; ok {
-		c.joined++
 		c.mu.Unlock()
 		select {
 		case <-f.done:
@@ -55,7 +52,6 @@ func (c *Coalescer[K, V]) Do(ctx context.Context, key K, fn func() (V, error)) (
 	}
 	f := &flight[V]{done: make(chan struct{})}
 	c.flights[key] = f
-	c.launched++
 	c.mu.Unlock()
 
 	f.val, f.err = fn()
@@ -65,21 +61,6 @@ func (c *Coalescer[K, V]) Do(ctx context.Context, key K, fn func() (V, error)) (
 	c.mu.Unlock()
 	close(f.done)
 	return f.val, false, f.err
-}
-
-// Flights returns how many leader executions were launched.
-func (c *Coalescer[K, V]) Flights() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.launched
-}
-
-// Coalesced returns how many calls joined an existing flight instead of
-// launching their own.
-func (c *Coalescer[K, V]) Coalesced() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.joined
 }
 
 // Active returns the number of flights currently in progress.

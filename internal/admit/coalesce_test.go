@@ -9,11 +9,24 @@ import (
 	"time"
 )
 
+// joinCtx counts the calls that wait on another caller's flight: only a
+// waiter watches its ctx, so each Done call is one caller that joined.
+type joinCtx struct {
+	context.Context
+	joined *atomic.Int64
+}
+
+func (c joinCtx) Done() <-chan struct{} {
+	c.joined.Add(1)
+	return c.Context.Done()
+}
+
 func TestCoalescerCollapsesConcurrentCalls(t *testing.T) {
 	c := NewCoalescer[string, int]()
 	const waiters = 8
 
-	var calls atomic.Int64
+	var calls, joined atomic.Int64
+	ctx := joinCtx{context.Background(), &joined}
 	gate := make(chan struct{})
 	leaderIn := make(chan struct{})
 
@@ -24,7 +37,7 @@ func TestCoalescerCollapsesConcurrentCalls(t *testing.T) {
 
 	run := func(i int) {
 		defer wg.Done()
-		v, shared, err := c.Do(context.Background(), "doc", func() (int, error) {
+		v, shared, err := c.Do(ctx, "doc", func() (int, error) {
 			calls.Add(1)
 			close(leaderIn)
 			<-gate
@@ -43,7 +56,7 @@ func TestCoalescerCollapsesConcurrentCalls(t *testing.T) {
 		wg.Add(1)
 		go run(i)
 	}
-	waitUntil(t, func() bool { return c.Coalesced() == waiters }, "waiters joined")
+	waitUntil(t, func() bool { return joined.Load() == waiters }, "waiters joined")
 	close(gate)
 	wg.Wait()
 
@@ -58,9 +71,6 @@ func TestCoalescerCollapsesConcurrentCalls(t *testing.T) {
 	if got := sharedCount.Load(); got != waiters {
 		t.Fatalf("shared callers = %d, want %d", got, waiters)
 	}
-	if c.Flights() != 1 || c.Coalesced() != waiters {
-		t.Fatalf("Flights=%d Coalesced=%d, want 1/%d", c.Flights(), c.Coalesced(), waiters)
-	}
 	if c.Active() != 0 {
 		t.Fatalf("Active = %d after completion, want 0", c.Active())
 	}
@@ -68,14 +78,15 @@ func TestCoalescerCollapsesConcurrentCalls(t *testing.T) {
 
 func TestCoalescerSequentialCallsAreSeparateFlights(t *testing.T) {
 	c := NewCoalescer[string, int]()
+	calls := 0
 	for i := 0; i < 3; i++ {
-		v, shared, err := c.Do(context.Background(), "doc", func() (int, error) { return i, nil })
+		v, shared, err := c.Do(context.Background(), "doc", func() (int, error) { calls++; return i, nil })
 		if err != nil || shared || v != i {
 			t.Fatalf("call %d: (%d, %v, %v)", i, v, shared, err)
 		}
 	}
-	if got := c.Flights(); got != 3 {
-		t.Fatalf("Flights = %d, want 3 (no caching)", got)
+	if calls != 3 {
+		t.Fatalf("fn ran %d times, want 3 (no caching)", calls)
 	}
 }
 
@@ -125,6 +136,7 @@ func TestCoalescerErrorSharedByGroup(t *testing.T) {
 	leaderIn := make(chan struct{})
 
 	var wg sync.WaitGroup
+	var joined atomic.Int64
 	errCh := make(chan error, 2)
 	wg.Add(1)
 	go func() {
@@ -140,10 +152,10 @@ func TestCoalescerErrorSharedByGroup(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _, err := c.Do(context.Background(), 1, func() (string, error) { return "other", nil })
+		_, _, err := c.Do(joinCtx{context.Background(), &joined}, 1, func() (string, error) { return "other", nil })
 		errCh <- err
 	}()
-	waitUntil(t, func() bool { return c.Coalesced() == 1 }, "waiter joined")
+	waitUntil(t, func() bool { return joined.Load() == 1 }, "waiter joined")
 	close(gate)
 	wg.Wait()
 	close(errCh)

@@ -16,6 +16,10 @@ const (
 // many hits.
 var weights = [numClasses]int{Hit: 1, Lookup: 2, Miss: 4}
 
+// Weight returns the admission cost of one unit of class-c work: a gate
+// whose capacity is below Miss.Weight() can never admit a miss.
+func (c Class) Weight() int { return weights[c] }
+
 // queueDeadline is the queue-time budget per class. Hits wait the least: a
 // hit that cannot be admitted quickly is better shed (the client retries
 // another replica) than served late.
@@ -57,10 +61,6 @@ type Gate struct {
 	mu       sync.Mutex
 	inflight int // admitted weight currently held
 	queues   [numClasses][]*gateWaiter
-
-	admitted    [numClasses]int64
-	shedFull    [numClasses]int64
-	shedExpired [numClasses]int64
 }
 
 // NewGate builds a gate, applying defaults for zero-valued options.
@@ -94,12 +94,10 @@ func (g *Gate) Acquire(ctx context.Context, c Class) (release func(), err error)
 	g.mu.Lock()
 	if g.canAdmitLocked(c) {
 		g.inflight += weights[c]
-		g.admitted[c]++
 		g.mu.Unlock()
 		return g.releaser(c), nil
 	}
 	if len(g.queues[c]) >= g.opts.QueueCap[c] {
-		g.shedFull[c]++
 		g.mu.Unlock()
 		return nil, &ShedError{Class: c, Reason: ReasonQueueFull, RetryAfter: queueDeadline[c]}
 	}
@@ -115,14 +113,14 @@ func (g *Gate) Acquire(ctx context.Context, c Class) (release func(), err error)
 	case <-w.grant:
 		return g.releaser(c), nil
 	case <-expired:
-		if g.abandon(w, true) {
+		if g.abandon(w) {
 			return nil, &ShedError{Class: c, Reason: ReasonQueueDeadline, RetryAfter: queueDeadline[c]}
 		}
 		// Granted concurrently with expiry: the slot is ours, keep it.
 		<-w.grant
 		return g.releaser(c), nil
 	case <-ctx.Done():
-		if g.abandon(w, false) {
+		if g.abandon(w) {
 			return nil, ctx.Err()
 		}
 		<-w.grant
@@ -140,7 +138,6 @@ func (g *Gate) TryAcquire(c Class) (release func(), ok bool) {
 		return nil, false
 	}
 	g.inflight += weights[c]
-	g.admitted[c]++
 	return g.releaser(c), true
 }
 
@@ -159,10 +156,10 @@ func (g *Gate) canAdmitLocked(c Class) bool {
 	return true
 }
 
-// abandon removes a still-pending waiter from its queue, recording a
-// deadline shed when expired is set. It reports false when the waiter
-// was already granted (the caller must then consume the grant).
-func (g *Gate) abandon(w *gateWaiter, expired bool) bool {
+// abandon removes a still-pending waiter from its queue. It reports false
+// when the waiter was already granted (the caller must then consume the
+// grant).
+func (g *Gate) abandon(w *gateWaiter) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if w.done {
@@ -175,9 +172,6 @@ func (g *Gate) abandon(w *gateWaiter, expired bool) bool {
 			g.queues[w.class] = append(q[:i], q[i+1:]...)
 			break
 		}
-	}
-	if expired {
-		g.shedExpired[w.class]++
 	}
 	return true
 }
@@ -205,7 +199,6 @@ func (g *Gate) pumpLocked() {
 			g.queues[c] = g.queues[c][1:]
 			qw.done = true
 			g.inflight += w
-			g.admitted[c]++
 			close(qw.grant)
 		}
 	}
@@ -237,34 +230,4 @@ func (g *Gate) QueuedTotal() int {
 		n += len(g.queues[c])
 	}
 	return n
-}
-
-// Admitted returns how many class-c acquisitions were granted.
-func (g *Gate) Admitted(c Class) int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.admitted[c]
-}
-
-// ShedQueueFull returns how many class-c arrivals were shed because the
-// class queue was at its cap.
-func (g *Gate) ShedQueueFull(c Class) int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.shedFull[c]
-}
-
-// ShedQueueDeadline returns how many class-c waiters were shed by
-// queue-deadline expiry.
-func (g *Gate) ShedQueueDeadline(c Class) int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.shedExpired[c]
-}
-
-// Shed returns the total class-c sheds (queue-full plus deadline).
-func (g *Gate) Shed(c Class) int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.shedFull[c] + g.shedExpired[c]
 }

@@ -76,11 +76,6 @@ type Limiter struct {
 	inflight int
 	baseline float64 // moving latency baseline, milliseconds
 	queue    []*limiterWaiter
-
-	admitted    int64
-	shedFull    int64
-	shedExpired int64
-	congested   int64 // samples that triggered a multiplicative decrease
 }
 
 // NewLimiter builds a limiter, applying defaults for zero-valued
@@ -114,12 +109,10 @@ func (l *Limiter) Acquire(ctx context.Context) (release func(latency time.Durati
 	l.mu.Lock()
 	if len(l.queue) == 0 && l.inflight < l.limitLocked() {
 		l.inflight++
-		l.admitted++
 		l.mu.Unlock()
 		return l.releaser(), nil
 	}
 	if len(l.queue) >= l.opts.QueueCap {
-		l.shedFull++
 		l.mu.Unlock()
 		return nil, &ShedError{Class: Miss, Reason: ReasonLimit, RetryAfter: limiterQueueDeadline}
 	}
@@ -135,13 +128,13 @@ func (l *Limiter) Acquire(ctx context.Context) (release func(latency time.Durati
 	case <-w.grant:
 		return l.releaser(), nil
 	case <-expired:
-		if l.abandon(w, true) {
+		if l.abandon(w) {
 			return nil, &ShedError{Class: Miss, Reason: ReasonQueueDeadline, RetryAfter: limiterQueueDeadline}
 		}
 		<-w.grant
 		return l.releaser(), nil
 	case <-ctx.Done():
-		if l.abandon(w, false) {
+		if l.abandon(w) {
 			return nil, ctx.Err()
 		}
 		<-w.grant
@@ -159,7 +152,6 @@ func (l *Limiter) TryAcquire() bool {
 		return false
 	}
 	l.inflight++
-	l.admitted++
 	return true
 }
 
@@ -173,9 +165,9 @@ func (l *Limiter) Release(latency time.Duration, ok bool) {
 	l.mu.Unlock()
 }
 
-// abandon removes a still-pending waiter, recording a deadline shed when
-// expired is set. False means the waiter was already granted.
-func (l *Limiter) abandon(w *limiterWaiter, expired bool) bool {
+// abandon removes a still-pending waiter. False means the waiter was
+// already granted.
+func (l *Limiter) abandon(w *limiterWaiter) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if w.done {
@@ -187,9 +179,6 @@ func (l *Limiter) abandon(w *limiterWaiter, expired bool) bool {
 			l.queue = append(l.queue[:i], l.queue[i+1:]...)
 			break
 		}
-	}
-	if expired {
-		l.shedExpired++
 	}
 	return true
 }
@@ -217,7 +206,6 @@ func (l *Limiter) observeLocked(latency time.Duration, ok bool) {
 	case l.opts.Mode == LimitFixed:
 		// No adaptation.
 	case slow:
-		l.congested++
 		l.limit = l.clamp(l.limit * backoff)
 	default:
 		l.limit = l.clamp(l.limit + 1/math.Max(l.limit, 1))
@@ -262,7 +250,6 @@ func (l *Limiter) pumpLocked() {
 		l.queue = l.queue[1:]
 		w.done = true
 		l.inflight++
-		l.admitted++
 		close(w.grant)
 	}
 }
@@ -296,26 +283,4 @@ func (l *Limiter) Baseline() float64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.baseline
-}
-
-// Admitted returns how many acquisitions were granted.
-func (l *Limiter) Admitted() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.admitted
-}
-
-// Shed returns the total refusals (queue at cap plus deadline expiry).
-func (l *Limiter) Shed() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.shedFull + l.shedExpired
-}
-
-// Congested returns how many samples triggered a multiplicative
-// decrease.
-func (l *Limiter) Congested() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.congested
 }

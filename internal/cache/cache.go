@@ -64,8 +64,6 @@ type Cache struct {
 	monitors   map[uint64]loadstats.EWRate
 	totalRate  loadstats.EWRate // all accesses at this cache
 	evictBytes loadstats.EWRate // bytes evicted per unit (disk contention)
-	hits       int64
-	misses     int64
 
 	// durable mirrors the stored copies onto disk when attached (nil:
 	// memory-only). Mutating methods queue under mu, so the disk sees the
@@ -150,11 +148,9 @@ func (c *Cache) Get(url string, now int64) (document.Copy, bool) {
 		m := c.monitors[k]
 		m.Observe(accessHalfLife, now, 1)
 		c.monitors[k] = m
-		c.misses++
 		return document.Copy{}, false
 	}
 	s.monitor.Observe(accessHalfLife, now, 1)
-	c.hits++
 	c.policy.onAccess(s)
 	return s.cp, true
 }
@@ -370,11 +366,4 @@ func (c *Cache) EvictionByteRate(now int64) float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.evictBytes.Rate(accessHalfLife, now)
-}
-
-// HitsMisses returns the cumulative local hit and miss counts.
-func (c *Cache) HitsMisses() (hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }

@@ -210,45 +210,3 @@ func (d Distribution) String() string {
 	return fmt.Sprintf("n=%d mean=%.1f cov=%.3f max/mean=%.2f",
 		len(d.Loads), d.Mean(), d.CoV(), d.MaxToMean())
 }
-
-// Percentile returns the p-th percentile (0..100) of the loads using
-// nearest-rank on the sorted values. Returns 0 for an empty distribution.
-func (d Distribution) Percentile(p float64) float64 {
-	n := len(d.Loads)
-	if n == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	sorted := make([]float64, n)
-	copy(sorted, d.Loads)
-	sort.Float64s(sorted)
-	rank := int(math.Ceil(p / 100 * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
-	return sorted[rank-1]
-}
-
-// JainFairness returns Jain's fairness index (Σx)² / (n·Σx²) — 1 for a
-// perfectly balanced distribution, 1/n for a fully concentrated one. An
-// alternative balance metric to the paper's coefficient of variation.
-func (d Distribution) JainFairness() float64 {
-	n := len(d.Loads)
-	if n == 0 {
-		return 0
-	}
-	var sum, sumSq float64
-	for _, v := range d.Loads {
-		sum += v
-		sumSq += v * v
-	}
-	if sumSq == 0 {
-		return 1 // all zero: trivially balanced
-	}
-	return sum * sum / (float64(n) * sumSq)
-}

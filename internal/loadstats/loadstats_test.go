@@ -176,44 +176,3 @@ func TestDistributionStringFormat(t *testing.T) {
 		t.Fatalf("String() = %q", got)
 	}
 }
-
-func TestPercentile(t *testing.T) {
-	d := NewDistribution([]float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100})
-	cases := []struct{ p, want float64 }{
-		{0, 10}, {10, 10}, {50, 50}, {90, 90}, {100, 100}, {-5, 10}, {150, 100},
-	}
-	for _, tc := range cases {
-		if got := d.Percentile(tc.p); got != tc.want {
-			t.Fatalf("Percentile(%v) = %v, want %v", tc.p, got, tc.want)
-		}
-	}
-	var empty Distribution
-	if empty.Percentile(50) != 0 {
-		t.Fatal("empty percentile should be 0")
-	}
-}
-
-func TestJainFairness(t *testing.T) {
-	perfect := NewDistribution([]float64{5, 5, 5, 5})
-	if got := perfect.JainFairness(); almostEqual(got, 1) == false {
-		t.Fatalf("perfect fairness = %v, want 1", got)
-	}
-	concentrated := NewDistribution([]float64{20, 0, 0, 0})
-	if got := concentrated.JainFairness(); !almostEqual(got, 0.25) {
-		t.Fatalf("concentrated fairness = %v, want 0.25", got)
-	}
-	var empty Distribution
-	if empty.JainFairness() != 0 {
-		t.Fatal("empty fairness should be 0")
-	}
-	zeros := NewDistribution([]float64{0, 0})
-	if zeros.JainFairness() != 1 {
-		t.Fatal("all-zero fairness should be 1")
-	}
-	// Fairness must rank a balanced distribution above a skewed one.
-	balanced := NewDistribution([]float64{9, 10, 11})
-	skewed := NewDistribution([]float64{1, 10, 19})
-	if balanced.JainFairness() <= skewed.JainFairness() {
-		t.Fatal("fairness ordering wrong")
-	}
-}

@@ -49,10 +49,7 @@ func (n *CacheNode) initAdmission() {
 	if missQueue <= 0 {
 		missQueue = DefaultMissQueue
 	}
-	limMax := maxInflight / 4
-	if limMax < 1 {
-		limMax = 1
-	}
+	limMax := maxInflight / admit.Miss.Weight() // at least 1: the constructor refuses less
 	clock := admitClock{n.clock}
 	n.gate = admit.NewGate(admit.GateOptions{
 		Capacity: maxInflight,

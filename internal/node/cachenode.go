@@ -134,6 +134,9 @@ func NewCacheNodeWithTransport(name string, cfg ClusterConfig, tp Transport) (*C
 	if cfg.IntraGen <= 0 {
 		return nil, fmt.Errorf("node: IntraGen must be positive")
 	}
+	if w := admit.Miss.Weight(); cfg.MaxInflight > 0 && cfg.MaxInflight < w {
+		return nil, fmt.Errorf("node: MaxInflight %d admits no miss (weight %d): it must be 0 or at least %d", cfg.MaxInflight, w, w)
+	}
 	var pol placement.Policy = placement.AdHoc{}
 	if cfg.UtilityPlacement {
 		u, err := placement.NewUtility(placement.EqualOn(true, true, true, cfg.CapacityBytes > 0), 0.5)

@@ -286,9 +286,6 @@ func TestUnstoredURLFootprint(t *testing.T) {
 			}
 		}
 		h1 := liveHeap()
-		if hits, misses := c.HitsMisses(); hits != 0 || misses != n {
-			t.Fatalf("%d hits and %d misses, want 0 and %d", hits, misses, n)
-		}
 		per := (h1 - h0) / n
 		t.Logf("URL asked for and not stored, tenant %q: %d B", tenant, per)
 		if per > budget {

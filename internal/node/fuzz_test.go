@@ -26,44 +26,55 @@ func (fuzzTransport) PostJSON(ctx context.Context, url string, in, out any) erro
 	return errors.New("fuzz: no network")
 }
 
-// fuzzEndpoints lists every wire-protocol route of both node kinds.
+// The node kind a fuzzed route is sent to.
+const (
+	onCache = iota
+	onOrigin
+	onShield
+)
+
+// fuzzEndpoints lists every wire-protocol route of the three node kinds.
 var fuzzEndpoints = []struct {
 	method, path string
-	origin       bool
+	on           int
 }{
-	{"GET", "/doc", false},
-	{"GET", "/lookup", false},
-	{"POST", "/deregister", false},
-	{"GET", "/fetch", false},
-	{"POST", "/update", false},
-	{"POST", "/apply", false},
-	{"POST", "/subranges", false},
-	{"GET", "/subranges", false},
-	{"POST", "/records/import", false},
-	{"POST", "/records/replica", false},
-	{"POST", "/replicate", false},
-	{"POST", "/reconcile", false},
-	{"POST", "/loads/collect", false},
-	{"POST", "/membership", false},
-	{"GET", "/stats", false},
-	{"GET", "/metrics", false},
-	{"GET", "/fetch", true},
-	{"POST", "/publish", true},
-	{"POST", "/rebalance", true},
-	{"POST", "/replicate", true},
-	{"POST", "/repair", true},
-	{"POST", "/heartbeat", true},
-	{"GET", "/stats", true},
-	{"GET", "/metrics", true},
-	{"GET", "/versions", true},
-	{"POST", "/purge", true},
-	{"POST", "/purge", false},
-	{"POST", "/drop", false},
-	{"GET", "/healthz", false},
+	{"GET", "/doc", onCache},
+	{"GET", "/lookup", onCache},
+	{"POST", "/deregister", onCache},
+	{"GET", "/fetch", onCache},
+	{"POST", "/update", onCache},
+	{"POST", "/apply", onCache},
+	{"POST", "/subranges", onCache},
+	{"GET", "/subranges", onCache},
+	{"POST", "/records/import", onCache},
+	{"POST", "/records/replica", onCache},
+	{"POST", "/replicate", onCache},
+	{"POST", "/reconcile", onCache},
+	{"POST", "/loads/collect", onCache},
+	{"POST", "/membership", onCache},
+	{"GET", "/stats", onCache},
+	{"GET", "/metrics", onCache},
+	{"GET", "/fetch", onOrigin},
+	{"POST", "/publish", onOrigin},
+	{"POST", "/rebalance", onOrigin},
+	{"POST", "/replicate", onOrigin},
+	{"POST", "/repair", onOrigin},
+	{"POST", "/heartbeat", onOrigin},
+	{"GET", "/stats", onOrigin},
+	{"GET", "/metrics", onOrigin},
+	{"GET", "/versions", onOrigin},
+	{"POST", "/purge", onOrigin},
+	{"POST", "/purge", onCache},
+	{"POST", "/drop", onCache},
+	{"GET", "/healthz", onCache},
+	{"GET", "/sfetch", onShield},
+	{"POST", "/supdate", onShield},
+	{"POST", "/spurge", onShield},
+	{"POST", "/subranges", onShield},
 }
 
 // FuzzProtocolDecode sends arbitrary bodies and query strings at every
-// HTTP endpoint of a cache node and the origin. The handlers must reject
+// HTTP endpoint of a cache node, the origin and a shield. The handlers must reject
 // garbage with an error status, never a panic — a panic here is a
 // remotely-triggerable crash of a live node.
 func FuzzProtocolDecode(f *testing.F) {
@@ -104,10 +115,25 @@ func FuzzProtocolDecode(f *testing.F) {
 	f.Add(uint8(26), "", []byte(`{"scope":"cloud"}`))
 	f.Add(uint8(27), "", []byte(`{"url":"http://live/doc/0"}`))
 	f.Add(uint8(28), "", []byte(""))
+	// The shield's routes (shielded runs only; s0 holds doc 0 for cloud0):
+	// a fetch hit, a fetch for a cloud no route reaches, a malformed and an
+	// oversized version hint; an update of a held and of an unheld document;
+	// a purge of each scope and of an unknown one; a layout install.
+	f.Add(uint8(29), "url=http://live/doc/0&cloud=cloud0", []byte(""))
+	f.Add(uint8(29), "url=http://live/doc/0&cloud=edge-b", []byte(""))
+	f.Add(uint8(29), "url=http://live/doc/0&cloud=cloud0&v=1x", []byte(""))
+	f.Add(uint8(29), "url=http://live/doc/0&cloud=cloud0&v=18446744073709551616", []byte(""))
+	f.Add(uint8(30), "", []byte(`{"doc":{"url":"http://live/doc/0","size":100,"version":2}}`))
+	f.Add(uint8(30), "", []byte(`{"doc":{"url":"http://live/doc/1","size":100,"version":2}}`))
+	f.Add(uint8(31), "", []byte(`{"url":"http://live/doc/0","scope":"global","gen":1}`))
+	f.Add(uint8(31), "", []byte(`{"url":"http://live/doc/0","scope":"cloud","cloud":"cloud0"}`))
+	f.Add(uint8(31), "", []byte(`{"url":"http://live/doc/0","scope":"region"}`))
+	f.Add(uint8(32), "", []byte(`{"rings":[[{"node":"n1","lo":0,"hi":99}]]}`))
 	f.Fuzz(func(t *testing.T, endpoint uint8, query string, body []byte) {
 		// Every input runs against the single-tier cloud, then against one
 		// behind a shield in which n0 holds doc 0 and the shield has
-		// declined an update of it.
+		// declined an update of it, while the shield s0 holds doc 0 for
+		// the cloud.
 		for _, shielded := range []bool{false, true} {
 			fuzzOne(t, shielded, endpoint, query, body)
 		}
@@ -145,8 +171,23 @@ func fuzzOne(t *testing.T, shielded bool, endpoint uint8, query string, body []b
 
 	ep := fuzzEndpoints[int(endpoint)%len(fuzzEndpoints)]
 	handler := cache.Handler()
-	if ep.origin {
+	switch ep.on {
+	case onOrigin:
 		handler = origin.Handler()
+	case onShield:
+		if !shielded {
+			return
+		}
+		shield, err := NewShieldNodeWithTransport("s0", cfg, fuzzTransport{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shield.mu.Lock()
+		e := shield.entry("http://live/doc/0")
+		shield.store(e, document.Copy{Doc: origin.doc("http://live/doc/0").Document})
+		e.subs = []string{liveCloud}
+		shield.unlock()
+		handler = shield.Handler()
 	}
 	req := &http.Request{
 		Method:     ep.method,

@@ -114,8 +114,9 @@ type ClusterConfig struct {
 	UtilityPlacement bool `json:"utilityPlacement"`
 	// MaxInflight caps the total weighted work units a node admits
 	// concurrently across the three work classes (0 selects the default,
-	// 64). It also bounds the adaptive origin-fetch limiter's ceiling at
-	// MaxInflight/4.
+	// 64; a node refuses a value below a miss's weight, which no miss
+	// would fit). It also bounds the adaptive origin-fetch limiter's
+	// ceiling at MaxInflight/4.
 	MaxInflight int `json:"maxInflight,omitempty"`
 	// MissQueue caps queued miss-class (origin fetch) waiters; arrivals
 	// past the cap are shed immediately (0 selects the default, 32).

@@ -5,11 +5,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"cachecloud/internal/admit"
 	"cachecloud/internal/document"
 )
 
@@ -119,6 +122,20 @@ func startStormCluster(t *testing.T, names []string, ringSize int, docs []docume
 	return lc, co
 }
 
+// inFlights counts the goroutines inside a coalesced origin fetch, as its
+// leader or as a follower: a flight's followers leave no other trace until
+// it ends.
+func inFlights() int64 {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return int64(strings.Count(string(buf[:n]), "admit.(*Coalescer[...]).Do("))
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
 // sumAdmission folds every node's overload-layer snapshot into one.
 func sumAdmission(lc *LocalCluster) AdmissionStats {
 	var out AdmissionStats
@@ -201,11 +218,7 @@ func TestChaosStormHotDocVsSlowOrigin(t *testing.T) {
 	// queue's sixteen places, so none of them is shed).
 	parked := func() int64 {
 		st := sumAdmission(lc)
-		n := st.Shed + st.Failed
-		for _, cn := range lc.Caches {
-			n += cn.flights.Flights() + cn.flights.Coalesced()
-		}
-		return n
+		return st.Shed + st.Failed + inFlights()
 	}
 
 	offered := 0
@@ -238,9 +251,15 @@ func TestChaosStormHotDocVsSlowOrigin(t *testing.T) {
 			t.Fatalf("burst %d: goodput collapsed to zero (shed=%d failed=%d)",
 				b, after.Shed-before.Shed, after.Failed-before.Failed)
 		}
-		if coal := after.Coalesced - before.Coalesced; coal < hotPerBurst {
+		coal := after.Coalesced - before.Coalesced
+		if coal < hotPerBurst {
 			t.Fatalf("burst %d: only %d coalesced fetches, want >= %d (one per hot doc)",
 				b, coal, hotPerBurst)
+		}
+		// Every request a burst served came out of a flight: a leader's
+		// successful origin fetch or a follower's share of one.
+		if served, fetched := after.Served-before.Served, after.OriginFetches-before.OriginFetches; served != fetched+coal {
+			t.Fatalf("burst %d: served %d, but %d origin fetches + %d coalesced", b, served, fetched, coal)
 		}
 	}
 
@@ -344,5 +363,28 @@ func TestStormShedIsTypedOnTheWire(t *testing.T) {
 	}
 	if st.Served+st.Shed+st.Failed != st.Requests {
 		t.Fatalf("conservation violated: %+v", st)
+	}
+}
+
+// TestMaxInflightBelowMissWeightRefused: a gate whose capacity is below a
+// miss's weight could never admit one, so every miss would wait out its
+// queue deadline and be shed. Such a capacity is refused at boot, with the
+// minimum named; the minimum itself serves a miss.
+func TestMaxInflightBelowMissWeightRefused(t *testing.T) {
+	minimum := admit.Miss.Weight()
+	for capacity := 1; capacity < minimum; capacity++ {
+		cfg := ClusterConfig{IntraGen: 50, MaxInflight: capacity}
+		_, err := StartLocalCluster([]string{"a", "b"}, 2, testCatalog(4), cfg)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("at least %d", minimum)) {
+			t.Fatalf("MaxInflight %d: err = %v, want a refusal naming the minimum %d", capacity, err, minimum)
+		}
+	}
+	lc := startCluster(t, 2, 2, ClusterConfig{IntraGen: 50, MaxInflight: minimum})
+	c, err := NewClient(lc.Cfg, "live-00")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dr, by, err := c.Get(testCatalog(1)[0].URL); err != nil || by != "live-00" || dr.Source != "origin" {
+		t.Fatalf("MaxInflight %d: miss answered (%+v, %q, %v), want live-00 serving it from the origin", minimum, dr, by, err)
 	}
 }

@@ -558,7 +558,7 @@ func (s *state) handleRequest(ev trace.Event) error {
 func (s *state) serveHit(ev trace.Event, ch *cache.Cache, cp document.Copy) error {
 	switch {
 	case s.cfg.TTL > 0:
-		current, err := s.srv.Document(ev.URL)
+		current, err := s.srv.Fetch(ev.URL)
 		if err != nil {
 			return fmt.Errorf("sim: ttl check: %w", err)
 		}
@@ -585,7 +585,7 @@ func (s *state) serveHit(ev trace.Event, ch *cache.Cache, cp document.Copy) erro
 			s.res.Latency.Observe(localMs)
 			return nil
 		}
-		current, err := s.srv.Document(ev.URL)
+		current, err := s.srv.Fetch(ev.URL)
 		if err != nil {
 			return fmt.Errorf("sim: lease check: %w", err)
 		}

@@ -20,8 +20,6 @@ type FairShare struct {
 
 	mu       sync.Mutex
 	inflight map[string]int
-	admitted map[string]int64
-	shed     map[string]int64
 }
 
 // NewFairShare builds the admission layer over a registry; capacity is
@@ -35,8 +33,6 @@ func NewFairShare(reg *Registry, capacity int) *FairShare {
 		reg:      reg,
 		capacity: capacity,
 		inflight: make(map[string]int),
-		admitted: make(map[string]int64),
-		shed:     make(map[string]int64),
 	}
 }
 
@@ -72,11 +68,9 @@ func (f *FairShare) TryAcquire(id string) (release func(), ok bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.inflight[id] >= share {
-		f.shed[id]++
 		return nil, false
 	}
 	f.inflight[id]++
-	f.admitted[id]++
 	var once sync.Once
 	return func() {
 		once.Do(func() {
@@ -95,18 +89,4 @@ func (f *FairShare) InFlight(id string) int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.inflight[id]
-}
-
-// Admitted returns how many acquisitions the tenant has won.
-func (f *FairShare) Admitted(id string) int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.admitted[id]
-}
-
-// Shed returns how many acquisitions the tenant has been refused.
-func (f *FairShare) Shed(id string) int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.shed[id]
 }

@@ -99,8 +99,8 @@ func TestQuotaLaws(t *testing.T) {
 }
 
 // TestFairShareAcquire exercises the admission mechanics: shares are
-// enforced exactly, zero-weight tenants shed everything, releases return
-// budget, and the admitted/shed counters conserve.
+// enforced exactly, zero-weight tenants shed everything, and releases
+// return budget.
 func TestFairShareAcquire(t *testing.T) {
 	reg, err := NewRegistry(map[string]Quota{
 		"victim": {Weight: 3},
@@ -148,12 +148,6 @@ func TestFairShareAcquire(t *testing.T) {
 		t.Fatal("aggr refused after release freed a unit")
 	} else {
 		rel()
-	}
-	if fs.Admitted("aggr") != int64(aggrShare)+1 || fs.Shed("aggr") != 1 {
-		t.Fatalf("aggr accounting = (%d admitted, %d shed)", fs.Admitted("aggr"), fs.Shed("aggr"))
-	}
-	if fs.Shed("banned") != 1 {
-		t.Fatalf("banned shed = %d, want 1", fs.Shed("banned"))
 	}
 }
 
