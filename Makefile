@@ -96,8 +96,10 @@ golden:
 
 # Short randomized fuzzing of the trace parser, the node wire protocol, the
 # handlers' query reader (against url.ParseQuery), the /doc reply writer
-# (against json.Encoder, byte for byte), the peer exchange's reply parser
-# and the served loop's request parser (the
+# (against json.Encoder, byte for byte), the peer exchange's reply parser,
+# the cluster file's loader and validator (every node kind accepts what
+# ClusterConfig.check accepts and refuses the rest with its error) and the
+# served loop's request parser (the
 # committed seed corpora run on every plain `go test`; FuzzWireRequest's
 # include what the loop hands back to net/http: chunked after a GET, Expect
 # with and without its body, Transfer-Encoding beside Content-Length). Its
@@ -110,6 +112,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDocReply -fuzztime=30s ./internal/node
 	$(GO) test -fuzz=FuzzWireReply -fuzztime=30s ./internal/node
 	$(GO) test -fuzz=FuzzWireRequest -fuzztime=30s -fuzzminimizetime=2s ./internal/node
+	$(GO) test -fuzz=FuzzClusterConfig -fuzztime=30s ./internal/node
 	$(GO) test -fuzz=FuzzScheduleDecode -fuzztime=30s ./internal/simnet
 
 # Deterministic simulation sweep: run SEEDS generated fault schedules

@@ -41,6 +41,14 @@
 //
 // See examples/ for runnable programs and DESIGN.md for the full system
 // inventory.
+//
+// # What the facade exports
+//
+// A name is exported here only if a program, example, test or document in
+// this repository uses it, or if it is a type that a kept name exposes: a
+// parameter or result of a facade function or of a method of a kept type,
+// or the type of a kept type's field. A constant or function without a use
+// goes. TestFacadeCensus pins the list and checks the uses.
 package cachecloud
 
 import (
@@ -122,16 +130,9 @@ type (
 	ReplacementKind = cache.ReplacementKind
 )
 
-// Replacement policies for edge caches.
-const (
-	// ReplaceLRU evicts the least recently used document (the paper's
-	// limited-disk setting).
-	ReplaceLRU = cache.LRU
-	// ReplaceLFU evicts the least frequently used document.
-	ReplaceLFU = cache.LFU
-	// ReplaceGreedyDualSize evicts by the GreedyDual-Size H value.
-	ReplaceGreedyDualSize = cache.GreedyDualSize
-)
+// ReplaceGreedyDualSize is the edge-cache replacement policy that evicts
+// by the GreedyDual-Size H value.
+const ReplaceGreedyDualSize = cache.GreedyDualSize
 
 // Workloads and simulation.
 type (
@@ -159,13 +160,9 @@ type (
 	LoadKind = loadstats.Kind
 )
 
-// Beacon load kinds.
-const (
-	// LookupLoad is a document lookup handled by a beacon point.
-	LookupLoad = loadstats.Lookup
-	// UpdateLoad is an update propagation handled by a beacon point.
-	UpdateLoad = loadstats.Update
-)
+// LookupLoad is the beacon load kind of a document lookup handled by a
+// beacon point.
+const LookupLoad = loadstats.Lookup
 
 // Multi-cloud edge networks.
 type (
@@ -197,8 +194,6 @@ type (
 
 // Simulation architectures.
 const (
-	// NoCooperation runs independent edge caches.
-	NoCooperation = sim.NoCooperation
 	// StaticHashing assigns beacon points by a static random hash.
 	StaticHashing = sim.StaticHashing
 	// DynamicHashing is the paper's cache cloud with beacon rings.
@@ -210,10 +205,6 @@ const (
 func NewCloud(cfg CloudConfig, cacheIDs []string, capabilities map[string]float64) (*Cloud, error) {
 	return core.New(cfg, cacheIDs, capabilities)
 }
-
-// NewEdgeCache creates a standalone edge cache with the given byte budget
-// (0 = unlimited).
-func NewEdgeCache(id string, capacity int64) *EdgeCache { return cache.New(id, capacity) }
 
 // NewOriginServer creates an origin server over a document catalog.
 func NewOriginServer(docs []Document) *OriginServer { return origin.New(docs) }
@@ -239,9 +230,6 @@ func GenerateZipfTrace(cfg ZipfTraceConfig) *Trace { return trace.GenerateZipf(c
 // GenerateSydneyTrace produces the Sydney-like dataset that stands in for
 // the IBM 2000 Olympics trace.
 func GenerateSydneyTrace(cfg SydneyTraceConfig) *Trace { return trace.GenerateSydney(cfg) }
-
-// ReadTrace parses a trace file written by Trace.Write.
-func ReadTrace(r io.Reader) (*Trace, error) { return trace.Read(r) }
 
 // CacheNames returns canonical cache IDs cache-00 … cache-(n-1).
 func CacheNames(n int) []string { return trace.CacheNames(n) }
@@ -274,12 +262,6 @@ func NewClusterClient(cfg ClusterConfig, preferred string) (*ClusterClient, erro
 // ReplayTrace drives a simulator trace through a live cluster over HTTP.
 func ReplayTrace(cfg ClusterConfig, tr *Trace, opts ReplayOptions) (*ReplayResult, error) {
 	return node.Replay(cfg, tr, opts)
-}
-
-// ClusterCaches groups edge caches into cache clouds with the
-// landmark-based technique, given synthetic network coordinates.
-func ClusterCaches(nodes []landmark.Node, cfg landmark.Config) ([]landmark.Cloud, error) {
-	return landmark.Cluster(nodes, cfg)
 }
 
 // NewAdaptiveUtilityPlacement builds the feedback-tuned utility policy;

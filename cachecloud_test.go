@@ -2,6 +2,14 @@ package cachecloud_test
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -144,5 +152,77 @@ func TestFacadeEdgeNetwork(t *testing.T) {
 	}
 	if res.UpdateMessages != res.Updates*2 {
 		t.Fatalf("update messages %d, want %d", res.UpdateMessages, res.Updates*2)
+	}
+}
+
+// TestFacadeCensus pins what the facade exports (see its package comment
+// for the rule): a new name is a visible edit here, and every constant and
+// function the facade keeps must have a use in the repository outside
+// cachecloud.go — a program, example, test, README, DESIGN or EXPERIMENTS.
+func TestFacadeCensus(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "cachecloud.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names, needUse []string
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			names, needUse = append(names, d.Name.Name), append(needUse, d.Name.Name)
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					names = append(names, s.Name.Name)
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						names, needUse = append(names, n.Name), append(needUse, n.Name)
+					}
+				}
+			}
+		}
+	}
+	want := []string{
+		"Document", "Version", "Copy", "Cloud", "CloudConfig", "LookupResult", "UpdateResult", "EdgeCache",
+		"OriginServer", "Ring", "RingConfig", "RingMember", "SubRange",
+		"PlacementPolicy", "PlacementContext", "AdHocPlacement", "BeaconPointPlacement", "UtilityPlacement",
+		"UtilityWeights", "AdaptiveUtilityPlacement", "PlacementObservation", "ReplacementKind",
+		"ReplaceGreedyDualSize",
+		"Trace", "TraceEvent", "ZipfTraceConfig", "SydneyTraceConfig", "SimConfig", "SimResult", "Architecture",
+		"LoadDistribution", "LatencyHistogram", "LoadKind", "LookupLoad",
+		"EdgeNetwork", "EdgeNetworkConfig", "EdgeNetworkResult",
+		"CacheNode", "OriginNode", "ClusterConfig", "LocalCluster", "ClusterClient", "ReplayResult", "ReplayOptions",
+		"StaticHashing", "DynamicHashing",
+		"NewCloud", "NewOriginServer", "NewRing", "NewUtilityPlacement", "EqualWeights", "GenerateZipfTrace",
+		"GenerateSydneyTrace", "CacheNames", "Simulate", "RunExperiment", "ExperimentNames", "StartLocalCluster",
+		"NewClusterClient", "ReplayTrace", "NewAdaptiveUtilityPlacement", "NewEdgeCacheWithReplacement",
+		"BuildEdgeNetwork", "BuildEdgeNetworkFromTopology",
+	}
+	if !slices.Equal(names, want) {
+		t.Errorf("exported names = %q, want %q", names, want)
+	}
+	var corpus strings.Builder
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir // .git, the benchmark's build directory
+		case path == "cachecloud.go" || d.IsDir():
+			return nil
+		case strings.HasSuffix(path, ".go") || slices.Contains([]string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}, path):
+			raw, err := os.ReadFile(path)
+			corpus.Write(raw)
+			return err
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range needUse {
+		if !regexp.MustCompile(`\bcachecloud\.` + name + `\b`).MatchString(corpus.String()) {
+			t.Errorf("%s has no use outside cachecloud.go", name)
+		}
 	}
 }

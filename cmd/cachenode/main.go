@@ -30,13 +30,12 @@
 // Overload resilience is tuned with -max-inflight (admission gate
 // capacity, refused below a miss's weight) and -miss-queue (bounded
 // miss-class queue); each overrides the matching cluster-config field when
-// set. The cluster file is decoded strictly: a field the node does not
-// know is refused at start.
+// set. A field the cluster file names and the node does not know, or a
+// value outside its field's domain, from the file or a flag, stops it.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -91,16 +90,17 @@ func run(args []string) error {
 	if o.name == "" || o.listen == "" {
 		return fmt.Errorf("both -name and -listen are required")
 	}
-	cfg, err := loadConfig(o.config)
+	cfg, err := node.LoadClusterConfig(o.config)
 	if err != nil {
 		return err
 	}
 	// Overload knobs: flags override the shared cluster config so a single
-	// node can be retuned without editing the file every node reads.
-	if o.maxInflight > 0 {
+	// node can be retuned without editing the file every node reads. A
+	// negative value overrides too, and the node refuses it.
+	if o.maxInflight != 0 {
 		cfg.MaxInflight = o.maxInflight
 	}
-	if o.missQueue > 0 {
+	if o.missQueue != 0 {
 		cfg.MissQueue = o.missQueue
 	}
 	if o.storeDir != "" {
@@ -148,19 +148,4 @@ func startPeriodic(n *node.CacheNode, heartbeat time.Duration) (stop func()) {
 		stopBeat()
 		stopReconcile()
 	}
-}
-
-func loadConfig(path string) (node.ClusterConfig, error) {
-	var cfg node.ClusterConfig
-	f, err := os.Open(path)
-	if err != nil {
-		return cfg, fmt.Errorf("read cluster config: %w", err)
-	}
-	defer f.Close()
-	dec := json.NewDecoder(f)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
-		return cfg, fmt.Errorf("parse cluster config: %w", err)
-	}
-	return cfg, nil
 }

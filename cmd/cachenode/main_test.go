@@ -2,7 +2,10 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
+	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -30,7 +33,7 @@ func TestLoadConfig(t *testing.T) {
 	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := loadConfig(path)
+	cfg, err := node.LoadClusterConfig(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +57,7 @@ func TestLoadConfigRefusesUnknownFields(t *testing.T) {
 		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := loadConfig(path); err == nil || !strings.Contains(err.Error(), "unknown field") {
+		if _, err := node.LoadClusterConfig(path); err == nil || !strings.Contains(err.Error(), "unknown field") {
 			t.Errorf("config with %s: err = %v, want an unknown-field refusal", field, err)
 		}
 	}
@@ -71,14 +74,14 @@ func TestFlagCensus(t *testing.T) {
 }
 
 func TestLoadConfigErrors(t *testing.T) {
-	if _, err := loadConfig("/nonexistent.json"); err == nil {
+	if _, err := node.LoadClusterConfig("/nonexistent.json"); err == nil {
 		t.Fatal("missing config accepted")
 	}
 	path := filepath.Join(t.TempDir(), "bad.json")
 	if err := os.WriteFile(path, []byte("{broken"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadConfig(path); err == nil {
+	if _, err := node.LoadClusterConfig(path); err == nil {
 		t.Fatal("malformed config accepted")
 	}
 }
@@ -97,23 +100,110 @@ func TestRunRefusesMaxInflightBelowMissWeight(t *testing.T) {
 	dir := t.TempDir()
 	for name, file := range map[string]string{"flag": "", "file": `"maxInflight": ` + small + `, `} {
 		path := filepath.Join(dir, name+".json")
-		body := `{` + file + `"intraGen": 1000, "rings": [["n0"]], "addrs": {"n0": "http://127.0.0.1:8100"}}`
+		body := `{` + file + `"intraGen": 1000, "rings": [["n0"]], "addrs": {"n0": "http://127.0.0.1:8100"}, "originAddr": "http://127.0.0.1:8000"}`
 		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		args := []string{"-name", "n0", "-listen", "127.0.0.1:0", "-config", path, "-heartbeat", "0"}
+		args := []string{"-config", path}
 		if file == "" {
 			args = append(args, "-max-inflight", small)
 		}
-		done := make(chan error, 1)
-		go func() { done <- run(args) }()
-		select {
-		case err := <-done:
-			if err == nil || !strings.Contains(err.Error(), "at least "+strconv.Itoa(minimum)) {
-				t.Errorf("%s: err = %v, want a refusal naming the minimum %d", name, err, minimum)
+		if err := runRefused(t, args...); !strings.Contains(err.Error(), "at least "+strconv.Itoa(minimum)) {
+			t.Errorf("%s: err = %v, want a refusal naming the minimum %d", name, err, minimum)
+		}
+	}
+}
+
+// runRefused runs the command as node n0 with args added and returns the
+// error it stops with; a command still serving after five seconds fails
+// the test.
+func runRefused(t *testing.T, args ...string) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		done <- run(append([]string{"-name", "n0", "-listen", "127.0.0.1:0", "-heartbeat", "0"}, args...))
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatalf("%v: run returned no error", args)
+		}
+		return err
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%v accepted: the node is serving", args)
+		return nil
+	}
+}
+
+// domains is internal/node's testdata/cluster_domains.json: a cluster file
+// every node kind accepts, and per ClusterConfig field the overlays that
+// each put that field outside its domain.
+type domains struct {
+	Base    map[string]json.RawMessage              `json:"base"`
+	Refused map[string][]map[string]json.RawMessage `json:"refused"`
+}
+
+// write writes the base cluster with overlay's keys replaced and returns
+// the file's path.
+func (d domains) write(t *testing.T, overlay map[string]json.RawMessage) string {
+	cfg := make(map[string]json.RawMessage)
+	maps.Copy(cfg, d.Base)
+	maps.Copy(cfg, overlay)
+	raw, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "cluster.json")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// Every out-of-domain value of the domain table stops the command before
+// it serves, with the field named, whether it comes from the cluster file
+// or from the flag that overrides the field. Negative -max-inflight and
+// -miss-queue values were once dropped in favour of the file's.
+func TestRunRefusesOutOfDomainConfig(t *testing.T) {
+	var table domains
+	raw, err := os.ReadFile(filepath.Join("..", "..", "internal", "node", "testdata", "cluster_domains.json"))
+	if err == nil {
+		err = json.Unmarshal(raw, &table)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := table.write(t, nil)
+	if cfg, err := node.LoadClusterConfig(base); err != nil {
+		t.Fatal(err)
+	} else if n, err := node.NewCacheNode("n0", cfg); err != nil {
+		t.Fatalf("base cluster: %v", err)
+	} else {
+		n.Close()
+	}
+	flagOf := map[string]string{"maxInflight": "max-inflight", "missQueue": "miss-queue", "fsync": "fsync"}
+	for field, overlays := range table.Refused {
+		for _, overlay := range overlays {
+			// Fsync has a domain only with a store directory.
+			store := []string{"-store-dir", t.TempDir()}
+			err := runRefused(t, append(store, "-config", table.write(t, overlay))...)
+			if !strings.Contains(err.Error(), field) {
+				t.Errorf("file %s: err = %v, want a refusal naming %s", overlay, err, field)
 			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("%s: maxInflight %s accepted: the node is serving", name, small)
+			for key, v := range overlay {
+				name, ok := flagOf[key]
+				if !ok {
+					continue
+				}
+				var value any
+				if err := json.Unmarshal(v, &value); err != nil {
+					t.Fatal(err)
+				}
+				err := runRefused(t, append(store, "-config", base, "-"+name, fmt.Sprint(value))...)
+				if !strings.Contains(err.Error(), field) {
+					t.Errorf("-%s %v: err = %v, want a refusal naming %s", name, value, err, field)
+				}
+			}
 		}
 	}
 }

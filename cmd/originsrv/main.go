@@ -22,9 +22,7 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -76,16 +74,9 @@ func run(args []string) error {
 		return fmt.Errorf("both -listen and -catalog are required")
 	}
 
-	raw, err := os.ReadFile(opts.config)
+	cfg, err := node.LoadClusterConfig(opts.config)
 	if err != nil {
-		return fmt.Errorf("read cluster config: %w", err)
-	}
-	// Strict: a field the origin does not know is refused, not ignored.
-	var cfg node.ClusterConfig
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
-		return fmt.Errorf("parse cluster config: %w", err)
+		return err
 	}
 
 	f, err := os.Open(opts.catalog)

@@ -41,24 +41,16 @@ type flightKey struct {
 // cluster config: the weighted class-priority gate, the adaptive
 // origin-fetch limiter, and the miss coalescer.
 func (n *CacheNode) initAdmission() {
-	maxInflight := n.cfg.MaxInflight
-	if maxInflight <= 0 {
-		maxInflight = DefaultMaxInflight
-	}
-	missQueue := n.cfg.MissQueue
-	if missQueue <= 0 {
-		missQueue = DefaultMissQueue
-	}
-	limMax := maxInflight / admit.Miss.Weight() // at least 1: the constructor refuses less
+	limMax := n.cfg.MaxInflight / admit.Miss.Weight() // at least 1: check refuses less
 	clock := admitClock{n.clock}
 	n.gate = admit.NewGate(admit.GateOptions{
-		Capacity: maxInflight,
-		QueueCap: [3]int{admit.Hit: 0, admit.Lookup: 0, admit.Miss: missQueue},
+		Capacity: n.cfg.MaxInflight,
+		QueueCap: [3]int{admit.Hit: 0, admit.Lookup: 0, admit.Miss: n.cfg.MissQueue},
 		Clock:    clock,
 	})
 	n.limiter = admit.NewLimiter(admit.LimiterOptions{
 		Max:      limMax,
-		QueueCap: missQueue,
+		QueueCap: n.cfg.MissQueue,
 		Clock:    clock,
 	})
 	n.flights = admit.NewCoalescer[flightKey, document.Document]()

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -128,15 +129,14 @@ func NewCacheNode(name string, cfg ClusterConfig) (*CacheNode, error) {
 // through the given transport (tests inject the chaos transport here); nil
 // selects the node's own, whose open circuits the node counts.
 func NewCacheNodeWithTransport(name string, cfg ClusterConfig, tp Transport) (*CacheNode, error) {
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 	if _, ok := cfg.Addrs[name]; !ok {
 		return nil, fmt.Errorf("node: %q missing from cluster addresses", name)
 	}
-	if cfg.IntraGen <= 0 {
-		return nil, fmt.Errorf("node: IntraGen must be positive")
-	}
-	if w := admit.Miss.Weight(); cfg.MaxInflight > 0 && cfg.MaxInflight < w {
-		return nil, fmt.Errorf("node: MaxInflight %d admits no miss (weight %d): it must be 0 or at least %d", cfg.MaxInflight, w, w)
-	}
+	cfg.MaxInflight = cmp.Or(cfg.MaxInflight, DefaultMaxInflight)
+	cfg.MissQueue = cmp.Or(cfg.MissQueue, DefaultMissQueue)
 	var pol placement.Policy = placement.AdHoc{}
 	if cfg.UtilityPlacement {
 		u, err := placement.NewUtility(placement.EqualOn(true, true, true, cfg.CapacityBytes > 0), 0.5)
@@ -160,27 +160,14 @@ func NewCacheNodeWithTransport(name string, cfg ClusterConfig, tp Transport) (*C
 		seq:     uint64(clock.Now().UnixNano()),
 		misses:  make(map[string]missState),
 		flushAt: flushPendingAt,
+		peers:   sortedKeys(cfg.Addrs),
 	}
-	for peer := range cfg.Addrs {
-		n.peers = append(n.peers, peer)
-	}
-	sort.Strings(n.peers)
-	initial, err := equalSplit(cfg)
-	if err != nil {
-		return nil, err
-	}
-	n.dir = newDirectory(name, cfg.IntraGen, n.peers, initial, n.reg)
-	router, err := NewShieldRouter(cfg)
-	if err != nil {
-		return nil, err
-	}
-	n.shieldRouter = router
+	n.dir = newDirectory(name, cfg.IntraGen, n.peers, layoutOf(newRings(cfg)), n.reg)
+	n.shieldRouter = newShieldRouter(cfg)
 	n.initAdmission()
 	// Tenancy precedes the durable warm boot so replayed entries land
 	// under their tenants' byte quotas.
-	if err := n.initTenancy(); err != nil {
-		return nil, err
-	}
+	n.initTenancy()
 	n.initMetrics()
 	if err := n.initDurable(); err != nil {
 		return nil, err

@@ -23,10 +23,7 @@ func (d *disk) open(cfg ClusterConfig, name string, reg *obs.Registry) error {
 	if cfg.StoreDir == "" {
 		return nil
 	}
-	fsync, err := durable.ParseFsync(cfg.Fsync)
-	if err != nil {
-		return err
-	}
+	fsync, _ := durable.ParseFsync(cfg.Fsync) // check accepted it
 	st, err := durable.Open(filepath.Join(cfg.StoreDir, name), durable.Options{
 		Fsync:  fsync,
 		Tracer: cfg.Tracer,

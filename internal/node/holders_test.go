@@ -138,7 +138,9 @@ func TestMissCostsTwoHops(t *testing.T) {
 	// lookup there carries that drop.
 	probe, err := NewCacheNode(self, ClusterConfig{
 		IntraGen: 64, Rings: [][]string{{"live-00", "live-02"}, {"live-01", "live-03"}},
-		Addrs: map[string]string{"live-00": "x", "live-01": "x", "live-02": "x", "live-03": "x"},
+		Addrs: map[string]string{"live-00": "http://live-00", "live-01": "http://live-01", "live-02": "http://live-02",
+			"live-03": "http://live-03"},
+		OriginAddr: "http://origin",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -488,7 +490,7 @@ func TestDropRoutedByAssignmentAtSendTime(t *testing.T) {
 // gone.
 func TestLookupAndDeregisterWireCompatibility(t *testing.T) {
 	cfg := ClusterConfig{
-		IntraGen: 16, Rings: [][]string{{"n0"}},
+		IntraGen: 16, Rings: [][]string{{"n0"}, {"n1"}}, // the test's URLs all hash into n0's ring
 		Addrs:      map[string]string{"n0": "http://127.0.0.1:1", "n1": "http://127.0.0.1:2"},
 		OriginAddr: "http://127.0.0.1:3",
 	}

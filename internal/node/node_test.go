@@ -76,10 +76,7 @@ func cacheStats(t *testing.T, client *http.Client, base string) CacheStats {
 
 func TestEqualSplitLayout(t *testing.T) {
 	cfg := ClusterConfig{IntraGen: 10, Rings: [][]string{{"a", "b"}, {"c"}}}
-	a, err := equalSplit(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := layoutOf(newRings(cfg))
 	if a.Rings[0][0] != (Subrange{Node: "a", Lo: 0, Hi: 4}) {
 		t.Fatalf("ring0[0] = %+v", a.Rings[0][0])
 	}
@@ -96,19 +93,18 @@ func TestEqualSplitLayout(t *testing.T) {
 		t.Fatalf("ringOf(zz) = %d", got)
 	}
 	// What internal/ring refuses, and a node in two rings, fail the boot.
-	for _, rings := range [][][]string{{{"a", "a"}}, {{}}, {{"a", "b"}, {"b", "c"}}} {
-		if _, err := equalSplit(ClusterConfig{IntraGen: 10, Rings: rings}); err == nil {
-			t.Fatalf("rings %v accepted", rings)
+	addrs := map[string]string{"a": "http://a", "b": "http://b", "c": "http://c"}
+	for _, rings := range [][][]string{{{"a", "a"}, {"b", "c"}}, {{"a", "b", "c"}, {}}, {{"a", "b"}, {"b", "c"}}} {
+		err := ClusterConfig{IntraGen: 10, Rings: rings, Addrs: addrs, OriginAddr: "http://o"}.check()
+		if err == nil || !strings.Contains(err.Error(), "Rings") {
+			t.Fatalf("rings %v: err = %v, want a refusal naming Rings", rings, err)
 		}
 	}
 }
 
 func TestOwnerOfCoversAllDocs(t *testing.T) {
 	cfg := ClusterConfig{IntraGen: 100, Rings: [][]string{{"a", "b"}, {"c", "d"}}}
-	a, err := equalSplit(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := layoutOf(newRings(cfg))
 	owners := map[string]int{}
 	for i := 0; i < 500; i++ {
 		o, err := a.ownerOf(fmt.Sprintf("u%d", i), cfg.IntraGen)

@@ -3,7 +3,6 @@ package node
 import (
 	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"maps"
 	"net/http"
@@ -105,16 +104,10 @@ func NewOriginNode(cfg ClusterConfig, docs []document.Document) (*OriginNode, er
 // through the given transport (tests inject the chaos transport here); nil
 // selects the origin's own.
 func NewOriginNodeWithTransport(cfg ClusterConfig, docs []document.Document, tp Transport) (*OriginNode, error) {
-	if cfg.IntraGen <= 0 {
-		return nil, errors.New("node: IntraGen must be positive")
-	}
-	if len(cfg.Rings) == 0 {
-		return nil, errors.New("node: cluster has no rings")
-	}
-	rings, err := newRings(cfg)
-	if err != nil {
+	if err := cfg.check(); err != nil {
 		return nil, err
 	}
+	rings := newRings(cfg)
 	clock := clockOrReal(cfg.Clock)
 	if tp == nil {
 		tp = NewHTTPTransport(TransportOptions{Clock: clock})
@@ -134,11 +127,9 @@ func NewOriginNodeWithTransport(cfg ClusterConfig, docs []document.Document, tp 
 	shields := append([]string(nil), cfg.Shields...)
 	sort.Strings(shields)
 	o.shieldBits = make(map[string]uint32, len(shields))
-	for _, name := range shields {
-		if base, ok := cfg.ShieldAddrs[name]; ok {
-			o.shieldBits[name] = uint32(1) << len(o.shieldBases)
-			o.shieldBases = append(o.shieldBases, base)
-		}
+	for i, name := range shields {
+		o.shieldBits[name] = uint32(1) << i
+		o.shieldBases = append(o.shieldBases, cfg.ShieldAddrs[name])
 	}
 	o.initMetrics()
 	return o, nil
@@ -797,12 +788,4 @@ func (o *OriginNode) DocVersions() map[string]document.Version {
 }
 
 // DownNodes returns the sorted names of nodes currently declared dead.
-func (o *OriginNode) DownNodes() []string {
-	down := o.view.Load().down
-	out := make([]string, 0, len(down))
-	for name := range down {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func (o *OriginNode) DownNodes() []string { return sortedKeys(o.view.Load().down) }

@@ -63,10 +63,15 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"os"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 
+	"cachecloud/internal/admit"
 	"cachecloud/internal/document"
+	"cachecloud/internal/durable"
 	"cachecloud/internal/obs"
 	"cachecloud/internal/tenant"
 )
@@ -97,29 +102,35 @@ type Subrange struct {
 }
 
 // ClusterConfig is the static bootstrap configuration every node receives.
+// Each field's comment states its domain, which check enforces for every
+// node kind.
 type ClusterConfig struct {
-	// IntraGen is the intra-ring hash generator.
+	// IntraGen is the intra-ring hash generator: at most 65,536, and at
+	// least the size of every ring and of Shields.
 	IntraGen int `json:"intraGen"`
 	// Rings lists the beacon-point node names of each ring in position
-	// order; initial sub-ranges divide the range equally.
+	// order; initial sub-ranges divide the range equally. At least one
+	// ring, none empty; every cache is in exactly one ring and has an
+	// Addrs entry. A name is 1–64 bytes of [A-Za-z0-9._-], not "." or "..".
 	Rings [][]string `json:"rings"`
-	// Addrs maps node name to base URL (http://host:port).
+	// Addrs maps each ring member's name, and nothing else, to its base
+	// URL (http or https, with a host).
 	Addrs map[string]string `json:"addrs"`
-	// OriginAddr is the origin node's base URL.
+	// OriginAddr is the origin node's base URL, as in Addrs.
 	OriginAddr string `json:"originAddr"`
-	// CapacityBytes is each cache's byte budget (0 = unlimited).
+	// CapacityBytes is each cache's byte budget (0 = unlimited; ≥ 0).
 	CapacityBytes int64 `json:"capacityBytes"`
 	// UtilityPlacement selects the utility-based placement policy for the
 	// cache nodes (ad hoc placement otherwise).
 	UtilityPlacement bool `json:"utilityPlacement"`
 	// MaxInflight caps the total weighted work units a node admits
-	// concurrently across the three work classes (0 selects the default,
-	// 64; a node refuses a value below a miss's weight, which no miss
-	// would fit). It also bounds the adaptive origin-fetch limiter's
+	// concurrently across the three work classes: 0 selects the default,
+	// 64; any other value below a miss's weight, which no miss would fit,
+	// is refused. It also bounds the adaptive origin-fetch limiter's
 	// ceiling at MaxInflight/4.
 	MaxInflight int `json:"maxInflight,omitempty"`
 	// MissQueue caps queued miss-class (origin fetch) waiters; arrivals
-	// past the cap are shed immediately (0 selects the default, 32).
+	// past the cap are shed immediately (0 selects the default, 32; ≥ 0).
 	MissQueue int `json:"missQueue,omitempty"`
 	// StoreDir, when non-empty, is the directory root for the durable
 	// cache tier: each node persists its admitted documents into
@@ -128,23 +139,26 @@ type ClusterConfig struct {
 	// keeps nodes memory-only.
 	StoreDir string `json:"storeDir,omitempty"`
 	// Fsync selects the durable tier's flush policy: "rotate" (default),
-	// "always", or "never"; a node refuses any other value. Ignored when
-	// StoreDir is empty.
+	// "always", or "never" (durable.ParseFsync); any other value is
+	// refused. Ignored when StoreDir is empty.
 	Fsync string `json:"fsync,omitempty"`
 	// Shields lists the shield-tier cache names, in no particular order
 	// (routing sorts them). Empty runs the classic single-tier layout:
 	// cache misses and origin updates go straight between the cloud and
 	// the origin. Non-empty interposes the shield tier: cloud misses
 	// resolve cloud → shield → origin and the origin fans one update per
-	// shield instead of one per cloud.
+	// shield instead of one per cloud. Names as in Rings, none twice or a
+	// cache's, each with a ShieldAddrs entry.
 	Shields []string `json:"shields,omitempty"`
-	// ShieldAddrs maps shield name to base URL.
+	// ShieldAddrs maps each shield's name, and nothing else, to its base
+	// URL, as in Addrs.
 	ShieldAddrs map[string]string `json:"shieldAddrs,omitempty"`
 	// Tenants, when non-empty, turns on multi-tenant admission and
 	// residency quotas: each entry maps a tenant ID to its weighted fair
 	// share of MaxInflight and its resident-byte cap. Tenants absent from
 	// the map are admitted within leftover capacity and store without a
-	// byte cap; the default (empty-ID) tenant is always uncapped.
+	// byte cap; the default (empty-ID) tenant is always uncapped. Each
+	// entry is one tenant.Registry.Set accepts.
 	Tenants map[string]tenant.Quota `json:"tenants,omitempty"`
 	// Clock is the time source nodes built from this config run on. Nil
 	// selects the wall clock; the deterministic simulation harness
@@ -154,6 +168,115 @@ type ClusterConfig struct {
 	// from this config, durable-store recovery events during construction
 	// included. Never serialised.
 	Tracer *obs.Tracer `json:"-"`
+}
+
+// LoadClusterConfig reads a cluster file strictly: a field ClusterConfig
+// does not have is refused, not ignored. It does not check the domains: a
+// command may overlay its flags first, and the node it builds checks.
+func LoadClusterConfig(path string) (ClusterConfig, error) {
+	var cfg ClusterConfig
+	f, err := os.Open(path)
+	if err != nil {
+		return cfg, fmt.Errorf("read cluster config: %w", err)
+	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
+		return cfg, fmt.Errorf("parse cluster config: %w", err)
+	}
+	return cfg, nil
+}
+
+// maxIntraGen bounds IntraGen: each beacon point keeps a load counter of 8
+// bytes per hash value from boot on.
+const maxIntraGen = 1 << 16
+
+// check returns the first field of c outside its domain, naming the field.
+func (c ClusterConfig) check() error {
+	if c.IntraGen <= 0 || c.IntraGen > maxIntraGen {
+		return fmt.Errorf("node: IntraGen must be positive and at most %d, not %d", maxIntraGen, c.IntraGen)
+	}
+	if len(c.Rings) == 0 {
+		return fmt.Errorf("node: Rings lists no ring")
+	}
+	for r, names := range c.Rings {
+		if len(names) == 0 || len(names) > c.IntraGen {
+			return fmt.Errorf("node: Rings: ring %d has %d members, not 1 to IntraGen (%d)", r, len(names), c.IntraGen)
+		}
+	}
+	if len(c.Shields) > c.IntraGen {
+		return fmt.Errorf("node: Shields lists %d shields, more than IntraGen (%d)", len(c.Shields), c.IntraGen)
+	}
+	listedIn := make(map[string]string) // each cache's and shield's name → "Rings" or "Shields"
+	for _, t := range []struct {
+		list, addrsField string
+		names            []string
+		addrs            map[string]string
+	}{{"Rings", "Addrs", slices.Concat(c.Rings...), c.Addrs}, {"Shields", "ShieldAddrs", c.Shields, c.ShieldAddrs}} {
+		for _, name := range t.names {
+			if _, ok := t.addrs[name]; !ok || !validName(name) || listedIn[name] != "" {
+				return fmt.Errorf("node: %s: %q is listed twice, is not a valid name or has no %s entry", t.list, name, t.addrsField)
+			}
+			listedIn[name] = t.list
+		}
+		for _, name := range sortedKeys(t.addrs) {
+			if listedIn[name] != t.list {
+				return fmt.Errorf("node: %s: %q is not in %s", t.addrsField, name, t.list)
+			}
+			if !validAddr(t.addrs[name]) {
+				return fmt.Errorf("node: %s: %q is not an http(s) base URL: %q", t.addrsField, name, t.addrs[name])
+			}
+		}
+	}
+	if !validAddr(c.OriginAddr) {
+		return fmt.Errorf("node: OriginAddr %q is not an http(s) base URL", c.OriginAddr)
+	}
+	if c.CapacityBytes < 0 {
+		return fmt.Errorf("node: CapacityBytes must not be negative, not %d", c.CapacityBytes)
+	}
+	if w := admit.Miss.Weight(); c.MaxInflight != 0 && c.MaxInflight < w {
+		return fmt.Errorf("node: MaxInflight %d admits no miss (weight %d): it must be 0 or at least %d", c.MaxInflight, w, w)
+	}
+	if c.MissQueue < 0 {
+		return fmt.Errorf("node: MissQueue must not be negative, not %d", c.MissQueue)
+	}
+	if _, err := durable.ParseFsync(c.Fsync); err != nil && c.StoreDir != "" {
+		return fmt.Errorf("node: Fsync: %w", err)
+	}
+	reg, _ := tenant.NewRegistry(nil) // an empty registry: no error
+	for _, id := range sortedKeys(c.Tenants) {
+		if err := reg.Set(id, c.Tenants[id]); err != nil {
+			return fmt.Errorf("node: Tenants: %w", err)
+		}
+	}
+	return nil
+}
+
+// sortedKeys returns m's keys in order, so that of several fields out of
+// their domain every caller of check names the same one.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// nameBytes are what a cache's or shield's name is made of: the name is a
+// directory under StoreDir and a query-string value.
+const nameBytes = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-"
+
+// validName reports whether s may name a cache or a shield.
+func validName(s string) bool {
+	return len(s) > 0 && len(s) <= 64 && s != "." && s != ".." && strings.Trim(s, nameBytes) == ""
+}
+
+// validAddr reports whether s is an http or https base URL with a host.
+func validAddr(s string) bool {
+	u, err := url.Parse(s)
+	return err == nil && (u.Scheme == "http" || u.Scheme == "https") && u.Host != ""
 }
 
 // Assignments carries the complete sub-range layout of all rings: the wire

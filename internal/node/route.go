@@ -2,36 +2,26 @@ package node
 
 import (
 	"fmt"
-	"slices"
 
 	"cachecloud/internal/document"
 	"cachecloud/internal/ring"
 )
 
 // newRings builds the cluster's beacon rings (internal/ring) in their
-// initial equal division. The origin keeps them for its whole life as the
-// master topology; every other node kind renders them once, as the layout
-// it boots with.
-func newRings(cfg ClusterConfig) ([]*ring.Ring, error) {
+// initial equal division, the one core.Cloud starts from too. The origin
+// keeps them for its whole life as the master topology; every other node
+// kind renders them once (layoutOf), as the layout it boots with. cfg has
+// passed check, which refuses every layout ring.New does.
+func newRings(cfg ClusterConfig) []*ring.Ring {
 	rings := make([]*ring.Ring, len(cfg.Rings))
 	for r, names := range cfg.Rings {
 		members := make([]ring.Member, len(names))
 		for i, name := range names {
-			// A removal and a rejoin act on a node's one ring.
-			for first, earlier := range cfg.Rings[:r] {
-				if slices.Contains(earlier, name) {
-					return nil, fmt.Errorf("node: %q is configured in rings %d and %d", name, first, r)
-				}
-			}
 			members[i] = ring.Member{ID: name, Capability: 1}
 		}
-		rg, err := ring.New(ring.Config{IntraGen: cfg.IntraGen, FineGrained: true}, members)
-		if err != nil {
-			return nil, fmt.Errorf("node: ring %d: %w", r, err)
-		}
-		rings[r] = rg
+		rings[r], _ = ring.New(ring.Config{IntraGen: cfg.IntraGen, FineGrained: true}, members)
 	}
-	return rings, nil
+	return rings
 }
 
 // layoutOf renders rings in the wire form. Assignments is only ever this
@@ -44,16 +34,6 @@ func layoutOf(rings []*ring.Ring) Assignments {
 		}
 	}
 	return a
-}
-
-// equalSplit is the assignment a cluster boots with: the one core.Cloud
-// starts from too, both being ring.New's.
-func equalSplit(cfg ClusterConfig) (Assignments, error) {
-	rings, err := newRings(cfg)
-	if err != nil {
-		return Assignments{}, err
-	}
-	return layoutOf(rings), nil
 }
 
 // routeView is the immutable routing snapshot every node kind routes by:

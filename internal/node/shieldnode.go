@@ -32,11 +32,12 @@ type ShieldRouter struct {
 	addrs map[string]string
 }
 
-// NewShieldRouter builds the cloud-side router from the cluster config.
-// Returns (nil, nil) when no shield tier is configured.
-func NewShieldRouter(cfg ClusterConfig) (*ShieldRouter, error) {
+// newShieldRouter builds the cloud-side router from a cluster config that
+// has passed check (at most IntraGen shields, each with an address), or
+// returns nil when no shield tier is configured.
+func newShieldRouter(cfg ClusterConfig) *ShieldRouter {
 	if len(cfg.Shields) == 0 {
-		return nil, nil
+		return nil
 	}
 	order := append([]string(nil), cfg.Shields...)
 	sort.Strings(order)
@@ -44,21 +45,15 @@ func NewShieldRouter(cfg ClusterConfig) (*ShieldRouter, error) {
 	for i, id := range order {
 		members[i] = ring.Member{ID: id, Capability: 1}
 	}
-	rg, err := ring.New(ring.Config{IntraGen: cfg.IntraGen}, members)
-	if err != nil {
-		return nil, fmt.Errorf("node: shield ring: %w", err)
-	}
-	owner, err := rg.BeaconFor(document.HashURL(liveCloud).IrH(cfg.IntraGen))
-	if err != nil {
-		return nil, fmt.Errorf("node: shield ring: %w", err)
-	}
+	rg, _ := ring.New(ring.Config{IntraGen: cfg.IntraGen}, members)
+	owner, _ := rg.BeaconFor(document.HashURL(liveCloud).IrH(cfg.IntraGen))
 	r := &ShieldRouter{order: order, addrs: cfg.ShieldAddrs}
 	for i, id := range order {
 		if id == owner {
 			r.start = i
 		}
 	}
-	return r, nil
+	return r
 }
 
 // Owner returns this cloud's owning shield.
@@ -69,10 +64,7 @@ func (r *ShieldRouter) Owner() string { return r.order[r.start] }
 func (r *ShieldRouter) Walk() []string {
 	out := make([]string, 0, len(r.order))
 	for i := 0; i < len(r.order); i++ {
-		name := r.order[(r.start+i)%len(r.order)]
-		if base, ok := r.addrs[name]; ok {
-			out = append(out, base)
-		}
+		out = append(out, r.addrs[r.order[(r.start+i)%len(r.order)]])
 	}
 	return out
 }
@@ -104,9 +96,6 @@ func (n *CacheNode) shieldFetch(ctx context.Context, url string, version documen
 			n.shieldHits.Inc()
 		}
 		return FetchResponse{Doc: sr.Doc}, nil
-	}
-	if lastErr == nil {
-		lastErr = errors.New("node: no shield addresses configured")
 	}
 	return FetchResponse{}, lastErr
 }
@@ -302,15 +291,11 @@ func NewShieldNode(name string, cfg ClusterConfig) (*ShieldNode, error) {
 // go through the given transport (the simulation harness injects the chaos
 // transport here); nil selects the shield's own.
 func NewShieldNodeWithTransport(name string, cfg ClusterConfig, tp Transport) (*ShieldNode, error) {
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 	if _, ok := cfg.ShieldAddrs[name]; !ok {
 		return nil, fmt.Errorf("node: shield %q missing from shield addresses", name)
-	}
-	if cfg.IntraGen <= 0 {
-		return nil, fmt.Errorf("node: IntraGen must be positive")
-	}
-	initial, err := equalSplit(cfg)
-	if err != nil {
-		return nil, err
 	}
 	clock := clockOrReal(cfg.Clock)
 	if tp == nil {
@@ -324,7 +309,7 @@ func NewShieldNodeWithTransport(name string, cfg ClusterConfig, tp Transport) (*
 		start: clock.Now(),
 		table: make(map[string]*shieldEntry),
 	}
-	sn.view.Store(newRouteView(cfg.IntraGen, initial))
+	sn.view.Store(newRouteView(cfg.IntraGen, layoutOf(newRings(cfg))))
 	sn.initMetrics()
 	if err := sn.initDurable(); err != nil {
 		return nil, err

@@ -21,10 +21,7 @@ func shieldCluster(t *testing.T, opts ClusterConfig, mk TransportFactory) (*Loca
 	t.Helper()
 	opts.Shields = []string{"s0", "s1"}
 	lc := startClusterWith(t, 4, 2, opts, mk)
-	router, err := NewShieldRouter(lc.Cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	router := newShieldRouter(lc.Cfg)
 	order := []string{router.Owner()}
 	for _, name := range lc.Cfg.Shields {
 		if name != router.Owner() {

@@ -83,23 +83,15 @@ func (tc *tenantCounters) failed(id string)  { tc.add(id, tcFailed) }
 // per tenant, per-tenant resident-byte caps on the store, and per-tenant
 // conservation counters. With no tenants configured the node runs the
 // classic single-tenant path untouched.
-func (n *CacheNode) initTenancy() error {
+func (n *CacheNode) initTenancy() {
 	if len(n.cfg.Tenants) == 0 {
-		return nil
+		return
 	}
-	reg, err := tenant.NewRegistry(n.cfg.Tenants)
-	if err != nil {
-		return fmt.Errorf("node %s: %w", n.name, err)
-	}
-	maxInflight := n.cfg.MaxInflight
-	if maxInflight <= 0 {
-		maxInflight = DefaultMaxInflight
-	}
+	reg, _ := tenant.NewRegistry(n.cfg.Tenants) // check accepted every entry
 	n.tenants = reg
-	n.fair = tenant.NewFairShare(reg, maxInflight)
+	n.fair = tenant.NewFairShare(reg, n.cfg.MaxInflight)
 	n.store.SetTenantQuotas(reg)
 	n.tenantCounts = newTenantCounters(reg.IDs())
-	return nil
 }
 
 // tenantFromRequest extracts and validates the tenant ID a client

@@ -257,7 +257,7 @@ func TestOriginTopologyMatchesCore(t *testing.T) {
 	)
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		cfg := ClusterConfig{IntraGen: gen, Rings: make([][]string, rings), Addrs: make(map[string]string)}
+		cfg := ClusterConfig{IntraGen: gen, Rings: make([][]string, rings), Addrs: make(map[string]string), OriginAddr: "http://origin"}
 		var ids []string
 		for i := 0; i < caches; i++ {
 			id := fmt.Sprintf("c%d", i)
