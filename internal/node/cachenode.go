@@ -63,6 +63,7 @@ type CacheNode struct {
 	failedOver   *obs.Counter // lookups answered by the ring sibling after a beacon failure
 	degraded     *obs.Counter // requests that fell through to the origin with no beacon
 	circuitOpen  *obs.Counter
+	handoffFail  *obs.Counter   // hand-off batches a new beacon did not take
 	reqMs        *obs.Histogram // client /doc handling latency
 	lookupMs     *obs.Histogram // beacon lookup round trip
 	fetchMs      *obs.Histogram // peer/origin document retrieval
@@ -162,7 +163,7 @@ func NewCacheNodeWithTransport(name string, cfg ClusterConfig, tp Transport) (*C
 		flushAt: flushPendingAt,
 		peers:   sortedKeys(cfg.Addrs),
 	}
-	n.dir = newDirectory(name, cfg.IntraGen, n.peers, layoutOf(newRings(cfg)), n.reg)
+	n.dir = newDirectory(name, cfg.IntraGen, n.peers, layoutOf(newRings(cfg, false)), n.reg)
 	n.shieldRouter = newShieldRouter(cfg)
 	n.initAdmission()
 	// Tenancy precedes the durable warm boot so replayed entries land
@@ -191,6 +192,7 @@ func (n *CacheNode) initMetrics() {
 	n.failedOver = reg.Counter("failed_over_total")
 	n.degraded = reg.Counter("degraded_total")
 	n.circuitOpen = reg.Counter("circuit_open_total")
+	n.handoffFail = reg.Counter("handoff_failed_total")
 	n.dropsPiggybacked = reg.Counter("drops_piggybacked_total")
 	n.dropsBatched = reg.Counter("drops_batched_total")
 	n.dropsCancelled = reg.Counter("drops_cancelled_total")
@@ -761,7 +763,8 @@ func (n *CacheNode) drop(req PurgeRequest) (dropResponse, error) {
 }
 
 // handleSubranges installs a new assignment and hands off the lookup
-// records this node no longer owns (directory.install).
+// records this node no longer owns (directory.install). A batch the new
+// beacon does not take is counted, not retried: reconcile lists it again.
 func (n *CacheNode) handleSubranges(w http.ResponseWriter, r *http.Request) {
 	var req Assignments
 	if err := readJSON(r, &req); err != nil {
@@ -774,7 +777,9 @@ func (n *CacheNode) handleSubranges(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			continue
 		}
-		_ = n.tp.PostJSON(r.Context(), base+"/records/import", RecordsImport{Records: ho.records}, nil)
+		if err := n.tp.PostJSON(r.Context(), base+"/records/import", RecordsImport{Records: ho.records}, nil); err != nil {
+			n.handoffFail.Inc()
+		}
 	}
 	writeJSON(w, http.StatusOK, SubrangesResponse{MigratedOut: len(outbound), Promoted: promoted})
 }
@@ -790,22 +795,19 @@ func (n *CacheNode) recordsImport(req RecordsImport) (map[string]int, error) {
 	return map[string]int{"imported": len(req.Records)}, n.dir.importRecords(req.Records)
 }
 
-// handleReplicate pushes this node's lookup records to its ring sibling
-// (the lazy replication pass, typically triggered by the origin once per
-// cycle).
+// handleReplicate pushes this node's lookup records that are not empty
+// to its ring sibling (the lazy replication pass, typically triggered by
+// the origin once per cycle).
 func (n *CacheNode) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	var recs []WireRecord
 	_, base, ok := n.siblingOf(n.name)
-	if ok {
-		recs = n.dir.snapshot(false)
-	}
-	if len(recs) == 0 {
+	if !ok {
 		writeJSON(w, http.StatusOK, map[string]int{"sent": 0})
 		return
 	}
 	// Reset: this payload is a full snapshot of the node's records, so the
 	// sibling must not keep (and later promote) replicas of records this
-	// node no longer holds.
+	// node no longer holds; it goes out even when it names none.
+	recs := n.dir.replicaPush()
 	if err := n.tp.PostJSON(r.Context(), base+"/records/replica", RecordsImport{Records: recs, Reset: true, From: n.name}, nil); err != nil {
 		writeErr(w, http.StatusBadGateway, err)
 		return
@@ -837,7 +839,7 @@ func (n *CacheNode) handleStats(w http.ResponseWriter, r *http.Request) {
 	if total > 0 {
 		hitRate = float64(local+peer) / float64(total)
 	}
-	records, _ := n.dir.counts()
+	_, records, _ := n.dir.counts()
 	ad := n.Admission()
 	st := CacheStats{
 		Node:          n.name,
@@ -1013,9 +1015,10 @@ func (n *CacheNode) StartHeartbeat(interval time.Duration) (stop func()) {
 }
 
 // sendHeartbeat posts one beat. RecordsHeld rides along so the origin
-// knows how many lookup records are at stake if this node crashes.
+// knows how many lookup records are at stake if this node crashes: those
+// that are not empty (record.empty).
 func (n *CacheNode) sendHeartbeat() {
-	records, _ := n.dir.counts()
+	_, records, _ := n.dir.counts()
 	req := HeartbeatRequest{
 		Node:        n.name,
 		Seq:         n.hbSeq.Add(1),

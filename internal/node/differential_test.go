@@ -120,10 +120,7 @@ func (h *diffHarness) replicate() {
 		if !ok {
 			continue
 		}
-		recs := d.snapshot(false)
-		if len(recs) == 0 {
-			continue
-		}
+		recs := d.replicaPush()
 		// The sibling is the other member of the cache's ring, as in
 		// handleReplicate; the layout names live caches only.
 		for _, sub := range h.assign.Rings[h.assign.ringOf(id)] {
@@ -297,6 +294,11 @@ func (h *diffHarness) compare(step int, kind string) {
 		sort.Strings(got)
 		if want := sortedCopy(h.cloud.Holders(url)); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
 			h.t.Fatalf("step %d (%s) %s at %s: directory lists %v, core %v", step, kind, url, beacon, got, want)
+		}
+	}
+	for id, d := range h.dirs {
+		if got, walk := heldOf(d), heldByWalk(d); got != walk {
+			h.t.Fatalf("step %d (%s): %s has %d owned records at stake, a walk counts %d", step, kind, id, got, walk)
 		}
 	}
 }

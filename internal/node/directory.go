@@ -49,6 +49,14 @@ const noNode = -1 // a replica's from when it names no node of the cluster
 // base lets entry set the hash of a role it has just allocated.
 func (r *record) base() *record { return r }
 
+// empty reports whether the record names no holder and no version: then
+// failover can use nothing of it, so it crosses no wire and no crash loses
+// it (DESIGN.md §7, "What crosses the wire").
+func (r *record) empty() bool { return len(r.holders) == 0 && r.version == 0 }
+
+// Empty is record.empty for a record in transit.
+func (wr WireRecord) Empty() bool { return len(wr.Holders) == 0 && wr.Version == 0 }
+
 // listing is one holder of a record and the number it is listed under.
 type listing struct {
 	holder string
@@ -203,6 +211,7 @@ type directory struct {
 
 	mu       sync.Mutex
 	owned    map[string]*ownedRecord
+	held     int // owned records that are not empty: what a crash loses
 	replicas map[string]*replicaRecord
 	pushes   uint32 // replica pushes accepted so far
 	// loads[ring] is a dense per-IrH-value load counter for the ranges this
@@ -228,8 +237,8 @@ func newDirectory(self string, intraGen int, names []string, assign Assignments,
 		staleDrops: reg.Counter("drops_ignored_stale_total"),
 	}
 	d.view.Store(newRouteView(intraGen, assign))
-	reg.GaugeFunc("lookup_records", func() float64 { owned, _ := d.counts(); return float64(owned) })
-	reg.GaugeFunc("replica_records", func() float64 { _, replicas := d.counts(); return float64(replicas) })
+	reg.GaugeFunc("lookup_records", func() float64 { owned, _, _ := d.counts(); return float64(owned) })
+	reg.GaugeFunc("replica_records", func() float64 { _, _, replicas := d.counts(); return float64(replicas) })
 	reg.GaugeFunc("ring_count", func() float64 { return float64(len(d.route().assign.Rings)) })
 	reg.GaugeFunc("owned_subrange_len", func() float64 { return float64(ownedSubrangeLen(&d.route().assign, self)) })
 	reg.GaugeFunc("down_peers", func() float64 { return float64(len(d.route().down)) })
@@ -239,11 +248,22 @@ func newDirectory(self string, intraGen int, names []string, assign Assignments,
 // route returns the routing snapshot in force.
 func (d *directory) route() *routeView { return d.view.Load() }
 
-// counts returns how many owned and replica records the directory holds.
-func (d *directory) counts() (owned, replicas int) {
+// counts returns how many owned and replica records the directory holds,
+// and how many owned ones are not empty: what a crash of the node loses.
+func (d *directory) counts() (owned, held, replicas int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.owned), len(d.replicas)
+	return len(d.owned), d.held, len(d.replicas)
+}
+
+// settle keeps held across a change to an owned record that was empty
+// before it when was is set. Caller holds mu.
+func (d *directory) settle(was bool, rec *record) {
+	if is := rec.empty(); was && !is {
+		d.held++
+	} else if !was && is {
+		d.held--
+	}
 }
 
 // holderName is the one gate a name passes before it may enter a holder
@@ -338,7 +358,9 @@ func (d *directory) lookup(now int64, url, holder string, seq uint64, drops []st
 	}
 	if holder != "" {
 		if owner == d.self {
+			was := own.empty()
 			own.list(holder, seq)
+			d.settle(was, &own.record)
 		} else {
 			rep := entry(d.replicas, url, hash)
 			rep.from = d.nodeIndex(owner)
@@ -361,8 +383,14 @@ func (d *directory) deregister(holder string, seq uint64, urls []string) {
 func (d *directory) deregisterLocked(v *routeView, holder string, seq uint64, urls []string) {
 	for _, url := range urls {
 		owned := d.ownerOf(v, d.hashOf(url)) == d.self
-		if rec := d.recordOf(url, owned); rec != nil && rec.drop(holder, seq) {
-			d.staleDrops.Inc()
+		if rec := d.recordOf(url, owned); rec != nil {
+			was := rec.empty()
+			if rec.drop(holder, seq) {
+				d.staleDrops.Inc()
+			}
+			if owned {
+				d.settle(was, rec)
+			}
 		}
 	}
 }
@@ -378,9 +406,11 @@ func (d *directory) update(now int64, doc document.Document) (UpdateRequest, []l
 	rec := entry(d.owned, doc.URL, hash)
 	push := UpdateRequest{Doc: doc}
 	push.LookupRate, push.UpdateRate = rec.observe(now, false)
+	was := rec.empty()
 	if doc.Version > rec.version {
 		rec.version = doc.Version
 	}
+	d.settle(was, &rec.record)
 	push.Replicas = len(rec.holders)
 	return push, slices.Clone(rec.holders)
 }
@@ -399,11 +429,13 @@ func (d *directory) unlist(url string, stale []listing) {
 	if !ok {
 		return
 	}
+	was := rec.empty()
 	for _, l := range stale {
 		if i, listed := rec.find(l.holder); listed && rec.holders[i].seq == l.seq {
 			rec.unlistAt(i)
 		}
 	}
+	d.settle(was, &rec.record)
 }
 
 // forget removes url's owned record and its replica. The replica must go
@@ -412,6 +444,9 @@ func (d *directory) unlist(url string, stale []listing) {
 func (d *directory) forget(url string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if rec := d.owned[url]; rec != nil && !rec.empty() {
+		d.held--
+	}
 	delete(d.owned, url)
 	delete(d.replicas, url)
 }
@@ -439,8 +474,9 @@ func (d *directory) purge(url string) (peers []string) {
 // on the replica during the failover keeps its number. The fold happens
 // even where failover traffic already recreated the record: the replica
 // can carry holders it lacks, and consuming it keeps a later install from
-// counting it as recovered again. Records the node no longer owns come
-// back as one batch per new owner, owners and URLs sorted.
+// counting it as recovered again. Records the node no longer owns leave it;
+// those that are not empty come back as one batch per new owner, owners and
+// URLs sorted.
 func (d *directory) install(a Assignments) (out []handoff, promoted int) {
 	d.mu.Lock()
 	v := d.route()
@@ -451,6 +487,7 @@ func (d *directory) install(a Assignments) (out []handoff, promoted int) {
 			continue
 		}
 		rec := entry(d.owned, url, rep.hash)
+		was := rec.empty()
 		if rep.version > rec.version {
 			rec.version = rep.version
 		}
@@ -459,6 +496,7 @@ func (d *directory) install(a Assignments) (out []handoff, promoted int) {
 				rec.list(l.holder, l.seq)
 			}
 		}
+		d.settle(was, &rec.record)
 		delete(d.replicas, url)
 		promoted++
 	}
@@ -468,7 +506,10 @@ func (d *directory) install(a Assignments) (out []handoff, promoted int) {
 		if owner == "" || owner == d.self {
 			continue
 		}
-		byOwner[owner] = append(byOwner[owner], rec.wire(url))
+		if !rec.empty() {
+			byOwner[owner] = append(byOwner[owner], rec.wire(url))
+			d.held--
+		}
 		delete(d.owned, url)
 	}
 	d.mu.Unlock()
@@ -481,7 +522,8 @@ func (d *directory) install(a Assignments) (out []handoff, promoted int) {
 	return out, promoted
 }
 
-// importRecords merges records handed off by their previous beacon.
+// importRecords merges records handed off by their previous beacon. An
+// empty one creates no record.
 func (d *directory) importRecords(recs []WireRecord) error {
 	if err := d.admit(recs); err != nil {
 		return err
@@ -489,7 +531,13 @@ func (d *directory) importRecords(recs []WireRecord) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, wr := range recs {
-		entry(d.owned, wr.URL, d.hashOf(wr.URL)).merge(wr)
+		if wr.Empty() {
+			continue
+		}
+		rec := entry(d.owned, wr.URL, d.hashOf(wr.URL))
+		was := rec.empty()
+		rec.merge(wr)
+		d.settle(was, &rec.record)
 	}
 	return nil
 }
@@ -497,10 +545,11 @@ func (d *directory) importRecords(recs []WireRecord) error {
 // acceptReplicas stores a sibling's record copies without taking
 // ownership; they are promoted only if this node later owns their range.
 // A pushed entry supersedes the one held for its URL (written over, not
-// reallocated: a cycle's push mostly repeats the last one's URLs). A reset
-// push is a full snapshot of the sender's records: what it pushed before
-// and not again (every other replica, when it does not name itself) is
-// dropped, so that it cannot be promoted later; other siblings' are kept.
+// reallocated: a cycle's push mostly repeats the last one's URLs); an
+// empty one supersedes it with nothing. A reset push is a full snapshot of
+// the sender's records: what it pushed before and not again (every other
+// replica, when it does not name itself) is dropped, so that it cannot be
+// promoted later; other siblings' are kept.
 // A push from a sender outside the cluster is refused whole, like a stranger.
 func (d *directory) acceptReplicas(sender string, reset bool, recs []WireRecord) error {
 	from := int32(noNode)
@@ -516,6 +565,10 @@ func (d *directory) acceptReplicas(sender string, reset bool, recs []WireRecord)
 	defer d.mu.Unlock()
 	d.pushes++
 	for _, wr := range recs {
+		if wr.Empty() {
+			delete(d.replicas, wr.URL)
+			continue
+		}
 		rep := entry(d.replicas, wr.URL, d.hashOf(wr.URL))
 		rep.holders = rep.holders[:0]
 		rep.version, rep.from, rep.push = 0, from, d.pushes
@@ -543,6 +596,21 @@ func (d *directory) snapshot(replicas bool) []WireRecord {
 	d.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].URL < out[j].URL })
 	return out
+}
+
+// replicaPush returns what a replica push carries: the owned records that
+// are not empty, sorted by URL.
+func (d *directory) replicaPush() []WireRecord {
+	d.mu.Lock()
+	recs := make([]WireRecord, 0, d.held)
+	for url, rec := range d.owned {
+		if !rec.empty() {
+			recs = append(recs, rec.wire(url))
+		}
+	}
+	d.mu.Unlock()
+	sort.Slice(recs, func(i, j int) bool { return recs[i].URL < recs[j].URL })
+	return recs
 }
 
 // wireAll renders every record of a table. Caller holds mu.
@@ -591,7 +659,9 @@ func (d *directory) setDown(names []string) {
 		}
 	}
 	for _, rec := range d.owned {
+		was := rec.empty()
 		prune(&rec.record)
+		d.settle(was, &rec.record)
 	}
 	for _, rep := range d.replicas {
 		prune(&rep.record)
@@ -626,6 +696,7 @@ func (d *directory) reconcile(holder string, seq uint64, entries []ReconcileEntr
 		res := ReconcileResult{URL: e.URL, Version: e.Version, Owned: owned, Keep: true}
 		if owned {
 			rec := entry(d.owned, e.URL, hash)
+			was := rec.empty()
 			if e.Version < rec.version {
 				rec.drop(holder, 0)
 				res.Keep = false
@@ -633,6 +704,7 @@ func (d *directory) reconcile(holder string, seq uint64, entries []ReconcileEntr
 				rec.list(holder, seq)
 				rec.version = e.Version
 			}
+			d.settle(was, &rec.record)
 			res.Version = rec.version
 		}
 		out = append(out, res)

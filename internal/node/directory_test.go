@@ -414,7 +414,7 @@ func TestForgetRemovesRecordAndReplica(t *testing.T) {
 		t.Fatalf("purge peers = %v, want [b c e]", peers)
 	}
 	d.forget(u)
-	if owned, replicas := d.counts(); owned != 0 || replicas != 0 {
+	if owned, _, replicas := d.counts(); owned != 0 || replicas != 0 {
 		t.Fatalf("after forget: %d owned, %d replicas", owned, replicas)
 	}
 	if _, promoted := d.install(testLayout()); promoted != 0 {
@@ -444,7 +444,7 @@ func TestUnknownHolderRefused(t *testing.T) {
 	if err := d.acceptReplicas("b", true, bad); err == nil {
 		t.Fatal("a replica push listed a stranger")
 	}
-	if owned, replicas := d.counts(); owned != 0 || replicas != 0 {
+	if owned, _, replicas := d.counts(); owned != 0 || replicas != 0 {
 		t.Fatalf("refused messages left %d owned and %d replica records", owned, replicas)
 	}
 }
@@ -483,5 +483,84 @@ func TestReplicaPushFromStrangerRefused(t *testing.T) {
 		if rec.Code != want {
 			t.Fatalf("/records/replica from %q: %d %s, want %d", from, rec.Code, rec.Body, want)
 		}
+	}
+}
+
+// heldOf returns how many of d's owned records are not empty, as counted
+// without a walk.
+func heldOf(d *directory) int {
+	_, held, _ := d.counts()
+	return held
+}
+
+// heldByWalk counts d's owned records that are not empty by walking the
+// table.
+func heldByWalk(d *directory) int {
+	n := 0
+	for _, wr := range d.snapshot(false) {
+		if !wr.Empty() {
+			n++
+		}
+	}
+	return n
+}
+
+// TestEmptyRecordsStayHome: a record with no holder and version 0 crosses
+// no wire. A push or a hand-off that carries one leaves both tables and
+// their gauges as they were; a holder or a version alone still crosses; a
+// push that empties a replica drops it; and an empty owned record is not
+// at stake. On the parent commit each empty record became a record.
+func TestEmptyRecordsStayHome(t *testing.T) {
+	reg := obs.NewRegistry("test", nil)
+	d := newDirectory("a", 16, testNames, testLayout(), reg)
+	gauges := func() string {
+		var out []string
+		for _, line := range strings.Split(reg.Render(), "\n") {
+			if !strings.HasPrefix(line, "#") && (strings.Contains(line, "lookup_records") || strings.Contains(line, "replica_records")) {
+				out = append(out, line)
+			}
+		}
+		return strings.Join(out, "; ")
+	}
+	own, rep := urlsOf(t, testLayout(), "a", 6), urlsOf(t, testLayout(), "b", 6)
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(d.importRecords([]WireRecord{{URL: own[0], Version: 2}, {URL: own[1], Holders: []string{"c"}}}))
+	must(d.acceptReplicas("b", true, []WireRecord{{URL: rep[0], Version: 2}, {URL: rep[1], Holders: []string{"c"}}}))
+	before := gauges()
+	if owned, _, replicas := d.counts(); owned != 2 || replicas != 2 {
+		t.Fatalf("%d owned and %d replica records, want 2 of each (%s)", owned, replicas, before)
+	}
+	must(d.importRecords([]WireRecord{{URL: own[2]}, {URL: own[3], Holders: []string{}}}))
+	must(d.acceptReplicas("b", false, []WireRecord{{URL: rep[2]}, {URL: rep[3], Holders: []string{}}}))
+	if after := gauges(); after != before {
+		t.Fatalf("empty records moved the gauges: %s, were %s", after, before)
+	}
+	if got := holdersOf(d, false, own[2]); got != nil {
+		t.Fatalf("an empty hand-off made an owned record: %v", got)
+	}
+	// A push that names a replica empty supersedes it with nothing.
+	must(d.acceptReplicas("b", false, []WireRecord{{URL: rep[1]}}))
+	if got := d.snapshot(true); len(got) != 1 || got[0].URL != rep[0] {
+		t.Fatalf("replicas after an emptying push: %+v, want only %s", got, rep[0])
+	}
+	// An owned record a lookup made, or one its holders all dropped, is
+	// empty: not at stake, not pushed.
+	d.lookup(0, own[4], "", 0, nil)
+	d.lookup(0, own[5], "d", 1, nil)
+	d.deregister("d", 2, []string{own[5]})
+	if owned := len(d.snapshot(false)); owned != 4 {
+		t.Fatalf("%d owned records, want 4", owned)
+	}
+	push := d.replicaPush()
+	if want := []WireRecord{{URL: own[0], Version: 2}, {URL: own[1], Holders: []string{"c"}}}; !reflect.DeepEqual(push, want) {
+		t.Fatalf("push = %+v, want %+v", push, want)
+	}
+	if got := heldOf(d); got != 2 || got != heldByWalk(d) {
+		t.Fatalf("%d owned records at stake, want 2 (walk %d)", got, heldByWalk(d))
 	}
 }

@@ -2,11 +2,13 @@ package node
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"cachecloud/internal/document"
 	"cachecloud/internal/node/chaos"
 )
 
@@ -35,9 +37,16 @@ func chaosCluster(t *testing.T, net *chaos.Network, names []string, ringSize int
 	return lc
 }
 
-// recordCount reads a node's owned lookup-record count.
+// recordCount reads how many of a node's owned lookup records are not
+// empty: what its heartbeat reports.
 func recordCount(n *CacheNode) int {
-	return len(n.Records())
+	count := 0
+	for _, wr := range n.Records() {
+		if !wr.Empty() {
+			count++
+		}
+	}
+	return count
 }
 
 // originHeldFor reads the origin's last-heartbeat record count for a node.
@@ -247,4 +256,96 @@ func TestChaosDropsAreAbsorbedByClientFailover(t *testing.T) {
 		t.Fatalf("requests = %d", requests)
 	}
 	_ = failovers // failovers depend on the seed; presence of faults is asserted above
+}
+
+// TestCrashRecoversEveryRecordAtStake: a victim owns records a client on
+// the other ring holds, one that names only a version, and records nobody
+// holds. Its heartbeat reports the first two kinds, its push carries them,
+// and when it crashes its ring sibling promotes each with its holders:
+// RecordsLost and RecordsRecovered both grow by their count, and nothing
+// of the empty records reaches the sibling. On the parent commit the empty
+// records were reported, pushed and promoted too.
+func TestCrashRecoversEveryRecordAtStake(t *testing.T) {
+	net := chaos.NewNetwork(chaos.Config{Seed: 7})
+	lc := chaosCluster(t, net, []string{"n0", "n1", "n2", "n3"}, 2)
+	victim := lc.Caches["n0"]
+	layout := victim.AssignmentsView()
+	sibling, _, ok := victim.siblingOf("n0")
+	if !ok {
+		t.Fatal("n0 has no ring sibling")
+	}
+	other := "n2"
+	if layout.ringOf(other) == layout.ringOf("n0") {
+		other = "n1"
+	}
+	var held, empty []string
+	for _, d := range testCatalog(60) {
+		if owner, _ := layout.ownerOf(d.URL, lc.Cfg.IntraGen); owner == "n0" {
+			if len(held) <= len(empty) {
+				held = append(held, d.URL)
+			} else {
+				empty = append(empty, d.URL)
+			}
+		}
+	}
+	versioned, empty := empty[0], empty[1:]
+	if len(held) == 0 || len(empty) == 0 {
+		t.Fatalf("n0 owns %d URLs to hold and %d to leave empty, want some of each", len(held), len(empty))
+	}
+	c, err := NewClientWithTransport(lc.Cfg, other, net.Transport("client", NewHTTPTransport(TransportOptions{Clock: quickClock{}})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range held {
+		if _, _, err := c.Get(u); err != nil {
+			t.Fatalf("get %s: %v", u, err)
+		}
+	}
+	victim.dir.update(0, document.Document{URL: versioned, Version: 5})
+	for _, u := range empty {
+		victim.dir.lookup(0, u, "", 0, nil)
+	}
+	var atStake []WireRecord
+	for _, wr := range victim.Records() {
+		if !wr.Empty() {
+			atStake = append(atStake, wr)
+		}
+	}
+	if len(atStake) != len(held)+1 || len(victim.Records()) != len(atStake)+len(empty) {
+		t.Fatalf("n0 owns %d records, %d of them at stake; want %d at stake and %d empty", len(victim.Records()), len(atStake), len(held)+1, len(empty))
+	}
+	if _, err := lc.Origin.TriggerReplication(); err != nil {
+		t.Fatal(err)
+	}
+	if got := lc.Caches[sibling].ReplicaSnapshot(); !reflect.DeepEqual(got, atStake) {
+		t.Fatalf("%s keeps replicas %+v, want %+v", sibling, got, atStake)
+	}
+	victim.sendHeartbeat()
+	if got := originHeldFor(lc.Origin, "n0"); got != len(atStake) {
+		t.Fatalf("the heartbeat reported %d records held, want %d", got, len(atStake))
+	}
+	before := lc.Origin.Stats()
+	net.Kill("n0")
+	if resp, err := lc.Origin.Repair(); err != nil || !reflect.DeepEqual(resp.Removed, []string{"n0"}) {
+		t.Fatalf("repair removed %v (%v), want [n0]", resp.Removed, err)
+	}
+	after := lc.Origin.Stats()
+	lost, recovered := after.RecordsLost-before.RecordsLost, after.RecordsRecovered-before.RecordsRecovered
+	if lost != int64(len(atStake)) || recovered != lost {
+		t.Fatalf("RecordsLost grew by %d and RecordsRecovered by %d, want %d each", lost, recovered, len(atStake))
+	}
+	promoted := map[string]WireRecord{}
+	for _, wr := range lc.Caches[sibling].Records() {
+		promoted[wr.URL] = wr
+	}
+	for _, wr := range atStake {
+		if got := promoted[wr.URL]; !reflect.DeepEqual(got, wr) {
+			t.Fatalf("%s promoted %+v, want %+v", sibling, got, wr)
+		}
+	}
+	for _, u := range empty {
+		if wr, ok := promoted[u]; ok {
+			t.Fatalf("%s owns the empty record %+v", sibling, wr)
+		}
+	}
 }

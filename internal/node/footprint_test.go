@@ -3,6 +3,7 @@ package node
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -67,7 +68,7 @@ func TestDirectoryFootprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	h2 := liveHeap()
-	if owned, replicas := d.counts(); owned != n || replicas != n {
+	if owned, _, replicas := d.counts(); owned != n || replicas != n {
 		t.Fatalf("%d owned and %d replica records, want %d of each", owned, replicas, n)
 	}
 	for i, u := range emptied {
@@ -92,6 +93,66 @@ func TestDirectoryFootprint(t *testing.T) {
 	runtime.KeepAlive(urls)
 	runtime.KeepAlive(push)
 	runtime.KeepAlive(d)
+}
+
+// TestEmptyReplicaFootprint: a sibling pushes 10,000 records nobody holds
+// (no holder, version 0). Nothing of them is kept: 0 B a record, where on
+// the parent commit each became a 91 B replica.
+func TestEmptyReplicaFootprint(t *testing.T) {
+	const (
+		n      = 10000
+		budget = 8 // bytes a record: 0 now; 91 as a replica
+	)
+	push := make([]WireRecord, n)
+	for i, u := range urlsOf(t, testLayout(), "b", n) {
+		push[i] = WireRecord{URL: u}
+	}
+	d := newTestDirectory("a")
+	h0 := liveHeap()
+	if err := d.acceptReplicas("b", true, push); err != nil {
+		t.Fatal(err)
+	}
+	h1 := liveHeap()
+	per := (h1 - h0) / n
+	t.Logf("replica of a record nobody holds: %d B", per)
+	if _, _, replicas := d.counts(); replicas != 0 || per > budget {
+		t.Errorf("%d replicas kept of %d empty records, %d B a record, budget %d", replicas, n, per, budget)
+	}
+	runtime.KeepAlive(push)
+	runtime.KeepAlive(d)
+}
+
+// TestBootAllocatesNoLoadCounters: a cache and a shield boot from the
+// layout of the configured rings and count no beacon load, so building
+// them allocates no per-IrH counters. At the largest IntraGen and 32 rings
+// of two, each allocated 32.1 MB on the parent commit (8 B per IrH value
+// and ring member); now about 0.1 MB.
+func TestBootAllocatesNoLoadCounters(t *testing.T) {
+	const budget = 4 << 20
+	cfg := ClusterConfig{IntraGen: maxIntraGen, Addrs: map[string]string{}, OriginAddr: "http://127.0.0.1:1",
+		Shields: []string{"s0"}, ShieldAddrs: map[string]string{"s0": "http://127.0.0.1:2"}}
+	for r := 0; r < 32; r++ {
+		a, b := fmt.Sprintf("n%02da", r), fmt.Sprintf("n%02db", r)
+		cfg.Rings = append(cfg.Rings, []string{a, b})
+		cfg.Addrs[a], cfg.Addrs[b] = "http://127.0.0.1:3", "http://127.0.0.1:4"
+	}
+	allocated := func(build func() (io.Closer, error)) uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		n, err := build()
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = n.Close()
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	cache := allocated(func() (io.Closer, error) { return NewCacheNodeWithTransport("n00a", cfg, fuzzTransport{}) })
+	shield := allocated(func() (io.Closer, error) { return NewShieldNodeWithTransport("s0", cfg, fuzzTransport{}) })
+	t.Logf("boot allocates %.1f MB for a cache, %.1f MB for a shield", float64(cache)/(1<<20), float64(shield)/(1<<20))
+	if cache > budget || shield > budget {
+		t.Errorf("boot allocated %d B for a cache and %d B for a shield, budget %d each", cache, shield, budget)
+	}
 }
 
 // TestOriginCatalogFootprint: an origin built over a catalog of 20,000

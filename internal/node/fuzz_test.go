@@ -129,6 +129,12 @@ func FuzzProtocolDecode(f *testing.F) {
 	f.Add(uint8(31), "", []byte(`{"url":"http://live/doc/0","scope":"cloud","cloud":"cloud0"}`))
 	f.Add(uint8(31), "", []byte(`{"url":"http://live/doc/0","scope":"region"}`))
 	f.Add(uint8(32), "", []byte(`{"rings":[[{"node":"n1","lo":0,"hi":99}]]}`))
+	// Hand-offs and pushes that mix an empty record (no holder, version
+	// 0), one naming only a version and one with holders: only the last
+	// two become records. The push empties a replica it pushed before.
+	f.Add(uint8(8), "", []byte(`{"records":[{"url":"http://live/doc/0"},{"url":"http://live/doc/1","holders":[],"version":3},{"url":"http://live/doc/2","holders":["n1"],"version":0}]}`))
+	f.Add(uint8(9), "", []byte(`{"records":[{"url":"http://live/doc/0","holders":null,"version":0},{"url":"http://live/doc/1","version":3},{"url":"http://live/doc/2","holders":["n1","n0"]}],"reset":true,"from":"n1"}`))
+	f.Add(uint8(9), "", []byte(`{"records":[{"url":"http://live/doc/2","holders":["n1"]},{"url":"http://live/doc/2"}],"from":"n1"}`))
 	f.Fuzz(func(t *testing.T, endpoint uint8, query string, body []byte) {
 		// Every input runs against the single-tier cloud, then against one
 		// behind a shield in which n0 holds doc 0 and the shield has
@@ -209,6 +215,9 @@ func fuzzOne(t *testing.T, shielded bool, endpoint uint8, query string, body []b
 	var lr LookupResponse
 	if ep.path == "/lookup" && json.Unmarshal(rec.Body.Bytes(), &lr) == nil && lr.Doc != nil && lr.Doc.Version < lr.Version {
 		t.Fatalf("lookup answered version %d with a version-%d copy", lr.Version, lr.Doc.Version)
+	}
+	if got, walk := heldOf(cache.dir), heldByWalk(cache.dir); got != walk {
+		t.Fatalf("shielded=%v %s %s: %d owned records at stake, a walk counts %d", shielded, ep.method, ep.path, got, walk)
 	}
 	// Whatever got in, every holder list is in name order, each name once.
 	for _, replicas := range []bool{false, true} {

@@ -135,6 +135,9 @@ func TestHolderListMatchesMapModel(t *testing.T) {
 			if got := d.staleDrops.Value(); got != wantStale {
 				t.Fatalf("seed %d step %d: %d stale drops, model %d", seed, step, got, wantStale)
 			}
+			if got, walk := heldOf(d), heldByWalk(d); got != walk {
+				t.Fatalf("seed %d step %d: %d owned records at stake, a walk counts %d", seed, step, got, walk)
+			}
 		}
 		for _, replicas := range []bool{false, true} {
 			for _, wr := range d.snapshot(replicas) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -76,7 +77,10 @@ func cacheStats(t *testing.T, client *http.Client, base string) CacheStats {
 
 func TestEqualSplitLayout(t *testing.T) {
 	cfg := ClusterConfig{IntraGen: 10, Rings: [][]string{{"a", "b"}, {"c"}}}
-	a := layoutOf(newRings(cfg))
+	a := layoutOf(newRings(cfg, false))
+	if origin := layoutOf(newRings(cfg, true)); !reflect.DeepEqual(a, origin) {
+		t.Fatalf("boot layout %+v, the origin's %+v", a, origin)
+	}
 	if a.Rings[0][0] != (Subrange{Node: "a", Lo: 0, Hi: 4}) {
 		t.Fatalf("ring0[0] = %+v", a.Rings[0][0])
 	}
@@ -104,7 +108,7 @@ func TestEqualSplitLayout(t *testing.T) {
 
 func TestOwnerOfCoversAllDocs(t *testing.T) {
 	cfg := ClusterConfig{IntraGen: 100, Rings: [][]string{{"a", "b"}, {"c", "d"}}}
-	a := layoutOf(newRings(cfg))
+	a := layoutOf(newRings(cfg, false))
 	owners := map[string]int{}
 	for i := 0; i < 500; i++ {
 		o, err := a.ownerOf(fmt.Sprintf("u%d", i), cfg.IntraGen)

@@ -107,7 +107,7 @@ func NewOriginNodeWithTransport(cfg ClusterConfig, docs []document.Document, tp 
 	if err := cfg.check(); err != nil {
 		return nil, err
 	}
-	rings := newRings(cfg)
+	rings := newRings(cfg, true)
 	clock := clockOrReal(cfg.Clock)
 	if tp == nil {
 		tp = NewHTTPTransport(TransportOptions{Clock: clock})

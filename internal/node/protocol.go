@@ -188,8 +188,9 @@ func LoadClusterConfig(path string) (ClusterConfig, error) {
 	return cfg, nil
 }
 
-// maxIntraGen bounds IntraGen: each beacon point keeps a load counter of 8
-// bytes per hash value from boot on.
+// maxIntraGen bounds IntraGen: the origin keeps a load counter of 8 bytes
+// per hash value for each beacon point from boot on, and a cache one for
+// its ring from its first beacon operation.
 const maxIntraGen = 1 << 16
 
 // check returns the first field of c outside its domain, naming the field.
@@ -566,7 +567,7 @@ type CacheStats struct {
 	OriginMiss  int64   `json:"originMiss"`
 	BeaconOps   int64   `json:"beaconOps"`
 	HitRate     float64 `json:"hitRate"`
-	RecordsHeld int     `json:"recordsHeld"`
+	RecordsHeld int     `json:"recordsHeld"` // as HeartbeatRequest's
 	// FailedOver counts lookups answered by a ring sibling's lazy replica
 	// after the owning beacon was unreachable.
 	FailedOver int64 `json:"failedOver"`
@@ -676,7 +677,8 @@ type OriginStats struct {
 // HeartbeatRequest is the body of the origin's POST /heartbeat: a cache
 // node reporting it is alive, together with the cluster-view summary the
 // origin uses for failure accounting (RecordsHeld is what would be lost
-// if this node crashed right now).
+// if this node crashed right now: its owned lookup records that name a
+// holder or a version, the ones its replica push carries).
 type HeartbeatRequest struct {
 	Node        string `json:"node"`
 	Seq         int64  `json:"seq"`

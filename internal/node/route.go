@@ -9,17 +9,18 @@ import (
 
 // newRings builds the cluster's beacon rings (internal/ring) in their
 // initial equal division, the one core.Cloud starts from too. The origin
-// keeps them for its whole life as the master topology; every other node
-// kind renders them once (layoutOf), as the layout it boots with. cfg has
-// passed check, which refuses every layout ring.New does.
-func newRings(cfg ClusterConfig) []*ring.Ring {
+// keeps them for its whole life as the master topology, with per-IrH load
+// counters (fine) for its rebalances; every other node kind renders them
+// once (layoutOf), as the layout it boots with, from rings without load
+// counters. cfg has passed check, which refuses every layout ring.New does.
+func newRings(cfg ClusterConfig, fine bool) []*ring.Ring {
 	rings := make([]*ring.Ring, len(cfg.Rings))
 	for r, names := range cfg.Rings {
 		members := make([]ring.Member, len(names))
 		for i, name := range names {
 			members[i] = ring.Member{ID: name, Capability: 1}
 		}
-		rings[r], _ = ring.New(ring.Config{IntraGen: cfg.IntraGen, FineGrained: true}, members)
+		rings[r], _ = ring.New(ring.Config{IntraGen: cfg.IntraGen, FineGrained: fine}, members)
 	}
 	return rings
 }

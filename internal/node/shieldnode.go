@@ -309,7 +309,7 @@ func NewShieldNodeWithTransport(name string, cfg ClusterConfig, tp Transport) (*
 		start: clock.Now(),
 		table: make(map[string]*shieldEntry),
 	}
-	sn.view.Store(newRouteView(cfg.IntraGen, layoutOf(newRings(cfg))))
+	sn.view.Store(newRouteView(cfg.IntraGen, layoutOf(newRings(cfg, false))))
 	sn.initMetrics()
 	if err := sn.initDurable(); err != nil {
 		return nil, err

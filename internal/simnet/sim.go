@@ -846,10 +846,16 @@ func (s *sim) execCrash(victim string) {
 		s.failf("crash: unknown node %q", victim)
 		return
 	}
+	expect := 0 // the records a crash loses: those that are not empty
+	for _, wr := range cn.Records() {
+		if !wr.Empty() {
+			expect++
+		}
+	}
 	stats := s.origin.Stats()
 	s.pendingCrash = &crashLedger{
 		victim:  victim,
-		expect:  len(cn.Records()),
+		expect:  expect,
 		lost0:   stats.RecordsLost,
 		rec0:    stats.RecordsRecovered,
 		stored0: len(cn.StoredVersions()),
